@@ -5,6 +5,15 @@ oriented by the SYN direction.  Each direction becomes a contiguous byte
 stream (starting at ISN+1) plus an offset-to-timestamp map recording when
 each byte range FIRST crossed the wire; retransmissions never overwrite the
 first arrival, so reassembly is insensitive to capture-file ordering.
+
+Segments are placed in arrival order against a sorted list of disjoint
+covered intervals, following the segment-placement rules of RFC 9293
+§3.10.7: the uncovered sub-ranges of a segment become new pieces (each
+referencing the captured payload it came from), and the sub-ranges already
+covered are compared with the stored bytes, a difference being flagged as
+``overlap_mismatch``.  Only the contiguous prefix from offset 0 is joined
+into the stream.  Memory is therefore proportional to the captured payload
+bytes, never to the sequence offsets a segment claims.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from tlslayers.decode import DecodedPacket, TcpFlags
@@ -21,6 +31,11 @@ logger = logging.getLogger(__name__)
 
 _SEQ_MOD = 1 << 32
 _FORWARD_WINDOW = 1 << 30  # relative offsets past this are treated as pre-ISN junk
+_SYN = int(TcpFlags.SYN)
+_ACK = int(TcpFlags.ACK)
+_RST = int(TcpFlags.RST)
+_FIN = int(TcpFlags.FIN)
+_piece_start = itemgetter(0)
 
 FLAG_COMPLETE = "complete"
 FLAG_PARTIAL = "partial"
@@ -40,14 +55,13 @@ class FlowKey:
 class DirectionalStream:
     """One direction's reassembled bytes and per-offset first-arrival times."""
 
-    __slots__ = ("data", "_offsets", "_times", "has_gap", "total_span")
+    __slots__ = ("data", "_offsets", "_times", "has_gap")
 
-    def __init__(self, data: bytes, offsets_ts: list[tuple[int, int]], has_gap: bool, total_span: int):
+    def __init__(self, data: bytes, offsets_ts: list[tuple[int, int]], has_gap: bool):
         self.data = data
         self._offsets = [o for o, _ in offsets_ts]
         self._times = [t for _, t in offsets_ts]
         self.has_gap = has_gap
-        self.total_span = total_span
 
     def __len__(self) -> int:
         return len(self.data)
@@ -72,7 +86,7 @@ def timestamp_at(stream: DirectionalStream, offset: int) -> int:
     return stream.timestamp_at(offset)
 
 
-EMPTY_STREAM = DirectionalStream(b"", [], False, 0)
+EMPTY_STREAM = DirectionalStream(b"", [], False)
 
 
 @dataclass
@@ -160,8 +174,9 @@ def _walk_group(entries: list[tuple[int, DecodedPacket]]) -> list[TcpConnection]
     for _, pkt in entries:
         src = (pkt.src_ip, pkt.src_port)
         dst = (pkt.dst_ip, pkt.dst_port)
-        syn = pkt.flag(TcpFlags.SYN)
-        ack = pkt.flag(TcpFlags.ACK)
+        tcp_flags = pkt.tcp_flags
+        syn = tcp_flags & _SYN
+        ack = tcp_flags & _ACK
 
         if syn and not ack:
             if curr is None or curr.closed:
@@ -195,10 +210,10 @@ def _walk_group(entries: list[tuple[int, DecodedPacket]]) -> list[TcpConnection]
                 curr.anomalies.add("synack_from_client")
             continue
 
-        if pkt.flag(TcpFlags.RST):
+        if tcp_flags & _RST:
             curr.reset = True
             continue
-        if pkt.flag(TcpFlags.FIN):
+        if tcp_flags & _FIN:
             if src == curr.client:
                 curr.fin_c = True
             else:
@@ -264,40 +279,50 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
     if not placed:
         return EMPTY_STREAM
 
-    span = max(rel + len(p) for rel, p, _ in placed)
-    data = bytearray(span)
-    covered = bytearray(span)
-    offsets_ts: list[tuple[int, int]] = []
-
+    # Disjoint covered pieces sorted by offset: (start, end, bytes, ts), where
+    # ts is the arrival time of the segment that first carried those bytes.
+    pieces: list[tuple[int, int, bytes, int]] = []
     placed.sort(key=lambda s: (s[2], s[0]))
     end_seen = 0
     for rel, payload, ts in placed:
-        # zero-window probe / keep-alive: one stale byte at the stream edge
-        if len(payload) == 1 and rel == end_seen - 1 and covered[rel]:
-            continue
-        pos = rel
-        plen = len(payload)
-        while pos < rel + plen:
-            if covered[pos]:
-                run = pos
-                while run < rel + plen and covered[run]:
-                    run += 1
-                if data[pos:run] != payload[pos - rel : run - rel]:
-                    anomalies.add("overlap_mismatch")
-                pos = run
-            else:
-                run = pos
-                while run < rel + plen and not covered[run]:
-                    run += 1
-                data[pos:run] = payload[pos - rel : run - rel]
-                covered[pos:run] = b"\x01" * (run - pos)
-                offsets_ts.append((pos, ts))
-                pos = run
-        end_seen = max(end_seen, rel + plen)
+        end = rel + len(payload)
+        i = bisect_right(pieces, rel, key=_piece_start) - 1
+        if i < 0 or pieces[i][1] <= rel:
+            i += 1
+        elif end == rel + 1 == end_seen:
+            continue  # zero-window probe / keep-alive: one stale byte at the stream edge
+        end_seen = max(end_seen, end)
 
-    prefix = covered.find(0)
-    if prefix == -1:
-        prefix = span
-    has_gap = prefix < span
-    offsets_ts = sorted((o, t) for o, t in offsets_ts if o < prefix)
-    return DirectionalStream(bytes(data[:prefix]), offsets_ts, has_gap, span)
+        # Walk the pieces overlapping [rel, end): the gaps between them become
+        # new pieces, the covered sub-ranges must repeat the stored bytes.
+        run: list[tuple[int, int, bytes, int]] = []
+        pos = rel
+        j = i
+        while j < len(pieces) and pieces[j][0] < end:
+            piece = pieces[j]
+            p_start, p_end, p_bytes, _ = piece
+            if pos < p_start:
+                run.append((pos, p_start, payload[pos - rel : p_start - rel], ts))
+                pos = p_start
+            stop = min(end, p_end)
+            if p_bytes[pos - p_start : stop - p_start] != payload[pos - rel : stop - rel]:
+                anomalies.add("overlap_mismatch")
+            run.append(piece)
+            pos = stop
+            j += 1
+        if pos < end:
+            run.append((pos, end, payload[pos - rel :], ts))
+        pieces[i:j] = run
+
+    # Only the contiguous prefix from offset 0 is materialised.
+    k = 0
+    prefix = 0
+    while k < len(pieces) and pieces[k][0] == prefix:
+        prefix = pieces[k][1]
+        k += 1
+    prefix_pieces = pieces[:k]
+    return DirectionalStream(
+        b"".join(p[2] for p in prefix_pieces),
+        [(p[0], p[3]) for p in prefix_pieces],
+        k < len(pieces),
+    )

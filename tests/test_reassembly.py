@@ -1,8 +1,11 @@
 """TCP reassembly: orientation, first-arrival semantics, gaps, incarnations."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlslayers.decode import DecodedPacket, TcpFlags
 from tlslayers.errors import GapAtOffset
@@ -66,7 +69,7 @@ def test_retransmission_keeps_first_arrival():
     packets.append(pkt(CLIENT, SERVER, 5_500_000, TcpFlags.ACK, 101, b"abcd"))  # 5 ms later
     (conn,) = assemble_connections(packets)
     assert timestamp_at(conn.client_to_server, 0) == 500_000
-    assert "partial" not in conn.anomalies
+    assert "complete" in conn.flags and not conn.anomalies
 
 
 def test_out_of_order_segments_permutation_insensitive():
@@ -77,7 +80,7 @@ def test_out_of_order_segments_permutation_insensitive():
     for i, payload in enumerate(payloads):
         segments.append((offset, payload, 500_000 + i * 10_000))
         offset += len(payload)
-    reference = None
+    expected = (b"".join(payloads), [(off, ts) for off, _, ts in segments])
     for trial in range(5):
         order = list(range(len(segments)))
         rng.shuffle(order)
@@ -86,12 +89,7 @@ def test_out_of_order_segments_permutation_insensitive():
             off, payload, ts = segments[idx]
             packets.append(pkt(CLIENT, SERVER, ts, TcpFlags.ACK, 101 + off, payload))
         (conn,) = assemble_connections(packets)
-        snapshot = (conn.client_to_server.data, tuple(conn.client_to_server.offsets_ts))
-        if reference is None:
-            reference = snapshot
-            assert conn.client_to_server.data == b"".join(payloads)
-        else:
-            assert snapshot == reference
+        assert (conn.client_to_server.data, conn.client_to_server.offsets_ts) == expected
 
 
 def test_timestamp_at_brute_force_oracle():
@@ -209,3 +207,109 @@ def test_keepalive_probe_ignored():
 def test_synack_ordering_invariant():
     for conn in assemble_connections(handshake()):
         assert conn.t_syn <= conn.t_synack
+
+
+def test_far_ahead_stray_segment_costs_captured_bytes_only():
+    packets = handshake(isn_c=100)
+    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"hello"))
+    packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101 + (64 << 20), b"x"))
+    tracemalloc.start()
+    try:
+        (conn,) = assemble_connections(packets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert conn.client_to_server.data == b"hello"
+    assert conn.client_to_server.has_gap
+    assert peak < 1 << 20
+
+
+# -- differential check against a per-byte model -------------------------------
+
+_SEQ_MOD = 1 << 32
+_T0 = 1_000_000  # after the handshake, so every data segment joins its connection
+
+
+def reference_stream(segs, isn):
+    """Per-byte first-arrival placement: the model the interval builder must match.
+
+    segs is [(seq, payload, ts)] in capture order.  Returns (data, offsets_ts,
+    has_gap, anomalies), where offsets_ts holds one (offset, ts) per run of
+    bytes a segment newly covered, inside the contiguous prefix.
+    """
+    base = (isn + 1) % _SEQ_MOD
+    placed = [((seq - base) % _SEQ_MOD, payload, ts) for seq, payload, ts in segs]
+    placed = [p for p in placed if p[0] < 1 << 30]  # drops pre-ISN and stale sequences
+    placed.sort(key=lambda p: (p[2], p[0]))
+    byte_at = {}  # offset -> (byte, first-arrival ts)
+    run_starts = []
+    anomalies = set()
+    end_seen = 0
+    for rel, payload, ts in placed:
+        if len(payload) == 1 and rel == end_seen - 1 and rel in byte_at:
+            continue  # keep-alive probe at the edge
+        in_new_run = False
+        for i, b in enumerate(payload):
+            off = rel + i
+            if off in byte_at:
+                if byte_at[off][0] != b:
+                    anomalies.add("overlap_mismatch")
+                in_new_run = False
+            else:
+                byte_at[off] = (b, ts)
+                if not in_new_run:
+                    run_starts.append((off, ts))
+                in_new_run = True
+        end_seen = max(end_seen, rel + len(payload))
+    prefix = 0
+    while prefix in byte_at:
+        prefix += 1
+    data = bytes(byte_at[o][0] for o in range(prefix))
+    offsets_ts = sorted((o, t) for o, t in run_starts if o < prefix)
+    return data, offsets_ts, len(byte_at) > prefix, anomalies
+
+
+@st.composite
+def segment_sets(draw):
+    """Segments cut from one byte string: overlaps, flipped bytes, edge probes,
+    equal timestamps, pre-ISN sequence numbers and segments past a gap.
+    Returns (isn, [(seq, payload, ts)]); one ISN makes sequence numbers wrap."""
+    isn = draw(st.sampled_from([100, _SEQ_MOD - 3]))
+    content = draw(st.binary(min_size=1, max_size=40))
+    segs = []
+    ends = []
+    for _ in range(draw(st.integers(1, 10))):
+        ts = _T0 + draw(st.integers(0, 4))
+        kind = draw(st.sampled_from(["cut", "cut", "probe", "pre_isn", "past_gap"]))
+        if kind == "probe" and ends:
+            rel = draw(st.sampled_from(ends)) - 1
+            payload = bytearray(content[rel : rel + 1])
+        elif kind == "pre_isn":
+            rel = -draw(st.integers(1, 4))
+            payload = bytearray(draw(st.binary(min_size=1, max_size=6)))
+        elif kind == "past_gap":
+            rel = len(content) + draw(st.integers(1, 8))
+            payload = bytearray(draw(st.binary(min_size=1, max_size=4)))
+        else:
+            rel = draw(st.integers(0, len(content) - 1))
+            payload = bytearray(content[rel : draw(st.integers(rel + 1, len(content)))])
+            ends.append(rel + len(payload))
+        if draw(st.integers(0, 5)) == 0:
+            payload[draw(st.integers(0, len(payload) - 1))] ^= 0xFF
+        segs.append(((isn + 1 + rel) % _SEQ_MOD, bytes(payload), ts))
+    return isn, segs
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_sets())
+def test_interval_builder_matches_per_byte_model(case):
+    isn, segs = case
+    packets = handshake(isn_c=isn)
+    packets += [pkt(CLIENT, SERVER, ts, TcpFlags.ACK, seq, payload) for seq, payload, ts in segs]
+    (conn,) = assemble_connections(packets)
+    stream = conn.client_to_server
+    data, offsets_ts, has_gap, anomalies = reference_stream(segs, isn)
+    assert stream.data == data
+    assert stream.offsets_ts == offsets_ts
+    assert stream.has_gap == has_gap
+    assert conn.anomalies == anomalies

@@ -25,7 +25,7 @@ from reference_runs import KEY_SHARE_SIZES
 
 
 def _stream(data: bytes, ts: int = 500) -> DirectionalStream:
-    return DirectionalStream(data, [(0, ts)], False, len(data))
+    return DirectionalStream(data, [(0, ts)], False)
 
 
 def test_empty_stream_parses_to_nothing():
