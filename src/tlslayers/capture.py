@@ -5,15 +5,20 @@ timestamps regardless of the file's native resolution (microsecond pcap,
 nanosecond pcap, or pcapng per-interface resolution).  Truncated trailing
 records are skipped with a warning rather than aborting: partial captures of
 long load tests are common.
+
+Classic pcap, the format of large load-test captures, is read in fixed
+chunks of `_CHUNK` bytes and each record header is decoded in place with one
+precompiled `struct.Struct`.  A record that runs past the end of a chunk is
+completed with one read of its remainder, so memory is bounded by about two
+chunks plus the largest record, never by the file size.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, NamedTuple
 
 from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
 
@@ -35,9 +40,11 @@ _SHB = 0x0A0D0D0A
 _IDB = 0x00000001
 _EPB = 0x00000006
 
+# pcap read size; reading in chunks keeps peak memory independent of file size
+_CHUNK = 1 << 20
 
-@dataclass(frozen=True)
-class CapturedFrame:
+
+class CapturedFrame(NamedTuple):
     """One captured link-layer frame."""
 
     timestamp_ns: int
@@ -88,24 +95,36 @@ def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[CapturedFrame]:
     if network not in SUPPORTED_LINK_TYPES:
         raise UnknownLinkType(f"{name}: link type {network} not supported")
 
-    rec_hdr = struct.Struct(endian + "IIII")
+    unpack_hdr = struct.Struct(endian + "IIII").unpack_from
+    tail = b""  # the start of a record header cut by the previous chunk's end
     while True:
-        hdr = fh.read(16)
-        if not hdr:
+        chunk = fh.read(_CHUNK)
+        if not chunk:
+            if tail:
+                logger.warning("%s: truncated trailing record header, skipping", name)
             return
-        if len(hdr) < 16:
-            logger.warning("%s: truncated trailing record header, skipping", name)
-            return
-        ts_sec, ts_frac, caplen, origlen = rec_hdr.unpack(hdr)
-        data = fh.read(caplen)
-        if len(data) < caplen:
-            logger.warning("%s: truncated trailing record body, skipping", name)
-            return
-        if caplen == 0:
-            logger.warning("%s: zero-length record, skipping", name)
-            continue
-        ts_ns = ts_sec * 1_000_000_000 + ts_frac * frac_to_ns
-        yield CapturedFrame(timestamp_ns=ts_ns, link_type=network, data=data, orig_len=origlen)
+        buf = tail + chunk if tail else chunk
+        n = len(buf)
+        off = 0
+        while n - off >= 16:
+            ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
+            start = off + 16
+            off = start + caplen
+            if off <= n:
+                data = buf[start:off]
+            else:
+                missing = off - n
+                more = fh.read(missing)
+                if len(more) < missing:
+                    logger.warning("%s: truncated trailing record body, skipping", name)
+                    return
+                data = buf[start:] + more
+                off = n
+            if not caplen:
+                logger.warning("%s: zero-length record, skipping", name)
+                continue
+            yield CapturedFrame(ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, data, origlen)
+        tail = buf[off:]
 
 
 def _pcapng_ts_to_ns(ticks: int, resol_pow10: int | None, resol_pow2: int | None) -> int:

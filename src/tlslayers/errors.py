@@ -63,10 +63,6 @@ class EmptyInnerPlaintext(TlsLayersError):
     pass
 
 
-class FinishedNotFound(TlsLayersError):
-    pass
-
-
 # -- reassembly / timeline ---------------------------------------------------
 
 class GapAtOffset(TlsLayersError):

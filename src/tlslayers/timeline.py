@@ -201,15 +201,6 @@ class LayerDeltas:
     def e2e_ms(self) -> float:
         return self.e2e_ns / NS_PER_MS
 
-    def layer_ms(self) -> dict[str, float]:
-        return {
-            "tcp_handshake": self.tcp_handshake_ms,
-            "tcp_to_tls": self.tcp_to_tls_ms,
-            "tls_handshake": self.tls_handshake_ms,
-            "tls_to_app": self.tls_to_app_ms,
-            "app_response": self.app_response_ms,
-        }
-
 
 def compute_deltas(tl: ConnectionTimeline) -> LayerDeltas:
     """Consecutive boundary differences; the five deltas sum exactly to e2e."""

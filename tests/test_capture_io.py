@@ -1,14 +1,14 @@
 """Capture file reading: unit conversion exactness, formats, error handling."""
 
 import logging
+import random
 import struct
 
 import pytest
 
-from tlslayers import synth
+from tlslayers import capture, synth
 from tlslayers.capture import CapturedFrame, open_capture
 from tlslayers.errors import UnknownLinkType, UnknownMagic, UnreadableFile
-
 
 
 def _write_pcap_us(path, records):
@@ -133,3 +133,111 @@ def test_pcapng_microsecond_default_resolution(tmp_path):
         fh.write(struct.pack("<II", 6, len(body) + 12) + body + struct.pack("<I", len(body) + 12))
     (frame,) = open_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
+
+
+# -- chunked pcap reading ------------------------------------------------------
+
+PCAP_WARNINGS = ("truncated trailing record header", "truncated trailing record body", "zero-length record")
+
+
+def _pcap_bytes(endian, magic, records, tail=b""):
+    """A pcap file of (ts_sec, ts_frac, data, orig_len) records, then raw `tail` bytes."""
+    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 262144, 1)]
+    for ts_sec, ts_frac, data, orig_len in records:
+        out.append(struct.pack(endian + "IIII", ts_sec, ts_frac, len(data), orig_len) + data)
+    return b"".join(out) + tail
+
+
+def _reference_read(raw):
+    """Record-at-a-time pcap reader over the whole file: (frames, warnings)."""
+    endian = "<" if struct.unpack_from("<I", raw)[0] in (0xA1B2C3D4, 0xA1B23C4D) else ">"
+    frac_to_ns = 1 if struct.unpack_from(endian + "I", raw)[0] == 0xA1B23C4D else 1000
+    network = struct.unpack_from(endian + "I", raw, 20)[0]
+    frames, warnings = [], []
+    off = 24
+    while off < len(raw):
+        if len(raw) - off < 16:
+            warnings.append(PCAP_WARNINGS[0])
+            break
+        ts_sec, ts_frac, caplen, orig_len = struct.unpack_from(endian + "IIII", raw, off)
+        data = raw[off + 16 : off + 16 + caplen]
+        off += 16 + caplen
+        if len(data) < caplen:
+            warnings.append(PCAP_WARNINGS[1])
+            break
+        if caplen == 0:
+            warnings.append(PCAP_WARNINGS[2])
+            continue
+        frames.append(CapturedFrame(ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, data, orig_len))
+    return frames, warnings
+
+
+def _read_with_warnings(path, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
+        frames = list(open_capture(path))
+    warnings = [w for r in caplog.records for w in PCAP_WARNINGS if w in r.getMessage()]
+    return frames, warnings
+
+
+def _random_records(rng, count, max_len):
+    return [
+        (rng.randrange(2**32), rng.randrange(1_000_000), rng.randbytes(size), size + rng.choice((0, 0, 7)))
+        for size in (rng.randint(0, max_len) for _ in range(count))
+    ]
+
+
+@pytest.mark.parametrize("endian,magic", [("<", 0xA1B2C3D4), (">", 0xA1B2C3D4), ("<", 0xA1B23C4D), (">", 0xA1B23C4D)])
+@pytest.mark.parametrize("chunk", [1, 5, 16, 17, 40, 97])
+def test_records_straddling_chunk_edges_match_reference(tmp_path, caplog, monkeypatch, endian, magic, chunk):
+    # With a small chunk every header and body offset relative to a chunk edge
+    # occurs, including records several chunks long and zero-length records.
+    monkeypatch.setattr(capture, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    records = _random_records(rng, 40, 3 * chunk + 20)
+    endings = {
+        "clean": b"",
+        "cut header": struct.pack(endian + "III", 1, 2, 3),
+        "cut body": struct.pack(endian + "IIII", 1, 2, 50, 50) + b"x" * 49,
+    }
+    for label, tail in endings.items():
+        raw = _pcap_bytes(endian, magic, records, tail)
+        path = tmp_path / "chunks.pcap"
+        path.write_bytes(raw)
+        expected = _reference_read(raw)
+        assert expected[0], label
+        assert _read_with_warnings(path, caplog) == expected, label
+
+
+@pytest.mark.parametrize("endian", ["<", ">"])
+def test_real_chunk_edge_and_record_larger_than_chunk(tmp_path, caplog, endian):
+    chunk = capture._CHUNK
+    # the second record's header starts 7 bytes before the first chunk edge
+    first = b"a" * (chunk - 24 - 16 - 7)
+    big = bytes(range(256)) * ((chunk + 4096) // 256)  # longer than a whole chunk
+    records = [(1, 10, first, len(first)), (2, 20, b"header straddles", 16), (3, 30, big, len(big)), (4, 40, b"end", 3)]
+    raw = _pcap_bytes(endian, 0xA1B2C3D4, records)
+    path = tmp_path / "edge.pcap"
+    path.write_bytes(raw)
+    frames, warnings = _read_with_warnings(path, caplog)
+    assert (frames, warnings) == _reference_read(raw)
+    assert [f.data for f in frames] == [r[2] for r in records]
+    assert [f.timestamp_ns for f in frames] == [1_000_010_000, 2_000_020_000, 3_000_030_000, 4_000_040_000]
+
+
+def test_truncated_trailing_record_header_warns(tmp_path, caplog):
+    path = tmp_path / "cut-header.pcap"
+    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=bytes(15)))
+    frames, warnings = _read_with_warnings(path, caplog)
+    assert [f.data for f in frames] == [b"good"]
+    assert warnings == ["truncated trailing record header"]
+
+
+def test_zero_length_record_skipped_with_warning(tmp_path, caplog):
+    path = tmp_path / "zero.pcap"
+    # the last record is a bare 16-byte header: zero-length, not a truncated header
+    records = [(1, 5, b"one", 3), (2, 0, b"", 0), (3, 7, b"two", 3), (4, 0, b"", 0)]
+    path.write_bytes(_pcap_bytes(">", 0xA1B23C4D, records))
+    frames, warnings = _read_with_warnings(path, caplog)
+    assert [(f.timestamp_ns, f.data) for f in frames] == [(1_000_000_005, b"one"), (3_000_000_007, b"two")]
+    assert warnings == ["zero-length record", "zero-length record"]

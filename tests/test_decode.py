@@ -1,17 +1,18 @@
-"""Frame decoding: both kernels, header arithmetic, truncation marking."""
+"""Frame decoding: header arithmetic, truncation marking, differential oracle."""
 
+import functools
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlslayers import synth
 from tlslayers.capture import CapturedFrame
-from tlslayers.decode import DecodedPacket, TcpFlags, available_kernels, decode_frame
+from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
 from tlslayers.errors import MalformedHeader
 
 from conftest import clean_connection_spec
-
-KERNELS = sorted(available_kernels().items())
 
 
 def _eth_ipv4_tcp(payload=b"", options=b"", flags=0x18, total_len_override=None):
@@ -27,121 +28,94 @@ def _eth_ipv4_tcp(payload=b"", options=b"", flags=0x18, total_len_override=None)
     return b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + tcp
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_arp_frame_is_non_tcp(name, kernel):
+def _decode(link_type, data):
+    return decode_frame(CapturedFrame(timestamp_ns=0, link_type=link_type, data=data, orig_len=len(data)))
+
+
+def test_arp_frame_is_non_tcp():
     arp = b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28)
-    assert kernel(1, arp) is None
+    assert _decode(1, arp) is None
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_udp_is_non_tcp(name, kernel):
+def test_udp_is_non_tcp():
     ip = struct.pack(
         ">BBHHHBBH4s4s", 0x45, 0, 28, 1, 0, 64, 17, 0, bytes(4), bytes(4)
     )
     frame = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + bytes(8)
-    assert kernel(1, frame) is None
+    assert _decode(1, frame) is None
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_syn_segment_empty_payload(name, kernel):
-    frame = _eth_ipv4_tcp(flags=0x02)
-    fields = kernel(1, frame)
-    src_ip, dst_ip, sport, dport, flags, seq, pstart, pend, truncated = fields
-    assert flags == TcpFlags.SYN
-    assert pend - pstart == 0
-    assert not truncated
-    assert (sport, dport) == (40000, 443)
-    assert seq == 1000
+def test_syn_segment_empty_payload():
+    pkt = _decode(1, _eth_ipv4_tcp(flags=0x02))
+    assert pkt.tcp_flags == TcpFlags.SYN
+    assert pkt.payload == b""
+    assert not pkt.truncated
+    assert (pkt.src_port, pkt.dst_port) == (40000, 443)
+    assert pkt.seq == 1000
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_options_skipped_by_data_offset(name, kernel):
+def test_options_skipped_by_data_offset():
     # data offset 8 words: 12 option bytes; payload must be exactly 100 bytes
-    frame = _eth_ipv4_tcp(payload=b"p" * 100, options=b"\x01" * 12)
-    fields = kernel(1, frame)
-    pstart, pend = fields[6], fields[7]
-    assert pend - pstart == 100
-    assert frame[pstart:pend] == b"p" * 100
+    pkt = _decode(1, _eth_ipv4_tcp(payload=b"p" * 100, options=b"\x01" * 12))
+    assert pkt.payload == b"p" * 100
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_ethernet_trailer_padding_excluded(name, kernel):
+def test_ethernet_trailer_padding_excluded():
     frame = _eth_ipv4_tcp(payload=b"q" * 10) + b"\x00" * 6  # 60-byte minimum pad
-    fields = kernel(1, frame)
-    pstart, pend = fields[6], fields[7]
-    assert frame[pstart:pend] == b"q" * 10
-    assert not fields[8]
+    pkt = _decode(1, frame)
+    assert pkt.payload == b"q" * 10
+    assert not pkt.truncated
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_snap_truncation_detected(name, kernel):
+def test_snap_truncation_detected():
     full = _eth_ipv4_tcp(payload=b"r" * 200)
-    cut = full[: len(full) - 150]
-    fields = kernel(1, cut)
-    assert fields[8] is True or fields[8] == 1
-    pstart, pend = fields[6], fields[7]
-    assert pend - pstart == 50
+    pkt = _decode(1, full[: len(full) - 150])
+    assert pkt.truncated is True
+    assert pkt.payload == b"r" * 50
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_ipv4_fragment_is_skipped(name, kernel):
+def test_ipv4_fragment_is_skipped():
     tcp = struct.pack(">HHIIBBHHH", 1, 2, 0, 0, 5 << 4, 0x10, 0, 0, 0)
     ip = struct.pack(
         ">BBHHHBBH4s4s", 0x45, 0, 40, 1, 0x2000, 64, 6, 0, bytes(4), bytes(4)
     )
     frame = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + tcp
-    assert kernel(1, frame) is None
+    assert _decode(1, frame) is None
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_ipv6_tcp(name, kernel):
+def test_ipv6_tcp():
     payload = b"v6data"
     tcp = struct.pack(">HHIIBBHHH", 5000, 443, 7, 8, 5 << 4, 0x18, 0, 0, 0) + payload
     ip6 = struct.pack(">IHBB", 6 << 28, len(tcp), 6, 64) + bytes(range(16)) + bytes(range(16, 32))
     frame = b"\x02" * 6 + b"\x04" * 6 + b"\x86\xdd" + ip6 + tcp
-    fields = kernel(1, frame)
-    src_ip, dst_ip = fields[0], fields[1]
-    assert src_ip == bytes(range(16))
-    assert dst_ip == bytes(range(16, 32))
-    assert frame[fields[6] : fields[7]] == payload
+    pkt = _decode(1, frame)
+    assert pkt.src_ip == bytes(range(16))
+    assert pkt.dst_ip == bytes(range(16, 32))
+    assert pkt.payload == payload
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_linux_sll_and_raw_ip(name, kernel):
+def test_linux_sll_and_raw_ip():
     inner = _eth_ipv4_tcp(payload=b"xyz")[14:]
     sll = struct.pack(">HHH8sH", 0, 1, 6, bytes(8), 0x0800) + inner
-    fields = kernel(113, sll)
-    assert sll[fields[6] : fields[7]] == b"xyz"
-    fields = kernel(101, inner)
-    assert inner[fields[6] : fields[7]] == b"xyz"
+    assert _decode(113, sll).payload == b"xyz"
+    assert _decode(101, inner).payload == b"xyz"
 
 
-@pytest.mark.parametrize("name,kernel", KERNELS)
-def test_malformed_lengths_raise(name, kernel):
-    with pytest.raises(ValueError):
-        kernel(1, b"\x00" * 10)  # runt ethernet
+def test_malformed_lengths_raise():
+    with pytest.raises(MalformedHeader):
+        _decode(1, b"\x00" * 10)  # runt ethernet
     bad_ihl = bytearray(_eth_ipv4_tcp())
     bad_ihl[14] = 0x42  # ihl below minimum
-    with pytest.raises(ValueError):
-        kernel(1, bytes(bad_ihl))
+    with pytest.raises(MalformedHeader):
+        _decode(1, bytes(bad_ihl))
     bad_doff = bytearray(_eth_ipv4_tcp())
     bad_doff[14 + 20 + 12] = 0x30  # tcp data offset below minimum
-    with pytest.raises(ValueError):
-        kernel(1, bytes(bad_doff))
-
-
-def test_kernels_agree_on_synth_corpus():
-    kernels = available_kernels()
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
-    spec = synth.ScenarioSpec(
-        connections=tuple(clean_connection_spec(offset_ns=i * 10**8, seed=i) for i in range(10))
-    )
-    frames, _, _ = synth.generate(spec)
-    for frame in frames:
-        results = {name: k(frame.link_type, frame.data) for name, k in kernels.items()}
-        vals = list(results.values())
-        assert all(v == vals[0] for v in vals), results
+    with pytest.raises(MalformedHeader):
+        _decode(1, bytes(bad_doff))
+    long_ihl = bytearray(_eth_ipv4_tcp(payload=b"o" * 40))
+    long_ihl[14] = 0x4F  # 60-byte ipv4 header, cut inside its options
+    with pytest.raises(MalformedHeader, match="ipv4 options truncated"):
+        _decode(1, bytes(long_ihl[: 14 + 40]))
 
 
 def test_decode_frame_wrapper():
@@ -152,7 +126,7 @@ def test_decode_frame_wrapper():
     assert isinstance(pkt, DecodedPacket)
     assert pkt.timestamp_ns == 123
     assert pkt.payload == b"hello"
-    assert pkt.flag(TcpFlags.ACK) and pkt.flag(TcpFlags.PSH)
+    assert pkt.tcp_flags & TcpFlags.ACK and pkt.tcp_flags & TcpFlags.PSH
     with pytest.raises(MalformedHeader):
         decode_frame(CapturedFrame(timestamp_ns=1, link_type=1, data=b"\x00" * 8, orig_len=8))
 
@@ -161,3 +135,201 @@ def test_decode_frame_orig_len_truncation():
     data = _eth_ipv4_tcp(payload=b"ok")
     pkt = decode_frame(CapturedFrame(timestamp_ns=1, link_type=1, data=data, orig_len=len(data) + 10))
     assert pkt.truncated
+
+
+# -- differential test against a byte-at-a-time reference decoder ---------------
+
+
+def _reference_decode(link_type, data):
+    """Byte-indexing decoder kept as the oracle for `decode_frame`.
+
+    Returns None for non-TCP traffic, raises ValueError for inconsistent
+    length fields, or returns (src_ip, dst_ip, src_port, dst_port, flags,
+    seq, payload_start, payload_end, truncated).
+    """
+    n = len(data)
+    if link_type == 1:
+        if n < 14:
+            raise ValueError("ethernet header truncated")
+        ethertype = (data[12] << 8) | data[13]
+        off = 14
+    elif link_type == 113:
+        if n < 16:
+            raise ValueError("sll header truncated")
+        ethertype = (data[14] << 8) | data[15]
+        off = 16
+    elif link_type == 101:
+        if n < 1:
+            raise ValueError("empty raw-ip frame")
+        ethertype = 0x0800 if (data[0] >> 4) == 4 else 0x86DD
+        off = 0
+    else:
+        raise ValueError(f"unsupported link type {link_type}")
+
+    if ethertype == 0x0800:
+        if n < off + 20:
+            raise ValueError("ipv4 header truncated")
+        b0 = data[off]
+        if (b0 >> 4) != 4:
+            raise ValueError("ipv4 version mismatch")
+        ihl = (b0 & 0x0F) * 4
+        if ihl < 20:
+            raise ValueError("ipv4 header length below minimum")
+        total_len = (data[off + 2] << 8) | data[off + 3]
+        if total_len < ihl:
+            raise ValueError("ipv4 total length below header length")
+        flags_frag = (data[off + 6] << 8) | data[off + 7]
+        if (flags_frag & 0x2000) or (flags_frag & 0x1FFF):
+            return None
+        proto = data[off + 9]
+        if proto != 6:
+            return None
+        if n < off + ihl:
+            raise ValueError("ipv4 options truncated")
+        src_ip = data[off + 12 : off + 16]
+        dst_ip = data[off + 16 : off + 20]
+        tcp_start = off + ihl
+        ip_end = off + total_len
+    elif ethertype == 0x86DD:
+        if n < off + 40:
+            raise ValueError("ipv6 header truncated")
+        if (data[off] >> 4) != 6:
+            raise ValueError("ipv6 version mismatch")
+        payload_len = (data[off + 4] << 8) | data[off + 5]
+        next_header = data[off + 6]
+        if next_header != 6:
+            return None
+        src_ip = data[off + 8 : off + 24]
+        dst_ip = data[off + 24 : off + 40]
+        tcp_start = off + 40
+        ip_end = off + 40 + payload_len
+    else:
+        return None
+
+    if n < tcp_start + 20:
+        raise ValueError("tcp header truncated")
+    src_port = (data[tcp_start] << 8) | data[tcp_start + 1]
+    dst_port = (data[tcp_start + 2] << 8) | data[tcp_start + 3]
+    seq = (
+        (data[tcp_start + 4] << 24)
+        | (data[tcp_start + 5] << 16)
+        | (data[tcp_start + 6] << 8)
+        | data[tcp_start + 7]
+    )
+    doff = (data[tcp_start + 12] >> 4) * 4
+    if doff < 20:
+        raise ValueError("tcp data offset below minimum")
+    if tcp_start + doff > ip_end:
+        raise ValueError("tcp header exceeds ip length")
+    if n < tcp_start + doff:
+        raise ValueError("tcp options truncated")
+    flags = data[tcp_start + 13] & 0x1F
+
+    payload_start = tcp_start + doff
+    payload_end = ip_end
+    truncated = False
+    if payload_end > n:
+        truncated = True
+        payload_end = n
+    return (src_ip, dst_ip, src_port, dst_port, flags, seq, payload_start, payload_end, truncated)
+
+
+def _outcome(fn):
+    """('error', message), ('none',) or ('packet', fields) for one decode call."""
+    try:
+        result = fn()
+    except (ValueError, MalformedHeader) as exc:
+        return ("error", str(exc))
+    return ("none",) if result is None else ("packet", result)
+
+
+def _reference_packet(frame):
+    fields = _reference_decode(frame.link_type, frame.data)
+    if fields is None:
+        return None
+    src_ip, dst_ip, src_port, dst_port, flags, seq, pstart, pend, truncated = fields
+    return (
+        frame.timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags, seq,
+        frame.data[pstart:pend], truncated or frame.orig_len > len(frame.data),
+    )
+
+
+def _packet_fields(frame):
+    pkt = decode_frame(frame)
+    if pkt is None:
+        return None
+    return (
+        pkt.timestamp_ns, pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.tcp_flags, pkt.seq,
+        pkt.payload, pkt.truncated,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _synth_frames():
+    spec = synth.ScenarioSpec(
+        connections=(
+            clean_connection_spec(seed=1),
+            clean_connection_spec(offset_ns=10**8, seed=2, anomalies=("truncate",)),
+        )
+    )
+    frames, _, _ = synth.generate(spec)
+    return frames
+
+
+def _to_ipv6(eth_frame):
+    """Re-encode an Ethernet/IPv4 frame as Ethernet/IPv6 with the same TCP segment and trailer."""
+    ihl = (eth_frame[14] & 0x0F) * 4
+    total_len = struct.unpack_from(">H", eth_frame, 16)[0]
+    src, dst = eth_frame[26:30], eth_frame[30:34]
+    segment = eth_frame[14 + ihl :]
+    ip6 = struct.pack(">IHBB", 6 << 28, total_len - ihl, 6, 64) + src * 4 + dst * 4
+    return eth_frame[:12] + b"\x86\xdd" + ip6 + segment
+
+
+def _relink(eth_frame, link_type):
+    if link_type == 1:
+        return eth_frame
+    if link_type == 113:
+        return struct.pack(">HHH8s", 0, 1, 6, eth_frame[6:12] + bytes(2)) + eth_frame[12:]
+    return eth_frame[14:]
+
+
+HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header with options
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(min_value=0),
+    ipv6=st.booleans(),
+    link_type=st.sampled_from([1, 113, 101]),
+    flips=st.lists(
+        st.tuples(st.integers(0, HEADER_SPAN - 1), st.integers(1, 255)), max_size=4
+    ),
+    cut=st.one_of(st.none(), st.integers(0, HEADER_SPAN + 40)),
+    orig_extra=st.sampled_from([0, 0, 1, 1500]),
+)
+def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig_extra):
+    frames = _synth_frames()
+    source = frames[index % len(frames)]
+    data = bytearray(_relink(_to_ipv6(source.data) if ipv6 else source.data, link_type))
+    for pos, mask in flips:
+        if pos < len(data):
+            data[pos] ^= mask
+    if cut is not None:
+        del data[cut:]
+    data = bytes(data)
+    frame = CapturedFrame(
+        timestamp_ns=source.timestamp_ns, link_type=link_type, data=data, orig_len=len(data) + orig_extra
+    )
+
+    assert _outcome(lambda: _packet_fields(frame)) == _outcome(lambda: _reference_packet(frame))
+
+
+def test_reference_agrees_on_unmutated_synth_frames():
+    for source in _synth_frames():
+        for data in (source.data, _to_ipv6(source.data)):
+            for link_type in (1, 113, 101):
+                frame = source._replace(link_type=link_type, data=_relink(data, link_type))
+                expected = _reference_packet(frame)
+                assert expected is not None
+                assert _packet_fields(frame) == expected
