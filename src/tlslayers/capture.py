@@ -35,6 +35,7 @@ PCAP_MAGIC_US_SWAPPED = 0xD4C3B2A1
 PCAP_MAGIC_NS_SWAPPED = 0x4D3CB2A1
 PCAPNG_SHB_TYPE = 0x0A0D0D0A
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
+CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and synth writes
 
 _SHB = 0x0A0D0D0A
 _IDB = 0x00000001

@@ -15,7 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from tlslayers import __version__, documents, synth
+from tlslayers import __version__, documents
+from tlslayers.capture import CAPTURE_FORMATS
 from tlslayers.documents import IncompatibleDocuments
 from tlslayers.errors import InvalidSpec, TlsLayersError, UnknownLinkType, UnknownMagic, UnreadableFile, WriteFailure
 from tlslayers.pipeline import NoUsableStreams, analyze_capture
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic capture from a scenario file")
     p.add_argument("--spec", required=True, help="scenario file (YAML; see docs/scenario_format.md)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--capture-format", choices=synth.CAPTURE_FORMATS, default="pcap-ns")
+    p.add_argument("--capture-format", choices=CAPTURE_FORMATS, default="pcap-ns")
     return parser
 
 
@@ -109,6 +110,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from tlslayers import synth  # imports PyYAML; analyze and compare do not need it
+
     spec = synth.load_scenario(args.spec)
     paths = synth.write_outputs(spec, args.out, capture_format=args.capture_format)
     for kind, path in paths.items():

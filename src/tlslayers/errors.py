@@ -69,14 +69,6 @@ class GapAtOffset(TlsLayersError):
     pass
 
 
-class NoRequestFound(TlsLayersError):
-    pass
-
-
-class NoResponseFound(TlsLayersError):
-    pass
-
-
 class InvalidTimeline(TlsLayersError):
     pass
 

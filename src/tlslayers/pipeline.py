@@ -5,6 +5,15 @@ walk is pure and embarrassingly parallel, so connections are partitioned
 into contiguous batches across worker processes.  Results are re-merged in
 a deterministic connection order, making the output independent of the
 worker count.
+
+Each connection has one walk (`_walk`).  It finds the first handshake
+message of each direction (ClientHello, ServerHello), derives the four
+traffic keys, then runs one protected-record opener (`_open_protected`)
+over each direction in turn: the client's yields the Finished and the HTTP
+request, the server's the HTTP status line.  The walk writes boundaries
+and handshake metadata straight into a `ConnectionTimeline` and returns why
+it stopped early, if it did; `timeline.classify` turns that into validity
+and reason.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tlslayers import timeline as tmod
 from tlslayers.capture import open_capture
 from tlslayers.decode import decode_frame
 from tlslayers.errors import (
@@ -23,8 +31,7 @@ from tlslayers.errors import (
     BadRecordHeader,
     EmptyInnerPlaintext,
     MalformedHeader,
-    NoRequestFound,
-    NoResponseFound,
+    MalformedHello,
     OversizeRecord,
     TlsLayersError,
     UnsupportedCipherSuite,
@@ -41,16 +48,17 @@ from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
 from tlslayers.reassembly import TcpConnection, assemble_connections
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
-    BOUNDARIES,
     LAYERS,
     NS_PER_MS,
     PARTIAL,
     VALID,
     ConnectionTimeline,
-    build_timeline,
+    classify,
     compute_deltas,
+    http_status,
     layer_delta_ns,
     measurable_layers,
+    starts_http_request,
 )
 from tlslayers.tlswire import (
     CT_APPLICATION_DATA,
@@ -93,237 +101,136 @@ class RunResult:
 
 def analyze_connection(conn: TcpConnection, keystore: KeyLogStore | None) -> ConnectionTimeline:
     """Walk one connection's TLS session and extract the six boundaries."""
-    meta = _Walk(conn, keystore)
+    tl = ConnectionTimeline(t_syn=conn.t_syn, t_synack=conn.t_synack, sort_key=conn.sort_key())
     try:
-        meta.run()
+        stop = _walk(conn, keystore, tl)
     except (BadRecordHeader, OversizeRecord):
-        meta.stop_partial("bad_tls_stream")
-    return meta.finish()
+        stop = "bad_tls_stream"
+    except MalformedHello:
+        stop = "malformed_hello"
+    except (UnsupportedCipherSuite, AuthFailure, EmptyInnerPlaintext):
+        stop = "undecryptable"
+    # A snap-cut or gapped capture is the root cause of an early stop, except
+    # missing keys (the walk stops before it reaches the cut) and an HRR.
+    if stop not in (None, "no_keys", "hrr") and (
+        conn.truncated or conn.client_to_server.has_gap or conn.server_to_client.has_gap
+    ):
+        stop = "truncated"
+    return classify(tl, stop)
 
 
-class _Walk:
-    """Per-connection boundary extraction state."""
+def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimeline) -> str | None:
+    """Fill in tl's boundaries and handshake metadata; why the walk stopped early, or None."""
+    if conn.t_syn is None:
+        return "no_syn"
+    if conn.t_synack is None:
+        return "no_synack"
 
-    def __init__(self, conn: TcpConnection, keystore: KeyLogStore | None):
-        self.conn = conn
-        self.keystore = keystore
-        self.t_clienthello: int | None = None
-        self.t_client_finished: int | None = None
-        self.t_http_get: int | None = None
-        self.t_http_200: int | None = None
-        self.http_status: int | None = None
-        self.t_response_last: int | None = None
-        self.group: str | None = None
-        self.cipher_suite: str | None = None
-        self.client_hello_len: int | None = None
-        self.server_hello_len: int | None = None
-        self.key_share_len: int | None = None
-        self.partial_reason: str | None = None
-        self.excluded_reason: str | None = None
-        self._stopped = False
+    client_records, _c_tail = parse_records(conn.client_to_server)
+    server_records, _s_tail = parse_records(conn.server_to_client)
 
-    def stop_partial(self, reason: str) -> None:
-        if not self._stopped:
-            # snap-truncated captures take precedence as the root cause
-            if self.conn.truncated or self.conn.client_to_server.has_gap or self.conn.server_to_client.has_gap:
-                reason = "truncated"
-            self.partial_reason = reason
-            self._stopped = True
+    msg_type, message, ts = _first_handshake_message(client_records)
+    if msg_type != HT_CLIENT_HELLO:
+        return "no_clienthello"
+    ch = parse_client_hello(message)
+    tl.t_clienthello, tl.client_hello_len = ts, ch.total_length
 
-    def stop_excluded(self, reason: str) -> None:
-        if not self._stopped:
-            self.excluded_reason = reason
-            self._stopped = True
-
-    def run(self) -> None:
-        conn = self.conn
-        if conn.t_syn is None:
-            return self.stop_partial("no_syn")
-        if conn.t_synack is None:
-            return self.stop_partial("no_synack")
-
-        client_records, _c_tail = parse_records(conn.client_to_server)
-        server_records, _s_tail = parse_records(conn.server_to_client)
-
-        ch_info = self._find_client_hello(client_records)
-        if ch_info is None:
-            return self.stop_partial("no_clienthello")
-
-        sh_info = self._find_server_hello(server_records)
-        if self._stopped:
-            return
-        if sh_info is None:
-            return self.stop_partial("no_serverhello")
-        if sh_info.is_hrr:
-            return self.stop_excluded("hrr")
-
-        self.cipher_suite = sh_info.cipher_suite
-        self.server_hello_len = sh_info.total_length
-        if sh_info.selected_group is not None:
-            self.group = group_name(sh_info.selected_group)
-            for gid, length in ch_info.key_shares:
-                if gid == sh_info.selected_group:
-                    self.key_share_len = length
-                    break
-
-        if self.keystore is None or not self.keystore.has_connection(ch_info.client_random):
-            return self.stop_partial("no_keys")
-
-        keys = self._derive_keys(ch_info.client_random)
-        if keys is None:
-            return
-        self._walk_client(client_records, keys)
-        if self._stopped or self.t_http_get is None:
-            return
-        self._walk_server(server_records, keys)
-        self._response_tail(server_records)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _find_client_hello(self, records):
-        acc = HandshakeAccumulator()
-        for rec in records:
-            if rec.content_type == CT_CHANGE_CIPHER_SPEC:
-                continue
-            if rec.content_type != CT_HANDSHAKE:
+    msg_type, message, _ts = _first_handshake_message(server_records)
+    if msg_type != HT_SERVER_HELLO:
+        return "no_serverhello"
+    sh = parse_server_hello(message)
+    if sh.is_hrr:
+        return "hrr"
+    tl.cipher_suite, tl.server_hello_len = sh.cipher_suite, sh.total_length
+    if sh.selected_group is not None:
+        tl.group = group_name(sh.selected_group)
+        for gid, length in ch.key_shares:
+            if gid == sh.selected_group:
+                tl.key_share_len = length
                 break
-            for msg_type, body, ts in acc.feed(rec.body, rec.timestamp_ns):
-                if msg_type == HT_CLIENT_HELLO:
-                    info = parse_client_hello(build_handshake_message(msg_type, body))
-                    self.t_clienthello = ts
-                    self.client_hello_len = info.total_length
-                    return info
+
+    if keystore is None or not keystore.has_connection(ch.client_random):
+        return "no_keys"
+    keys = []
+    for label in (LABEL_CLIENT_HS, LABEL_SERVER_HS, LABEL_CLIENT_AP, LABEL_SERVER_AP):
+        secret = keystore.get(ch.client_random, label)
+        if secret is None:
+            return "no_keys"
+        try:
+            keys.append(derive_traffic_keys(secret, tl.cipher_suite))
+        except (TlsLayersError, KeyError):
+            return "undecryptable"
+    client_hs, server_hs, client_ap, server_ap = keys
+
+    # decryption stops once each direction's boundary is found
+    for msg_type, data, ts in _open_protected(client_records, client_hs, client_ap):
+        if msg_type == HT_FINISHED:
+            if tl.t_client_finished is None:
+                tl.t_client_finished = ts
+        elif msg_type == HT_KEY_UPDATE:
+            return "undecryptable"
+        elif msg_type is None and starts_http_request(data):
+            tl.t_http_get = ts
+            break
+    else:
+        return "no_finished" if tl.t_client_finished is None else "no_request"
+
+    # TTLB anchor from record metadata alone: the last server application-data byte
+    last = next((r for r in reversed(server_records) if r.content_type == CT_APPLICATION_DATA), None)
+    if last is not None:
+        tl.t_response_last = conn.server_to_client.timestamp_at(last.stream_offset + 5 + len(last.body) - 1)
+
+    for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
+        if msg_type is None:
+            status = http_status(data, ts, tl.t_http_get)
+            if status is not None:
+                tl.http_status, tl.t_http_200 = status, ts
                 return None
-        return None
+    return "no_response"
 
-    def _find_server_hello(self, records):
-        acc = HandshakeAccumulator()
-        for rec in records:
-            if rec.content_type == CT_CHANGE_CIPHER_SPEC:
-                continue
-            if rec.content_type != CT_HANDSHAKE:
-                break
-            msgs = acc.feed(rec.body, rec.timestamp_ns)
-            for msg_type, body, _ts in msgs:
-                if msg_type != HT_SERVER_HELLO:
-                    return None
-                try:
-                    return parse_server_hello(build_handshake_message(msg_type, body))
-                except UnsupportedCipherSuite:
-                    self.stop_partial("undecryptable")
-                    return None
-        return None
 
-    def _derive_keys(self, client_random: bytes) -> dict | None:
-        store = self.keystore
-        out = {}
-        for name, label in (
-            ("client_hs", LABEL_CLIENT_HS),
-            ("server_hs", LABEL_SERVER_HS),
-            ("client_ap", LABEL_CLIENT_AP),
-            ("server_ap", LABEL_SERVER_AP),
-        ):
-            secret = store.get(client_random, label)
-            if secret is None:
-                self.stop_partial("no_keys")
-                return None
-            try:
-                out[name] = derive_traffic_keys(secret, self.cipher_suite)
-            except (TlsLayersError, KeyError):
-                self.stop_partial("undecryptable")
-                return None
-        return out
+def _first_handshake_message(records) -> tuple[int | None, bytes, int | None]:
+    """(msg_type, message with its header, first-byte ts) of a direction's first handshake message.
 
-    def _walk_client(self, records, keys) -> None:
-        """Find the client Finished, then the HTTP request."""
-        epoch = "hs"
-        acc = HandshakeAccumulator()
-        for rec in records:
-            if rec.content_type != CT_APPLICATION_DATA:
-                continue
-            try:
-                msg = decrypt_record(rec, keys["client_hs" if epoch == "hs" else "client_ap"])
-            except (AuthFailure, EmptyInnerPlaintext):
-                return self.stop_partial("undecryptable")
-            if msg.inner_type == CT_HANDSHAKE:
-                finished_here = False
-                for msg_type, _body, ts in acc.feed(msg.plaintext, msg.record_timestamp_ns):
-                    if msg_type == HT_FINISHED and self.t_client_finished is None:
-                        self.t_client_finished = ts
-                        finished_here = True
-                    elif msg_type == HT_KEY_UPDATE and self.t_http_200 is None:
-                        return self.stop_partial("undecryptable")
-                if finished_here and acc.pending == 0:
-                    epoch = "ap"
-            elif msg.inner_type == CT_APPLICATION_DATA:
-                try:
-                    self.t_http_get = tmod.detect_http_request([msg])
-                    return  # decryption stops once the boundary is found
-                except NoRequestFound:
-                    continue  # body continuation; keep scanning
-        if self.t_client_finished is None:
-            self.stop_partial("no_finished")
-        elif self.t_http_get is None:
-            self.stop_partial("no_request")
+    CCS records are skipped; the search stops at the first other non-handshake
+    record.  (None, b"", None) when no complete message comes first.
+    """
+    acc = HandshakeAccumulator()
+    for rec in records:
+        if rec.content_type == CT_CHANGE_CIPHER_SPEC:
+            continue
+        if rec.content_type != CT_HANDSHAKE:
+            break
+        for msg_type, body, ts in acc.feed(rec.body, rec.timestamp_ns):
+            return msg_type, build_handshake_message(msg_type, body), ts
+    return None, b"", None
 
-    def _walk_server(self, records, keys) -> None:
-        """Find the HTTP status line; stops decrypting once found."""
-        epoch = "hs"
-        acc = HandshakeAccumulator()
-        for rec in records:
-            if rec.content_type != CT_APPLICATION_DATA:
-                continue
-            try:
-                msg = decrypt_record(rec, keys["server_hs" if epoch == "hs" else "server_ap"])
-            except (AuthFailure, EmptyInnerPlaintext):
-                return self.stop_partial("undecryptable")
-            if msg.inner_type == CT_HANDSHAKE:
-                finished_here = False
-                for msg_type, _body, _ts in acc.feed(msg.plaintext, msg.record_timestamp_ns):
-                    if msg_type == HT_FINISHED:
-                        finished_here = True
-                if finished_here and acc.pending == 0:
-                    epoch = "ap"
-            elif msg.inner_type == CT_APPLICATION_DATA:
-                try:
-                    self.http_status, self.t_http_200 = tmod.detect_http_response(
-                        [msg], self.t_http_get
-                    )
-                    return
-                except NoResponseFound:
-                    continue
-        if self.t_http_200 is None:
-            self.stop_partial("no_response")
 
-    def _response_tail(self, records) -> None:
-        """TTLB anchor from record metadata alone (no decryption needed)."""
-        last = None
-        stream = self.conn.server_to_client
-        for rec in records:
-            if rec.content_type == CT_APPLICATION_DATA:
-                last = rec
-        if last is not None:
-            self.t_response_last = stream.timestamp_at(last.stream_offset + 5 + len(last.body) - 1)
+def _open_protected(records, hs_keys, ap_keys):
+    """Decrypt a direction's protected records in order.
 
-    def finish(self) -> ConnectionTimeline:
-        return build_timeline(
-            t_syn=self.conn.t_syn,
-            t_synack=self.conn.t_synack,
-            t_clienthello=self.t_clienthello,
-            t_client_finished=self.t_client_finished,
-            t_http_get=self.t_http_get,
-            t_http_200=self.t_http_200,
-            group=self.group,
-            cipher_suite=self.cipher_suite,
-            client_hello_len=self.client_hello_len,
-            server_hello_len=self.server_hello_len,
-            key_share_len=self.key_share_len,
-            http_status=self.http_status,
-            t_response_last=self.t_response_last,
-            partial_reason=self.partial_reason,
-            excluded_reason=self.excluded_reason,
-            sort_key=self.conn.sort_key(),
-        )
+    Yields (msg_type, body, first-byte ts) for each complete handshake
+    message, and (None, plaintext, ts) for each application-data record;
+    other inner types are skipped.  After the record that completes a
+    Finished message with no handshake bytes pending, the application
+    traffic keys replace the handshake keys.  A record that does not open
+    raises AuthFailure or EmptyInnerPlaintext.
+    """
+    keys = hs_keys
+    acc = HandshakeAccumulator()
+    for rec in records:
+        if rec.content_type != CT_APPLICATION_DATA:
+            continue
+        msg = decrypt_record(rec, keys)
+        if msg.inner_type == CT_HANDSHAKE:
+            finished = False
+            for msg_type, body, ts in acc.feed(msg.plaintext, msg.record_timestamp_ns):
+                finished = finished or msg_type == HT_FINISHED
+                yield msg_type, body, ts
+            if finished and acc.pending == 0:
+                keys = ap_keys
+        elif msg.inner_type == CT_APPLICATION_DATA:
+            yield None, msg.plaintext, msg.record_timestamp_ns
 
 
 def _analyze_batch(args) -> list[ConnectionTimeline]:

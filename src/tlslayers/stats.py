@@ -43,14 +43,19 @@ def mean(samples: Sequence[float]) -> float:
 
 
 def sample_sd(samples: Sequence[float]) -> float:
-    """Sample standard deviation (n-1 denominator); 0.0 for a singleton."""
+    """Sample standard deviation (n-1 denominator); 0.0 for a singleton.
+
+    Deviations are taken from the first sample, so that equal samples give
+    exactly 0.0 (a mean of equal floats need not round back to them).
+    """
     if not samples:
         raise EmptySamples("sd of empty sample set")
     n = len(samples)
     if n == 1:
         return 0.0
-    m = mean(samples)
-    return math.sqrt(math.fsum((x - m) ** 2 for x in samples) / (n - 1))
+    shifted = [x - samples[0] for x in samples]
+    m = math.fsum(shifted) / n
+    return math.sqrt(math.fsum((d - m) ** 2 for d in shifted) / (n - 1))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import yaml
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
 from tlslayers.capture import (
+    CAPTURE_FORMATS,
     LINKTYPE_ETHERNET,
     PCAP_MAGIC_NS,
     PCAP_MAGIC_US,
@@ -60,8 +61,6 @@ from tlslayers.tlswire import (
 ANOMALIES = frozenset(
     {"retransmit", "reorder", "drop_keylog", "truncate", "non200", "coalesce_request"}
 )
-
-CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")
 
 _CLIENT_MAC = bytes.fromhex("020000000001")
 _SERVER_MAC = bytes.fromhex("020000000002")

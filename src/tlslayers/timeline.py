@@ -11,10 +11,8 @@ figure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from tlslayers.errors import InvalidTimeline, NoRequestFound, NoResponseFound
-from tlslayers.keyschedule import DecryptedMessage
+from tlslayers.errors import InvalidTimeline
 
 NS_PER_MS = 1_000_000
 
@@ -25,8 +23,10 @@ VALID = "valid"
 PARTIAL = "partial"
 EXCLUDED = "excluded"
 
-_HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ", b"PATCH ")
-_HTTP2_PREFACE = b"PRI * HTTP/2.0"
+_REQUEST_STARTS = (
+    b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ", b"PATCH ",
+    b"PRI * HTTP/2.0",  # HTTP/2 connection preface
+)
 
 
 @dataclass
@@ -52,88 +52,49 @@ class ConnectionTimeline:
         return getattr(self, name)
 
 
-def detect_http_request(messages: Iterable[DecryptedMessage]) -> int:
-    """First client application-data message that starts an HTTP request.
+def starts_http_request(plaintext: bytes) -> bool:
+    """Whether a client application-data record starts an HTTP request.
 
-    Partial body continuations are skipped; HTTP/2 is recognized by its
-    connection preface and timestamped the same way.
+    Body continuations do not; HTTP/2 is recognized by its connection
+    preface.
     """
-    for msg in messages:
-        head = msg.plaintext[:16]
-        if head.startswith(_HTTP_METHODS) or head.startswith(_HTTP2_PREFACE):
-            return msg.record_timestamp_ns
-    raise NoRequestFound("no HTTP request found in client application data")
+    return plaintext.startswith(_REQUEST_STARTS)
 
 
-def detect_http_response(messages: Iterable[DecryptedMessage], t_http_get: int) -> tuple[int, int]:
-    """(status, timestamp) of the first status line at or after the request.
+def http_status(plaintext: bytes, ts: int, t_http_get: int) -> int | None:
+    """Status code of a server record that opens with an HTTP/1.x status line.
 
-    The timestamp is the carrying record's first-byte arrival: this is a
-    response-latency boundary, not time-to-last-byte.
+    None for a record that arrived before the request (`ts < t_http_get`) or
+    does not start with a status line.  The record's first-byte arrival is
+    the response-latency boundary, not time-to-last-byte.
     """
-    for msg in messages:
-        if msg.record_timestamp_ns < t_http_get:
-            continue
-        if not msg.plaintext.startswith(b"HTTP/1."):
-            continue
-        parts = msg.plaintext.split(b" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            continue
-        return int(parts[1]), msg.record_timestamp_ns
-    raise NoResponseFound("no HTTP status line found in server application data")
+    if ts < t_http_get or not plaintext.startswith(b"HTTP/1."):
+        return None
+    parts = plaintext.split(b" ", 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        return None
+    return int(parts[1])
 
 
-def build_timeline(
-    *,
-    t_syn: int | None,
-    t_synack: int | None,
-    t_clienthello: int | None = None,
-    t_client_finished: int | None = None,
-    t_http_get: int | None = None,
-    t_http_200: int | None = None,
-    group: str | None = None,
-    cipher_suite: str | None = None,
-    client_hello_len: int | None = None,
-    server_hello_len: int | None = None,
-    key_share_len: int | None = None,
-    http_status: int | None = None,
-    t_response_last: int | None = None,
-    partial_reason: str | None = None,
-    excluded_reason: str | None = None,
-    sort_key: tuple = (),
-) -> ConnectionTimeline:
-    """Assemble the timeline and compute its validity.
+def classify(tl: ConnectionTimeline, stop_reason: str | None = None) -> ConnectionTimeline:
+    """Set `tl.validity` and `tl.reason` in place; returns `tl`.
 
-    Missing boundaries yield `partial` with a reason; ordering violations and
-    caller-supplied exclusions (HRR, non-200) yield `excluded`.
+    `stop_reason` says why the walk stopped early, if it did.  An `hrr`
+    stop and a non-200 status yield `excluded`; missing boundaries yield
+    `partial` with the stop reason, or else one named after the first
+    missing boundary; ordering violations yield `excluded`.
     """
-    tl = ConnectionTimeline(
-        t_syn=t_syn,
-        t_synack=t_synack,
-        t_clienthello=t_clienthello,
-        t_client_finished=t_client_finished,
-        t_http_get=t_http_get,
-        t_http_200=t_http_200,
-        group=group,
-        cipher_suite=cipher_suite,
-        client_hello_len=client_hello_len,
-        server_hello_len=server_hello_len,
-        key_share_len=key_share_len,
-        http_status=http_status,
-        t_response_last=t_response_last,
-        sort_key=sort_key,
-    )
-    if excluded_reason is not None:
-        tl.validity, tl.reason = EXCLUDED, excluded_reason
+    if stop_reason == "hrr":
+        tl.validity, tl.reason = EXCLUDED, stop_reason
         return tl
-    if http_status is not None and http_status != 200:
+    if tl.http_status is not None and tl.http_status != 200:
         tl.validity, tl.reason = EXCLUDED, "non200"
         return tl
 
     missing = [name for name in BOUNDARIES if tl.boundary(name) is None]
     if missing:
         tl.validity = PARTIAL
-        tl.reason = partial_reason or f"no_{missing[0][2:]}"
+        tl.reason = stop_reason or f"no_{missing[0][2:]}"
         return tl
 
     ordered = all(

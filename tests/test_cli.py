@@ -6,6 +6,7 @@ import pytest
 
 from tlslayers import synth
 from tlslayers.cli import main
+from tlslayers.decode import decode_frame
 from tlslayers.documents import parse_document
 
 
@@ -109,6 +110,40 @@ def test_analyze_zero_usable_streams_exits_3(tmp_path):
         fh.write(struct.pack("<IIII", 1, 0, len(arp), len(arp)))
         fh.write(arp)
     assert main(["analyze", "--pcap", str(path)]) == 3
+
+
+def test_malformed_hello_does_not_abort_the_run(tmp_path):
+    from conftest import clean_connection_spec
+
+    spec = synth.ScenarioSpec(connections=(
+        clean_connection_spec(seed=1),
+        clean_connection_spec(offset_ns=1_000_000_000, seed=2),
+    ))
+    frames, keylog_text, _ = synth.generate(spec)
+    hello_frames = [
+        i for i, f in enumerate(frames)
+        if (pkt := decode_frame(f)) is not None and pkt.payload.startswith(b"\x16\x03\x01")
+    ]
+    assert len(hello_frames) == 2
+    # shrink the second ClientHello's handshake length to 10 bytes: too short to parse
+    i = max(hello_frames, key=lambda j: frames[j].timestamp_ns)
+    data = bytearray(frames[i].data)
+    at = len(data) - len(decode_frame(frames[i]).payload) + 6
+    data[at : at + 3] = (10).to_bytes(3, "big")
+    frames[i] = frames[i]._replace(data=bytes(data))
+    synth.emit_capture(frames, tmp_path / "capture.pcap")
+    (tmp_path / "keylog.txt").write_text(keylog_text)
+    out = tmp_path / "run.json"
+    code = main([
+        "analyze",
+        "--pcap", str(tmp_path / "capture.pcap"),
+        "--keylog", str(tmp_path / "keylog.txt"),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert parse_document(out.read_text())["counts"] == {
+        "total_streams": 2, "valid": 1, "partial": {"malformed_hello": 1}, "excluded": {},
+    }
 
 
 def test_compare_self_and_output(fixture_dir, tmp_path, capsys):

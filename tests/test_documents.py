@@ -63,6 +63,15 @@ def test_self_comparison_identities(sample_doc):
         assert es["classification"] == "negligible"
 
 
+def test_zero_baseline_sd_gives_null_effect_size(sample_doc):
+    # equal baseline samples give an sd of exactly 0.0, and Glass's delta is undefined
+    baseline = json.loads(json.dumps(sample_doc))
+    baseline["layers"]["tcp_handshake"]["sd"] = 0.0
+    comp = documents.build_comparison_document(baseline, sample_doc)
+    assert comp["effect_size"]["tcp_handshake"] == {"delta": None, "classification": None}
+    assert comp["effect_size"]["tls_handshake"]["delta"] == 0.0
+
+
 def test_csv_row_count_is_layers_plus_e2e_times_stats(sample_doc):
     text = documents.render_csv(sample_doc)
     rows = list(csv.reader(io.StringIO(text)))

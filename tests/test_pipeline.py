@@ -97,11 +97,11 @@ def test_no_decrypt_mode_stops_at_keys():
 
 
 def test_summarize_run_counts_must_balance():
-    from tlslayers.timeline import build_timeline
+    from tlslayers.timeline import ConnectionTimeline, classify
 
     timelines = [
-        build_timeline(t_syn=0, t_synack=100, partial_reason="no_clienthello"),
-        build_timeline(t_syn=0, t_synack=None),
+        classify(ConnectionTimeline(t_syn=0, t_synack=100), "no_clienthello"),
+        classify(ConnectionTimeline(t_syn=0, t_synack=None)),
     ]
     result = summarize_run(timelines, "unit")
     assert result.counts["total_streams"] == 2
@@ -180,3 +180,94 @@ def test_key_update_before_boundaries_flags_connection():
     tl = analyze_connection(conn, store)
     assert tl.validity == "partial"
     assert tl.reason == "undecryptable"
+
+
+def _hellos(client_random: bytes):
+    ch = build_record(CT_HANDSHAKE, render_client_hello(client_random, [(0x001D, bytes(32))]), 0x0301)
+    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    return ch, sh
+
+
+def _server_flight(store, client_random, response_records):
+    """ServerHello-less encrypted server flight: Finished, then application data."""
+    fin = _seal(store, client_random, "SERVER_HANDSHAKE_TRAFFIC_SECRET", 0,
+                CT_HANDSHAKE, build_handshake_message(20, bytes(32)))
+    app = [_seal(store, client_random, "SERVER_TRAFFIC_SECRET_0", i, 23, content)
+           for i, content in enumerate(response_records)]
+    return [fin, *app]
+
+
+def test_walk_takes_boundaries_from_record_times():
+    client_random = b"\x0a" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    fin = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0,
+                CT_HANDSHAKE, build_handshake_message(20, bytes(32)))
+    continuation = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0, 23, b"\x00\x01binary")
+    get = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 1, 23, b"GET / HTTP/1.1\r\n\r\n")
+    body = [b"HTTP/1.1 200 OK\r\nContent-Length: 3000\r\n\r\n", bytes(1500), bytes(1500)]
+    conn = _connection([ch, fin, continuation, get], [sh, *_server_flight(store, client_random, body)])
+    tl = analyze_connection(conn, store)
+    assert tl.validity == "valid"
+    # client segments start at 200us, server segments at 300us, 50us apart
+    assert (tl.t_clienthello, tl.t_client_finished, tl.t_http_get) == (200_000, 250_000, 350_000)
+    assert (tl.http_status, tl.t_http_200) == (200, 400_000)
+    assert tl.t_response_last == 500_000
+
+
+def test_missing_request_and_response_are_partial():
+    client_random = b"\x0b" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    fin = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0,
+                CT_HANDSHAKE, build_handshake_message(20, bytes(32)))
+    body_only = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0, 23, b"not http")
+    conn = _connection([ch, fin, body_only], [sh])
+    assert analyze_connection(conn, store).reason == "no_request"
+
+    get = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0, 23, b"GET / HTTP/1.1\r\n\r\n")
+    conn = _connection([ch, fin, get], [sh, *_server_flight(store, client_random, [b"partial body"])])
+    tl = analyze_connection(conn, store)
+    assert (tl.validity, tl.reason) == ("partial", "no_response")
+    assert tl.t_http_get == 300_000
+    assert tl.t_response_last == 400_000  # TTLB anchor is set even without a status line
+
+
+def test_keys_switch_after_any_finished_with_nothing_pending():
+    """A Finished record that leaves handshake bytes pending keeps the handshake keys.
+
+    The next record completes that Finished and carries a third one, with
+    nothing pending after it: it switches to the application keys, also on
+    the client side.  The client Finished boundary is still the first
+    Finished (250us), not a later one (300us).
+    """
+    client_random = b"\x0c" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    second = build_handshake_message(20, bytes(32))
+    fin_and_head = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0,
+                         CT_HANDSHAKE, build_handshake_message(20, bytes(32)) + second[:2])
+    rest = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 1,
+                 CT_HANDSHAKE, second[2:] + build_handshake_message(20, bytes(32)))
+    get = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0, 23, b"GET / HTTP/1.1\r\n\r\n")
+    ok = [b"HTTP/1.1 200 OK\r\n\r\n"]
+    conn = _connection([ch, fin_and_head, rest, get], [sh, *_server_flight(store, client_random, ok)])
+    tl = analyze_connection(conn, store)
+    assert tl.validity == "valid"
+    assert (tl.t_client_finished, tl.t_http_get) == (250_000, 350_000)
+
+
+def test_malformed_client_hello_is_partial():
+    short_hello = build_record(CT_HANDSHAKE, build_handshake_message(1, bytes(10)), 0x0301)
+    tl = analyze_connection(_connection([short_hello], []), KeyLogStore())
+    assert (tl.validity, tl.reason) == ("partial", "malformed_hello")
+    assert tl.t_clienthello is None
+
+
+def test_malformed_server_hello_is_partial():
+    ch, _sh = _hellos(bytes(32))
+    short_hello = build_record(CT_HANDSHAKE, build_handshake_message(2, bytes(5)))
+    tl = analyze_connection(_connection([ch], [short_hello]), KeyLogStore())
+    assert (tl.validity, tl.reason) == ("partial", "malformed_hello")
+    assert tl.t_clienthello == 200_000
+    assert tl.cipher_suite is None

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlslayers.errors import EmptySamples
@@ -86,6 +86,7 @@ def test_percentile_monotone_in_p(samples, p, q):
     st.lists(st.floats(min_value=0.001, max_value=1e5, allow_nan=False), min_size=2, max_size=40),
     st.floats(min_value=0.01, max_value=1000),
 )
+@example(samples=[146.25] * 3, c=299.04738376944783)
 @settings(max_examples=100)
 def test_scale_equivariance(samples, c):
     scaled = [c * x for x in samples]

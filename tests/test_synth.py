@@ -85,6 +85,16 @@ def test_truncate_plan():
     assert truth.tallies["partial"] == {"truncated": 1}
 
 
+def test_missing_keys_win_over_truncation():
+    # the walk stops at the missing keys, before it reaches the cut status segment
+    spec = synth.ScenarioSpec(connections=(
+        clean_connection_spec(seed=4, anomalies=frozenset({"drop_keylog", "truncate"}), response_body_bytes=40960),
+    ))
+    result, truth = run_scenario(spec)
+    assert result.counts == truth.tallies
+    assert result.counts["partial"] == {"no_keys": 1}
+
+
 def test_non200_excluded_everywhere():
     spec = synth.ScenarioSpec(connections=(
         clean_connection_spec(seed=5, anomalies=frozenset({"non200"})),

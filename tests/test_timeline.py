@@ -6,73 +6,64 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlslayers.errors import InvalidTimeline, NoRequestFound, NoResponseFound
-from tlslayers.keyschedule import DecryptedMessage
+from tlslayers.errors import InvalidTimeline
 from tlslayers.timeline import (
     EXCLUDED,
     LAYERS,
     PARTIAL,
     VALID,
-    build_timeline,
+    ConnectionTimeline,
+    classify,
     compute_deltas,
-    detect_http_request,
-    detect_http_response,
+    http_status,
     measurable_layers,
+    starts_http_request,
 )
-
-
-def msg(plaintext: bytes, ts: int) -> DecryptedMessage:
-    return DecryptedMessage(inner_type=23, plaintext=plaintext, record_timestamp_ns=ts)
 
 
 # -- HTTP boundary detection --------------------------------------------------
 
-def test_get_request_detected_at_record_time():
-    assert detect_http_request([msg(b"GET /customers HTTP/1.1\r\n...", 777)]) == 777
+def test_get_request_detected():
+    assert starts_http_request(b"GET /customers HTTP/1.1\r\n...")
 
 
 def test_request_scan_skips_body_continuation():
-    messages = [msg(b"\x00\x01binary continuation", 10), msg(b"POST /x HTTP/1.1\r\n", 20)]
-    assert detect_http_request(messages) == 20
+    assert not starts_http_request(b"\x00\x01binary continuation")
+    assert starts_http_request(b"POST /x HTTP/1.1\r\n")
 
 
 def test_http2_preface_detected():
-    assert detect_http_request([msg(b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n", 5)]) == 5
+    assert starts_http_request(b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n")
 
 
 def test_no_request_found():
-    with pytest.raises(NoRequestFound):
-        detect_http_request([])
-    with pytest.raises(NoRequestFound):
-        detect_http_request([msg(b"not http", 1)])
+    assert not starts_http_request(b"")
+    assert not starts_http_request(b"not http")
 
 
-def test_response_status_line_first_byte():
-    status, ts = detect_http_response([msg(b"HTTP/1.1 200 OK\r\n...", 900)], t_http_get=100)
-    assert (status, ts) == (200, 900)
+def test_response_status_line():
+    assert http_status(b"HTTP/1.1 200 OK\r\n...", 900, t_http_get=100) == 200
 
 
 def test_response_multi_record_body_uses_first_record_only():
     rng = random.Random(8)
-    messages = [msg(b"HTTP/1.1 200 OK\r\nContent-Length: 40960\r\n\r\n", 1000)]
-    messages += [msg(rng.randbytes(1500), 1000 + 50 * i) for i in range(1, 28)]
-    status, ts = detect_http_response(messages, t_http_get=0)
-    assert (status, ts) == (200, 1000)
+    assert http_status(b"HTTP/1.1 200 OK\r\nContent-Length: 40960\r\n\r\n", 1000, t_http_get=0) == 200
+    for i in range(1, 28):
+        assert http_status(rng.randbytes(1500), 1000 + 50 * i, t_http_get=0) is None
 
 
 def test_response_before_request_time_skipped():
-    messages = [msg(b"HTTP/1.1 200 OK\r\n", 50), msg(b"HTTP/1.1 200 OK\r\n", 150)]
-    assert detect_http_response(messages, t_http_get=100) == (200, 150)
+    assert http_status(b"HTTP/1.1 200 OK\r\n", 50, t_http_get=100) is None
+    assert http_status(b"HTTP/1.1 200 OK\r\n", 100, t_http_get=100) == 200
 
 
 def test_non200_status_parsed():
-    status, _ = detect_http_response([msg(b"HTTP/1.1 503 Service Unavailable\r\n", 10)], 0)
-    assert status == 503
+    assert http_status(b"HTTP/1.1 503 Service Unavailable\r\n", 10, 0) == 503
 
 
 def test_no_response_found():
-    with pytest.raises(NoResponseFound):
-        detect_http_response([msg(b"partial body", 10)], 0)
+    assert http_status(b"partial body", 10, 0) is None
+    assert http_status(b"HTTP/1.1 OK\r\n", 10, 0) is None
 
 
 # -- timeline validity ---------------------------------------------------------
@@ -88,19 +79,14 @@ BOUNDS = dict(
 
 
 def test_all_boundaries_ordered_is_valid():
-    tl = build_timeline(**BOUNDS, http_status=200)
+    tl = classify(ConnectionTimeline(**BOUNDS, http_status=200))
     assert tl.validity == VALID
     assert tl.reason is None
     assert measurable_layers(tl) == LAYERS
 
 
 def test_missing_keys_is_partial_with_prefix_layers():
-    tl = build_timeline(
-        t_syn=0,
-        t_synack=360_000,
-        t_clienthello=654_000,
-        partial_reason="no_keys",
-    )
+    tl = classify(ConnectionTimeline(t_syn=0, t_synack=360_000, t_clienthello=654_000), "no_keys")
     assert tl.validity == PARTIAL
     assert tl.reason == "no_keys"
     assert measurable_layers(tl) == ("tcp_handshake", "tcp_to_tls")
@@ -109,21 +95,21 @@ def test_missing_keys_is_partial_with_prefix_layers():
 def test_ordering_violation_is_excluded():
     bounds = dict(BOUNDS)
     bounds["t_http_get"] = bounds["t_client_finished"] - 1  # clock anomaly
-    tl = build_timeline(**bounds, http_status=200)
+    tl = classify(ConnectionTimeline(**bounds, http_status=200))
     assert tl.validity == EXCLUDED
     assert tl.reason == "ordering"
     assert measurable_layers(tl) == ()
 
 
 def test_non200_excluded_but_tallied():
-    tl = build_timeline(**BOUNDS, http_status=503)
+    tl = classify(ConnectionTimeline(**BOUNDS, http_status=503))
     assert tl.validity == EXCLUDED
     assert tl.reason == "non200"
     assert measurable_layers(tl) == ()
 
 
 def test_partial_reason_derived_from_first_missing_boundary():
-    tl = build_timeline(t_syn=0, t_synack=None)
+    tl = classify(ConnectionTimeline(t_syn=0, t_synack=None))
     assert tl.validity == PARTIAL
     assert tl.reason == "no_synack"
     assert measurable_layers(tl) == ()
@@ -132,7 +118,7 @@ def test_partial_reason_derived_from_first_missing_boundary():
 # -- delta arithmetic -------------------------------------------------------------
 
 def test_reference_row_deltas():
-    tl = build_timeline(**BOUNDS, http_status=200)
+    tl = classify(ConnectionTimeline(**BOUNDS, http_status=200))
     d = compute_deltas(tl)
     assert d.tcp_handshake_ms == pytest.approx(0.360, abs=1e-12)
     assert d.tcp_to_tls_ms == pytest.approx(0.294, abs=1e-12)
@@ -143,10 +129,10 @@ def test_reference_row_deltas():
 
 
 def test_degenerate_equal_boundaries():
-    tl = build_timeline(
+    tl = classify(ConnectionTimeline(
         t_syn=5, t_synack=5, t_clienthello=5, t_client_finished=5, t_http_get=5, t_http_200=5,
         http_status=200,
-    )
+    ))
     d = compute_deltas(tl)
     assert d.e2e_ns == 0
     assert all(v == 0 for v in (d.tcp_handshake_ns, d.tcp_to_tls_ns, d.tls_handshake_ns,
@@ -154,18 +140,18 @@ def test_degenerate_equal_boundaries():
 
 
 def test_deltas_require_valid_timeline():
-    tl = build_timeline(t_syn=0, t_synack=None)
+    tl = classify(ConnectionTimeline(t_syn=0, t_synack=None))
     with pytest.raises(InvalidTimeline):
         compute_deltas(tl)
 
 
 def _random_timeline(rng: random.Random):
     times = sorted(rng.randrange(0, 10**10) for _ in range(6))
-    return build_timeline(
+    return classify(ConnectionTimeline(
         t_syn=times[0], t_synack=times[1], t_clienthello=times[2],
         t_client_finished=times[3], t_http_get=times[4], t_http_200=times[5],
         http_status=200,
-    )
+    ))
 
 
 def test_additivity_exact_over_random_timelines():
@@ -193,8 +179,8 @@ def test_translation_invariance(times, shift):
         ("t_syn", "t_synack", "t_clienthello", "t_client_finished", "t_http_get", "t_http_200"),
         times,
     ))
-    base = compute_deltas(build_timeline(**kw, http_status=200))
+    base = compute_deltas(classify(ConnectionTimeline(**kw, http_status=200)))
     shifted = compute_deltas(
-        build_timeline(**{k: v + shift for k, v in kw.items()}, http_status=200)
+        classify(ConnectionTimeline(**{k: v + shift for k, v in kw.items()}, http_status=200))
     )
     assert base == shifted
