@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keylog", help="SSLKEYLOGFILE; omit for a no-decrypt run (TCP layers only)")
     p.add_argument("--label", help="run label (defaults to the capture file stem)")
     p.add_argument("--out", help="write the analysis document (canonical JSON) here")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for the per-connection stage")
+    p.add_argument("--workers", type=int, default=1, help="deprecated; ignored (analysis runs in one process)")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table", help="console output format")
     p.add_argument(
         "--cos-denominator",
@@ -68,8 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    if args.workers != 1:
+        print("warning: --workers is deprecated and ignored", file=sys.stderr)
     label = args.label or Path(args.pcap).stem
-    result = analyze_capture(args.pcap, args.keylog, label, workers=args.workers)
+    result = analyze_capture(args.pcap, args.keylog, label)
     usable = sum(s.count for s in result.layer_stats.values())
     if usable == 0:
         raise NoUsableStreams(f"{args.pcap}: no connection produced a measurable layer")

@@ -2,7 +2,7 @@
 
 All statistics are computed from the full retained sample multiset after a
 deterministic sort; there is no streaming sketch, so results are independent
-of how samples were batched across workers.
+of the order in which samples arrive.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ figure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tlslayers.errors import InvalidTimeline
 
@@ -46,7 +46,6 @@ class ConnectionTimeline:
     t_response_last: int | None = None  # informational TTLB anchor
     validity: str = PARTIAL
     reason: str | None = None
-    sort_key: tuple = field(default_factory=tuple)
 
     def boundary(self, name: str) -> int | None:
         return getattr(self, name)

@@ -10,13 +10,13 @@ from tlslayers.decode import decode_frame
 from tlslayers.keylog import parse_keylog
 
 
-def run_scenario(spec, workers: int = 1):
+def run_scenario(spec):
     """Generate a scenario and analyze the frames in-memory."""
     from tlslayers import pipeline
 
     frames, keylog_text, truth = synth.generate(spec)
     packets = [p for f in frames if (p := decode_frame(f)) is not None]
-    result = pipeline.analyze_packets(packets, parse_keylog(keylog_text), "scenario", workers=workers)
+    result = pipeline.analyze_packets(packets, parse_keylog(keylog_text), "scenario")
     return result, truth
 
 

@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, degraded mode, worker determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tlslayers
 from tlslayers import synth
 from tlslayers.cli import main
 from tlslayers.decode import decode_frame
@@ -60,21 +65,38 @@ def test_analyze_writes_document_and_exits_zero(fixture_dir, tmp_path, capsys):
     assert capsys.readouterr().out  # console summary printed
 
 
-def test_analyze_worker_count_does_not_change_output(fixture_dir, tmp_path):
+def test_analyze_worker_count_does_not_change_output(fixture_dir, tmp_path, capsys):
     outputs = []
-    for workers in (1, 2, 8):
+    for workers in (None, 1, 2, 8):
         out = tmp_path / f"run-{workers}.json"
-        code = main([
+        argv = [
             "analyze",
             "--pcap", str(fixture_dir / "capture.pcap"),
             "--keylog", str(fixture_dir / "keylog.txt"),
             "--label", "demo",
-            "--workers", str(workers),
             "--out", str(out),
-        ])
-        assert code == 0
+        ]
+        if workers is not None:
+            argv += ["--workers", str(workers)]
+        assert main(argv) == 0
+        warned = "warning: --workers is deprecated and ignored\n" in capsys.readouterr().err
+        assert warned == (workers not in (None, 1))
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(tlslayers.__file__).resolve().parent.parent)
+    code = (
+        "import sys, tlslayers.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_analyze_without_keylog_is_degraded_but_ok(fixture_dir, tmp_path, capsys):
