@@ -18,8 +18,15 @@ from pathlib import Path
 from tlslayers import __version__, documents
 from tlslayers.capture import CAPTURE_FORMATS
 from tlslayers.documents import IncompatibleDocuments
-from tlslayers.errors import InvalidSpec, TlsLayersError, UnknownLinkType, UnknownMagic, UnreadableFile, WriteFailure
-from tlslayers.pipeline import NoUsableStreams, analyze_capture
+from tlslayers.errors import (
+    InvalidSpec,
+    NoUsableStreams,
+    TlsLayersError,
+    UnknownLinkType,
+    UnknownMagic,
+    UnreadableFile,
+    WriteFailure,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -68,10 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    from tlslayers import pipeline  # loads cryptography; compare and --version do not need it
+
     if args.workers != 1:
         print("warning: --workers is deprecated and ignored", file=sys.stderr)
     label = args.label or Path(args.pcap).stem
-    result = analyze_capture(args.pcap, args.keylog, label)
+    result = pipeline.analyze_capture(args.pcap, args.keylog, label)
     usable = sum(s.count for s in result.layer_stats.values())
     if usable == 0:
         raise NoUsableStreams(f"{args.pcap}: no connection produced a measurable layer")

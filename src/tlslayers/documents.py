@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from io import StringIO
+from typing import TYPE_CHECKING
 
 from tlslayers import __version__
 from tlslayers.errors import TlsLayersError, ZeroBaselineSD
@@ -21,9 +22,11 @@ from tlslayers.metrics import (
     overhead_factor,
     relative_e2e_overhead,
 )
-from tlslayers.pipeline import RunResult
 from tlslayers.stats import PERCENTILE_FIELDS
 from tlslayers.timeline import LAYERS
+
+if TYPE_CHECKING:
+    from tlslayers.pipeline import RunResult
 
 ANALYSIS_SCHEMA = "tlslayers/analysis/v1"
 COMPARISON_SCHEMA = "tlslayers/comparison/v1"

@@ -73,6 +73,10 @@ class InvalidTimeline(TlsLayersError):
     pass
 
 
+class NoUsableStreams(TlsLayersError):
+    """No connection contributed a sample to any layer of a run."""
+
+
 # -- statistics / metrics ----------------------------------------------------
 
 class EmptySamples(TlsLayersError):

@@ -1,4 +1,4 @@
-"""NSS key log (SSLKEYLOGFILE) parsing and rendering.
+"""NSS key log (SSLKEYLOGFILE) parsing.
 
 Line format, bit-exact: ``<LABEL> <client_random hex> <secret hex>``.
 Only the four TLS 1.3 traffic-secret labels are stored; anything else
@@ -43,14 +43,8 @@ class KeyLogStore:
     def get(self, client_random: bytes, label: str) -> bytes | None:
         return self._entries.get((client_random, label))
 
-    def has_connection(self, client_random: bytes) -> bool:
-        return any((client_random, label) in self._entries for label in KNOWN_LABELS)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def items(self):
-        return self._entries.items()
 
 
 def parse_keylog(lines: str | Iterable[str]) -> KeyLogStore:
@@ -82,10 +76,3 @@ def parse_keylog(lines: str | Iterable[str]) -> KeyLogStore:
         store.insert(client_random, label, secret)
     return store
 
-
-def render_keylog(store: KeyLogStore) -> str:
-    """Render a store back to key-log text (lowercase hex, one entry per line)."""
-    out = []
-    for (client_random, label), secret in store.items():
-        out.append(f"{label} {client_random.hex()} {secret.hex()}\n")
-    return "".join(out)

@@ -70,7 +70,6 @@ from tlslayers.tlswire import (
     HT_KEY_UPDATE,
     HT_SERVER_HELLO,
     HandshakeAccumulator,
-    build_handshake_message,
     group_name,
     parse_client_hello,
     parse_records,
@@ -78,10 +77,6 @@ from tlslayers.tlswire import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-class NoUsableStreams(TlsLayersError):
-    """No connection contributed a sample to any layer."""
 
 
 @dataclass
@@ -150,7 +145,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
                 tl.key_share_len = length
                 break
 
-    if keystore is None or not keystore.has_connection(ch.client_random):
+    if keystore is None:
         return "no_keys"
     keys = []
     for label in (LABEL_CLIENT_HS, LABEL_SERVER_HS, LABEL_CLIENT_AP, LABEL_SERVER_AP):
@@ -191,7 +186,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
 
 
 def _first_handshake_message(records) -> tuple[int | None, bytes, int | None]:
-    """(msg_type, message with its header, first-byte ts) of a direction's first handshake message.
+    """(msg_type, body, first-byte ts) of a direction's first handshake message.
 
     CCS records are skipped; the search stops at the first other non-handshake
     record.  (None, b"", None) when no complete message comes first.
@@ -203,7 +198,7 @@ def _first_handshake_message(records) -> tuple[int | None, bytes, int | None]:
         if rec.content_type != CT_HANDSHAKE:
             break
         for msg_type, body, ts in acc.feed(rec.body, rec.timestamp_ns):
-            return msg_type, build_handshake_message(msg_type, body), ts
+            return msg_type, body, ts
     return None, b"", None
 
 
@@ -370,11 +365,12 @@ def analyze_capture(
     if keylog_path is not None:
         keylog_path = Path(keylog_path)
         try:
-            text = keylog_path.read_text()
+            raw = keylog_path.read_bytes()
         except OSError as exc:
             raise UnreadableFile(f"{keylog_path}: {exc}") from exc
-        keystore = parse_keylog(text)
-        inputs["keylog_sha256"] = _sha256(keylog_path)
+        inputs["keylog_sha256"] = hashlib.sha256(raw).hexdigest()
+        # a non-UTF-8 byte spoils only its own line, which parse_keylog then rejects
+        keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
 
     if malformed:
         logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)

@@ -10,10 +10,16 @@ Segments are placed in arrival order against a sorted list of disjoint
 covered intervals, following the segment-placement rules of RFC 9293
 §3.10.7: the uncovered sub-ranges of a segment become new pieces (each
 referencing the captured payload it came from), and the sub-ranges already
-covered are compared with the stored bytes, a difference being flagged as
+covered are compared with the stored bytes, a difference being recorded as
 ``overlap_mismatch``.  Only the contiguous prefix from offset 0 is joined
 into the stream.  Memory is therefore proportional to the captured payload
 bytes, never to the sequence offsets a segment claims.
+
+Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
+does not change a connection's validity by itself.  The TLS walk decides
+that from record framing, hello parsing and AEAD, so a retransmission with
+different bytes keeps the first arrival, and if the first arrival was the
+corrupt copy, AEAD rejects the record.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from tlslayers.decode import DecodedPacket, TcpFlags
@@ -36,10 +42,7 @@ _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
 _piece_start = itemgetter(0)
-
-FLAG_COMPLETE = "complete"
-FLAG_PARTIAL = "partial"
-FLAG_RESET = "reset"
+_timestamp = attrgetter("timestamp_ns")
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,6 @@ class DirectionalStream:
         return self._times[idx]
 
 
-def timestamp_at(stream: DirectionalStream, offset: int) -> int:
-    return stream.timestamp_at(offset)
-
-
 EMPTY_STREAM = DirectionalStream(b"", [], False)
 
 
@@ -96,7 +95,6 @@ class TcpConnection:
     t_synack: int | None
     client_to_server: DirectionalStream
     server_to_client: DirectionalStream
-    flags: set[str]
     anomalies: set[str] = field(default_factory=set)
     truncated: bool = False
     first_ts: int = 0
@@ -148,30 +146,31 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
     """Group packets into connections; one per SYN-initiated incarnation.
 
     Nothing here is fatal: anomalies (duplicate SYN with a new ISN,
-    inconsistent overlapping data) flag the connection partial instead.
+    inconsistent overlapping data) are recorded in `anomalies` and leave
+    validity to the TLS walk.
     """
-    groups: dict[tuple, list[tuple[int, DecodedPacket]]] = {}
-    for idx, pkt in enumerate(packets):
+    groups: dict[tuple, list[DecodedPacket]] = {}
+    for pkt in packets:
         a = (pkt.src_ip, pkt.src_port)
         b = (pkt.dst_ip, pkt.dst_port)
         canon = (a, b) if a <= b else (b, a)
-        groups.setdefault(canon, []).append((idx, pkt))
+        groups.setdefault(canon, []).append(pkt)
 
     connections: list[TcpConnection] = []
     for canon in sorted(groups):
-        entries = groups[canon]
-        # first-arrival semantics: order by timestamp, file order breaks ties
-        entries.sort(key=lambda e: (e[1].timestamp_ns, e[0]))
-        connections.extend(_walk_group(entries))
+        group = groups[canon]
+        # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
+        group.sort(key=_timestamp)
+        connections.extend(_walk_group(group))
     return connections
 
 
-def _walk_group(entries: list[tuple[int, DecodedPacket]]) -> list[TcpConnection]:
+def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:
     done: list[TcpConnection] = []
     curr: _Incarnation | None = None
     count = 0
 
-    for _, pkt in entries:
+    for pkt in packets:
         src = (pkt.src_ip, pkt.src_port)
         dst = (pkt.dst_ip, pkt.dst_port)
         tcp_flags = pkt.tcp_flags
@@ -195,7 +194,7 @@ def _walk_group(entries: list[tuple[int, DecodedPacket]]) -> list[TcpConnection]
             continue
 
         if curr is None:
-            # mid-stream capture: orientation unknown, flagged downstream
+            # mid-stream capture: orientation unknown; the walk stops at no_syn
             curr = _Incarnation(src, dst, pkt.timestamp_ns, count)
             count += 1
 
@@ -236,24 +235,12 @@ def _finalize(inc: _Incarnation) -> TcpConnection:
     anomalies = set(inc.anomalies)
     c2s = _build_stream(inc.segs_c, inc.isn_c, anomalies)
     s2c = _build_stream(inc.segs_s, inc.isn_s, anomalies)
-
-    flags: set[str] = set()
-    if inc.reset:
-        flags.add(FLAG_RESET)
-    has_data = bool(len(c2s) or len(s2c))
-    gap = c2s.has_gap or s2c.has_gap
-    if anomalies or gap or inc.truncated or inc.t_syn is None or inc.t_synack is None or not has_data:
-        flags.add(FLAG_PARTIAL)
-    else:
-        flags.add(FLAG_COMPLETE)
-
     return TcpConnection(
         key=FlowKey(inc.client[0], inc.server[0], inc.client[1], inc.server[1]),
         t_syn=inc.t_syn,
         t_synack=inc.t_synack,
         client_to_server=c2s,
         server_to_client=s2c,
-        flags=flags,
         anomalies=anomalies,
         truncated=inc.truncated,
         first_ts=inc.first_ts,

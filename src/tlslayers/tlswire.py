@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from tlslayers.errors import (
     BadRecordHeader,
@@ -16,7 +17,9 @@ from tlslayers.errors import (
     UnknownGroup,
     UnsupportedCipherSuite,
 )
-from tlslayers.reassembly import DirectionalStream
+
+if TYPE_CHECKING:
+    from tlslayers.reassembly import DirectionalStream
 
 # record content types
 CT_CHANGE_CIPHER_SPEC = 20
@@ -150,7 +153,8 @@ def parse_records(stream: DirectionalStream, start: int = 0) -> tuple[list[TlsRe
     """Split a direction's bytes into records; (records, trailing_partial).
 
     trailing_partial is True when the stream ends (or hits a reassembly gap)
-    inside a record; the connection is flagged partial in that case.
+    inside a record.  Records before that point are returned; the walk
+    decides what the missing tail means for the connection.
     """
     data = stream.data
     records: list[TlsRecord] = []
@@ -285,21 +289,8 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def _first_handshake_message(body: bytes, expected_type: int) -> tuple[bytes, int]:
-    if len(body) < 4:
-        raise MalformedHello("handshake header truncated")
-    msg_type = body[0]
-    length = int.from_bytes(body[1:4], "big")
-    if msg_type != expected_type:
-        raise MalformedHello(f"expected handshake type {expected_type}, got {msg_type}")
-    if 4 + length > len(body):
-        raise MalformedHello("handshake body exceeds record")
-    return body[4 : 4 + length], 4 + length
-
-
-def parse_client_hello(record: TlsRecord | bytes) -> ClientHelloInfo:
-    body = record.body if isinstance(record, TlsRecord) else record
-    msg, total = _first_handshake_message(body, HT_CLIENT_HELLO)
+def parse_client_hello(msg: bytes) -> ClientHelloInfo:
+    """Parse a ClientHello body: the handshake message after its 4-byte header."""
     r = _Reader(msg)
     r.take(2)  # legacy_version
     client_random = r.take(32)
@@ -329,15 +320,14 @@ def parse_client_hello(record: TlsRecord | bytes) -> ClientHelloInfo:
                     offered_groups.append(groups.u16())
     return ClientHelloInfo(
         client_random=client_random,
-        total_length=total,
+        total_length=4 + len(msg),
         key_shares=tuple(key_shares),
         offered_groups=tuple(offered_groups),
     )
 
 
-def parse_server_hello(record: TlsRecord | bytes) -> ServerHelloInfo:
-    body = record.body if isinstance(record, TlsRecord) else record
-    msg, total = _first_handshake_message(body, HT_SERVER_HELLO)
+def parse_server_hello(msg: bytes) -> ServerHelloInfo:
+    """Parse a ServerHello body: the handshake message after its 4-byte header."""
     r = _Reader(msg)
     r.take(2)  # legacy_version
     server_random = r.take(32)
@@ -361,7 +351,7 @@ def parse_server_hello(record: TlsRecord | bytes) -> ServerHelloInfo:
         server_random=server_random,
         selected_group=selected_group,
         cipher_suite=suite.name,
-        total_length=total,
+        total_length=4 + len(msg),
         is_hrr=is_hrr,
     )
 

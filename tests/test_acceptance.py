@@ -242,7 +242,7 @@ def test_criterion_5_decryption_correctness(mixed_run):
         records, _ = parse_records(conn.server_to_client)
         protected = [r for r in records if r.content_type == CT_APPLICATION_DATA]
         ch_records, _ = parse_records(conn.client_to_server)
-        info = parse_client_hello(ch_records[0])
+        info = parse_client_hello(ch_records[0].body[4:])
         suite_name = next(
             ct.cipher_suite for ct in truth.connections if ct.client_random == info.client_random
         )
@@ -264,7 +264,7 @@ def test_criterion_6_key_share_sizes():
     for name, expected in ref.KEY_SHARE_SIZES.items():
         group = group_by_name(name)
         msg = render_client_hello(bytes(32), [(group.group_id, bytes(group.client_share_len))])
-        info = parse_client_hello(msg)
+        info = parse_client_hello(msg[4:])
         assert info.key_shares == ((group.group_id, expected),), name
     for hybrid in ("x25519_mlkem512", "x25519_mlkem768"):
         g = group_by_name(hybrid)

@@ -86,17 +86,32 @@ def test_analyze_worker_count_does_not_change_output(fixture_dir, tmp_path, caps
 
 
 def test_cli_import_loads_no_process_pool():
+    """Nor the pipeline: only `analyze` imports it, so `--version` and `compare` skip cryptography."""
     src = str(Path(tlslayers.__file__).resolve().parent.parent)
-    code = (
-        "import sys, tlslayers.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    absent = (
+        "multiprocessing", "concurrent.futures", "cryptography",
+        "tlslayers.pipeline", "tlslayers.reassembly", "tlslayers.tlswire", "tlslayers.keyschedule",
     )
+    code = f"import sys, tlslayers.cli; print([m for m in {absent!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_non_utf8_keylog_line_is_rejected_alone(fixture_dir, tmp_path):
+    clean, dirty = tmp_path / "clean.json", tmp_path / "dirty.json"
+    keylog = tmp_path / "keylog.txt"
+    keylog.write_bytes((fixture_dir / "keylog.txt").read_bytes() + b"CLIENT_RANDOM \xff\xfe junk\n")
+    for out, log in ((clean, fixture_dir / "keylog.txt"), (dirty, keylog)):
+        argv = ["analyze", "--pcap", str(fixture_dir / "capture.pcap"), "--keylog", str(log), "--out", str(out)]
+        assert main(argv) == 0
+    clean_doc, dirty_doc = parse_document(clean.read_text()), parse_document(dirty.read_text())
+    assert dirty_doc["inputs"]["keylog_sha256"] != clean_doc["inputs"]["keylog_sha256"]
+    del clean_doc["inputs"]["keylog_sha256"], dirty_doc["inputs"]["keylog_sha256"]
+    assert dirty_doc == clean_doc
 
 
 def test_analyze_without_keylog_is_degraded_but_ok(fixture_dir, tmp_path, capsys):
@@ -219,12 +234,10 @@ def test_synth_bad_spec_exits_2(tmp_path):
 
 
 def test_internal_invariant_violation_exits_4(fixture_dir, monkeypatch, capsys):
-    import tlslayers.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise AssertionError("stream tallies do not sum to total")
 
-    monkeypatch.setattr(cli_mod, "analyze_capture", boom)
+    monkeypatch.setattr("tlslayers.pipeline.analyze_capture", boom)
     code = main(["analyze", "--pcap", str(fixture_dir / "capture.pcap")])
     assert code == 4
     assert "internal error" in capsys.readouterr().err

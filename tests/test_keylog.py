@@ -1,9 +1,7 @@
-"""NSS key log parsing, rendering, and round-trip exactness."""
-
-import random
+"""NSS key log parsing."""
 
 from tlslayers import synth
-from tlslayers.keylog import KeyLogStore, parse_keylog, render_keylog
+from tlslayers.keylog import parse_keylog
 
 from conftest import clean_connection_spec
 
@@ -63,22 +61,6 @@ def test_duplicate_entries_last_wins():
     assert store.duplicates == 1
 
 
-def test_render_parse_round_trip():
-    rng = random.Random(11)
-    store = KeyLogStore()
-    for i in range(5):
-        cr = rng.randbytes(32)
-        for label in (
-            "CLIENT_HANDSHAKE_TRAFFIC_SECRET",
-            "SERVER_HANDSHAKE_TRAFFIC_SECRET",
-            "CLIENT_TRAFFIC_SECRET_0",
-            "SERVER_TRAFFIC_SECRET_0",
-        ):
-            store.insert(cr, label, rng.randbytes(32))
-    back = parse_keylog(render_keylog(store))
-    assert dict(back.items()) == dict(store.items())
-
-
 def test_synth_keylog_five_connections_twenty_entries():
     spec = synth.ScenarioSpec(
         connections=tuple(clean_connection_spec(offset_ns=i * 10**9, seed=i) for i in range(5))
@@ -87,7 +69,6 @@ def test_synth_keylog_five_connections_twenty_entries():
     store = parse_keylog(keylog_text)
     assert len(store) == 20
     for ct in truth.connections:
-        assert store.has_connection(ct.client_random)
         for label in (
             "CLIENT_HANDSHAKE_TRAFFIC_SECRET",
             "SERVER_HANDSHAKE_TRAFFIC_SECRET",

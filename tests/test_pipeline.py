@@ -1,7 +1,10 @@
 """Per-connection walk edge cases built from hand-assembled streams."""
 
-from tlslayers.decode import DecodedPacket, TcpFlags
-from tlslayers.keylog import KeyLogStore
+import pytest
+
+from tlslayers import synth
+from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
+from tlslayers.keylog import KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_connection, summarize_run
 from tlslayers.reassembly import assemble_connections
 from tlslayers.tlswire import (
@@ -12,6 +15,8 @@ from tlslayers.tlswire import (
     render_client_hello,
     render_server_hello,
 )
+
+from conftest import clean_connection_spec
 
 CLIENT = (bytes([10, 0, 0, 1]), 41000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
@@ -271,3 +276,61 @@ def test_malformed_server_hello_is_partial():
     assert (tl.validity, tl.reason) == ("partial", "malformed_hello")
     assert tl.t_clienthello == 200_000
     assert tl.cipher_suite is None
+
+
+# -- reassembly anomalies: recorded, validity left to the walk -------------------
+
+SYNACK = int(TcpFlags.SYN | TcpFlags.ACK)
+
+
+def _copy(pkt, **changes):
+    fields = {name: getattr(pkt, name) for name in DecodedPacket.__slots__}
+    return DecodedPacket(**{**fields, **changes})
+
+
+def _resend_request_corrupted(dt):
+    """A copy of the client's last data segment, dt ns away, with its last (AEAD tag) byte flipped."""
+
+    def inject(packets):
+        last = max((p for p in packets if p.payload and p.dst_port == 443), key=lambda p: p.timestamp_ns)
+        bad = last.payload[:-1] + bytes([last.payload[-1] ^ 0xFF])
+        return packets + [_copy(last, payload=bad, timestamp_ns=last.timestamp_ns + dt)]
+
+    return inject
+
+
+def _with_control(make):
+    """One extra control segment, made from the connection's SYN and SYN-ACK."""
+
+    def inject(packets):
+        syn = next(p for p in packets if p.tcp_flags == TcpFlags.SYN)
+        synack = next(p for p in packets if p.tcp_flags == SYNACK)
+        return packets + [make(syn, synack)]
+
+    return inject
+
+
+def _drop_synack(packets):
+    return [p for p in packets if p.tcp_flags != SYNACK]
+
+
+@pytest.mark.parametrize("inject,anomalies,outcome", [
+    pytest.param(_resend_request_corrupted(-1), {"overlap_mismatch"}, ("partial", "undecryptable"),
+                 id="overlap_mismatch-first-arrival-corrupted"),
+    pytest.param(_resend_request_corrupted(+1000), {"overlap_mismatch"}, ("valid", None),
+                 id="overlap_mismatch-retransmission-corrupted"),
+    pytest.param(_with_control(lambda syn, sa: _copy(syn, seq=syn.seq + 1, timestamp_ns=syn.timestamp_ns + 1000)),
+                 {"dual_isn"}, ("valid", None), id="dual_isn"),
+    pytest.param(_with_control(lambda syn, sa: _copy(syn, tcp_flags=SYNACK, timestamp_ns=sa.timestamp_ns + 1000)),
+                 {"synack_from_client"}, ("valid", None), id="synack_from_client"),
+    pytest.param(_with_control(lambda syn, sa: _copy(sa, tcp_flags=int(TcpFlags.SYN), timestamp_ns=syn.timestamp_ns + 1000)),
+                 {"simultaneous_open"}, ("valid", None), id="simultaneous_open"),
+    pytest.param(_drop_synack, {"unanchored_data"}, ("partial", "no_synack"), id="unanchored_data"),
+])
+def test_reassembly_anomaly_leaves_validity_to_the_walk(inject, anomalies, outcome):
+    frames, keylog_text, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
+    packets = [p for f in frames if (p := decode_frame(f)) is not None]
+    (conn,) = assemble_connections(inject(packets))
+    assert conn.anomalies == anomalies
+    tl = analyze_connection(conn, parse_keylog(keylog_text))
+    assert (tl.validity, tl.reason) == outcome

@@ -87,7 +87,7 @@ def test_oversize_record_raises():
 def test_client_hello_x25519_share_size():
     g = group_by_name("x25519")
     msg = render_client_hello(bytes(32), [(g.group_id, bytes(32))])
-    info = parse_client_hello(msg)
+    info = parse_client_hello(msg[4:])
     assert info.key_shares == ((g.group_id, 32),)
     assert info.offered_groups == (g.group_id,)
     assert info.total_length == len(msg)
@@ -96,7 +96,7 @@ def test_client_hello_x25519_share_size():
 def test_client_hello_hybrid_768_share_size():
     g = group_by_name("x25519_mlkem768")
     msg = render_client_hello(bytes(32), [(g.group_id, bytes(1216))])
-    info = parse_client_hello(msg)
+    info = parse_client_hello(msg[4:])
     assert info.key_shares == ((g.group_id, 1216),)
 
 
@@ -105,7 +105,7 @@ def test_client_hello_round_trips_randoms_and_groups():
     random_bytes = rng.randbytes(32)
     shares = [(0x001D, rng.randbytes(32)), (0x11EC, rng.randbytes(1216))]
     msg = render_client_hello(random_bytes, shares, session_id=rng.randbytes(32))
-    info = parse_client_hello(msg)
+    info = parse_client_hello(msg[4:])
     assert info.client_random == random_bytes
     assert info.key_shares == tuple((gid, len(s)) for gid, s in shares)
     assert info.offered_groups == (0x001D, 0x11EC)
@@ -116,7 +116,7 @@ def test_client_hello_without_extensions():
         b"\x03\x03" + bytes(32) + b"\x00" + b"\x00\x02\x13\x01" + b"\x01\x00"
     )
     msg = build_handshake_message(1, body)
-    info = parse_client_hello(msg)
+    info = parse_client_hello(msg[4:])
     assert info.key_shares == ()
     assert info.offered_groups == ()
 
@@ -124,13 +124,13 @@ def test_client_hello_without_extensions():
 def test_client_hello_length_inconsistency_raises():
     msg = render_client_hello(bytes(32), [(0x001D, bytes(32))])
     with pytest.raises(MalformedHello):
-        parse_client_hello(msg[:40])
+        parse_client_hello(msg[4:40])
 
 
 def test_server_hello_mlkem1024():
     g = group_by_name("mlkem1024")
     msg = render_server_hello(bytes(32), 0x1301, (g.group_id, bytes(1568)))
-    info = parse_server_hello(msg)
+    info = parse_server_hello(msg[4:])
     assert info.selected_group == g.group_id
     assert info.cipher_suite == "AES_128_GCM_SHA256"
     assert not info.is_hrr
@@ -139,18 +139,18 @@ def test_server_hello_mlkem1024():
 
 def test_server_hello_suite_mapping():
     msg = render_server_hello(bytes(32), 0x1302, (0x001D, bytes(32)))
-    assert parse_server_hello(msg).cipher_suite == "AES_256_GCM_SHA384"
+    assert parse_server_hello(msg[4:]).cipher_suite == "AES_256_GCM_SHA384"
 
 
 def test_server_hello_unsupported_suite():
     msg = render_server_hello(bytes(32), 0xC02F, (0x001D, bytes(32)))
     with pytest.raises(UnsupportedCipherSuite):
-        parse_server_hello(msg)
+        parse_server_hello(msg[4:])
 
 
 def test_hello_retry_request_flagged():
     msg = render_server_hello(HRR_RANDOM, 0x1301, (0x001D, b""))
-    info = parse_server_hello(msg)
+    info = parse_server_hello(msg[4:])
     assert info.is_hrr
     assert info.selected_group == 0x001D
 
