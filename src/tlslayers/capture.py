@@ -10,12 +10,18 @@ Classic pcap, the format of large load-test captures, is read in fixed
 chunks of `_CHUNK` bytes and each record header is decoded in place with one
 precompiled `struct.Struct`.  A record that runs past the end of a chunk is
 completed with one read of its remainder, so memory is bounded by about two
-chunks plus the largest record, never by the file size.
+chunks plus the largest record, never by the file size.  A read never asks
+for more than the file has left: a length field that claims more is a
+truncated record, not an allocation of the claimed size.
+
+Each pcapng section (Section Header Block onwards) has its own byte order,
+read from the SHB's byte-order magic before any length in it is trusted.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
@@ -37,7 +43,8 @@ PCAPNG_SHB_TYPE = 0x0A0D0D0A
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and synth writes
 
-_SHB = 0x0A0D0D0A
+_SHB_TYPE = struct.pack("<I", PCAPNG_SHB_TYPE)  # the same bytes in either byte order
+_BYTE_ORDERS = {struct.pack("<I", PCAPNG_BYTE_ORDER_MAGIC): "<", struct.pack(">I", PCAPNG_BYTE_ORDER_MAGIC): ">"}
 _IDB = 0x00000001
 _EPB = 0x00000006
 
@@ -76,6 +83,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS, PCAP_MAGIC_US_SWAPPED, PCAP_MAGIC_NS_SWAPPED):
             yield from _read_pcap(fh, magic, str(path))
         elif magic == PCAPNG_SHB_TYPE:
+            fh.seek(0)  # the pcapng reader starts at the first block's type field
             yield from _read_pcapng(fh, str(path))
         else:
             raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
@@ -99,7 +107,7 @@ def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[CapturedFrame]:
     unpack_hdr = struct.Struct(endian + "IIII").unpack_from
     tail = b""  # the start of a record header cut by the previous chunk's end
     while True:
-        chunk = fh.read(_CHUNK)
+        chunk = fh.read(min(_CHUNK, _left(fh)))
         if not chunk:
             if tail:
                 logger.warning("%s: truncated trailing record header, skipping", name)
@@ -115,7 +123,7 @@ def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[CapturedFrame]:
                 data = buf[start:off]
             else:
                 missing = off - n
-                more = fh.read(missing)
+                more = fh.read(missing) if missing <= _left(fh) else b""
                 if len(more) < missing:
                     logger.warning("%s: truncated trailing record body, skipping", name)
                     return
@@ -137,60 +145,43 @@ def _pcapng_ts_to_ns(ticks: int, resol_pow10: int | None, resol_pow2: int | None
     return ticks // 10 ** (n - 9)
 
 
+def _left(fh: BinaryIO) -> int:
+    """Bytes between the read position and the end of the (regular) file."""
+    return max(0, os.fstat(fh.fileno()).st_size - fh.tell())  # 0 if the file shrank under us
+
+
 def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[CapturedFrame]:
-    # Per-section state; a new SHB resets endianness and the interface list.
+    # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
     interfaces: list[tuple[int, int | None, int | None]] = []  # (linktype, pow10, pow2)
 
-    # open_capture consumed the SHB block-type field already
-    first = True
     while True:
-        if first:
-            block_type = _SHB
-            lenfield = fh.read(4)
-            if len(lenfield) < 4:
-                raise MalformedHeader(f"{name}: pcapng SHB truncated")
-            # Peek byte-order magic to pick endianness before trusting lengths.
-            bom_raw = fh.read(4)
-            if len(bom_raw) < 4:
-                raise MalformedHeader(f"{name}: pcapng SHB truncated")
-            (bom,) = struct.unpack("<I", bom_raw)
-            if bom == PCAPNG_BYTE_ORDER_MAGIC:
-                endian = "<"
-            elif struct.unpack(">I", bom_raw)[0] == PCAPNG_BYTE_ORDER_MAGIC:
-                endian = ">"
-            else:
-                raise UnknownMagic(f"{name}: bad pcapng byte-order magic")
-            (total_len,) = struct.unpack(endian + "I", lenfield)
-            # type + length + byte-order magic (12 bytes) already consumed
-            body = fh.read(total_len - 12)
-            if len(body) < total_len - 12:
-                logger.warning("%s: truncated SHB, stopping", name)
-                return
-            first = False
-            continue
-
         head = fh.read(8)
         if not head:
             return
-        if len(head) < 8:
+        is_shb = head[:4] == _SHB_TYPE
+        if is_shb:
+            head += fh.read(4)  # the byte-order magic, which says how to read the length before it
+        if len(head) < (12 if is_shb else 8):
             logger.warning("%s: truncated block header, stopping", name)
             return
-        block_type, total_len = struct.unpack(endian + "II", head)
+        if is_shb:
+            endian = _BYTE_ORDERS.get(head[8:])
+            if endian is None:
+                raise UnknownMagic(f"{name}: bad pcapng byte-order magic")
+            interfaces = []
+        block_type, total_len = struct.unpack_from(endian + "II", head)
         if total_len < 12 or total_len % 4 != 0:
             logger.warning("%s: implausible block length %d, stopping", name, total_len)
             return
-        body = fh.read(total_len - 8)
-        if len(body) < total_len - 8:
+        need = total_len - len(head)
+        rest = fh.read(need) if need <= _left(fh) else b""
+        if len(rest) < need:
             logger.warning("%s: truncated block body, stopping", name)
             return
-        body = body[:-4]  # drop trailing duplicate length
+        body = rest[:-4]  # drop trailing duplicate length
 
-        if block_type == _SHB:
-            (bom,) = struct.unpack("<I", body[:4])
-            endian = "<" if bom == PCAPNG_BYTE_ORDER_MAGIC else ">"
-            interfaces = []
-        elif block_type == _IDB:
+        if block_type == _IDB:
             if len(body) < 8:
                 logger.warning("%s: short IDB, skipping", name)
                 continue

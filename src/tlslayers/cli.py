@@ -11,22 +11,13 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from tlslayers import __version__, documents
 from tlslayers.capture import CAPTURE_FORMATS
 from tlslayers.documents import IncompatibleDocuments
-from tlslayers.errors import (
-    InvalidSpec,
-    NoUsableStreams,
-    TlsLayersError,
-    UnknownLinkType,
-    UnknownMagic,
-    UnreadableFile,
-    WriteFailure,
-)
+from tlslayers.errors import NoUsableStreams, TlsLayersError, UnreadableFile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -94,9 +85,7 @@ def _cmd_analyze(args) -> int:
 def _load_doc(path: str) -> dict:
     try:
         return documents.parse_document(Path(path).read_text())
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise UnreadableFile(f"{path}: {exc}") from exc
 
 
@@ -144,13 +133,10 @@ def main(argv=None) -> int:
     except NoUsableStreams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_STREAMS
-    except (UnreadableFile, UnknownMagic, UnknownLinkType, InvalidSpec, WriteFailure, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except TlsLayersError as exc:
+    except (TlsLayersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,15 +13,11 @@ from __future__ import annotations
 import enum
 import struct
 
-from tlslayers.capture import CapturedFrame
+from tlslayers.capture import LINKTYPE_ETHERNET, LINKTYPE_LINUX_SLL, LINKTYPE_RAW_IP, CapturedFrame
 from tlslayers.errors import MalformedHeader
 
 ETH_IPV4 = 0x0800
 ETH_IPV6 = 0x86DD
-
-_LINK_ETHERNET = 1
-_LINK_RAW_IP = 101
-_LINK_LINUX_SLL = 113
 
 _U16 = struct.Struct(">H").unpack_from
 # version/IHL, total length, flags/fragment offset, protocol, source, destination
@@ -78,17 +74,17 @@ def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
     """
     timestamp_ns, link_type, data, orig_len = frame
     n = len(data)
-    if link_type == _LINK_ETHERNET:
+    if link_type == LINKTYPE_ETHERNET:
         if n < 14:
             raise MalformedHeader("ethernet header truncated")
         ethertype = _U16(data, 12)[0]
         off = 14
-    elif link_type == _LINK_LINUX_SLL:
+    elif link_type == LINKTYPE_LINUX_SLL:
         if n < 16:
             raise MalformedHeader("sll header truncated")
         ethertype = _U16(data, 14)[0]
         off = 16
-    elif link_type == _LINK_RAW_IP:
+    elif link_type == LINKTYPE_RAW_IP:
         if n < 1:
             raise MalformedHeader("empty raw-ip frame")
         ethertype = ETH_IPV4 if (data[0] >> 4) == 4 else ETH_IPV6

@@ -200,10 +200,30 @@ def render_json(doc: dict) -> str:
 
 
 def parse_document(text: str) -> dict:
+    """Parse a document; ValueError if it is not one `compare` can read.
+
+    An analysis document needs a string label, and each of its layer blocks,
+    and its `e2e` and `ttlb` blocks unless null, must map every one of
+    `STAT_FIELDS` to a number.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("document is not a JSON object")
     if doc.get("schema") not in (ANALYSIS_SCHEMA, COMPARISON_SCHEMA):
         raise ValueError(f"unknown document schema {doc.get('schema')!r}")
+    if doc["schema"] == ANALYSIS_SCHEMA:
+        layers = doc.get("layers", {})
+        if not isinstance(doc.get("label"), str) or not isinstance(layers, dict):
+            raise ValueError("analysis document lacks a string label or a layers object")
+        blocks = {**layers, **{k: doc[k] for k in ("e2e", "ttlb") if doc.get(k) is not None}}
+        for name, block in blocks.items():
+            if not (isinstance(block, dict) and all(_is_number(block.get(k)) for k in STAT_FIELDS)):
+                raise ValueError(f"{name} block does not map {', '.join(STAT_FIELDS)} to numbers")
     return doc
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def render_csv(doc: dict) -> str:

@@ -69,10 +69,6 @@ class GapAtOffset(TlsLayersError):
     pass
 
 
-class InvalidTimeline(TlsLayersError):
-    pass
-
-
 class NoUsableStreams(TlsLayersError):
     """No connection contributed a sample to any layer of a run."""
 

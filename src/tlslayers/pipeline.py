@@ -55,10 +55,8 @@ from tlslayers.timeline import (
     VALID,
     ConnectionTimeline,
     classify,
-    compute_deltas,
     http_status,
-    layer_delta_ns,
-    measurable_layers,
+    layer_deltas_ns,
     starts_http_request,
 )
 from tlslayers.tlswire import (
@@ -270,12 +268,12 @@ def summarize_run(
     meta: dict[str, list] = {k: [] for k in ("group", "key_share_len", "client_hello_len", "server_hello_len", "cipher_suite")}
 
     for tl in timelines:
-        for layer in measurable_layers(tl):
-            layer_samples[layer].append(layer_delta_ns(tl, layer) / NS_PER_MS)
+        deltas = layer_deltas_ns(tl)
+        for layer, delta in zip(LAYERS, deltas):
+            layer_samples[layer].append(delta / NS_PER_MS)
         if tl.validity == VALID:
             valid += 1
-            deltas = compute_deltas(tl)
-            e2e.append(deltas.e2e_ms)
+            e2e.append(sum(deltas) / NS_PER_MS)  # the integer sum is t_http_200 - t_syn
             if tl.t_response_last is not None and tl.t_response_last >= tl.t_http_get:
                 ttlb.append((tl.t_response_last - tl.t_http_get) / NS_PER_MS)
         elif tl.validity == PARTIAL:

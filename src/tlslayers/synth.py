@@ -108,35 +108,48 @@ def validate_spec(spec: ScenarioSpec) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Read a scenario file (YAML; see docs/scenario_format.md)."""
-    with Path(path).open() as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict) or "connections" not in raw:
+    """Read a scenario file (YAML; see docs/scenario_format.md).
+
+    Raises InvalidSpec, naming the connection where there is one, for a file
+    that is not YAML or holds a field of the wrong type.
+    """
+    try:
+        with Path(path).open() as fh:
+            raw = yaml.safe_load(fh)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise InvalidSpec(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("connections"), list):
         raise InvalidSpec(f"{path}: expected a mapping with a 'connections' list")
     defaults = raw.get("defaults") or {}
     conns = []
     for i, entry in enumerate(raw["connections"]):
         if not isinstance(entry, dict):
             raise InvalidSpec(f"{path}: connection {i} is not a mapping")
-        merged = {**defaults, **entry}
-        if "boundary_times_ns" not in merged:
-            raise InvalidSpec(f"{path}: connection {i} lacks boundary_times_ns")
-        conns.append(
-            ConnectionSpec(
-                boundary_times=tuple(int(t) for t in merged["boundary_times_ns"]),
-                group=str(merged.get("group", "x25519")),
-                cipher_suite=str(merged.get("cipher_suite", "AES_128_GCM_SHA256")),
-                response_body_bytes=int(merged.get("response_body_bytes", 4096)),
-                segmentation_seed=int(merged.get("segmentation_seed", 0)),
-                anomalies=frozenset(merged.get("anomalies") or ()),
+        try:
+            merged = {**defaults, **entry}
+            if "boundary_times_ns" not in merged:
+                raise InvalidSpec(f"{path}: connection {i} lacks boundary_times_ns")
+            conns.append(
+                ConnectionSpec(
+                    boundary_times=tuple(int(t) for t in merged["boundary_times_ns"]),
+                    group=str(merged.get("group", "x25519")),
+                    cipher_suite=str(merged.get("cipher_suite", "AES_128_GCM_SHA256")),
+                    response_body_bytes=int(merged.get("response_body_bytes", 4096)),
+                    segmentation_seed=int(merged.get("segmentation_seed", 0)),
+                    anomalies=frozenset(merged.get("anomalies") or ()),
+                )
             )
+        except (ValueError, TypeError) as exc:
+            raise InvalidSpec(f"{path}: connection {i}: {exc}") from exc
+    try:
+        spec = ScenarioSpec(
+            connections=tuple(conns),
+            client_ip=str(raw.get("client_ip", "10.0.0.1")),
+            server_ip=str(raw.get("server_ip", "10.0.0.2")),
+            server_port=int(raw.get("server_port", 443)),
         )
-    spec = ScenarioSpec(
-        connections=tuple(conns),
-        client_ip=str(raw.get("client_ip", "10.0.0.1")),
-        server_ip=str(raw.get("server_ip", "10.0.0.2")),
-        server_port=int(raw.get("server_port", 443)),
-    )
+    except (ValueError, TypeError) as exc:
+        raise InvalidSpec(f"{path}: {exc}") from exc
     validate_spec(spec)
     return spec
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tlslayers.errors import InvalidTimeline
-
 NS_PER_MS = 1_000_000
 
 LAYERS = ("tcp_handshake", "tcp_to_tls", "tls_handshake", "tls_to_app", "app_response")
@@ -106,81 +104,21 @@ def classify(tl: ConnectionTimeline, stop_reason: str | None = None) -> Connecti
     return tl
 
 
-def measurable_layers(tl: ConnectionTimeline) -> tuple[str, ...]:
-    """Prefix of layers whose bounding timestamps both exist and are ordered.
+def layer_deltas_ns(tl: ConnectionTimeline) -> list[int]:
+    """Exact-integer latencies of the measurable prefix of `LAYERS`.
 
-    Excluded connections contribute nothing; partial ones contribute exactly
-    the measurable prefix.
+    Excluded connections measure none; valid ones all five, whose sum is
+    exactly `t_http_200 - t_syn`; partial ones the prefix whose bounding
+    timestamps both exist and are ordered.
     """
     if tl.validity == EXCLUDED:
-        return ()
-    if tl.validity == VALID:
-        return LAYERS
+        return []
     out = []
-    for i, layer in enumerate(LAYERS):
-        a = tl.boundary(BOUNDARIES[i])
-        b = tl.boundary(BOUNDARIES[i + 1])
+    a = tl.t_syn
+    for name in BOUNDARIES[1:]:
+        b = tl.boundary(name)
         if a is None or b is None or b < a:
             break
-        out.append(layer)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class LayerDeltas:
-    """Per-connection layer latencies in exact integer nanoseconds."""
-
-    tcp_handshake_ns: int
-    tcp_to_tls_ns: int
-    tls_handshake_ns: int
-    tls_to_app_ns: int
-    app_response_ns: int
-    e2e_ns: int
-
-    @property
-    def tcp_handshake_ms(self) -> float:
-        return self.tcp_handshake_ns / NS_PER_MS
-
-    @property
-    def tcp_to_tls_ms(self) -> float:
-        return self.tcp_to_tls_ns / NS_PER_MS
-
-    @property
-    def tls_handshake_ms(self) -> float:
-        return self.tls_handshake_ns / NS_PER_MS
-
-    @property
-    def tls_to_app_ms(self) -> float:
-        return self.tls_to_app_ns / NS_PER_MS
-
-    @property
-    def app_response_ms(self) -> float:
-        return self.app_response_ns / NS_PER_MS
-
-    @property
-    def e2e_ms(self) -> float:
-        return self.e2e_ns / NS_PER_MS
-
-
-def compute_deltas(tl: ConnectionTimeline) -> LayerDeltas:
-    """Consecutive boundary differences; the five deltas sum exactly to e2e."""
-    if tl.validity != VALID:
-        raise InvalidTimeline(f"timeline is {tl.validity} ({tl.reason})")
-    return LayerDeltas(
-        tcp_handshake_ns=tl.t_synack - tl.t_syn,
-        tcp_to_tls_ns=tl.t_clienthello - tl.t_synack,
-        tls_handshake_ns=tl.t_client_finished - tl.t_clienthello,
-        tls_to_app_ns=tl.t_http_get - tl.t_client_finished,
-        app_response_ns=tl.t_http_200 - tl.t_http_get,
-        e2e_ns=tl.t_http_200 - tl.t_syn,
-    )
-
-
-def layer_delta_ns(tl: ConnectionTimeline, layer: str) -> int:
-    """One layer's latency for a timeline that measures it (see measurable_layers)."""
-    i = LAYERS.index(layer)
-    a = tl.boundary(BOUNDARIES[i])
-    b = tl.boundary(BOUNDARIES[i + 1])
-    if a is None or b is None:
-        raise InvalidTimeline(f"layer {layer} not measurable")
-    return b - a
+        out.append(b - a)
+        a = b
+    return out

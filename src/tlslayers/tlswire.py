@@ -149,7 +149,7 @@ class TlsRecord:
         return struct.pack(">BHH", self.content_type, self.legacy_version, len(self.body))
 
 
-def parse_records(stream: DirectionalStream, start: int = 0) -> tuple[list[TlsRecord], bool]:
+def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
     """Split a direction's bytes into records; (records, trailing_partial).
 
     trailing_partial is True when the stream ends (or hits a reassembly gap)
@@ -158,7 +158,7 @@ def parse_records(stream: DirectionalStream, start: int = 0) -> tuple[list[TlsRe
     """
     data = stream.data
     records: list[TlsRecord] = []
-    off = start
+    off = 0
     n = len(data)
     while off < n:
         if off + 5 > n:

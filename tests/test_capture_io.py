@@ -3,6 +3,7 @@
 import logging
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -172,12 +173,16 @@ def _reference_read(raw):
     return frames, warnings
 
 
-def _read_with_warnings(path, caplog):
+def _frames_and_warnings(path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
         frames = list(open_capture(path))
-    warnings = [w for r in caplog.records for w in PCAP_WARNINGS if w in r.getMessage()]
-    return frames, warnings
+    return frames, [r.getMessage() for r in caplog.records]
+
+
+def _read_with_warnings(path, caplog):
+    frames, messages = _frames_and_warnings(path, caplog)
+    return frames, [w for m in messages for w in PCAP_WARNINGS if w in m]
 
 
 def _random_records(rng, count, max_len):
@@ -241,3 +246,81 @@ def test_zero_length_record_skipped_with_warning(tmp_path, caplog):
     frames, warnings = _read_with_warnings(path, caplog)
     assert [(f.timestamp_ns, f.data) for f in frames] == [(1_000_000_005, b"one"), (3_000_000_007, b"two")]
     assert warnings == ["zero-length record", "zero-length record"]
+
+
+# -- pcapng sections and length claims -----------------------------------------
+
+def _pcapng_section(endian, packets):
+    """One pcapng section in byte order `endian`: SHB, an Ethernet IDB with
+    nanosecond resolution, and one EPB per (ticks, data)."""
+    def block(block_type, body):
+        body += bytes(-len(body) % 4)
+        total = len(body) + 12
+        return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
+
+    tsresol_ns = struct.pack(endian + "HH", 9, 1) + b"\x09\x00\x00\x00" + struct.pack(endian + "HH", 0, 0)
+    out = [
+        block(0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1)),
+        block(1, struct.pack(endian + "HHI", 1, 0, 65535) + tsresol_ns),
+    ]
+    for ticks, data in packets:
+        out.append(block(6, struct.pack(endian + "IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(data), len(data)) + data))
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("first,second", [("<", ">"), (">", "<")])
+def test_pcapng_sections_may_differ_in_byte_order(tmp_path, caplog, first, second):
+    path = tmp_path / "mixed.pcapng"
+    path.write_bytes(
+        _pcapng_section(first, [(1_000_000_123, b"first")])
+        + _pcapng_section(second, [(2_000_000_456, b"second"), (5_000_000_789_000, b"third!!")])
+    )
+    frames, warnings = _frames_and_warnings(path, caplog)
+    assert [(f.timestamp_ns, f.data) for f in frames] == [
+        (1_000_000_123, b"first"), (2_000_000_456, b"second"), (5_000_000_789_000, b"third!!"),
+    ]
+    assert warnings == []
+
+
+def test_pcapng_bad_byte_order_magic_in_later_section(tmp_path):
+    second = bytearray(_pcapng_section(">", [(2, b"second")]))
+    second[8:12] = b"\xde\xad\xbe\xef"
+    path = tmp_path / "bad-bom.pcapng"
+    path.write_bytes(_pcapng_section("<", [(1, b"first")]) + second)
+    with pytest.raises(UnknownMagic):
+        list(open_capture(path))
+
+
+@pytest.mark.parametrize("total_len", [8, 11])
+def test_pcapng_implausible_shb_length_warns(tmp_path, caplog, total_len):
+    raw = bytearray(_pcapng_section("<", [(1, b"frame")]))
+    struct.pack_into("<I", raw, 4, total_len)
+    path = tmp_path / "shb.pcapng"
+    path.write_bytes(raw)
+    frames, warnings = _frames_and_warnings(path, caplog)
+    assert frames == []
+    assert warnings == [f"{path}: implausible block length {total_len}, stopping"]
+
+
+CLAIM = 64 << 20  # a length field's claim, with at most 40 bytes behind it
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
+def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt):
+    if fmt == "pcap":
+        raw = _pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=struct.pack("<IIII", 2, 0, CLAIM, CLAIM) + bytes(40))
+        warning = "truncated trailing record body"
+    else:
+        raw = _pcapng_section("<", [(1, b"good")]) + struct.pack("<II", 6, CLAIM) + bytes(32)
+        warning = "truncated block body"
+    path = tmp_path / f"claim.{fmt}"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        frames, warnings = _frames_and_warnings(path, caplog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [f.data for f in frames] == [b"good"]
+    assert len(warnings) == 1 and warning in warnings[0]
+    assert peak < 1 << 20

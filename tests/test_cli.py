@@ -233,6 +233,43 @@ def test_synth_bad_spec_exits_2(tmp_path):
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def _without_p50(doc):
+    del doc["layers"]["tls_handshake"]["p50"]
+    return json.dumps(doc)
+
+
+def _string_statistic(doc):
+    doc["layers"]["tls_handshake"]["p50"] = "fast"
+    return json.dumps(doc)
+
+
+MALFORMED_INPUTS = {
+    "scenario-yaml-syntax": ("synth", lambda doc: "connections: [\n  - boundary_times_ns: [0, 1\n"),
+    "scenario-field-type": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: lots")),
+    "document-array": ("compare", lambda doc: "[]"),
+    "document-layer-without-p50": ("compare", _without_p50),
+    "document-string-statistic": ("compare", _string_statistic),
+    "document-without-label": ("compare", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "label"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_scenario_or_document_exits_2(fixture_dir, tmp_path, capsys, case):
+    command, make = MALFORMED_INPUTS[case]
+    run = tmp_path / "run.json"
+    assert main(["analyze", "--pcap", str(fixture_dir / "capture.pcap"),
+                 "--keylog", str(fixture_dir / "keylog.txt"), "--out", str(run)]) == 0
+    bad = tmp_path / "bad.input"
+    bad.write_text(make(json.loads(run.read_text())))
+    capsys.readouterr()
+    if command == "synth":
+        code = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")])
+    else:
+        code = main(["compare", "--baseline", str(bad), "--candidate", str(run)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_internal_invariant_violation_exits_4(fixture_dir, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("stream tallies do not sum to total")

@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlslayers.errors import InvalidTimeline
 from tlslayers.timeline import (
     EXCLUDED,
     LAYERS,
@@ -14,9 +12,8 @@ from tlslayers.timeline import (
     VALID,
     ConnectionTimeline,
     classify,
-    compute_deltas,
     http_status,
-    measurable_layers,
+    layer_deltas_ns,
     starts_http_request,
 )
 
@@ -82,14 +79,14 @@ def test_all_boundaries_ordered_is_valid():
     tl = classify(ConnectionTimeline(**BOUNDS, http_status=200))
     assert tl.validity == VALID
     assert tl.reason is None
-    assert measurable_layers(tl) == LAYERS
+    assert len(layer_deltas_ns(tl)) == len(LAYERS)
 
 
 def test_missing_keys_is_partial_with_prefix_layers():
     tl = classify(ConnectionTimeline(t_syn=0, t_synack=360_000, t_clienthello=654_000), "no_keys")
     assert tl.validity == PARTIAL
     assert tl.reason == "no_keys"
-    assert measurable_layers(tl) == ("tcp_handshake", "tcp_to_tls")
+    assert layer_deltas_ns(tl) == [360_000, 294_000]  # tcp_handshake, tcp_to_tls
 
 
 def test_ordering_violation_is_excluded():
@@ -98,34 +95,37 @@ def test_ordering_violation_is_excluded():
     tl = classify(ConnectionTimeline(**bounds, http_status=200))
     assert tl.validity == EXCLUDED
     assert tl.reason == "ordering"
-    assert measurable_layers(tl) == ()
+    assert layer_deltas_ns(tl) == []
 
 
 def test_non200_excluded_but_tallied():
     tl = classify(ConnectionTimeline(**BOUNDS, http_status=503))
     assert tl.validity == EXCLUDED
     assert tl.reason == "non200"
-    assert measurable_layers(tl) == ()
+    assert layer_deltas_ns(tl) == []
+
+
+def test_partial_prefix_stops_at_first_unordered_pair():
+    bounds = dict(BOUNDS, t_clienthello=BOUNDS["t_synack"] - 1, t_http_200=None)
+    tl = classify(ConnectionTimeline(**bounds), "no_response")
+    assert tl.validity == PARTIAL
+    assert layer_deltas_ns(tl) == [360_000]  # tcp_handshake only
 
 
 def test_partial_reason_derived_from_first_missing_boundary():
     tl = classify(ConnectionTimeline(t_syn=0, t_synack=None))
     assert tl.validity == PARTIAL
     assert tl.reason == "no_synack"
-    assert measurable_layers(tl) == ()
+    assert layer_deltas_ns(tl) == []
 
 
 # -- delta arithmetic -------------------------------------------------------------
 
 def test_reference_row_deltas():
     tl = classify(ConnectionTimeline(**BOUNDS, http_status=200))
-    d = compute_deltas(tl)
-    assert d.tcp_handshake_ms == pytest.approx(0.360, abs=1e-12)
-    assert d.tcp_to_tls_ms == pytest.approx(0.294, abs=1e-12)
-    assert d.tls_handshake_ms == pytest.approx(5.547, abs=1e-12)
-    assert d.tls_to_app_ms == pytest.approx(0.526, abs=1e-12)
-    assert d.app_response_ms == pytest.approx(9.071, abs=1e-12)
-    assert d.e2e_ms == pytest.approx(15.798, abs=1e-12)
+    d = layer_deltas_ns(tl)
+    assert d == [360_000, 294_000, 5_547_000, 526_000, 9_071_000]
+    assert sum(d) == 15_798_000
 
 
 def test_degenerate_equal_boundaries():
@@ -133,16 +133,8 @@ def test_degenerate_equal_boundaries():
         t_syn=5, t_synack=5, t_clienthello=5, t_client_finished=5, t_http_get=5, t_http_200=5,
         http_status=200,
     ))
-    d = compute_deltas(tl)
-    assert d.e2e_ns == 0
-    assert all(v == 0 for v in (d.tcp_handshake_ns, d.tcp_to_tls_ns, d.tls_handshake_ns,
-                                d.tls_to_app_ns, d.app_response_ns))
-
-
-def test_deltas_require_valid_timeline():
-    tl = classify(ConnectionTimeline(t_syn=0, t_synack=None))
-    with pytest.raises(InvalidTimeline):
-        compute_deltas(tl)
+    assert tl.validity == VALID
+    assert layer_deltas_ns(tl) == [0, 0, 0, 0, 0]
 
 
 def _random_timeline(rng: random.Random):
@@ -157,14 +149,11 @@ def _random_timeline(rng: random.Random):
 def test_additivity_exact_over_random_timelines():
     rng = random.Random(2024)
     for _ in range(10_000):
-        d = compute_deltas(_random_timeline(rng))
-        total = (
-            d.tcp_handshake_ns + d.tcp_to_tls_ns + d.tls_handshake_ns
-            + d.tls_to_app_ns + d.app_response_ns
-        )
-        assert total == d.e2e_ns  # exact integer arithmetic
-        assert min(d.tcp_handshake_ns, d.tcp_to_tls_ns, d.tls_handshake_ns,
-                   d.tls_to_app_ns, d.app_response_ns) >= 0
+        tl = _random_timeline(rng)
+        d = layer_deltas_ns(tl)
+        assert len(d) == len(LAYERS)
+        assert sum(d) == tl.t_http_200 - tl.t_syn  # exact integer arithmetic
+        assert min(d) >= 0
 
 
 @given(
@@ -179,8 +168,9 @@ def test_translation_invariance(times, shift):
         ("t_syn", "t_synack", "t_clienthello", "t_client_finished", "t_http_get", "t_http_200"),
         times,
     ))
-    base = compute_deltas(classify(ConnectionTimeline(**kw, http_status=200)))
-    shifted = compute_deltas(
+    base = layer_deltas_ns(classify(ConnectionTimeline(**kw, http_status=200)))
+    shifted = layer_deltas_ns(
         classify(ConnectionTimeline(**{k: v + shift for k, v in kw.items()}, http_status=200))
     )
+    assert len(base) == len(LAYERS)
     assert base == shifted
