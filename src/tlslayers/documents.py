@@ -39,8 +39,6 @@ DELTA_BASES = ("p50", "mean")
 
 STAT_FIELDS = ("count", "mean", "p50", "p90", "p95", "p99", "min", "max", "sd")
 
-CRYPTO_LAYERS = ("tcp_to_tls", "tls_handshake")
-
 
 class IncompatibleDocuments(TlsLayersError):
     """Baseline and candidate do not share the layers needed to compare."""

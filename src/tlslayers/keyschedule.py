@@ -7,7 +7,6 @@ AEAD primitives come from the `cryptography` package.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
@@ -16,22 +15,21 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
 from tlslayers.errors import AuthFailure, EmptyInnerPlaintext, LengthMismatch
-from tlslayers.tlswire import CT_APPLICATION_DATA, CipherSuite, SUITES_BY_NAME, TlsRecord
+from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, TlsRecord
 
 NONCE_LEN = 12
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str) -> bytes:
     """HKDF-Expand per RFC 5869 §2.3."""
-    hash_len = hashlib.new(hash_name).digest_size
-    blocks = []
+    out = b""
     t = b""
     counter = 1
-    while sum(len(b) for b in blocks) < length:
+    while len(out) < length:
         t = hmac.new(prk, t + info + bytes([counter]), hash_name).digest()
-        blocks.append(t)
+        out += t
         counter += 1
-    return b"".join(blocks)[:length]
+    return out[:length]
 
 
 def hkdf_expand_label(secret: bytes, label: bytes, context: bytes, length: int, hash_name: str) -> bytes:
@@ -49,11 +47,11 @@ def hkdf_expand_label(secret: bytes, label: bytes, context: bytes, length: int, 
 
 @dataclass
 class TrafficKeys:
-    """Write key, IV and the per-record sequence counter for one direction/epoch."""
+    """Write key, IV, the AEAD built from the key, and the per-record sequence counter."""
 
     key: bytes
     iv: bytes
-    suite: CipherSuite
+    aead: AESGCM | ChaCha20Poly1305
     sequence_counter: int = 0
 
     def nonce(self) -> bytes:
@@ -61,38 +59,28 @@ class TrafficKeys:
         return bytes(a ^ b for a, b in zip(self.iv, seq))
 
 
-def derive_traffic_keys(secret: bytes, suite: CipherSuite | str) -> TrafficKeys:
+def derive_traffic_keys(secret: bytes, suite_name: str) -> TrafficKeys:
     """key = Expand-Label(secret, "key", "", key_len); iv likewise to 12 bytes."""
-    if isinstance(suite, str):
-        suite = SUITES_BY_NAME[suite]
+    suite = SUITES_BY_NAME[suite_name]
     if len(secret) != suite.secret_len:
         raise LengthMismatch(
             f"secret of {len(secret)} bytes does not match {suite.name} (need {suite.secret_len})"
         )
     key = hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
     iv = hkdf_expand_label(secret, b"iv", b"", NONCE_LEN, suite.hash_name)
-    return TrafficKeys(key=key, iv=iv, suite=suite)
+    aead = AESGCM(key) if suite.name.startswith("AES") else ChaCha20Poly1305(key)
+    return TrafficKeys(key=key, iv=iv, aead=aead)
 
 
-@dataclass(frozen=True)
-class DecryptedMessage:
-    inner_type: int
-    plaintext: bytes
-    record_timestamp_ns: int
+def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> tuple[int, bytes]:
+    """Open one protected record into (inner content type, plaintext).
 
-
-def _aead(keys: TrafficKeys):
-    if keys.suite.name.startswith("AES"):
-        return AESGCM(keys.key)
-    return ChaCha20Poly1305(keys.key)
-
-
-def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> DecryptedMessage:
-    """Open one protected record; the counter advances only on success."""
+    The counter advances only on success.
+    """
     if record.content_type != CT_APPLICATION_DATA:
         raise ValueError(f"record type {record.content_type} is not protected")
     try:
-        inner = _aead(keys).decrypt(keys.nonce(), record.body, record.header())
+        inner = keys.aead.decrypt(keys.nonce(), record.body, record.header())
     except InvalidTag as exc:
         raise AuthFailure(
             f"AEAD tag mismatch at record offset {record.stream_offset} "
@@ -103,8 +91,4 @@ def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> DecryptedMessage:
     stripped = inner.rstrip(b"\x00")
     if not stripped:
         raise EmptyInnerPlaintext("record decrypted to padding only")
-    return DecryptedMessage(
-        inner_type=stripped[-1],
-        plaintext=stripped[:-1],
-        record_timestamp_ns=record.timestamp_ns,
-    )
+    return stripped[-1], stripped[:-1]

@@ -152,7 +152,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
             return "no_keys"
         try:
             keys.append(derive_traffic_keys(secret, tl.cipher_suite))
-        except (TlsLayersError, KeyError):
+        except TlsLayersError:
             return "undecryptable"
     client_hs, server_hs, client_ap, server_ap = keys
 
@@ -215,16 +215,16 @@ def _open_protected(records, hs_keys, ap_keys):
     for rec in records:
         if rec.content_type != CT_APPLICATION_DATA:
             continue
-        msg = decrypt_record(rec, keys)
-        if msg.inner_type == CT_HANDSHAKE:
+        inner_type, plaintext = decrypt_record(rec, keys)
+        if inner_type == CT_HANDSHAKE:
             finished = False
-            for msg_type, body, ts in acc.feed(msg.plaintext, msg.record_timestamp_ns):
+            for msg_type, body, ts in acc.feed(plaintext, rec.timestamp_ns):
                 finished = finished or msg_type == HT_FINISHED
                 yield msg_type, body, ts
             if finished and acc.pending == 0:
                 keys = ap_keys
-        elif msg.inner_type == CT_APPLICATION_DATA:
-            yield None, msg.plaintext, msg.record_timestamp_ns
+        elif inner_type == CT_APPLICATION_DATA:
+            yield None, plaintext, rec.timestamp_ns
 
 
 def analyze_packets(

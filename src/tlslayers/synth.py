@@ -68,6 +68,10 @@ _SERVER_MAC = bytes.fromhex("020000000002")
 _MIN_SEG = 240
 _MAX_SEG = 1448
 
+# Boundary times stay below 2^31 s, so the frames written after t5 still
+# fit classic pcap's 32-bit seconds field.
+_BOUNDARY_LIMIT_NS = (1 << 31) * 1_000_000_000
+
 
 @dataclass(frozen=True)
 class ConnectionSpec:
@@ -90,6 +94,14 @@ class ScenarioSpec:
 def validate_spec(spec: ScenarioSpec) -> None:
     if not spec.connections:
         raise InvalidSpec("scenario has no connections")
+    for name in ("client_ip", "server_ip"):
+        value = getattr(spec, name)
+        try:
+            ipaddress.IPv4Address(value)
+        except ValueError:
+            raise InvalidSpec(f"{name} {value!r} is not an IPv4 address (synth writes IPv4 frames only)") from None
+    if not 1 <= spec.server_port <= 65535:
+        raise InvalidSpec(f"server_port {spec.server_port} is outside 1-65535")
     for i, conn in enumerate(spec.connections):
         if len(conn.boundary_times) != 6:
             raise InvalidSpec(f"connection {i}: need six boundary times")
@@ -97,6 +109,8 @@ def validate_spec(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"connection {i}: negative boundary time")
         if list(conn.boundary_times) != sorted(conn.boundary_times):
             raise InvalidSpec(f"connection {i}: boundary times not ordered")
+        if conn.boundary_times[-1] >= _BOUNDARY_LIMIT_NS:
+            raise InvalidSpec(f"connection {i}: boundary time at or past 2^31 s")
         if conn.response_body_bytes < 0:
             raise InvalidSpec(f"connection {i}: negative response body size")
         unknown = set(conn.anomalies) - ANOMALIES
@@ -148,9 +162,9 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             server_ip=str(raw.get("server_ip", "10.0.0.2")),
             server_port=int(raw.get("server_port", 443)),
         )
-    except (ValueError, TypeError) as exc:
+        validate_spec(spec)
+    except (ValueError, TypeError, InvalidSpec) as exc:
         raise InvalidSpec(f"{path}: {exc}") from exc
-    validate_spec(spec)
     return spec
 
 

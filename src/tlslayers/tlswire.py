@@ -204,41 +204,31 @@ class HandshakeAccumulator:
 
     feed() returns completed (msg_type, body, first_byte_ts) tuples, where
     the timestamp is that of the record which carried the message's first
-    byte.
+    byte.  One anchor is enough: `_buf_ts`, the time of the record that
+    carried `_buf[0]`.  Because feed() drains every complete message, the
+    first message a feed completes begins at `_buf[0]` (bytes left over
+    from earlier records, or this record's if the buffer was empty), and
+    every later one begins inside this record.
     """
 
     def __init__(self):
         self._buf = bytearray()
-        self._chunk_ts: list[tuple[int, int]] = []  # (start offset in _buf, ts)
-        self._consumed = 0
+        self._buf_ts = 0
 
     def feed(self, data: bytes, ts: int) -> list[tuple[int, bytes, int]]:
-        if data:
-            self._chunk_ts.append((self._consumed + len(self._buf), ts))
-            self._buf.extend(data)
+        if not self._buf:
+            self._buf_ts = ts
+        self._buf.extend(data)
         out = []
         while len(self._buf) >= 4:
             msg_type = self._buf[0]
             length = int.from_bytes(self._buf[1:4], "big")
             if len(self._buf) < 4 + length:
                 break
-            start = self._consumed
-            body = bytes(self._buf[4 : 4 + length])
-            out.append((msg_type, body, self._ts_for(start)))
+            out.append((msg_type, bytes(self._buf[4 : 4 + length]), self._buf_ts))
             del self._buf[: 4 + length]
-            self._consumed += 4 + length
+            self._buf_ts = ts
         return out
-
-    def _ts_for(self, offset: int) -> int:
-        ts = None
-        for o, t in self._chunk_ts:
-            if o <= offset:
-                ts = t
-            else:
-                break
-        if ts is None:
-            raise AssertionError("handshake accumulator lost timestamp anchor")
-        return ts
 
     @property
     def pending(self) -> int:

@@ -246,6 +246,11 @@ def _string_statistic(doc):
 MALFORMED_INPUTS = {
     "scenario-yaml-syntax": ("synth", lambda doc: "connections: [\n  - boundary_times_ns: [0, 1\n"),
     "scenario-field-type": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: lots")),
+    "scenario-ip-not-an-address": ("synth", lambda doc: "client_ip: bogus\n" + SCENARIO_YAML),
+    "scenario-ipv6-endpoints": ("synth", lambda doc: "client_ip: '::1'\nserver_ip: '::2'\n" + SCENARIO_YAML),
+    "scenario-port-above-65535": ("synth", lambda doc: "server_port: 70000\n" + SCENARIO_YAML),
+    "scenario-port-negative": ("synth", lambda doc: "server_port: -1\n" + SCENARIO_YAML),
+    "scenario-time-past-pcap-seconds": ("synth", lambda doc: SCENARIO_YAML.replace("1018006000]", "5000000000000000000]")),
     "document-array": ("compare", lambda doc: "[]"),
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),

@@ -9,13 +9,12 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from tlslayers.errors import AuthFailure, EmptyInnerPlaintext, LengthMismatch
 from tlslayers.keyschedule import (
-    DecryptedMessage,
     TrafficKeys,
     decrypt_record,
     derive_traffic_keys,
     hkdf_expand_label,
 )
-from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, TlsRecord
+from tlslayers.tlswire import CT_APPLICATION_DATA, TlsRecord
 
 # RFC 8448 §3 (simple 1-RTT) handshake traffic secrets and their derived keys
 RFC8448_CLIENT_HS_SECRET = bytes.fromhex(
@@ -117,9 +116,9 @@ def test_decrypt_round_trip_and_counter_discipline():
         for i, pt in enumerate(plaintexts)
     ]
     for i, rec in enumerate(records):
-        msg = decrypt_record(rec, keys)
-        assert msg.plaintext == plaintexts[i]
-        assert msg.inner_type == 0x16
+        inner_type, plaintext = decrypt_record(rec, keys)
+        assert plaintext == plaintexts[i]
+        assert inner_type == 0x16
         assert keys.sequence_counter == i + 1
 
 
@@ -136,9 +135,9 @@ def test_padding_stripped_to_inner_type():
     keys = derive_traffic_keys(bytes(32), "AES_128_GCM_SHA256")
     inner = b"\x14" * 4 + b"\x16" + b"\x00" * 3  # content, type=handshake, padding
     rec = _protected_record(keys.key, keys.iv, 0, inner)
-    msg = decrypt_record(rec, keys)
-    assert msg.inner_type == 0x16
-    assert msg.plaintext == b"\x14" * 4
+    inner_type, plaintext = decrypt_record(rec, keys)
+    assert inner_type == 0x16
+    assert plaintext == b"\x14" * 4
 
 
 def test_all_padding_is_empty_inner_plaintext():
@@ -150,7 +149,7 @@ def test_all_padding_is_empty_inner_plaintext():
 
 def test_nonce_construction():
     keys = TrafficKeys(key=bytes(16), iv=bytes.fromhex("000000000000000000000001"),
-                       suite=SUITES_BY_NAME["AES_128_GCM_SHA256"], sequence_counter=1)
+                       aead=AESGCM(bytes(16)), sequence_counter=1)
     assert keys.nonce() == bytes(12)  # iv XOR counter cancels
     keys.sequence_counter = 0
     assert keys.nonce() == keys.iv

@@ -1,6 +1,8 @@
 """Synthetic generator: determinism, ground-truth agreement, anomaly plans."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +249,17 @@ def test_scenario_file_loading(tmp_path):
     assert spec.connections[0].response_body_bytes == 2048
     assert spec.connections[1].group == "x25519"
     assert spec.connections[1].anomalies == frozenset({"non200"})
+
+
+def test_documented_scenario_example_analyses_to_its_ground_truth(tmp_path):
+    doc = (Path(__file__).parent.parent / "docs" / "scenario_format.md").read_text()
+    (example,) = re.findall(r"```yaml\n(.*?)```", doc, re.DOTALL)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(example)
+    result, truth = run_scenario(synth.load_scenario(path))
+    assert result.counts["valid"] == len(result.timelines) == 2
+    by_syn = {ct.boundaries["t_syn"]: ct for ct in truth.connections}
+    for tl in result.timelines:
+        ct = by_syn[tl.t_syn]
+        for name in BOUNDARIES:
+            assert tl.boundary(name) == ct.boundaries[name], name

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlslayers.errors import BadRecordHeader, MalformedHello, OversizeRecord, UnknownGroup, UnsupportedCipherSuite
 from tlslayers.reassembly import DirectionalStream
@@ -212,3 +214,31 @@ def test_accumulator_message_starting_mid_chunk():
     assert len(out) == 1
     assert out[0][0] == 20
     assert out[0][2] == 100  # first byte of the second message was in chunk one
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    messages=st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=48)), max_size=8),
+    data=st.data(),
+)
+def test_accumulator_stamps_every_message_with_its_first_bytes_record(messages, data):
+    stream = b"".join(build_handshake_message(t, body) for t, body in messages)
+    kept = data.draw(st.integers(0, len(stream)), label="kept")
+    cuts = sorted(data.draw(st.lists(st.integers(0, kept), max_size=12), label="cuts"))
+    bounds = [0, *cuts, kept]
+    # (start offset, bytes, distinct timestamp); equal bounds give empty records
+    records = [(a, stream[a:b], 1000 + i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+    expected = []
+    end = 0
+    for msg_type, body in messages:
+        if end + 4 + len(body) > kept:
+            break
+        ts = next(t for a, chunk, t in records if a <= end < a + len(chunk))
+        expected.append((msg_type, body, ts))
+        end += 4 + len(body)
+
+    acc = HandshakeAccumulator()
+    got = [msg for _, chunk, t in records for msg in acc.feed(chunk, t)]
+    assert got == expected
+    assert acc.pending == kept - end
