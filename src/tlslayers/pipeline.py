@@ -1,7 +1,12 @@
 """Capture-to-statistics pipeline.
 
-A run is one process: ingest, reassembly, the per-connection TLS walk and
-the summary run in sequence, connections in `TcpConnection.sort_key` order.
+A run is one process.  Ingest decodes packets straight into per-flow
+buckets (`group_flows`); then each flow in turn is assembled, its
+connections walked, and its packets and streams dropped, so only one flow's
+streams are in memory at once.  Walk order is free: every connection is
+walked on its own.  Timelines are reported in `TcpConnection.sort_key`
+order, which `summarize_run` does not depend on.
+
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
 1.80 s wall against 1.77 s, with 28% more CPU and 18% more peak RSS: the
@@ -22,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from tlslayers.capture import open_capture
@@ -46,7 +52,7 @@ from tlslayers.keylog import (
     parse_keylog,
 )
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_connections
+from tlslayers.reassembly import TcpConnection, assemble_flow, group_flows
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -234,9 +240,25 @@ def analyze_packets(
     ingest: dict | None = None,
     inputs: dict | None = None,
 ) -> RunResult:
-    conns = assemble_connections(packets)
-    conns.sort(key=TcpConnection.sort_key)
-    return analyze_connections(conns, keystore, label, ingest=ingest, inputs=inputs)
+    """Analyze decoded packets, in any order, as `analyze_capture` does a capture."""
+    return _analyze_flows(group_flows(packets), keystore, label, ingest=ingest, inputs=inputs)
+
+
+def _analyze_flows(
+    groups: dict[tuple, list],
+    keystore: KeyLogStore | None,
+    label: str,
+    ingest: dict | None,
+    inputs: dict | None,
+) -> RunResult:
+    """Assemble, walk and drop one flow at a time (emptying `groups`), then summarize."""
+    keyed: list[tuple[tuple, ConnectionTimeline]] = []
+    while groups:
+        group = groups.popitem()[1]
+        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(group))
+    keyed.sort(key=itemgetter(0))
+    timelines = [tl for _, tl in keyed]
+    return summarize_run(timelines, label, decrypted=keystore is not None, ingest=ingest, inputs=inputs)
 
 
 def analyze_connections(
@@ -342,21 +364,23 @@ def analyze_capture(
     `workers` is deprecated and ignored: the analysis runs in one process.
     """
     pcap_path = Path(pcap_path)
-    packets = []
-    frames = 0
-    non_tcp = 0
-    malformed = 0
-    for frame in open_capture(pcap_path):
-        frames += 1
-        try:
-            pkt = decode_frame(frame)
-        except MalformedHeader:
-            malformed += 1
-            continue
-        if pkt is None:
-            non_tcp += 1
-            continue
-        packets.append(pkt)
+    frames = non_tcp = malformed = 0
+
+    def decoded():
+        nonlocal frames, non_tcp, malformed
+        for frame in open_capture(pcap_path):
+            frames += 1
+            try:
+                pkt = decode_frame(frame)
+            except MalformedHeader:
+                malformed += 1
+                continue
+            if pkt is None:
+                non_tcp += 1
+                continue
+            yield pkt
+
+    groups = group_flows(decoded())
 
     keystore = None
     inputs: dict = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": None}
@@ -374,4 +398,4 @@ def analyze_capture(
         logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
 
     ingest = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
-    return analyze_packets(packets, keystore, label, ingest=ingest, inputs=inputs)
+    return _analyze_flows(groups, keystore, label, ingest=ingest, inputs=inputs)

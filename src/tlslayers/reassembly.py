@@ -13,7 +13,9 @@ referencing the captured payload it came from), and the sub-ranges already
 covered are compared with the stored bytes, a difference being recorded as
 ``overlap_mismatch``.  Only the contiguous prefix from offset 0 is joined
 into the stream.  Memory is therefore proportional to the captured payload
-bytes, never to the sequence offsets a segment claims.
+bytes, never to the sequence offsets a segment claims.  `group_flows` and
+`assemble_flow` let a caller assemble one four-tuple at a time; the pipeline
+does, so its peak memory is the decoded packets plus one flow's streams.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -145,24 +147,33 @@ class _Incarnation:
 def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection]:
     """Group packets into connections; one per SYN-initiated incarnation.
 
-    Nothing here is fatal: anomalies (duplicate SYN with a new ISN,
-    inconsistent overlapping data) are recorded in `anomalies` and leave
-    validity to the TLS walk.
+    Flows come in canonical four-tuple order.  Nothing here is fatal:
+    anomalies (duplicate SYN with a new ISN, inconsistent overlapping data)
+    are recorded in `anomalies` and leave validity to the TLS walk.
     """
+    groups = group_flows(packets)
+    return [conn for canon in sorted(groups) for conn in assemble_flow(groups[canon])]
+
+
+def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[DecodedPacket]]:
+    """Packets by canonical four-tuple (the lower endpoint first), in the order given."""
     groups: dict[tuple, list[DecodedPacket]] = {}
     for pkt in packets:
         a = (pkt.src_ip, pkt.src_port)
         b = (pkt.dst_ip, pkt.dst_port)
         canon = (a, b) if a <= b else (b, a)
-        groups.setdefault(canon, []).append(pkt)
+        try:
+            groups[canon].append(pkt)
+        except KeyError:
+            groups[canon] = [pkt]
+    return groups
 
-    connections: list[TcpConnection] = []
-    for canon in sorted(groups):
-        group = groups[canon]
-        # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
-        group.sort(key=_timestamp)
-        connections.extend(_walk_group(group))
-    return connections
+
+def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
+    """One four-tuple's packets (sorted in place) as its connections, in incarnation order."""
+    # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
+    group.sort(key=_timestamp)
+    return _walk_group(group)
 
 
 def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:

@@ -33,7 +33,7 @@ from tlslayers.capture import (
     PCAP_MAGIC_US,
     CapturedFrame,
 )
-from tlslayers.errors import InvalidSpec, WriteFailure
+from tlslayers.errors import InvalidSpec, UnknownGroup, WriteFailure
 from tlslayers.keyschedule import NONCE_LEN, derive_traffic_keys
 from tlslayers.keylog import (
     LABEL_CLIENT_AP,
@@ -118,7 +118,10 @@ def validate_spec(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"connection {i}: unknown anomalies {sorted(unknown)}")
         if conn.cipher_suite not in SUITES_BY_NAME:
             raise InvalidSpec(f"connection {i}: unknown cipher suite {conn.cipher_suite!r}")
-        group_by_name(conn.group)  # raises UnknownGroup
+        try:
+            group_by_name(conn.group)
+        except UnknownGroup as exc:
+            raise InvalidSpec(f"connection {i}: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

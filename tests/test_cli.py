@@ -251,6 +251,7 @@ MALFORMED_INPUTS = {
     "scenario-port-above-65535": ("synth", lambda doc: "server_port: 70000\n" + SCENARIO_YAML),
     "scenario-port-negative": ("synth", lambda doc: "server_port: -1\n" + SCENARIO_YAML),
     "scenario-time-past-pcap-seconds": ("synth", lambda doc: SCENARIO_YAML.replace("1018006000]", "5000000000000000000]")),
+    "scenario-unknown-group": ("synth", lambda doc: SCENARIO_YAML.replace("group: x25519", "group: x448")),
     "document-array": ("compare", lambda doc: "[]"),
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),

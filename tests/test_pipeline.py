@@ -1,12 +1,15 @@
 """Per-connection walk edge cases built from hand-assembled streams."""
 
+import tracemalloc
+
 import pytest
 
 from tlslayers import synth
+from tlslayers.capture import CapturedFrame
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
 from tlslayers.keylog import KeyLogStore, parse_keylog
-from tlslayers.pipeline import analyze_connection, summarize_run
-from tlslayers.reassembly import assemble_connections
+from tlslayers.pipeline import analyze_capture, analyze_connection, analyze_packets, summarize_run
+from tlslayers.reassembly import TcpConnection, assemble_connections
 from tlslayers.tlswire import (
     CT_HANDSHAKE,
     HRR_RANDOM,
@@ -334,3 +337,81 @@ def test_reassembly_anomaly_leaves_validity_to_the_walk(inject, anomalies, outco
     assert conn.anomalies == anomalies
     tl = analyze_connection(conn, parse_keylog(keylog_text))
     assert (tl.validity, tl.reason) == outcome
+
+
+# -- flow-at-a-time driver: bounded memory, the parent's order --------------------
+
+
+def _decoded(spec):
+    frames, keylog_text, _ = synth.generate(spec)
+    return [p for f in frames if (p := decode_frame(f)) is not None], parse_keylog(keylog_text)
+
+
+def test_walk_holds_one_flow_of_streams_at_a_time():
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, response_body_bytes=64 * 1024)
+        for i in range(30)
+    ))
+    packets, keystore = _decoded(spec)
+    payload_bytes = sum(len(p.payload) for p in packets)
+    tracemalloc.start()
+    try:
+        result = analyze_packets(packets, keystore, "memory")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.counts["valid"] == 30
+    # every connection's joined streams alive at once would be about 1x the payload
+    assert peak < 0.25 * payload_bytes, (peak, payload_bytes)
+
+
+def test_capture_ingest_counts_every_frame(tmp_path):
+    frames, keylog_text, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
+    arp = CapturedFrame(timestamp_ns=1, link_type=1, data=b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28), orig_len=42)
+    runt = CapturedFrame(timestamp_ns=2, link_type=1, data=bytes(10), orig_len=10)
+    synth.emit_capture([arp, *frames, runt, arp], tmp_path / "capture.pcap")
+    (tmp_path / "keylog.txt").write_text(keylog_text)
+    result = analyze_capture(tmp_path / "capture.pcap", tmp_path / "keylog.txt", "ingest")
+    assert result.ingest == {"frames": len(frames) + 3, "non_tcp_frames": 2, "malformed_frames": 1}
+    assert result.counts["valid"] == 1
+
+
+def _reuse_after_rst(packets, first_port, second_port):
+    """The first connection ends in a client RST instead of FINs; the second takes over its client port."""
+    out = []
+    for p in packets:
+        if first_port in (p.src_port, p.dst_port) and p.tcp_flags & TcpFlags.FIN:
+            if p.src_port == first_port:
+                out.append(_copy(p, tcp_flags=int(TcpFlags.RST | TcpFlags.ACK)))
+            continue
+        if p.src_port == second_port:
+            p = _copy(p, src_port=first_port)
+        elif p.dst_port == second_port:
+            p = _copy(p, dst_port=first_port)
+        out.append(p)
+    return out
+
+
+def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
+    anomalies = [(), ("retransmit",), ("reorder",), ("truncate",), ("drop_keylog",),
+                 ("coalesce_request",), ("retransmit", "reorder"), ()]
+    start_ms = [15, 0, 30, 5, 35, 10, 25, 60]  # neither the client-port order nor its reverse
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=ms * 1_000_000, seed=i + 1, anomalies=frozenset(a))
+        for i, (a, ms) in enumerate(zip(anomalies, start_ms))
+    ))
+    packets, keystore = _decoded(spec)
+    packets = _reuse_after_rst(packets, first_port=10001, second_port=10007)
+
+    conns = assemble_connections(packets)
+    assert sorted((c.key.client_port, c.incarnation) for c in conns if c.key.client_port == 10001) == [
+        (10001, 0), (10001, 1)
+    ]
+    ordered = sorted(conns, key=TcpConnection.sort_key)
+    assert ordered not in (conns, conns[::-1])
+    expected = [analyze_connection(c, keystore) for c in ordered]
+    assert {(tl.validity, tl.reason) for tl in expected} == {
+        ("valid", None), ("partial", "truncated"), ("partial", "no_keys")
+    }
+
+    assert analyze_packets(packets, keystore, "hard").timelines == expected
