@@ -1,11 +1,14 @@
 """Capture-to-statistics pipeline.
 
-A run is one process.  Ingest decodes packets straight into per-flow
-buckets (`group_flows`); then each flow in turn is assembled, its
-connections walked, and its packets and streams dropped, so only one flow's
-streams are in memory at once.  Walk order is free: every connection is
-walked on its own.  Timelines are reported in `TcpConnection.sort_key`
-order, which `summarize_run` does not depend on.
+A run is one process with one driver from packets to a `RunResult`:
+`analyze_packets`.  It groups packets into per-flow buckets
+(`group_flows`); then each flow in turn is assembled, its connections
+walked, and its packets and streams dropped, so only one flow's streams are
+in memory at once.  `analyze_capture` reads and hashes the key log, hashes
+the capture, and feeds `analyze_packets` the decoded frames as they are
+read.  Walk order is free: every connection is walked on its own.
+Timelines are reported in `TcpConnection.sort_key` order, which
+`summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -170,6 +173,8 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
         elif msg_type == HT_KEY_UPDATE:
             return "undecryptable"
         elif msg_type is None and starts_http_request(data):
+            if tl.t_client_finished is None:
+                return "no_finished"  # a request before the client Finished
             tl.t_http_get = ts
             break
     else:
@@ -233,32 +238,15 @@ def _open_protected(records, hs_keys, ap_keys):
             yield None, plaintext, rec.timestamp_ns
 
 
-def analyze_packets(
-    packets,
-    keystore: KeyLogStore | None,
-    label: str,
-    ingest: dict | None = None,
-    inputs: dict | None = None,
-) -> RunResult:
-    """Analyze decoded packets, in any order, as `analyze_capture` does a capture."""
-    return _analyze_flows(group_flows(packets), keystore, label, ingest=ingest, inputs=inputs)
-
-
-def _analyze_flows(
-    groups: dict[tuple, list],
-    keystore: KeyLogStore | None,
-    label: str,
-    ingest: dict | None,
-    inputs: dict | None,
-) -> RunResult:
-    """Assemble, walk and drop one flow at a time (emptying `groups`), then summarize."""
+def analyze_packets(packets, keystore: KeyLogStore | None, label: str) -> RunResult:
+    """Analyze decoded packets, in any order: assemble, walk and drop one flow at a time."""
+    groups = group_flows(packets)
     keyed: list[tuple[tuple, ConnectionTimeline]] = []
     while groups:
         group = groups.popitem()[1]
         keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(group))
     keyed.sort(key=itemgetter(0))
-    timelines = [tl for _, tl in keyed]
-    return summarize_run(timelines, label, decrypted=keystore is not None, ingest=ingest, inputs=inputs)
+    return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None)
 
 
 def analyze_connections(
@@ -266,12 +254,10 @@ def analyze_connections(
     keystore: KeyLogStore | None,
     label: str,
     workers: int = 1,
-    ingest: dict | None = None,
-    inputs: dict | None = None,
 ) -> RunResult:
     """Walk each connection in order and summarize; `workers` is deprecated and ignored."""
     timelines = [analyze_connection(c, keystore) for c in conns]
-    return summarize_run(timelines, label, decrypted=keystore is not None, ingest=ingest, inputs=inputs)
+    return summarize_run(timelines, label, decrypted=keystore is not None)
 
 
 def summarize_run(
@@ -347,9 +333,12 @@ def _modal(values: list):
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with path.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc}") from exc
     return h.hexdigest()
 
 
@@ -361,41 +350,39 @@ def analyze_capture(
 ) -> RunResult:
     """Run the full pipeline over a capture file and optional key log.
 
-    `workers` is deprecated and ignored: the analysis runs in one process.
+    The key log is read first, so a bad one fails before the capture is
+    read.  `workers` is deprecated and ignored: the analysis runs in one
+    process.
     """
     pcap_path = Path(pcap_path)
-    frames = non_tcp = malformed = 0
+    keystore = keylog_sha256 = None
+    if keylog_path is not None:
+        try:
+            raw = Path(keylog_path).read_bytes()
+        except OSError as exc:
+            raise UnreadableFile(f"{keylog_path}: {exc}") from exc
+        keylog_sha256 = hashlib.sha256(raw).hexdigest()
+        # a non-UTF-8 byte spoils only its own line, which parse_keylog then rejects
+        keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
+    inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
+
+    ingest = {"frames": 0, "non_tcp_frames": 0, "malformed_frames": 0}
 
     def decoded():
-        nonlocal frames, non_tcp, malformed
         for frame in open_capture(pcap_path):
-            frames += 1
+            ingest["frames"] += 1
             try:
                 pkt = decode_frame(frame)
             except MalformedHeader:
-                malformed += 1
+                ingest["malformed_frames"] += 1
                 continue
             if pkt is None:
-                non_tcp += 1
+                ingest["non_tcp_frames"] += 1
                 continue
             yield pkt
+        if ingest["malformed_frames"]:
+            logger.warning("%s: %d malformed frames skipped", pcap_path, ingest["malformed_frames"])
 
-    groups = group_flows(decoded())
-
-    keystore = None
-    inputs: dict = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": None}
-    if keylog_path is not None:
-        keylog_path = Path(keylog_path)
-        try:
-            raw = keylog_path.read_bytes()
-        except OSError as exc:
-            raise UnreadableFile(f"{keylog_path}: {exc}") from exc
-        inputs["keylog_sha256"] = hashlib.sha256(raw).hexdigest()
-        # a non-UTF-8 byte spoils only its own line, which parse_keylog then rejects
-        keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
-
-    if malformed:
-        logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
-
-    ingest = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
-    return _analyze_flows(groups, keystore, label, ingest=ingest, inputs=inputs)
+    result = analyze_packets(decoded(), keystore, label)
+    result.ingest, result.inputs = ingest, inputs
+    return result

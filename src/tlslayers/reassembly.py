@@ -1,10 +1,13 @@
 """TCP stream reassembly with first-arrival timestamping.
 
 Packets are grouped into bidirectional connections keyed by the four-tuple,
-oriented by the SYN direction.  Each direction becomes a contiguous byte
-stream (starting at ISN+1) plus an offset-to-timestamp map recording when
-each byte range FIRST crossed the wire; retransmissions never overwrite the
-first arrival, so reassembly is insensitive to capture-file ordering.
+oriented by the SYN direction.  A SYN opens a new incarnation after a close
+or after a remnant seen before any SYN; each incarnation is one
+`TcpConnection`, the only connection type.  Each direction becomes a
+contiguous byte stream (starting at ISN+1) plus an offset-to-timestamp map
+recording when each byte range FIRST crossed the wire; retransmissions never
+overwrite the first arrival, so reassembly is insensitive to capture-file
+ordering.
 
 Segments are placed in arrival order against a sorted list of disjoint
 covered intervals, following the segment-placement rules of RFC 9293
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -45,16 +47,6 @@ _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
 _piece_start = itemgetter(0)
 _timestamp = attrgetter("timestamp_ns")
-
-
-@dataclass(frozen=True)
-class FlowKey:
-    """Connection endpoints; orientation fixed by the SYN direction."""
-
-    client_ip: bytes
-    server_ip: bytes
-    client_port: int
-    server_port: int
 
 
 class DirectionalStream:
@@ -90,40 +82,22 @@ class DirectionalStream:
 EMPTY_STREAM = DirectionalStream(b"", [], False)
 
 
-@dataclass
 class TcpConnection:
-    key: FlowKey
-    t_syn: int | None
-    t_synack: int | None
-    client_to_server: DirectionalStream
-    server_to_client: DirectionalStream
-    anomalies: set[str] = field(default_factory=set)
-    truncated: bool = False
-    first_ts: int = 0
-    incarnation: int = 0
+    """One SYN-initiated incarnation of a four-tuple, oriented by its SYN.
 
-    def sort_key(self) -> tuple:
-        return (
-            self.t_syn if self.t_syn is not None else self.first_ts,
-            self.key.client_ip,
-            self.key.client_port,
-            self.key.server_ip,
-            self.key.server_port,
-            self.incarnation,
-        )
-
-
-class _Incarnation:
-    """Mutable state for one SYN-initiated connection instance."""
+    `assemble_flow` fills in the endpoints, ISNs, handshake times, FIN/RST
+    flags and each direction's segments; `join_streams` then turns the
+    segments into `client_to_server` and `server_to_client`.
+    """
 
     __slots__ = (
         "client", "server", "isn_c", "isn_s", "t_syn", "t_synack",
-        "segs_c", "segs_s", "anomalies", "reset", "fin_c", "fin_s",
-        "truncated", "first_ts", "index",
+        "segs_c", "segs_s", "reset", "fin_c", "fin_s", "truncated",
+        "first_ts", "incarnation", "anomalies", "client_to_server", "server_to_client",
     )
 
-    def __init__(self, client: tuple[bytes, int], server: tuple[bytes, int], first_ts: int, index: int):
-        self.client = client
+    def __init__(self, client: tuple[bytes, int], server: tuple[bytes, int], first_ts: int, incarnation: int):
+        self.client = client  # (ip, port)
         self.server = server
         self.isn_c: int | None = None
         self.isn_s: int | None = None
@@ -131,17 +105,29 @@ class _Incarnation:
         self.t_synack: int | None = None
         self.segs_c: list[tuple[int, bytes, int]] = []  # (seq, payload, ts)
         self.segs_s: list[tuple[int, bytes, int]] = []
-        self.anomalies: set[str] = set()
         self.reset = False
         self.fin_c = False
         self.fin_s = False
         self.truncated = False
         self.first_ts = first_ts
-        self.index = index
+        self.incarnation = incarnation
+        self.anomalies: set[str] = set()
+        self.client_to_server = EMPTY_STREAM
+        self.server_to_client = EMPTY_STREAM
 
-    @property
-    def closed(self) -> bool:
-        return self.reset or (self.fin_c and self.fin_s)
+    def sort_key(self) -> tuple:
+        return (
+            self.t_syn if self.t_syn is not None else self.first_ts,
+            *self.client,
+            *self.server,
+            self.incarnation,
+        )
+
+    def join_streams(self) -> None:
+        """Build both directions' streams from the segments, then drop the segments."""
+        self.client_to_server = _build_stream(self.segs_c, self.isn_c, self.anomalies)
+        self.server_to_client = _build_stream(self.segs_s, self.isn_s, self.anomalies)
+        self.segs_c, self.segs_s = [], []
 
 
 def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection]:
@@ -173,15 +159,10 @@ def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
     """One four-tuple's packets (sorted in place) as its connections, in incarnation order."""
     # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
     group.sort(key=_timestamp)
-    return _walk_group(group)
+    conns: list[TcpConnection] = []
+    curr: TcpConnection | None = None
 
-
-def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:
-    done: list[TcpConnection] = []
-    curr: _Incarnation | None = None
-    count = 0
-
-    for pkt in packets:
+    for pkt in group:
         src = (pkt.src_ip, pkt.src_port)
         dst = (pkt.dst_ip, pkt.dst_port)
         tcp_flags = pkt.tcp_flags
@@ -189,11 +170,10 @@ def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:
         ack = tcp_flags & _ACK
 
         if syn and not ack:
-            if curr is None or curr.closed:
-                if curr is not None:
-                    done.append(_finalize(curr))
-                curr = _Incarnation(src, dst, pkt.timestamp_ns, count)
-                count += 1
+            # a new incarnation after a close, or after a remnant seen before any SYN
+            if curr is None or curr.t_syn is None or curr.reset or (curr.fin_c and curr.fin_s):
+                curr = TcpConnection(src, dst, pkt.timestamp_ns, len(conns))
+                conns.append(curr)
                 curr.isn_c = pkt.seq
                 curr.t_syn = pkt.timestamp_ns
             elif src == curr.client:
@@ -206,8 +186,8 @@ def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:
 
         if curr is None:
             # mid-stream capture: orientation unknown; the walk stops at no_syn
-            curr = _Incarnation(src, dst, pkt.timestamp_ns, count)
-            count += 1
+            curr = TcpConnection(src, dst, pkt.timestamp_ns, len(conns))
+            conns.append(curr)
 
         if syn and ack:
             if src == curr.server:
@@ -237,26 +217,9 @@ def _walk_group(packets: list[DecodedPacket]) -> list[TcpConnection]:
             elif src == curr.server:
                 curr.segs_s.append((pkt.seq, pkt.payload, pkt.timestamp_ns))
 
-    if curr is not None:
-        done.append(_finalize(curr))
-    return done
-
-
-def _finalize(inc: _Incarnation) -> TcpConnection:
-    anomalies = set(inc.anomalies)
-    c2s = _build_stream(inc.segs_c, inc.isn_c, anomalies)
-    s2c = _build_stream(inc.segs_s, inc.isn_s, anomalies)
-    return TcpConnection(
-        key=FlowKey(inc.client[0], inc.server[0], inc.client[1], inc.server[1]),
-        t_syn=inc.t_syn,
-        t_synack=inc.t_synack,
-        client_to_server=c2s,
-        server_to_client=s2c,
-        anomalies=anomalies,
-        truncated=inc.truncated,
-        first_ts=inc.first_ts,
-        incarnation=inc.index,
-    )
+    for conn in conns:
+        conn.join_streams()
+    return conns
 
 
 def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies: set[str]) -> DirectionalStream:

@@ -13,6 +13,7 @@ from tlslayers import synth
 from tlslayers.cli import main
 from tlslayers.decode import decode_frame
 from tlslayers.documents import parse_document
+from tlslayers.timeline import LAYERS
 
 
 SCENARIO_YAML = """\
@@ -114,6 +115,18 @@ def test_non_utf8_keylog_line_is_rejected_alone(fixture_dir, tmp_path):
     assert dirty_doc == clean_doc
 
 
+def test_bad_keylog_fails_before_the_capture_is_read(tmp_path, monkeypatch, capsys):
+    def no_capture(*args, **kwargs):
+        raise AssertionError("the capture was opened before the key log was read")
+
+    monkeypatch.setattr("tlslayers.pipeline.open_capture", no_capture)
+    keylog = tmp_path / "missing-keylog.txt"
+    # the capture is missing too: hashing it first would name it instead
+    code = main(["analyze", "--pcap", str(tmp_path / "missing.pcap"), "--keylog", str(keylog)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {keylog}: ")
+
+
 def test_analyze_without_keylog_is_degraded_but_ok(fixture_dir, tmp_path, capsys):
     out = tmp_path / "nodecrypt.json"
     code = main([
@@ -208,6 +221,85 @@ def test_compare_self_and_output(fixture_dir, tmp_path, capsys):
     for rep in doc["reports"].values():
         assert rep["of_combined"] == 1.0
         assert rep["cos_percent"] == 0.0
+
+
+# the same three connections with a slower key exchange: the TLS handshake and the
+# delay before it grow by different amounts per connection
+CANDIDATE_YAML = """\
+defaults:
+  group: x25519_mlkem768
+  response_body_bytes: 4096
+connections:
+  - boundary_times_ns: [0, 360000, 854000, 7601000, 8127000, 17198000]
+    segmentation_seed: 4
+  - boundary_times_ns: [1000000000, 1000390000, 1002356000, 1010335000, 1011326000, 1020206000]
+    segmentation_seed: 5
+  - boundary_times_ns: [2000000000, 2000390000, 2002656000, 2009135000, 2010126000, 2019006000]
+    segmentation_seed: 6
+    anomalies: [drop_keylog]
+"""
+
+
+@pytest.fixture(scope="module")
+def run_pair(fixture_dir, tmp_path_factory):
+    """(baseline, candidate) analysis documents from two captures."""
+    out = tmp_path_factory.mktemp("candidate")
+    (out / "scenario.yaml").write_text(CANDIDATE_YAML)
+    assert main(["synth", "--spec", str(out / "scenario.yaml"), "--out", str(out)]) == 0
+    docs = []
+    for name, src in (("baseline", fixture_dir), ("candidate", out)):
+        doc = out / f"{name}.json"
+        assert main(["analyze", "--pcap", str(src / "capture.pcap"), "--keylog", str(src / "keylog.txt"),
+                     "--label", name, "--out", str(doc)]) == 0
+        docs.append(doc)
+    return tuple(docs)
+
+
+def test_compare_csv_lists_every_percentile_and_effect_size(run_pair, capsys):
+    baseline, candidate = run_pair
+    capsys.readouterr()
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate),
+                 "--percentiles", "p50,p95", "--format", "csv"])
+    assert code == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert header == ["percentile", "metric", "layer", "value"]
+    per_percentile = {p: sum(row[0] == p for row in rows) for p in ("p50", "p95")}
+    assert per_percentile == {"p50": 8, "p95": 8}  # five overhead factors, OF Combined, COS, e2e
+    deltas = [row for row in rows if row[1] == "glass_delta"]
+    assert [row[:3] for row in deltas] == [["", "glass_delta", layer] for layer in LAYERS]
+    assert all(row[3] for row in deltas)  # a number, not the empty cell of a zero-SD baseline
+    assert len(rows) == 16 + 5
+
+
+def test_compare_cos_denominator_e2e_divides_by_the_candidate_e2e(run_pair, tmp_path, capsys):
+    baseline, candidate = run_pair
+    base, cand = (parse_document(path.read_text()) for path in run_pair)
+    out = tmp_path / "comp.json"
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate),
+                 "--percentiles", "p50", "--cos-denominator", "e2e", "--out", str(out), "--format", "json"])
+    assert code == 0
+    capsys.readouterr()
+    doc = parse_document(out.read_text())
+    assert doc["cos_denominator_mode"] == "e2e"
+
+    def excess(layer):
+        return cand["layers"][layer]["p50"] - base["layers"][layer]["p50"]
+
+    by_hand = 100 * (excess("tcp_to_tls") + excess("tls_handshake")) / cand["e2e"]["p50"]
+    layer_sum = 100 * (excess("tcp_to_tls") + excess("tls_handshake")) / sum(
+        cand["layers"][layer]["p50"] for layer in LAYERS
+    )
+    assert doc["reports"]["p50"]["cos_percent"] == round(by_hand, 1)
+    assert round(by_hand, 1) != round(layer_sum, 1)  # the two denominators differ on these runs
+
+
+def test_compare_unknown_percentile_exits_2(run_pair, capsys):
+    baseline, candidate = run_pair
+    capsys.readouterr()
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate), "--percentiles", "p42"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p42" in err
 
 
 def test_compare_incompatible_exits_5(fixture_dir, tmp_path, capsys):

@@ -10,6 +10,7 @@ from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
 from tlslayers.keylog import KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, analyze_packets, summarize_run
 from tlslayers.reassembly import TcpConnection, assemble_connections
+from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
     CT_HANDSHAKE,
     HRR_RANDOM,
@@ -158,6 +159,31 @@ def test_client_flight_lost_is_no_finished():
     tl = analyze_connection(conn, store)
     assert tl.validity == "partial"
     assert tl.reason == "no_finished"
+
+
+def test_request_before_the_client_finished_is_no_finished():
+    client_random = b"\x0d" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    # an HTTP request sealed under the client handshake keys, where the Finished belongs
+    early_get = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0, 23, b"GET / HTTP/1.1\r\n\r\n")
+    ok = [b"HTTP/1.1 200 OK\r\n\r\n"]
+    conn = _connection([ch, early_get], [sh, *_server_flight(store, client_random, ok)])
+    tl = analyze_connection(conn, store)
+    assert (tl.validity, tl.reason) == ("partial", "no_finished")
+    assert layer_deltas_ns(tl) == [100_000, 100_000]  # the measured prefix stops at the Finished
+
+
+def test_secret_too_long_for_the_suite_is_undecryptable():
+    client_random = b"\x0e" * 32
+    store = KeyLogStore()
+    for label in ("CLIENT_HANDSHAKE_TRAFFIC_SECRET", "SERVER_HANDSHAKE_TRAFFIC_SECRET",
+                  "CLIENT_TRAFFIC_SECRET_0", "SERVER_TRAFFIC_SECRET_0"):
+        store.insert(client_random, label, bytes(48))  # AES_128_GCM_SHA256 secrets are 32 bytes
+    ch, sh = _hellos(client_random)
+    tl = analyze_connection(_connection([ch], [sh]), store)
+    assert (tl.validity, tl.reason) == ("partial", "undecryptable")
+    assert tl.cipher_suite == "AES_128_GCM_SHA256"
 
 
 def test_client_hello_spanning_two_records():
@@ -365,6 +391,19 @@ def test_walk_holds_one_flow_of_streams_at_a_time():
     assert peak < 0.25 * payload_bytes, (peak, payload_bytes)
 
 
+@pytest.mark.parametrize("from_client", [True, False], ids=["client", "server"])
+def test_stray_segment_before_the_syn_leaves_the_connection_valid(from_client):
+    packets, keystore = _decoded(synth.ScenarioSpec(connections=(clean_connection_spec(offset_ns=5_000_000),)))
+    syn = min(packets, key=lambda p: p.timestamp_ns)
+    ends = {} if from_client else dict(
+        src_ip=syn.dst_ip, dst_ip=syn.src_ip, src_port=syn.dst_port, dst_port=syn.src_port
+    )
+    stray = _copy(syn, timestamp_ns=syn.timestamp_ns - 1_000_000, tcp_flags=int(TcpFlags.PSH | TcpFlags.ACK),
+                  payload=bytes(14), **ends)
+    counts = analyze_packets([stray, *packets], keystore, "stray").counts
+    assert (counts["valid"], counts["partial"]) == (1, {"no_syn": 1})
+
+
 def test_capture_ingest_counts_every_frame(tmp_path):
     frames, keylog_text, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
     arp = CapturedFrame(timestamp_ns=1, link_type=1, data=b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28), orig_len=42)
@@ -404,7 +443,7 @@ def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
     packets = _reuse_after_rst(packets, first_port=10001, second_port=10007)
 
     conns = assemble_connections(packets)
-    assert sorted((c.key.client_port, c.incarnation) for c in conns if c.key.client_port == 10001) == [
+    assert sorted((c.client[1], c.incarnation) for c in conns if c.client[1] == 10001) == [
         (10001, 0), (10001, 1)
     ]
     ordered = sorted(conns, key=TcpConnection.sort_key)

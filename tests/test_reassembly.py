@@ -43,7 +43,7 @@ def test_syn_synack_no_data():
     assert conn.t_synack == 360_000
     assert len(conn.client_to_server) == 0
     assert len(conn.server_to_client) == 0
-    assert conn.key.client_port == 40000 and conn.key.server_port == 443
+    assert conn.client[1] == 40000 and conn.server[1] == 443
 
 
 def test_prescribed_handshake_spacing_is_exact():
@@ -176,6 +176,26 @@ def test_dual_isn_anomaly():
     packets.append(pkt(CLIENT, SERVER, 50_000, TcpFlags.SYN, 999))  # same tuple, new ISN
     (conn,) = assemble_connections(packets)
     assert "dual_isn" in conn.anomalies
+
+
+def test_synack_with_a_second_isn_is_dual_isn():
+    packets = handshake(isn_s=9000)
+    packets.append(pkt(SERVER, CLIENT, 400_000, TcpFlags.SYN | TcpFlags.ACK, 4242))
+    (conn,) = assemble_connections(packets)
+    assert conn.anomalies == {"dual_isn"}
+    assert conn.t_synack == 360_000  # the first SYN-ACK anchors the server stream
+
+
+@pytest.mark.parametrize("stray_from", [CLIENT, SERVER], ids=["client", "server"])
+def test_syn_after_a_remnant_before_any_syn_opens_a_new_connection(stray_from):
+    """A capture that starts mid-connection, then a port reuse: the SYN is not swallowed."""
+    stray_to = SERVER if stray_from == CLIENT else CLIENT
+    packets = [pkt(stray_from, stray_to, 0, TcpFlags.PSH | TcpFlags.ACK, 77, b"x" * 14)]
+    packets += handshake(t_syn=1_000_000, t_synack=1_360_000)
+    conns = assemble_connections(packets)
+    assert [(c.t_syn, c.incarnation) for c in conns] == [(None, 0), (1_000_000, 1)]
+    assert (conns[1].client, conns[1].server, conns[1].t_synack) == (CLIENT, SERVER, 1_360_000)
+    assert not conns[1].anomalies
 
 
 def test_syn_retransmit_is_not_an_anomaly():
