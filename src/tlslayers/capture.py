@@ -188,7 +188,7 @@ def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[CapturedFrame]:
             linktype, _resv, _snaplen = struct.unpack(endian + "HHI", body[:8])
             if linktype not in SUPPORTED_LINK_TYPES:
                 raise UnknownLinkType(f"{name}: link type {linktype} not supported")
-            pow10, pow2 = _parse_tsresol(body[8:], endian)
+            pow10, pow2 = _parse_tsresol(body[8:], endian, name)
             interfaces.append((linktype, pow10, pow2))
         elif block_type == _EPB:
             if len(body) < 20:
@@ -210,7 +210,7 @@ def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[CapturedFrame]:
         # all other block types are skipped
 
 
-def _parse_tsresol(options: bytes, endian: str) -> tuple[int | None, int | None]:
+def _parse_tsresol(options: bytes, endian: str, name: str) -> tuple[int | None, int | None]:
     """Extract if_tsresol (option 9) from an IDB option list."""
     off = 0
     while off + 4 <= len(options):
@@ -219,6 +219,8 @@ def _parse_tsresol(options: bytes, endian: str) -> tuple[int | None, int | None]
         if code == 0:  # opt_endofopt
             break
         val = options[off : off + length]
+        if len(val) < length:
+            raise MalformedHeader(f"{name}: IDB option {code} runs past its block")
         off += (length + 3) & ~3
         if code == 9 and length == 1:
             raw = val[0]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
 
 logger = logging.getLogger(__name__)
 
@@ -47,12 +46,10 @@ class KeyLogStore:
         return len(self._entries)
 
 
-def parse_keylog(lines: str | Iterable[str]) -> KeyLogStore:
+def parse_keylog(text: str) -> KeyLogStore:
     """Parse key-log text; malformed lines are recorded and skipped."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
     store = KeyLogStore()
-    for raw in lines:
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

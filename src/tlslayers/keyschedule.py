@@ -26,7 +26,7 @@ def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str) -> bytes:
     t = b""
     counter = 1
     while len(out) < length:
-        t = hmac.new(prk, t + info + bytes([counter]), hash_name).digest()
+        t = hmac.digest(prk, t + info + bytes([counter]), hash_name)
         out += t
         counter += 1
     return out[:length]
@@ -55,8 +55,8 @@ class TrafficKeys:
     sequence_counter: int = 0
 
     def nonce(self) -> bytes:
-        seq = self.sequence_counter.to_bytes(NONCE_LEN, "big")
-        return bytes(a ^ b for a, b in zip(self.iv, seq))
+        """The IV XOR the counter left-padded to 12 bytes (RFC 8446 §5.3)."""
+        return (int.from_bytes(self.iv, "big") ^ self.sequence_counter).to_bytes(NONCE_LEN, "big")
 
 
 def derive_traffic_keys(secret: bytes, suite_name: str) -> TrafficKeys:
@@ -80,7 +80,7 @@ def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> tuple[int, bytes]:
     if record.content_type != CT_APPLICATION_DATA:
         raise ValueError(f"record type {record.content_type} is not protected")
     try:
-        inner = keys.aead.decrypt(keys.nonce(), record.body, record.header())
+        inner = keys.aead.decrypt(keys.nonce(), record.body, record.header)
     except InvalidTag as exc:
         raise AuthFailure(
             f"AEAD tag mismatch at record offset {record.stream_offset} "

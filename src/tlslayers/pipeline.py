@@ -183,7 +183,8 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
     # TTLB anchor from record metadata alone: the last server application-data byte
     last = next((r for r in reversed(server_records) if r.content_type == CT_APPLICATION_DATA), None)
     if last is not None:
-        tl.t_response_last = conn.server_to_client.timestamp_at(last.stream_offset + 5 + len(last.body) - 1)
+        end = last.stream_offset + len(last.header) + len(last.body)
+        tl.t_response_last = conn.server_to_client.timestamp_at(end - 1)
 
     for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
         if msg_type is None:

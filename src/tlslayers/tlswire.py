@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from tlslayers.errors import (
     BadRecordHeader,
@@ -125,28 +125,14 @@ def group_name(group_id: int) -> str:
     return g.name if g is not None else f"0x{group_id:04X}"
 
 
-def expected_key_share_size(group: int | str) -> int:
-    """Offered key_share payload size in bytes, fixed per group."""
-    if isinstance(group, str):
-        return group_by_name(group).client_share_len
-    g = GROUPS_BY_ID.get(group)
-    if g is None:
-        raise UnknownGroup(f"key exchange group 0x{group:04X} not in the known table")
-    return g.client_share_len
-
-
 # -- record layer --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TlsRecord:
+class TlsRecord(NamedTuple):
     content_type: int
-    legacy_version: int
+    header: bytes  # the 5 header bytes as captured: the AEAD's additional data
     body: bytes
     stream_offset: int
     timestamp_ns: int
-
-    def header(self) -> bytes:
-        return struct.pack(">BHH", self.content_type, self.legacy_version, len(self.body))
 
 
 def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
@@ -172,18 +158,11 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
             )
         if length > MAX_RECORD_BODY:
             raise OversizeRecord(f"record body of {length} bytes at offset {off}")
-        if off + 5 + length > n:
+        end = off + 5 + length
+        if end > n:
             return records, True
-        records.append(
-            TlsRecord(
-                content_type=ctype,
-                legacy_version=version,
-                body=data[off + 5 : off + 5 + length],
-                stream_offset=off,
-                timestamp_ns=stream.timestamp_at(off),
-            )
-        )
-        off += 5 + length
+        records.append(TlsRecord(ctype, data[off : off + 5], data[off + 5 : end], off, stream.timestamp_at(off)))
+        off = end
     return records, stream.has_gap
 
 
@@ -242,12 +221,10 @@ class ClientHelloInfo:
     client_random: bytes
     total_length: int  # handshake message length incl. 4-byte header
     key_shares: tuple[tuple[int, int], ...]  # (group_id, key_exchange_length)
-    offered_groups: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ServerHelloInfo:
-    server_random: bytes
     selected_group: int | None
     cipher_suite: str
     total_length: int
@@ -289,7 +266,6 @@ def parse_client_hello(msg: bytes) -> ClientHelloInfo:
     r.take(r.u8())  # legacy_compression_methods
 
     key_shares: list[tuple[int, int]] = []
-    offered_groups: list[int] = []
     if not r.done():
         ext_total = r.u16()
         ext = _Reader(r.take(ext_total))
@@ -304,15 +280,10 @@ def parse_client_hello(msg: bytes) -> ClientHelloInfo:
                     kex_len = shares.u16()
                     shares.take(kex_len)
                     key_shares.append((gid, kex_len))
-            elif ext_type == EXT_SUPPORTED_GROUPS:
-                groups = _Reader(ext_data.take(ext_data.u16()))
-                while not groups.done():
-                    offered_groups.append(groups.u16())
     return ClientHelloInfo(
         client_random=client_random,
         total_length=4 + len(msg),
         key_shares=tuple(key_shares),
-        offered_groups=tuple(offered_groups),
     )
 
 
@@ -320,11 +291,10 @@ def parse_server_hello(msg: bytes) -> ServerHelloInfo:
     """Parse a ServerHello body: the handshake message after its 4-byte header."""
     r = _Reader(msg)
     r.take(2)  # legacy_version
-    server_random = r.take(32)
+    is_hrr = r.take(32) == HRR_RANDOM  # random
     r.take(r.u8())  # legacy_session_id_echo
     suite = suite_by_id(r.u16())
     r.u8()  # legacy_compression_method
-    is_hrr = server_random == HRR_RANDOM
 
     selected_group: int | None = None
     if not r.done():
@@ -338,7 +308,6 @@ def parse_server_hello(msg: bytes) -> ServerHelloInfo:
                 if not ext_data.done():
                     ext_data.take(ext_data.u16())
     return ServerHelloInfo(
-        server_random=server_random,
         selected_group=selected_group,
         cipher_suite=suite.name,
         total_length=4 + len(msg),

@@ -9,7 +9,8 @@ import pytest
 
 from tlslayers import capture, synth
 from tlslayers.capture import CapturedFrame, open_capture
-from tlslayers.errors import UnknownLinkType, UnknownMagic, UnreadableFile
+from tlslayers.cli import main
+from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
 
 
 def _write_pcap_us(path, records):
@@ -134,6 +135,20 @@ def test_pcapng_microsecond_default_resolution(tmp_path):
         fh.write(struct.pack("<II", 6, len(body) + 12) + body + struct.pack("<I", len(body) + 12))
     (frame,) = open_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
+
+
+def test_pcapng_option_value_past_its_block_exits_2(tmp_path, capsys):
+    # IDB options end right after an if_tsresol header (code 9, length 1): no value byte
+    idb = struct.pack("<HHI", 1, 0, 65535) + bytes.fromhex("09000100")
+    path = tmp_path / "short-option.pcapng"
+    path.write_bytes(
+        _pcapng_section("<", [])[:28]  # the SHB alone
+        + struct.pack("<II", 1, len(idb) + 12) + idb + struct.pack("<I", len(idb) + 12)
+    )
+    with pytest.raises(MalformedHeader, match="short-option.pcapng"):
+        list(open_capture(path))
+    assert main(["analyze", "--pcap", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 # -- chunked pcap reading ------------------------------------------------------

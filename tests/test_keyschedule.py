@@ -1,5 +1,6 @@
 """Key derivation against RFC 8448 trace vectors and an independent HKDF oracle."""
 
+import random
 import struct
 
 import pytest
@@ -14,7 +15,8 @@ from tlslayers.keyschedule import (
     derive_traffic_keys,
     hkdf_expand_label,
 )
-from tlslayers.tlswire import CT_APPLICATION_DATA, TlsRecord
+from tlslayers.reassembly import DirectionalStream
+from tlslayers.tlswire import CT_APPLICATION_DATA, TlsRecord, build_record, parse_records
 
 # RFC 8448 §3 (simple 1-RTT) handshake traffic secrets and their derived keys
 RFC8448_CLIENT_HS_SECRET = bytes.fromhex(
@@ -101,7 +103,7 @@ def _protected_record(key, iv, counter, inner, offset=0, ts=1000):
     body = AESGCM(key).encrypt(nonce, inner, header)
     return TlsRecord(
         content_type=CT_APPLICATION_DATA,
-        legacy_version=0x0303,
+        header=header,
         body=body,
         stream_offset=offset,
         timestamp_ns=ts,
@@ -153,3 +155,26 @@ def test_nonce_construction():
     assert keys.nonce() == bytes(12)  # iv XOR counter cancels
     keys.sequence_counter = 0
     assert keys.nonce() == keys.iv
+
+
+@pytest.mark.parametrize("counter", [(1 << 32) + 5, (1 << 64) - 1])
+def test_nonce_is_iv_xor_padded_counter(counter):
+    iv = random.Random(counter).randbytes(12)
+    keys = TrafficKeys(key=bytes(16), iv=iv, aead=AESGCM(bytes(16)), sequence_counter=counter)
+    assert keys.nonce() == bytes(a ^ b for a, b in zip(iv, counter.to_bytes(12, "big")))
+
+
+def test_captured_header_is_the_additional_data():
+    # a TLS 1.0 legacy_version in the header, as some stacks send
+    keys = derive_traffic_keys(RFC8448_CLIENT_HS_SECRET, "AES_128_GCM_SHA256")
+    inner = b"GET / HTTP/1.1\r\n\r\n\x17"
+    header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0301, len(inner) + 16)
+    wire = build_record(CT_APPLICATION_DATA, AESGCM(keys.key).encrypt(keys.nonce(), inner, header), 0x0301)
+    (rec,), partial = parse_records(DirectionalStream(wire, [(0, 7)], False))
+    assert not partial and rec.header == header
+    assert decrypt_record(rec, keys) == (0x17, inner[:-1])
+
+    keys.sequence_counter = 0
+    altered = rec._replace(header=header[:2] + b"\x02" + header[3:])  # legacy_version 0x0302
+    with pytest.raises(AuthFailure):
+        decrypt_record(altered, keys)

@@ -14,8 +14,8 @@ from tlslayers.tlswire import (
     HandshakeAccumulator,
     build_handshake_message,
     build_record,
-    expected_key_share_size,
     group_by_name,
+    group_name,
     parse_client_hello,
     parse_records,
     parse_server_hello,
@@ -91,7 +91,6 @@ def test_client_hello_x25519_share_size():
     msg = render_client_hello(bytes(32), [(g.group_id, bytes(32))])
     info = parse_client_hello(msg[4:])
     assert info.key_shares == ((g.group_id, 32),)
-    assert info.offered_groups == (g.group_id,)
     assert info.total_length == len(msg)
 
 
@@ -110,7 +109,6 @@ def test_client_hello_round_trips_randoms_and_groups():
     info = parse_client_hello(msg[4:])
     assert info.client_random == random_bytes
     assert info.key_shares == tuple((gid, len(s)) for gid, s in shares)
-    assert info.offered_groups == (0x001D, 0x11EC)
 
 
 def test_client_hello_without_extensions():
@@ -120,7 +118,6 @@ def test_client_hello_without_extensions():
     msg = build_handshake_message(1, body)
     info = parse_client_hello(msg[4:])
     assert info.key_shares == ()
-    assert info.offered_groups == ()
 
 
 def test_client_hello_length_inconsistency_raises():
@@ -161,7 +158,7 @@ def test_hello_retry_request_flagged():
 
 @pytest.mark.parametrize("name,size", sorted(KEY_SHARE_SIZES.items()))
 def test_expected_key_share_sizes(name, size):
-    assert expected_key_share_size(name) == size
+    assert group_by_name(name).client_share_len == size
 
 
 def test_hybrid_additivity():
@@ -174,11 +171,10 @@ def test_hybrid_additivity():
 
 def test_group_aliases_and_unknown():
     assert group_by_name("X25519MLKEM768").group_id == group_by_name("x25519_mlkem768").group_id
-    assert expected_key_share_size(0x001D) == 32
+    assert group_name(0x001D) == "x25519"
     with pytest.raises(UnknownGroup):
-        expected_key_share_size("x448")
-    with pytest.raises(UnknownGroup):
-        expected_key_share_size(0x9999)
+        group_by_name("x448")
+    assert group_name(0x9999) == "0x9999"  # an unknown id is reported, not refused
 
 
 # -- handshake accumulator -------------------------------------------------------------
