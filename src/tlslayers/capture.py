@@ -1,21 +1,21 @@
 """Packet capture ingest: classic pcap and pcapng readers.
 
-Both formats are normalized to `CapturedFrame`s with integer-nanosecond
-timestamps regardless of the file's native resolution (microsecond pcap,
-nanosecond pcap, or pcapng per-interface resolution).  Truncated trailing
-records are skipped with a warning rather than aborting: partial captures of
-long load tests are common.
+`read_frames` is the one reader.  It yields each frame as a span of the
+chunk or block it already read, `(timestamp_ns, link_type, buf, start, end,
+orig_len)`, with an integer-nanosecond timestamp whatever the file's
+resolution; `open_capture` copies spans out as `CapturedFrame`s.  Truncated
+trailing records are skipped with a warning rather than aborting: partial
+captures of long load tests are common.
 
-Classic pcap, the format of large load-test captures, is read in fixed
-chunks of `_CHUNK` bytes and each record header is decoded in place with one
-precompiled `struct.Struct`.  A record that runs past the end of a chunk is
-completed with one read of its remainder, so memory is bounded by about two
-chunks plus the largest record, never by the file size.  A read never asks
-for more than the file has left: a length field that claims more is a
-truncated record, not an allocation of the claimed size.
-
-Each pcapng section (Section Header Block onwards) has its own byte order,
-read from the SHB's byte-order magic before any length in it is trusted.
+Classic pcap is read in fixed chunks of `_CHUNK` bytes, each record header
+decoded in place with one precompiled `struct.Struct`.  A record that runs
+past the end of a chunk is completed with one read of its remainder, so
+memory is bounded by about two chunks plus the largest record, never by the
+file size.  A read never asks for more than the file has left: a length
+field that claims more is a truncated record, not an allocation of the
+claimed size.  pcapng is read one block at a time; each section has its own
+byte order, read from the SHB's byte-order magic before any length in it is
+trusted.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class CapturedFrame(NamedTuple):
     orig_len: int  # length on the wire; > len(data) when snap-truncated
 
 
-def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
-    """Yield frames from a pcap or pcapng file in file order.
+def read_frames(path: str | Path) -> Iterator[tuple[int, int, bytes, int, int, int]]:
+    """Yield each frame in file order as `(timestamp_ns, link_type, buf, start, end, orig_len)`, a span of `buf`.
 
     Raises UnreadableFile on I/O errors, UnknownMagic if the file is neither
     format, UnknownLinkType for unsupported interfaces.
@@ -89,7 +89,13 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
             raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
 
 
-def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[CapturedFrame]:
+def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
+    """`read_frames` with each frame copied out as a `CapturedFrame`."""
+    for timestamp_ns, link_type, buf, start, end, orig_len in read_frames(path):
+        yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
+
+
+def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[tuple[int, int, bytes, int, int, int]]:
     if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
         endian = "<"
     else:
@@ -119,20 +125,19 @@ def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[CapturedFrame]:
             ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
             start = off + 16
             off = start + caplen
-            if off <= n:
-                data = buf[start:off]
-            else:
+            frame = buf
+            if off > n:
                 missing = off - n
                 more = fh.read(missing) if missing <= _left(fh) else b""
                 if len(more) < missing:
                     logger.warning("%s: truncated trailing record body, skipping", name)
                     return
-                data = buf[start:] + more
+                frame, start = buf[start:] + more, 0  # the one frame copy: a record across the chunk edge
                 off = n
             if not caplen:
                 logger.warning("%s: zero-length record, skipping", name)
                 continue
-            yield CapturedFrame(ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, data, origlen)
+            yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, frame, start, start + caplen, origlen
         tail = buf[off:]
 
 
@@ -150,7 +155,7 @@ def _left(fh: BinaryIO) -> int:
     return max(0, os.fstat(fh.fileno()).st_size - fh.tell())  # 0 if the file shrank under us
 
 
-def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[CapturedFrame]:
+def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[tuple[int, int, bytes, int, int, int]]:
     # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
     interfaces: list[tuple[int, int | None, int | None]] = []  # (linktype, pow10, pow2)
@@ -179,34 +184,31 @@ def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[CapturedFrame]:
         if len(rest) < need:
             logger.warning("%s: truncated block body, stopping", name)
             return
-        body = rest[:-4]  # drop trailing duplicate length
+        body_end = need - 4  # the trailing duplicate length follows the body
 
         if block_type == _IDB:
-            if len(body) < 8:
+            if body_end < 8:
                 logger.warning("%s: short IDB, skipping", name)
                 continue
-            linktype, _resv, _snaplen = struct.unpack(endian + "HHI", body[:8])
+            linktype, _resv, _snaplen = struct.unpack_from(endian + "HHI", rest)
             if linktype not in SUPPORTED_LINK_TYPES:
                 raise UnknownLinkType(f"{name}: link type {linktype} not supported")
-            pow10, pow2 = _parse_tsresol(body[8:], endian, name)
+            pow10, pow2 = _parse_tsresol(rest[8:body_end], endian, name)
             interfaces.append((linktype, pow10, pow2))
         elif block_type == _EPB:
-            if len(body) < 20:
+            if body_end < 20:
                 logger.warning("%s: short EPB, skipping", name)
                 continue
-            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack(endian + "IIIII", body[:20])
+            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + "IIIII", rest)
             if iface_id >= len(interfaces):
                 raise MalformedHeader(f"{name}: EPB references undefined interface {iface_id}")
-            data = body[20 : 20 + caplen]
-            if len(data) < caplen:
+            if 20 + caplen > body_end:
                 logger.warning("%s: EPB shorter than caplen, skipping", name)
                 continue
             if caplen == 0:
                 continue
             linktype, pow10, pow2 = interfaces[iface_id]
-            ticks = (ts_high << 32) | ts_low
-            ts_ns = _pcapng_ts_to_ns(ticks, pow10, pow2)
-            yield CapturedFrame(timestamp_ns=ts_ns, link_type=linktype, data=data, orig_len=origlen)
+            yield _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2), linktype, rest, 20, 20 + caplen, origlen
         # all other block types are skipped
 
 

@@ -1,17 +1,20 @@
 """Frame to TCP-segment decoding.
 
-`decode_frame` is the only decode path.  Each link, IPv4/IPv6 and TCP header
-is read with one precompiled `struct.Struct.unpack_from` at its offset in the
-frame, and every length field is checked against the frame size before it is
-trusted.  Fragments, IPv6 extension headers and non-TCP traffic decode to
-None; the payload excludes Ethernet trailer padding and is marked truncated
-when the snap length cut into it.
+`decode_at` is the one decode path; `decode_frame` adapts it to a
+`CapturedFrame`.  It reads a frame where it lies, `buf[start:end]`, with one
+precompiled `struct.Struct.unpack_from` per header, and checks every length
+field against the frame's end, never the buffer's, before trusting it.  The
+payload slice, the one copy, is `bytes`, so no packet keeps a buffer alive.
+Fragments, IPv6 extension headers and non-TCP traffic decode to None; the
+payload excludes Ethernet trailer padding and is marked truncated when the
+snap length cut into it.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from typing import NamedTuple
 
 from tlslayers.capture import LINKTYPE_ETHERNET, LINKTYPE_LINUX_SLL, LINKTYPE_RAW_IP, CapturedFrame
 from tlslayers.errors import MalformedHeader
@@ -36,66 +39,53 @@ class TcpFlags(enum.IntFlag):
     ACK = 0x10
 
 
-class DecodedPacket:
-    """One TCP segment; IPs are raw 4-byte (v4) or 16-byte (v6) values."""
+class DecodedPacket(NamedTuple):
+    """One TCP segment, in the field order of `decode_at`'s plain tuple; IPs are raw 4- or 16-byte values."""
 
-    __slots__ = (
-        "timestamp_ns", "src_ip", "dst_ip", "src_port", "dst_port", "tcp_flags", "seq", "payload", "truncated",
-    )
-
-    def __init__(
-        self,
-        timestamp_ns: int,
-        src_ip: bytes,
-        dst_ip: bytes,
-        src_port: int,
-        dst_port: int,
-        tcp_flags: int,
-        seq: int,
-        payload: bytes,
-        truncated: bool,
-    ) -> None:
-        self.timestamp_ns = timestamp_ns
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.tcp_flags = tcp_flags
-        self.seq = seq
-        self.payload = payload
-        self.truncated = truncated
+    timestamp_ns: int
+    src_ip: bytes
+    dst_ip: bytes
+    src_port: int
+    dst_port: int
+    tcp_flags: int
+    seq: int
+    payload: bytes
+    truncated: bool
 
 
 def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
-    """Decode one frame; returns None for non-TCP traffic (never an error).
+    """`decode_at` over one whole frame, as a `DecodedPacket`."""
+    fields = decode_at(frame.timestamp_ns, frame.link_type, frame.data, 0, len(frame.data), frame.orig_len)
+    return None if fields is None else DecodedPacket._make(fields)
 
-    Raises MalformedHeader when length fields are inconsistent with the
-    frame size.
+
+def decode_at(timestamp_ns: int, link_type: int, buf: bytes, start: int, end: int, orig_len: int) -> tuple | None:
+    """The frame `buf[start:end]` as `DecodedPacket`'s fields in a plain tuple; None for non-TCP traffic.
+
+    Raises MalformedHeader when length fields are inconsistent with the frame size.
     """
-    timestamp_ns, link_type, data, orig_len = frame
-    n = len(data)
     if link_type == LINKTYPE_ETHERNET:
-        if n < 14:
+        if end - start < 14:
             raise MalformedHeader("ethernet header truncated")
-        ethertype = _U16(data, 12)[0]
-        off = 14
+        ethertype = _U16(buf, start + 12)[0]
+        off = start + 14
     elif link_type == LINKTYPE_LINUX_SLL:
-        if n < 16:
+        if end - start < 16:
             raise MalformedHeader("sll header truncated")
-        ethertype = _U16(data, 14)[0]
-        off = 16
+        ethertype = _U16(buf, start + 14)[0]
+        off = start + 16
     elif link_type == LINKTYPE_RAW_IP:
-        if n < 1:
+        if end - start < 1:
             raise MalformedHeader("empty raw-ip frame")
-        ethertype = ETH_IPV4 if (data[0] >> 4) == 4 else ETH_IPV6
-        off = 0
+        ethertype = ETH_IPV4 if (buf[start] >> 4) == 4 else ETH_IPV6
+        off = start
     else:
         raise MalformedHeader(f"unsupported link type {link_type}")
 
     if ethertype == ETH_IPV4:
-        if n < off + 20:
+        if end < off + 20:
             raise MalformedHeader("ipv4 header truncated")
-        b0, total_len, flags_frag, proto, src_ip, dst_ip = _IPV4(data, off)
+        b0, total_len, flags_frag, proto, src_ip, dst_ip = _IPV4(buf, off)
         if (b0 >> 4) != 4:
             raise MalformedHeader("ipv4 version mismatch")
         ihl = (b0 & 0x0F) * 4
@@ -107,14 +97,14 @@ def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
             return None  # fragments (MF set or nonzero offset) are out of scope
         if proto != 6:
             return None
-        if n < off + ihl:
+        if end < off + ihl:
             raise MalformedHeader("ipv4 options truncated")
         tcp_start = off + ihl
         ip_end = off + total_len
     elif ethertype == ETH_IPV6:
-        if n < off + 40:
+        if end < off + 40:
             raise MalformedHeader("ipv6 header truncated")
-        b0, payload_len, next_header, src_ip, dst_ip = _IPV6(data, off)
+        b0, payload_len, next_header, src_ip, dst_ip = _IPV6(buf, off)
         if (b0 >> 4) != 6:
             raise MalformedHeader("ipv6 version mismatch")
         if next_header != 6:
@@ -124,23 +114,21 @@ def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
     else:
         return None  # ARP, LLC, anything else
 
-    if n < tcp_start + 20:
+    if end < tcp_start + 20:
         raise MalformedHeader("tcp header truncated")
-    src_port, dst_port, seq, doff, flags = _TCP(data, tcp_start)
+    src_port, dst_port, seq, doff, flags = _TCP(buf, tcp_start)
     payload_start = tcp_start + (doff >> 4) * 4
     if payload_start < tcp_start + 20:
         raise MalformedHeader("tcp data offset below minimum")
     if payload_start > ip_end:
         raise MalformedHeader("tcp header exceeds ip length")
-    if n < payload_start:
+    if end < payload_start:
         raise MalformedHeader("tcp options truncated")
 
     # the payload ends with the IP datagram, excluding Ethernet trailer padding
-    if ip_end > n:
-        ip_end = n
+    if ip_end > end:
+        ip_end = end
         truncated = True  # the snap length cut into the payload
     else:
-        truncated = orig_len > n
-    return DecodedPacket(
-        timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags & 0x1F, seq, data[payload_start:ip_end], truncated
-    )
+        truncated = orig_len > end - start
+    return timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags & 0x1F, seq, buf[payload_start:ip_end], truncated

@@ -1,12 +1,12 @@
 """Capture-to-statistics pipeline.
 
-A run is one process with one driver from packets to a `RunResult`:
-`analyze_packets`.  It groups packets into per-flow buckets
-(`group_flows`); then each flow in turn is assembled, its connections
-walked, and its packets and streams dropped, so only one flow's streams are
-in memory at once.  `analyze_capture` reads and hashes the key log, hashes
-the capture, and feeds `analyze_packets` the decoded frames as they are
-read.  Walk order is free: every connection is walked on its own.
+A run is one process.  `analyze_capture` reads and hashes the key log,
+hashes the capture, then in one loop counts each frame `capture.read_frames`
+yields, decodes it where it lies (`decode.decode_at`) and appends the plain
+tuple to its flow's bucket; `analyze_packets` buckets decoded packets.  Both
+hand the buckets to one walk, `_analyze_flows`: each flow in turn is
+assembled, walked and dropped, so only one flow's streams are in memory at
+once.  Walk order is free: every connection is walked on its own.
 Timelines are reported in `TcpConnection.sort_key` order, which
 `summarize_run` does not depend on.
 
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from tlslayers.capture import open_capture
-from tlslayers.decode import decode_frame
+from tlslayers.capture import read_frames
+from tlslayers.decode import decode_at
 from tlslayers.errors import (
     AuthFailure,
     BadRecordHeader,
@@ -55,7 +55,7 @@ from tlslayers.keylog import (
     parse_keylog,
 )
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_flow, group_flows
+from tlslayers.reassembly import TcpConnection, assemble_flow, flow_key, group_flows
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -241,7 +241,11 @@ def _open_protected(records, hs_keys, ap_keys):
 
 def analyze_packets(packets, keystore: KeyLogStore | None, label: str) -> RunResult:
     """Analyze decoded packets, in any order: assemble, walk and drop one flow at a time."""
-    groups = group_flows(packets)
+    return _analyze_flows(group_flows(packets), keystore, label)
+
+
+def _analyze_flows(groups: dict[tuple, list], keystore: KeyLogStore | None, label: str) -> RunResult:
+    """Assemble, walk and drop each flow's bucket in turn (emptying `groups`), then summarize."""
     keyed: list[tuple[tuple, ConnectionTimeline]] = []
     while groups:
         group = groups.popitem()[1]
@@ -367,23 +371,26 @@ def analyze_capture(
         keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
     inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
 
-    ingest = {"frames": 0, "non_tcp_frames": 0, "malformed_frames": 0}
+    groups: dict[tuple, list] = {}
+    frames = non_tcp = malformed = 0
+    for frame in read_frames(pcap_path):
+        frames += 1
+        try:
+            pkt = decode_at(*frame)
+        except MalformedHeader:
+            malformed += 1
+            continue
+        if pkt is None:
+            non_tcp += 1
+            continue
+        canon = flow_key(pkt)
+        try:
+            groups[canon].append(pkt)
+        except KeyError:
+            groups[canon] = [pkt]
+    if malformed:
+        logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
 
-    def decoded():
-        for frame in open_capture(pcap_path):
-            ingest["frames"] += 1
-            try:
-                pkt = decode_frame(frame)
-            except MalformedHeader:
-                ingest["malformed_frames"] += 1
-                continue
-            if pkt is None:
-                ingest["non_tcp_frames"] += 1
-                continue
-            yield pkt
-        if ingest["malformed_frames"]:
-            logger.warning("%s: %d malformed frames skipped", pcap_path, ingest["malformed_frames"])
-
-    result = analyze_packets(decoded(), keystore, label)
-    result.ingest, result.inputs = ingest, inputs
+    result = _analyze_flows(groups, keystore, label)
+    result.ingest, result.inputs = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}, inputs
     return result

@@ -18,7 +18,8 @@ covered are compared with the stored bytes, a difference being recorded as
 into the stream.  Memory is therefore proportional to the captured payload
 bytes, never to the sequence offsets a segment claims.  `group_flows` and
 `assemble_flow` let a caller assemble one four-tuple at a time; the pipeline
-does, so its peak memory is the decoded packets plus one flow's streams.
+does.  Packets are read by position: `decode_at`'s plain tuples and
+`DecodedPacket`s are interchangeable.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable
 
 from tlslayers.decode import DecodedPacket, TcpFlags
@@ -45,8 +46,7 @@ _SYN = int(TcpFlags.SYN)
 _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
-_piece_start = itemgetter(0)
-_timestamp = attrgetter("timestamp_ns")
+_first = itemgetter(0)  # a packet's timestamp; a stream piece's start offset
 
 
 class DirectionalStream:
@@ -141,13 +141,17 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
     return [conn for canon in sorted(groups) for conn in assemble_flow(groups[canon])]
 
 
+def flow_key(pkt: DecodedPacket) -> tuple:
+    """A packet's canonical four-tuple: its lower (ip, port) endpoint first."""
+    a, b = (pkt[1], pkt[3]), (pkt[2], pkt[4])
+    return (a, b) if a <= b else (b, a)
+
+
 def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[DecodedPacket]]:
-    """Packets by canonical four-tuple (the lower endpoint first), in the order given."""
+    """Packets by `flow_key`, in the order given."""
     groups: dict[tuple, list[DecodedPacket]] = {}
     for pkt in packets:
-        a = (pkt.src_ip, pkt.src_port)
-        b = (pkt.dst_ip, pkt.dst_port)
-        canon = (a, b) if a <= b else (b, a)
+        canon = flow_key(pkt)
         try:
             groups[canon].append(pkt)
         except KeyError:
@@ -158,26 +162,25 @@ def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[DecodedPac
 def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
     """One four-tuple's packets (sorted in place) as its connections, in incarnation order."""
     # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
-    group.sort(key=_timestamp)
+    group.sort(key=_first)
     conns: list[TcpConnection] = []
     curr: TcpConnection | None = None
 
-    for pkt in group:
-        src = (pkt.src_ip, pkt.src_port)
-        dst = (pkt.dst_ip, pkt.dst_port)
-        tcp_flags = pkt.tcp_flags
+    for ts, src_ip, dst_ip, src_port, dst_port, tcp_flags, seq, payload, truncated in group:
+        src = (src_ip, src_port)
+        dst = (dst_ip, dst_port)
         syn = tcp_flags & _SYN
         ack = tcp_flags & _ACK
 
         if syn and not ack:
             # a new incarnation after a close, or after a remnant seen before any SYN
             if curr is None or curr.t_syn is None or curr.reset or (curr.fin_c and curr.fin_s):
-                curr = TcpConnection(src, dst, pkt.timestamp_ns, len(conns))
+                curr = TcpConnection(src, dst, ts, len(conns))
                 conns.append(curr)
-                curr.isn_c = pkt.seq
-                curr.t_syn = pkt.timestamp_ns
+                curr.isn_c = seq
+                curr.t_syn = ts
             elif src == curr.client:
-                if pkt.seq != curr.isn_c:
+                if seq != curr.isn_c:
                     curr.anomalies.add("dual_isn")
                 # retransmitted SYN: entries are time-ordered, first wins
             else:
@@ -186,15 +189,15 @@ def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
 
         if curr is None:
             # mid-stream capture: orientation unknown; the walk stops at no_syn
-            curr = TcpConnection(src, dst, pkt.timestamp_ns, len(conns))
+            curr = TcpConnection(src, dst, ts, len(conns))
             conns.append(curr)
 
         if syn and ack:
             if src == curr.server:
                 if curr.isn_s is None:
-                    curr.isn_s = pkt.seq
-                    curr.t_synack = pkt.timestamp_ns
-                elif pkt.seq != curr.isn_s:
+                    curr.isn_s = seq
+                    curr.t_synack = ts
+                elif seq != curr.isn_s:
                     curr.anomalies.add("dual_isn")
             else:
                 curr.anomalies.add("synack_from_client")
@@ -209,13 +212,13 @@ def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
             else:
                 curr.fin_s = True
 
-        if pkt.truncated:
+        if truncated:
             curr.truncated = True
-        if pkt.payload:
+        if payload:
             if src == curr.client:
-                curr.segs_c.append((pkt.seq, pkt.payload, pkt.timestamp_ns))
+                curr.segs_c.append((seq, payload, ts))
             elif src == curr.server:
-                curr.segs_s.append((pkt.seq, pkt.payload, pkt.timestamp_ns))
+                curr.segs_s.append((seq, payload, ts))
 
     for conn in conns:
         conn.join_streams()
@@ -247,7 +250,7 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
     end_seen = 0
     for rel, payload, ts in placed:
         end = rel + len(payload)
-        i = bisect_right(pieces, rel, key=_piece_start) - 1
+        i = bisect_right(pieces, rel, key=_first) - 1
         if i < 0 or pieces[i][1] <= rel:
             i += 1
         elif end == rel + 1 == end_seen:

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tlslayers import synth
-from tlslayers.capture import CapturedFrame
-from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
+from tlslayers.capture import CapturedFrame, read_frames
+from tlslayers.decode import DecodedPacket, TcpFlags, decode_at, decode_frame
 from tlslayers.errors import MalformedHeader
 
 from conftest import clean_connection_spec
@@ -307,8 +307,10 @@ HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header wit
     ),
     cut=st.one_of(st.none(), st.integers(0, HEADER_SPAN + 40)),
     orig_extra=st.sampled_from([0, 0, 1, 1500]),
+    prefix=st.binary(max_size=64),
+    suffix=st.binary(max_size=1600),
 )
-def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig_extra):
+def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig_extra, prefix, suffix):
     frames = _synth_frames()
     source = frames[index % len(frames)]
     data = bytearray(_relink(_to_ipv6(source.data) if ipv6 else source.data, link_type))
@@ -322,7 +324,12 @@ def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig
         timestamp_ns=source.timestamp_ns, link_type=link_type, data=data, orig_len=len(data) + orig_extra
     )
 
-    assert _outcome(lambda: _packet_fields(frame)) == _outcome(lambda: _reference_packet(frame))
+    expected = _outcome(lambda: _reference_packet(frame))
+    assert _outcome(lambda: _packet_fields(frame)) == expected
+    # the same frame at an offset in a larger buffer: nothing outside its span may be read
+    buf = prefix + data + suffix
+    at = len(prefix)
+    assert _outcome(lambda: decode_at(frame.timestamp_ns, link_type, buf, at, at + len(data), frame.orig_len)) == expected
 
 
 def test_reference_agrees_on_unmutated_synth_frames():
@@ -333,3 +340,20 @@ def test_reference_agrees_on_unmutated_synth_frames():
                 expected = _reference_packet(frame)
                 assert expected is not None
                 assert _packet_fields(frame) == expected
+
+
+def test_length_claim_past_the_frame_stops_at_the_frame_end(tmp_path):
+    # Two back-to-back records in one chunk; the first one's IPv4 total
+    # length claims 40 bytes more than its frame holds.
+    first = bytearray(_eth_ipv4_tcp(payload=b"a" * 60))
+    struct.pack_into(">H", first, 16, struct.unpack_from(">H", first, 16)[0] + 40)
+    second = _eth_ipv4_tcp(payload=b"b" * 60)
+    path = tmp_path / "two.pcap"
+    synth.emit_capture([CapturedFrame(1, 1, bytes(first), len(first)), CapturedFrame(2, 1, second, len(second))], path)
+    (ts1, link1, buf1, start1, end1, orig1), span2 = read_frames(path)
+    assert buf1 is span2[2] and end1 + 16 == span2[3]  # the second record's header follows the first frame
+    pkt = DecodedPacket._make(decode_at(ts1, link1, buf1, start1, end1, orig1))
+    assert pkt.payload == b"a" * 60
+    assert pkt.truncated is True
+    assert buf1[end1 : end1 + 16] not in pkt.payload
+    assert decode_at(*span2)[7:] == (b"b" * 60, False)

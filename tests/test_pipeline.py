@@ -313,7 +313,7 @@ SYNACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 def _copy(pkt, **changes):
-    fields = {name: getattr(pkt, name) for name in DecodedPacket.__slots__}
+    fields = {name: getattr(pkt, name) for name in DecodedPacket._fields}
     return DecodedPacket(**{**fields, **changes})
 
 

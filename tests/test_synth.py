@@ -187,6 +187,32 @@ def test_cross_format_equivalence_for_us_aligned_times(tmp_path, clean_scenario)
     assert stats["pcap-us"] == stats["pcap-ns"] == stats["pcapng"]
 
 
+def test_cross_format_ingest_agrees_on_hostile_input(tmp_path):
+    from tlslayers.capture import CapturedFrame
+    from tlslayers.pipeline import analyze_capture
+
+    anomalies = [("retransmit",), ("truncate",), ("coalesce_request",), ("retransmit", "truncate"), ()]
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 40_000_000 + 123, seed=i + 1, anomalies=frozenset(a))
+        for i, a in enumerate(anomalies)
+    ))
+    frames, keylog_text, _ = synth.generate(spec)
+    arp = CapturedFrame(timestamp_ns=1, link_type=1, data=b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28), orig_len=42)
+    runt = CapturedFrame(timestamp_ns=2, link_type=1, data=bytes(10), orig_len=10)
+    bad_ihl = frames[0]._replace(data=frames[0].data[:14] + b"\x42" + frames[0].data[15:])
+    keylog_path = tmp_path / "keys.txt"
+    keylog_path.write_text(keylog_text)
+    results = {}
+    for fmt in ("pcap-ns", "pcapng"):
+        path = tmp_path / f"c-{fmt}"
+        synth.emit_capture([arp, *frames, runt, bad_ihl, arp], path, fmt)
+        results[fmt] = analyze_capture(path, keylog_path, "fmt")
+    a, b = results["pcap-ns"], results["pcapng"]
+    assert a.ingest == {"frames": len(frames) + 4, "non_tcp_frames": 2, "malformed_frames": 2}
+    assert a.counts["total_streams"] == len(anomalies)
+    assert (a.timelines, a.counts, a.ingest) == (b.timelines, b.counts, b.ingest)
+
+
 def test_ground_truth_statistics_match_oracle_for_mixed_run():
     rng = random.Random(404)
     conns = []
