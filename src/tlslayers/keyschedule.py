@@ -7,15 +7,17 @@ AEAD primitives come from the `cryptography` package.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
 from tlslayers.errors import AuthFailure, EmptyInnerPlaintext, LengthMismatch
-from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, TlsRecord
+from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, CipherSuite, TlsRecord
 
 NONCE_LEN = 12
 
@@ -32,17 +34,15 @@ def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str) -> bytes:
     return out[:length]
 
 
+def _hkdf_label(label: bytes, context: bytes, length: int) -> bytes:
+    """The HkdfLabel structure of RFC 8446 §7.1."""
+    full_label = b"tls13 " + label
+    return struct.pack(">H", length) + bytes([len(full_label)]) + full_label + bytes([len(context)]) + context
+
+
 def hkdf_expand_label(secret: bytes, label: bytes, context: bytes, length: int, hash_name: str) -> bytes:
     """HKDF-Expand-Label per RFC 8446 §7.1."""
-    full_label = b"tls13 " + label
-    hkdf_label = (
-        struct.pack(">H", length)
-        + bytes([len(full_label)])
-        + full_label
-        + bytes([len(context)])
-        + context
-    )
-    return hkdf_expand(secret, hkdf_label, length, hash_name)
+    return hkdf_expand(secret, _hkdf_label(label, context, length), length, hash_name)
 
 
 @dataclass
@@ -59,17 +59,41 @@ class TrafficKeys:
         return (int.from_bytes(self.iv, "big") ^ self.sequence_counter).to_bytes(NONCE_LEN, "big")
 
 
+class _SuiteKeying(NamedTuple):
+    secret_len: int
+    hash_name: str
+    key_len: int
+    key_info: bytes  # HkdfLabel for "key", then the T(1) counter byte
+    iv_info: bytes  # likewise for "iv"
+    aead: type[AESGCM] | type[ChaCha20Poly1305]
+
+
+def _suite_keying(suite: CipherSuite) -> _SuiteKeying:
+    # key and IV each fit in one hash block, so HKDF-Expand is T(1) alone (RFC 5869 §2.3)
+    assert max(suite.key_len, NONCE_LEN) <= hashlib.new(suite.hash_name).digest_size
+    return _SuiteKeying(
+        suite.secret_len,
+        suite.hash_name,
+        suite.key_len,
+        _hkdf_label(b"key", b"", suite.key_len) + b"\x01",
+        _hkdf_label(b"iv", b"", NONCE_LEN) + b"\x01",
+        AESGCM if suite.name.startswith("AES") else ChaCha20Poly1305,
+    )
+
+
+_KEYING = {name: _suite_keying(suite) for name, suite in SUITES_BY_NAME.items()}
+
+
 def derive_traffic_keys(secret: bytes, suite_name: str) -> TrafficKeys:
     """key = Expand-Label(secret, "key", "", key_len); iv likewise to 12 bytes."""
-    suite = SUITES_BY_NAME[suite_name]
-    if len(secret) != suite.secret_len:
+    secret_len, hash_name, key_len, key_info, iv_info, aead = _KEYING[suite_name]
+    if len(secret) != secret_len:
         raise LengthMismatch(
-            f"secret of {len(secret)} bytes does not match {suite.name} (need {suite.secret_len})"
+            f"secret of {len(secret)} bytes does not match {suite_name} (need {secret_len})"
         )
-    key = hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
-    iv = hkdf_expand_label(secret, b"iv", b"", NONCE_LEN, suite.hash_name)
-    aead = AESGCM(key) if suite.name.startswith("AES") else ChaCha20Poly1305(key)
-    return TrafficKeys(key=key, iv=iv, aead=aead)
+    key = hmac.digest(secret, key_info, hash_name)[:key_len]
+    iv = hmac.digest(secret, iv_info, hash_name)[:NONCE_LEN]
+    return TrafficKeys(key, iv, aead(key))
 
 
 def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> tuple[int, bytes]:

@@ -47,17 +47,18 @@ _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
 _first = itemgetter(0)  # a packet's timestamp; a stream piece's start offset
+_ts_rel = itemgetter(2, 0)  # a placed segment's (ts, rel_offset)
 
 
 class DirectionalStream:
     """One direction's reassembled bytes and per-offset first-arrival times."""
 
-    __slots__ = ("data", "_offsets", "_times", "has_gap")
+    __slots__ = ("data", "offsets", "times", "has_gap")
 
     def __init__(self, data: bytes, offsets_ts: list[tuple[int, int]], has_gap: bool):
         self.data = data
-        self._offsets = [o for o, _ in offsets_ts]
-        self._times = [t for _, t in offsets_ts]
+        self.offsets = [o for o, _ in offsets_ts]  # piece start offsets, ascending
+        self.times = [t for _, t in offsets_ts]  # each piece's first-arrival time
         self.has_gap = has_gap
 
     def __len__(self) -> int:
@@ -65,7 +66,7 @@ class DirectionalStream:
 
     @property
     def offsets_ts(self) -> list[tuple[int, int]]:
-        return list(zip(self._offsets, self._times))
+        return list(zip(self.offsets, self.times))
 
     def timestamp_at(self, offset: int) -> int:
         """Arrival time of the segment that first carried the byte at offset."""
@@ -73,10 +74,10 @@ class DirectionalStream:
             raise ValueError(f"negative offset {offset}")
         if offset >= len(self.data):
             raise GapAtOffset(f"offset {offset} beyond contiguous data ({len(self.data)} bytes)")
-        idx = bisect_right(self._offsets, offset) - 1
+        idx = bisect_right(self.offsets, offset) - 1
         if idx < 0:
             raise GapAtOffset(f"offset {offset} precedes first mapped byte")
-        return self._times[idx]
+        return self.times[idx]
 
 
 EMPTY_STREAM = DirectionalStream(b"", [], False)
@@ -246,10 +247,15 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
     # Disjoint covered pieces sorted by offset: (start, end, bytes, ts), where
     # ts is the arrival time of the segment that first carried those bytes.
     pieces: list[tuple[int, int, bytes, int]] = []
-    placed.sort(key=lambda s: (s[2], s[0]))
-    end_seen = 0
+    placed.sort(key=_ts_rel)
+    end_seen = 0  # the end of the last piece
     for rel, payload, ts in placed:
         end = rel + len(payload)
+        if rel >= end_seen:
+            # in order or past a hole: overlaps no piece
+            pieces.append((rel, end, payload, ts))
+            end_seen = end
+            continue
         i = bisect_right(pieces, rel, key=_first) - 1
         if i < 0 or pieces[i][1] <= rel:
             i += 1

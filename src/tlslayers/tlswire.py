@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from tlslayers.errors import (
     BadRecordHeader,
+    GapAtOffset,
     MalformedHello,
     OversizeRecord,
     UnknownGroup,
@@ -29,6 +30,7 @@ CT_APPLICATION_DATA = 23
 _LEGAL_CONTENT_TYPES = frozenset({20, 21, 22, 23})
 _LEGAL_VERSIONS = frozenset({0x0301, 0x0302, 0x0303})
 MAX_RECORD_BODY = (1 << 14) + 256
+_RECORD_HEADER = struct.Struct(">BHH")  # content type, legacy_version, length
 
 # handshake message types
 HT_CLIENT_HELLO = 1
@@ -140,18 +142,22 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
 
     trailing_partial is True when the stream ends (or hits a reassembly gap)
     inside a record.  Records before that point are returned; the walk
-    decides what the missing tail means for the connection.
+    decides what the missing tail means for the connection.  Each record is
+    stamped as `stream.timestamp_at(offset)` would stamp it, by one forward
+    walk over the stream's piece offsets.
     """
     data = stream.data
+    offsets, times = stream.offsets, stream.times
+    last_piece = len(offsets) - 1
     records: list[TlsRecord] = []
     off = 0
     n = len(data)
+    piece = -1  # index of the last piece starting at or before off
+    next_start = offsets[0] if offsets else n
     while off < n:
         if off + 5 > n:
             return records, True
-        ctype = data[off]
-        version = (data[off + 1] << 8) | data[off + 2]
-        length = (data[off + 3] << 8) | data[off + 4]
+        ctype, version, length = _RECORD_HEADER.unpack_from(data, off)
         if ctype not in _LEGAL_CONTENT_TYPES or version not in _LEGAL_VERSIONS:
             raise BadRecordHeader(
                 f"illegal record header at offset {off}: type={ctype} version=0x{version:04X}"
@@ -161,7 +167,12 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
         end = off + 5 + length
         if end > n:
             return records, True
-        records.append(TlsRecord(ctype, data[off : off + 5], data[off + 5 : end], off, stream.timestamp_at(off)))
+        while next_start <= off:
+            piece += 1
+            next_start = offsets[piece + 1] if piece < last_piece else n
+        if piece < 0:
+            raise GapAtOffset(f"offset {off} precedes first mapped byte")
+        records.append(TlsRecord(ctype, data[off : off + 5], data[off + 5 : end], off, times[piece]))
         off = end
     return records, stream.has_gap
 
@@ -169,7 +180,7 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
 def build_record(content_type: int, body: bytes, legacy_version: int = 0x0303) -> bytes:
     if len(body) > MAX_RECORD_BODY:
         raise OversizeRecord(f"record body of {len(body)} bytes")
-    return struct.pack(">BHH", content_type, legacy_version, len(body)) + body
+    return _RECORD_HEADER.pack(content_type, legacy_version, len(body)) + body
 
 
 # -- handshake message framing ---------------------------------------------------
@@ -187,7 +198,10 @@ class HandshakeAccumulator:
     carried `_buf[0]`.  Because feed() drains every complete message, the
     first message a feed completes begins at `_buf[0]` (bytes left over
     from earlier records, or this record's if the buffer was empty), and
-    every later one begins inside this record.
+    every later one begins inside this record.  With nothing pending,
+    messages are sliced straight out of the record and only a partial tail
+    is buffered; with bytes pending, the record is appended to the buffer,
+    so a message spread over many records is copied once.
     """
 
     def __init__(self):
@@ -195,17 +209,30 @@ class HandshakeAccumulator:
         self._buf_ts = 0
 
     def feed(self, data: bytes, ts: int) -> list[tuple[int, bytes, int]]:
-        if not self._buf:
-            self._buf_ts = ts
-        self._buf.extend(data)
+        buf = self._buf
         out = []
-        while len(self._buf) >= 4:
-            msg_type = self._buf[0]
-            length = int.from_bytes(self._buf[1:4], "big")
-            if len(self._buf) < 4 + length:
+        if not buf:
+            # nothing pending: parse straight out of data, keep only a partial tail
+            pos = 0
+            n = len(data)
+            while pos + 4 <= n:
+                end = pos + 4 + ((data[pos + 1] << 16) | (data[pos + 2] << 8) | data[pos + 3])
+                if end > n:
+                    break
+                out.append((data[pos], data[pos + 4 : end], ts))
+                pos = end
+            if pos < n:
+                buf += data[pos:]
+                self._buf_ts = ts
+            return out
+        buf += data
+        while len(buf) >= 4:
+            msg_type = buf[0]
+            length = int.from_bytes(buf[1:4], "big")
+            if len(buf) < 4 + length:
                 break
-            out.append((msg_type, bytes(self._buf[4 : 4 + length]), self._buf_ts))
-            del self._buf[: 4 + length]
+            out.append((msg_type, bytes(buf[4 : 4 + length]), self._buf_ts))
+            del buf[: 4 + length]
             self._buf_ts = ts
         return out
 
@@ -231,87 +258,101 @@ class ServerHelloInfo:
     is_hrr: bool = False
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+def _overrun(pos: int, need: int, end: int) -> MalformedHello:
+    return MalformedHello(f"needed {need} bytes at {pos}, block ends at {end}")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedHello(f"needed {n} bytes at {self.pos}, have {len(self.data)}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+def _block(msg: bytes, pos: int, end: int) -> tuple[int, int]:
+    """(start, stop) of the u16-length-prefixed block at pos inside a block ending at end."""
+    start = pos + 2
+    if start > end:
+        raise _overrun(pos, 2, end)
+    stop = start + ((msg[pos] << 8) | msg[pos + 1])
+    if stop > end:
+        raise _overrun(start, stop - start, end)
+    return start, stop
 
-    def u8(self) -> int:
-        return self.take(1)[0]
 
-    def u16(self) -> int:
-        b = self.take(2)
-        return (b[0] << 8) | b[1]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+def _extensions(msg: bytes, pos: int) -> tuple[int, int]:
+    """(start, stop) of the extensions block at pos; (pos, pos) when the message ends there."""
+    n = len(msg)
+    if pos < n:
+        return _block(msg, pos, n)
+    if pos > n:
+        raise MalformedHello(f"field before byte {pos} runs past the message end at {n}")
+    return pos, pos
 
 
 def parse_client_hello(msg: bytes) -> ClientHelloInfo:
-    """Parse a ClientHello body: the handshake message after its 4-byte header."""
-    r = _Reader(msg)
-    r.take(2)  # legacy_version
-    client_random = r.take(32)
-    r.take(r.u8())  # legacy_session_id
-    r.take(r.u16())  # cipher_suites
-    r.take(r.u8())  # legacy_compression_methods
+    """Parse a ClientHello body: the handshake message after its 4-byte header.
+
+    Every length is checked against the end of the block that encloses it:
+    the message, the extensions block, one extension or the key_share list.
+    """
+    n = len(msg)
+    if n < 35:  # legacy_version, random, legacy_session_id length
+        raise _overrun(0, 35, n)
+    pos = 35 + msg[34]  # past legacy_session_id
+    pos = _block(msg, pos, n)[1]  # past cipher_suites
+    if pos >= n:
+        raise _overrun(pos, 1, n)
+    ext, ext_end = _extensions(msg, pos + 1 + msg[pos])  # past legacy_compression_methods
 
     key_shares: list[tuple[int, int]] = []
-    if not r.done():
-        ext_total = r.u16()
-        ext = _Reader(r.take(ext_total))
-        while not ext.done():
-            ext_type = ext.u16()
-            ext_data = _Reader(ext.take(ext.u16()))
-            if ext_type == EXT_KEY_SHARE:
-                shares_len = ext_data.u16()
-                shares = _Reader(ext_data.take(shares_len))
-                while not shares.done():
-                    gid = shares.u16()
-                    kex_len = shares.u16()
-                    shares.take(kex_len)
-                    key_shares.append((gid, kex_len))
+    while ext < ext_end:
+        if ext + 4 > ext_end:
+            raise _overrun(ext, 4, ext_end)
+        data, data_end = _block(msg, ext + 2, ext_end)
+        if ((msg[ext] << 8) | msg[ext + 1]) == EXT_KEY_SHARE:
+            share, shares_end = _block(msg, data, data_end)
+            while share < shares_end:
+                if share + 4 > shares_end:
+                    raise _overrun(share, 4, shares_end)
+                kex_len = (msg[share + 2] << 8) | msg[share + 3]
+                key_shares.append(((msg[share] << 8) | msg[share + 1], kex_len))
+                share += 4 + kex_len
+                if share > shares_end:
+                    raise _overrun(share - kex_len, kex_len, shares_end)
+        ext = data_end
     return ClientHelloInfo(
-        client_random=client_random,
-        total_length=4 + len(msg),
+        client_random=msg[2:34],
+        total_length=4 + n,
         key_shares=tuple(key_shares),
     )
 
 
 def parse_server_hello(msg: bytes) -> ServerHelloInfo:
-    """Parse a ServerHello body: the handshake message after its 4-byte header."""
-    r = _Reader(msg)
-    r.take(2)  # legacy_version
-    is_hrr = r.take(32) == HRR_RANDOM  # random
-    r.take(r.u8())  # legacy_session_id_echo
-    suite = suite_by_id(r.u16())
-    r.u8()  # legacy_compression_method
+    """Parse a ServerHello body: the handshake message after its 4-byte header.
+
+    Lengths are checked as in `parse_client_hello`.
+    """
+    n = len(msg)
+    if n < 35:  # legacy_version, random, legacy_session_id_echo length
+        raise _overrun(0, 35, n)
+    pos = 35 + msg[34]  # past legacy_session_id_echo
+    if pos + 2 > n:
+        raise _overrun(pos, 2, n)
+    suite = suite_by_id((msg[pos] << 8) | msg[pos + 1])
+    ext, ext_end = _extensions(msg, pos + 3)  # past legacy_compression_method
 
     selected_group: int | None = None
-    if not r.done():
-        ext = _Reader(r.take(r.u16()))
-        while not ext.done():
-            ext_type = ext.u16()
-            ext_data = _Reader(ext.take(ext.u16()))
-            if ext_type == EXT_KEY_SHARE:
-                selected_group = ext_data.u16()
-                # HRR carries the bare group; ServerHello adds the share
-                if not ext_data.done():
-                    ext_data.take(ext_data.u16())
+    while ext < ext_end:
+        if ext + 4 > ext_end:
+            raise _overrun(ext, 4, ext_end)
+        data, data_end = _block(msg, ext + 2, ext_end)
+        if ((msg[ext] << 8) | msg[ext + 1]) == EXT_KEY_SHARE:
+            if data + 2 > data_end:
+                raise _overrun(data, 2, data_end)
+            selected_group = (msg[data] << 8) | msg[data + 1]
+            # HRR carries the bare group; ServerHello adds the share
+            if data + 2 < data_end:
+                _block(msg, data + 2, data_end)
+        ext = data_end
     return ServerHelloInfo(
         selected_group=selected_group,
         cipher_suite=suite.name,
-        total_length=4 + len(msg),
-        is_hrr=is_hrr,
+        total_length=4 + n,
+        is_hrr=msg[2:34] == HRR_RANDOM,
     )
 
 

@@ -52,11 +52,11 @@ def test_rfc8448_key_iv_vectors(secret, key, iv):
     assert keys.iv == iv
 
 
-def _oracle_expand_label(secret: bytes, label: bytes, length: int) -> bytes:
+def _oracle_expand_label(secret: bytes, label: bytes, length: int, algorithm=hashes.SHA256()) -> bytes:
     # independent HKDF-Expand implementation with a hand-built HkdfLabel
     full = b"tls13 " + label
     info = struct.pack(">H", length) + bytes([len(full)]) + full + b"\x00"
-    return HKDFExpand(algorithm=hashes.SHA256(), length=length, info=info).derive(secret)
+    return HKDFExpand(algorithm=algorithm, length=length, info=info).derive(secret)
 
 
 def test_all_zero_secret_matches_independent_hkdf_oracle():
@@ -64,6 +64,21 @@ def test_all_zero_secret_matches_independent_hkdf_oracle():
     keys = derive_traffic_keys(secret, "AES_128_GCM_SHA256")
     assert keys.key == _oracle_expand_label(secret, b"key", 16)
     assert keys.iv == _oracle_expand_label(secret, b"iv", 12)
+
+
+@pytest.mark.parametrize(
+    "suite,algorithm,secret_len,key_len",
+    [
+        ("AES_256_GCM_SHA384", hashes.SHA384, 48, 32),
+        ("CHACHA20_POLY1305_SHA256", hashes.SHA256, 32, 32),
+    ],
+)
+def test_every_suite_matches_independent_hkdf_oracle(suite, algorithm, secret_len, key_len):
+    for seed in range(3):
+        secret = random.Random(seed).randbytes(secret_len)
+        keys = derive_traffic_keys(secret, suite)
+        assert keys.key == _oracle_expand_label(secret, b"key", key_len, algorithm())
+        assert keys.iv == _oracle_expand_label(secret, b"iv", 12, algorithm())
 
 
 def test_expand_label_multi_block_output():

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlslayers.errors import BadRecordHeader, MalformedHello, OversizeRecord, UnknownGroup, UnsupportedCipherSuite
+from tlslayers.errors import BadRecordHeader, GapAtOffset, MalformedHello, OversizeRecord, UnknownGroup, UnsupportedCipherSuite
 from tlslayers.reassembly import DirectionalStream
 from tlslayers.tlswire import (
+    CT_APPLICATION_DATA,
     CT_HANDSHAKE,
+    EXT_KEY_SHARE,
+    GROUPS_BY_ID,
     HRR_RANDOM,
+    SUITES_BY_ID,
     HandshakeAccumulator,
     build_handshake_message,
     build_record,
@@ -23,6 +27,7 @@ from tlslayers.tlswire import (
     render_server_hello,
 )
 
+from hello_reference import reference_client_hello, reference_server_hello
 from reference_runs import KEY_SHARE_SIZES
 
 
@@ -71,6 +76,15 @@ def test_trailing_partial_record_stops_cleanly():
     assert len(records) == 1 and partial
 
 
+def test_record_before_the_first_mapped_byte_raises_like_timestamp_at():
+    wire = build_record(CT_HANDSHAKE, b"x" * 10)
+    stream = DirectionalStream(wire, [(3, 7)], False)
+    with pytest.raises(GapAtOffset):
+        stream.timestamp_at(0)
+    with pytest.raises(GapAtOffset):
+        parse_records(stream)
+
+
 def test_bad_record_header_raises():
     with pytest.raises(BadRecordHeader):
         parse_records(_stream(b"\x99\x03\x03\x00\x01x"))
@@ -82,6 +96,33 @@ def test_oversize_record_raises():
     header = bytes([22, 3, 3]) + (16384 + 257).to_bytes(2, "big")
     with pytest.raises(OversizeRecord):
         parse_records(_stream(header + b"\x00" * 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bodies=st.lists(st.integers(0, 700), max_size=10),
+    data=st.data(),
+)
+def test_record_timestamps_from_offset_walk(bodies, data):
+    wire = b"".join(build_record(CT_APPLICATION_DATA, bytes(n)) for n in bodies)
+    # the contiguous prefix reassembly kept; shorter than the wire when a gap cut it
+    kept = data.draw(st.integers(0, len(wire)), label="kept")
+    has_gap = kept < len(wire) or data.draw(st.booleans(), label="gap_at_end")
+    starts = sorted(set(data.draw(st.lists(st.integers(1, max(kept - 1, 1)), max_size=12), label="starts")))
+    offsets = [0, *(o for o in starts if o < kept)] if kept else []
+    times = data.draw(st.lists(st.integers(0, 10**12), min_size=len(offsets), max_size=len(offsets)), label="times")
+    stream = DirectionalStream(wire[:kept], list(zip(offsets, times)), has_gap)
+
+    records, partial = parse_records(stream)
+    for rec in records:
+        assert rec.timestamp_ns == stream.timestamp_at(rec.stream_offset)
+    ends = [0]
+    for n in bodies:
+        ends.append(ends[-1] + 5 + n)
+    complete = [e for e in ends[1:] if e <= kept]
+    assert [r.stream_offset for r in records] == ends[: len(complete)]
+    # a tail inside a record is partial; a tail on a record boundary is partial only at a gap
+    assert partial == (kept not in ends or has_gap)
 
 
 # -- hello parsing ----------------------------------------------------------------
@@ -238,3 +279,142 @@ def test_accumulator_stamps_every_message_with_its_first_bytes_record(messages, 
     got = [msg for _, chunk, t in records for msg in acc.feed(chunk, t)]
     assert got == expected
     assert acc.pending == kept - end
+
+
+# -- offset hello parsers against the cursor reference ------------------------------------
+
+_SHARE_GROUPS = sorted(GROUPS_BY_ID)  # includes mlkem768 (1184 B) and mlkem1024 (1568 B) shares
+
+
+def _u16(b: bytes, pos: int) -> int:
+    return (b[pos] << 8) | b[pos + 1]
+
+
+def _length_fields(body: bytes, client: bool) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(offset, width, enclosing fields' offsets) of every length prefix in a well-formed hello body.
+
+    Every enclosing field is 2 bytes wide and comes before the fields it encloses.
+    """
+    fields = [(34, 1, ())]  # legacy_session_id
+    pos = 35 + body[34]
+    if client:
+        fields.append((pos, 2, ()))  # cipher_suites
+        pos += 2 + _u16(body, pos)
+        fields.append((pos, 1, ()))  # legacy_compression_methods
+        pos += 1 + body[pos]
+    else:
+        pos += 3  # cipher_suite, legacy_compression_method
+    in_extensions = (pos,)
+    fields.append((pos, 2, ()))  # extensions
+    end = pos + 2 + _u16(body, pos)
+    pos += 2
+    while pos < end:
+        ext_len = _u16(body, pos + 2)
+        ext = (*in_extensions, pos + 2)
+        fields.append((pos + 2, 2, in_extensions))
+        if _u16(body, pos) == EXT_KEY_SHARE:
+            if client:
+                fields.append((pos + 4, 2, ext))  # client_shares
+                share = pos + 6
+                while share < pos + 4 + ext_len:
+                    fields.append((share + 2, 2, (*ext, pos + 4)))  # key_exchange
+                    share += 4 + _u16(body, share + 2)
+            elif ext_len > 2:
+                fields.append((pos + 6, 2, ext))  # the ServerHello share
+        pos += 4 + ext_len
+    return fields
+
+
+def _add(buf: bytearray, offset: int, width: int, delta: int) -> None:
+    value = int.from_bytes(buf[offset : offset + width], "big") + delta
+    buf[offset : offset + width] = (value % (1 << 8 * width)).to_bytes(width, "big")
+
+
+def _damage(body: bytes, client: bool, data) -> bytes:
+    """Damage the length fields of a well-formed hello body, then maybe cut it short.
+
+    Either one field's block gains or loses its last byte, the enclosing
+    lengths are kept consistent and the field itself is left one off or
+    kept consistent too; or up to two fields have a byte flipped or their
+    value moved by one.  Cuts favour the bytes around a field, where one
+    parser check ends and the next begins.
+    """
+    damaged = bytearray(body)
+    fields = _length_fields(body, client)
+    if data.draw(st.booleans(), label="resize"):
+        offset, width, enclosing = data.draw(st.sampled_from(fields), label="field")
+        end = offset + width + int.from_bytes(body[offset : offset + width], "big")
+        delta = data.draw(st.sampled_from([1, -1] if end > offset + width else [1]), label="delta")
+        if delta < 0:
+            del damaged[end - 1]
+        else:
+            damaged.insert(end, 0)
+        for at in enclosing:
+            _add(damaged, at, 2, delta)
+        if data.draw(st.booleans(), label="own"):
+            _add(damaged, offset, width, delta)
+    else:
+        for offset, width, _ in data.draw(st.lists(st.sampled_from(fields), max_size=2), label="fields"):
+            if data.draw(st.booleans(), label="flip"):
+                damaged[offset + data.draw(st.integers(0, width - 1))] ^= data.draw(st.integers(1, 255))
+            else:
+                _add(damaged, offset, width, data.draw(st.sampled_from([1, -1])))
+    how = data.draw(st.sampled_from(["whole", "near_field", "anywhere"]), label="cut")
+    if how == "near_field":
+        offset, width, _ = data.draw(st.sampled_from(fields))
+        return bytes(damaged[: data.draw(st.integers(offset, offset + width + 2))])
+    if how == "anywhere":
+        return bytes(damaged[: data.draw(st.integers(0, len(damaged)))])
+    return bytes(damaged)
+
+
+def _same_outcome(parse, reference, msg: bytes) -> None:
+    try:
+        expected = reference(msg)
+    except (MalformedHello, UnsupportedCipherSuite) as exc:
+        with pytest.raises(type(exc)) as got:
+            parse(msg)
+        assert type(got.value) is type(exc)
+    else:
+        assert parse(msg) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    session_id=st.binary(max_size=32),
+    shares=st.lists(
+        st.tuples(
+            st.sampled_from(_SHARE_GROUPS),
+            st.one_of(st.sampled_from([32, 800, 1184, 1216, 1568]), st.integers(0, 40)),
+        ),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_client_hello_parser_matches_reference(session_id, shares, data):
+    msg = render_client_hello(
+        data.draw(st.binary(min_size=32, max_size=32), label="random"),
+        [(gid, bytes(size)) for gid, size in shares],
+        session_id=session_id,
+    )
+    _same_outcome(parse_client_hello, reference_client_hello, _damage(msg[4:], True, data))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    session_id=st.binary(max_size=32),
+    suite_id=st.sampled_from([*sorted(SUITES_BY_ID), 0xC02F]),
+    hrr=st.booleans(),
+    group=st.sampled_from(_SHARE_GROUPS),
+    share=st.sampled_from(["none", "bare", "full"]),
+    data=st.data(),
+)
+def test_server_hello_parser_matches_reference(session_id, suite_id, hrr, group, share, data):
+    server_random = HRR_RANDOM if hrr else data.draw(st.binary(min_size=32, max_size=32), label="random")
+    key_share = {
+        "none": None,
+        "bare": (group, b""),
+        "full": (group, bytes(GROUPS_BY_ID[group].server_share_len)),
+    }[share]
+    msg = render_server_hello(server_random, suite_id, key_share, session_id_echo=session_id)
+    _same_outcome(parse_server_hello, reference_server_hello, _damage(msg[4:], False, data))
