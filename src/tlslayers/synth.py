@@ -18,7 +18,7 @@ import ipaddress
 import json
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Iterable
@@ -34,14 +34,14 @@ from tlslayers.capture import (
     CapturedFrame,
 )
 from tlslayers.errors import InvalidSpec, UnknownGroup, WriteFailure
-from tlslayers.keyschedule import NONCE_LEN, derive_traffic_keys
+from tlslayers.keyschedule import NONCE_LEN, hkdf_expand_label
 from tlslayers.keylog import (
     LABEL_CLIENT_AP,
     LABEL_CLIENT_HS,
     LABEL_SERVER_AP,
     LABEL_SERVER_HS,
 )
-from tlslayers.timeline import EXCLUDED, LAYERS, PARTIAL, VALID
+from tlslayers.timeline import BOUNDARIES, EXCLUDED, LAYERS, PARTIAL, VALID
 from tlslayers.tlswire import (
     CT_APPLICATION_DATA,
     CT_CHANGE_CIPHER_SPEC,
@@ -51,6 +51,7 @@ from tlslayers.tlswire import (
     HT_ENCRYPTED_EXTENSIONS,
     HT_FINISHED,
     SUITES_BY_NAME,
+    CipherSuite,
     build_handshake_message,
     build_record,
     group_by_name,
@@ -124,6 +125,29 @@ def validate_spec(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"connection {i}: {exc}") from None
 
 
+def _anomaly_set(value) -> frozenset[str]:
+    if value is None:
+        return frozenset()
+    if not isinstance(value, list):
+        raise TypeError(f"anomalies: expected a list, not {type(value).__name__}")
+    return frozenset(value)
+
+
+# How a scenario file's optional fields convert; an absent field keeps the dataclass default.
+_CONNECTION_FIELDS = {
+    "group": str,
+    "cipher_suite": str,
+    "response_body_bytes": int,
+    "segmentation_seed": int,
+    "anomalies": _anomaly_set,
+}
+_SCENARIO_FIELDS = {"client_ip": str, "server_ip": str, "server_port": int}
+
+
+def _converted(raw: dict, converters: dict) -> dict:
+    return {name: convert(raw[name]) for name, convert in converters.items() if name in raw}
+
+
 def load_scenario(path: str | Path) -> ScenarioSpec:
     """Read a scenario file (YAML; see docs/scenario_format.md).
 
@@ -149,22 +173,13 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             conns.append(
                 ConnectionSpec(
                     boundary_times=tuple(int(t) for t in merged["boundary_times_ns"]),
-                    group=str(merged.get("group", "x25519")),
-                    cipher_suite=str(merged.get("cipher_suite", "AES_128_GCM_SHA256")),
-                    response_body_bytes=int(merged.get("response_body_bytes", 4096)),
-                    segmentation_seed=int(merged.get("segmentation_seed", 0)),
-                    anomalies=frozenset(merged.get("anomalies") or ()),
+                    **_converted(merged, _CONNECTION_FIELDS),
                 )
             )
         except (ValueError, TypeError) as exc:
             raise InvalidSpec(f"{path}: connection {i}: {exc}") from exc
     try:
-        spec = ScenarioSpec(
-            connections=tuple(conns),
-            client_ip=str(raw.get("client_ip", "10.0.0.1")),
-            server_ip=str(raw.get("server_ip", "10.0.0.2")),
-            server_port=int(raw.get("server_port", 443)),
-        )
+        spec = ScenarioSpec(connections=tuple(conns), **_converted(raw, _SCENARIO_FIELDS))
         validate_spec(spec)
     except (ValueError, TypeError, InvalidSpec) as exc:
         raise InvalidSpec(f"{path}: {exc}") from exc
@@ -222,50 +237,33 @@ class GroundTruth:
         return {
             "tallies": self.tallies,
             "connections": [
-                {
-                    "index": c.index,
-                    "client_random": c.client_random.hex(),
-                    "validity": c.validity,
-                    "reason": c.reason,
-                    "boundaries": c.boundaries,
-                    "layers_ns": c.layers_ns,
-                    "e2e_ns": c.e2e_ns,
-                    "group": c.group,
-                    "key_share_len": c.key_share_len,
-                    "client_hello_len": c.client_hello_len,
-                    "server_hello_len": c.server_hello_len,
-                    "cipher_suite": c.cipher_suite,
-                }
-                for c in self.connections
+                {**asdict(c), "client_random": c.client_random.hex()} for c in self.connections
             ],
         }
 
 
 # -- sealing (encrypt side; the analyzer's open side lives in keyschedule) -------
 
-def _seal_record(key: bytes, iv: bytes, suite_name: str, counter: int, inner_type: int, content: bytes, pad: int = 0) -> bytes:
-    inner = content + bytes([inner_type]) + b"\x00" * pad
-    total = len(inner) + 16  # AEAD tag
-    header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0303, total)
-    nonce = (int.from_bytes(iv, "big") ^ counter).to_bytes(NONCE_LEN, "big")
-    if suite_name.startswith("AES"):
-        aead = AESGCM(key)
-    else:
-        aead = ChaCha20Poly1305(key)
-    return header + aead.encrypt(nonce, inner, header)
-
-
 class _Sealer:
-    def __init__(self, secret: bytes, suite_name: str):
-        keys = derive_traffic_keys(secret, suite_name)
-        self.key, self.iv = keys.key, keys.iv
-        self.suite_name = suite_name
+    """Seals one direction's records in one epoch.
+
+    The key and IV come from the general HKDF-Expand-Label loop, not the
+    analyzer's one-HMAC derivation.
+    """
+
+    def __init__(self, secret: bytes, suite: CipherSuite):
+        key = hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
+        iv = hkdf_expand_label(secret, b"iv", b"", NONCE_LEN, suite.hash_name)
+        self.aead = AESGCM(key) if suite.name.startswith("AES") else ChaCha20Poly1305(key)
+        self.iv = int.from_bytes(iv, "big")
         self.counter = 0
 
     def seal(self, inner_type: int, content: bytes, pad: int = 0) -> bytes:
-        rec = _seal_record(self.key, self.iv, self.suite_name, self.counter, inner_type, content, pad)
+        inner = content + bytes([inner_type]) + b"\x00" * pad
+        header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0303, len(inner) + 16)  # + AEAD tag
+        nonce = (self.iv ^ self.counter).to_bytes(NONCE_LEN, "big")
         self.counter += 1
-        return rec
+        return header + self.aead.encrypt(nonce, inner, header)
 
 
 # -- frame construction -----------------------------------------------------------
@@ -280,18 +278,17 @@ def _inet_checksum(data: bytes) -> int:
 
 
 def _tcp_frame(
-    src_ip: bytes,
-    dst_ip: bytes,
-    src_port: int,
-    dst_port: int,
+    src: tuple[bytes, bytes, int],
+    dst: tuple[bytes, bytes, int],
+    ip_id: int,
     seq: int,
     ack: int,
     flags: int,
     payload: bytes,
-    src_mac: bytes,
-    dst_mac: bytes,
-    ip_id: int,
 ) -> bytes:
+    """One Ethernet/IPv4/TCP frame; `src` and `dst` are (mac, ip, port)."""
+    src_mac, src_ip, src_port = src
+    dst_mac, dst_ip, dst_port = dst
     tcp_len = 20 + len(payload)
     tcp_hdr = struct.pack(
         ">HHIIBBHHH",
@@ -393,7 +390,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[CapturedFrame], str, GroundTruth]
     """Produce (frames, keylog text, ground truth); byte-deterministic per spec."""
     validate_spec(spec)
     client_ip = ipaddress.ip_address(spec.client_ip).packed
-    server_ip = ipaddress.ip_address(spec.server_ip).packed
+    server = (_SERVER_MAC, ipaddress.ip_address(spec.server_ip).packed, spec.server_port)
 
     all_frames: list[tuple[int, int, bytes, int]] = []  # (ts, order, frame bytes, orig_len)
     keylog_lines: list[str] = []
@@ -402,9 +399,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[CapturedFrame], str, GroundTruth]
 
     for index, conn in enumerate(spec.connections):
         rng = Random(f"tlslayers-synth:{index}:{conn.segmentation_seed}")
-        frames, lines, ct = _generate_connection(
-            index, conn, rng, client_ip, server_ip, spec.server_port
-        )
+        client = (_CLIENT_MAC, client_ip, 10000 + (index % 50000))
+        frames, lines, ct = _generate_connection(index, conn, rng, client, server)
         for ts, data, orig_len in frames:
             all_frames.append((ts, order, data, orig_len))
             order += 1
@@ -413,13 +409,12 @@ def generate(spec: ScenarioSpec) -> tuple[list[CapturedFrame], str, GroundTruth]
 
     all_frames.sort(key=lambda f: (f[0], f[1]))
 
-    reorder_rngs = [
-        (i, Random(f"tlslayers-reorder:{i}:{c.segmentation_seed}"))
-        for i, c in enumerate(spec.connections)
-        if "reorder" in c.anomalies
-    ]
-    if reorder_rngs:
-        all_frames = _shuffle_within_ms(all_frames, reorder_rngs[0][1])
+    # the first reorder connection's seed shuffles the whole capture
+    for index, conn in enumerate(spec.connections):
+        if "reorder" in conn.anomalies:
+            rng = Random(f"tlslayers-reorder:{index}:{conn.segmentation_seed}")
+            all_frames = _shuffle_within_ms(all_frames, rng)
+            break
 
     frames_out = [
         CapturedFrame(timestamp_ns=ts, link_type=LINKTYPE_ETHERNET, data=data, orig_len=orig_len)
@@ -440,19 +435,20 @@ def _shuffle_within_ms(frames: list[tuple[int, int, bytes, int]], rng: Random) -
     return out
 
 
+_SYN, _ACK, _PSH, _FIN = 0x02, 0x10, 0x08, 0x01
+
+
 def _generate_connection(
     index: int,
     conn: ConnectionSpec,
     rng: Random,
-    client_ip: bytes,
-    server_ip: bytes,
-    server_port: int,
+    client: tuple[bytes, bytes, int],
+    server: tuple[bytes, bytes, int],
 ):
     t0, t1, t2, t3, t4, t5 = conn.boundary_times
     suite = SUITES_BY_NAME[conn.cipher_suite]
     group = group_by_name(conn.group)
     anomalies = conn.anomalies
-    client_port = 10000 + (index % 50000)
 
     client_random = index.to_bytes(4, "big") + rng.randbytes(28)
     server_random = rng.randbytes(32)
@@ -500,9 +496,8 @@ def _generate_connection(
     cv_msg = build_handshake_message(
         HT_CERTIFICATE_VERIFY, struct.pack(">HH", 0x0804, len(sig)) + sig
     )
-    hash_len = 32 if suite.hash_name == "sha256" else 48
-    server_fin_msg = build_handshake_message(HT_FINISHED, rng.randbytes(hash_len))
-    client_fin_msg = build_handshake_message(HT_FINISHED, rng.randbytes(hash_len))
+    server_fin_msg = build_handshake_message(HT_FINISHED, rng.randbytes(suite.secret_len))
+    client_fin_msg = build_handshake_message(HT_FINISHED, rng.randbytes(suite.secret_len))
 
     status = 503 if "non200" in anomalies else 200
     http_get = (
@@ -522,12 +517,13 @@ def _generate_connection(
     response = http_head + body
 
     # sealers: one per direction and epoch (independent encrypt path)
-    seal_chs = _Sealer(secrets[LABEL_CLIENT_HS], suite.name)
-    seal_shs = _Sealer(secrets[LABEL_SERVER_HS], suite.name)
-    seal_cap = _Sealer(secrets[LABEL_CLIENT_AP], suite.name)
-    seal_sap = _Sealer(secrets[LABEL_SERVER_AP], suite.name)
+    seal_chs = _Sealer(secrets[LABEL_CLIENT_HS], suite)
+    seal_shs = _Sealer(secrets[LABEL_SERVER_HS], suite)
+    seal_cap = _Sealer(secrets[LABEL_CLIENT_AP], suite)
+    seal_sap = _Sealer(secrets[LABEL_SERVER_AP], suite)
 
     coalesce = "coalesce_request" in anomalies
+    t_get = t3 if coalesce else t4
     gap = max(1000, (t3 - t2) // 8) if t3 > t2 else 0
 
     # client direction records: CH, CCS, Finished, GET
@@ -535,11 +531,9 @@ def _generate_connection(
         (build_record(CT_HANDSHAKE, ch_msg, 0x0301), t2),
         (build_record(CT_CHANGE_CIPHER_SPEC, b"\x01"), max(t2, t3 - gap)),
         (seal_chs.seal(CT_HANDSHAKE, client_fin_msg, pad=rng.choice((0, 0, 0, 7))), t3),
-        (seal_cap.seal(CT_APPLICATION_DATA, http_get), t3 if coalesce else t4),
+        (seal_cap.seal(CT_APPLICATION_DATA, http_get), t_get),
     ]
-    ch_rec_len = len(client_records[0][0])
-    ccs_len = len(client_records[1][0])
-    fin_rec_off = ch_rec_len + ccs_len
+    fin_rec_off = len(client_records[0][0]) + len(client_records[1][0])
     get_rec_off = fin_rec_off + len(client_records[2][0])
     client_forced = {fin_rec_off} if coalesce else {fin_rec_off, get_rec_off}
 
@@ -565,67 +559,60 @@ def _generate_connection(
     resp_chunks = _chunk(response, rng)
     for i, chunk in enumerate(resp_chunks):
         server_records.append((seal_sap.seal(CT_APPLICATION_DATA, chunk), t5 + i * 50_000))
-    server_forced = {resp_off}
 
-    # segmentation
+    # segmentation: the forced cut at the Finished gives the client at least two segments
     client_segs = _segment_stream(
         client_records,
         client_forced,
         rng,
         no_random_cuts_from=fin_rec_off if coalesce else None,
     )
-    server_segs = _segment_stream(server_records, server_forced, rng)
+    server_segs = _segment_stream(server_records, {resp_off}, rng)
 
-    # packets
+    # the packet plan, in IP-id order: (from_client, seq, ack, flags, payload, ts)
     isn_c = rng.getrandbits(32)
     isn_s = rng.getrandbits(32)
     ip_id = rng.getrandbits(16)
-
-    def frame(src_is_client, seq, ack, flags, payload, ts):
-        nonlocal ip_id
-        ip_id = (ip_id + 1) & 0xFFFF
-        if src_is_client:
-            data = _tcp_frame(
-                client_ip, server_ip, client_port, server_port,
-                seq, ack, flags, payload, _CLIENT_MAC, _SERVER_MAC, ip_id,
-            )
-        else:
-            data = _tcp_frame(
-                server_ip, client_ip, server_port, client_port,
-                seq, ack, flags, payload, _SERVER_MAC, _CLIENT_MAC, ip_id,
-            )
-        return (ts, data, len(data))
-
-    SYN, ACK, PSH, FIN = 0x02, 0x10, 0x08, 0x01
-    frames = [
-        frame(True, isn_c, 0, SYN, b"", t0),
-        frame(False, isn_s, isn_c + 1, SYN | ACK, b"", t1),
-        frame(True, isn_c + 1, isn_s + 1, ACK, b"", t1 + (t2 - t1) // 3),
-    ]
-    for off, payload, ts in client_segs:
-        frames.append(frame(True, isn_c + 1 + off, isn_s + 1, PSH | ACK, payload, ts))
-    for off, payload, ts in server_segs:
-        frames.append(frame(False, isn_s + 1 + off, isn_c + 1, PSH | ACK, payload, ts))
-    if t3 > t2:
-        frames.append(frame(True, isn_c + 1, isn_s + 1, ACK, b"", max(t2, t3 - gap // 2)))
-
     c_len = sum(len(p) for _, p, _ in client_segs)
     s_len = sum(len(p) for _, p, _ in server_segs)
     t_end = max(ts for _, _, ts in server_segs) + 300_000
-    frames.append(frame(True, isn_c + 1 + c_len, isn_s + 1, FIN | ACK, b"", t_end))
-    frames.append(frame(False, isn_s + 1 + s_len, isn_c + 2 + c_len, FIN | ACK, b"", t_end + 100_000))
-    frames.append(frame(True, isn_c + 2 + c_len, isn_s + 2 + s_len, ACK, b"", t_end + 200_000))
+    plan = [
+        (True, isn_c, 0, _SYN, b"", t0),
+        (False, isn_s, isn_c + 1, _SYN | _ACK, b"", t1),
+        (True, isn_c + 1, isn_s + 1, _ACK, b"", t1 + (t2 - t1) // 3),
+    ]
+    first_client_seg = len(plan)
+    plan += [(True, isn_c + 1 + off, isn_s + 1, _PSH | _ACK, p, ts) for off, p, ts in client_segs]
+    first_server_seg = len(plan)
+    plan += [(False, isn_s + 1 + off, isn_c + 1, _PSH | _ACK, p, ts) for off, p, ts in server_segs]
+    if t3 > t2:
+        plan.append((True, isn_c + 1, isn_s + 1, _ACK, b"", max(t2, t3 - gap // 2)))
+    plan += [
+        (True, isn_c + 1 + c_len, isn_s + 1, _FIN | _ACK, b"", t_end),
+        (False, isn_s + 1 + s_len, isn_c + 2 + c_len, _FIN | _ACK, b"", t_end + 100_000),
+        (True, isn_c + 2 + c_len, isn_s + 2 + s_len, _ACK, b"", t_end + 200_000),
+    ]
 
-    # anomalies over the built packets
+    frames = []
+    for i, (from_client, seq, ack, flags, payload, ts) in enumerate(plan, start=1):
+        src, dst = (client, server) if from_client else (server, client)
+        data = _tcp_frame(src, dst, (ip_id + i) & 0xFFFF, seq, ack, flags, payload)
+        frames.append((ts, data, len(data)))
+
+    # anomalies, by index into the frames
     if "truncate" in anomalies:
-        frames = _truncate_status_segment(frames, server_segs, resp_off, isn_s)
+        # snap-cut the segment carrying the status line to 20 payload bytes (caplen < wirelen)
+        k = first_server_seg + [off for off, _, _ in server_segs].index(resp_off)
+        ts, data, orig_len = frames[k]
+        payload = plan[k][4]
+        frames[k] = (ts, data[: orig_len - len(payload) + 20], orig_len)
     if "retransmit" in anomalies:
-        frames.extend(_retransmissions(frames, client_segs, server_segs, isn_c, isn_s))
+        # the second client segment's frame again, five milliseconds later
+        ts, data, orig_len = frames[first_client_seg + 1]
+        frames.append((ts + 5_000_000, data, orig_len))
 
-    truth = _connection_truth(
-        index, conn, client_random, group, suite,
-        len(ch_msg), len(sh_msg), t0, t1, t2, t3, t4, t5, coalesce,
-    )
+    bounds = (t0, t1, t2, t3, t_get, t5)
+    truth = _connection_truth(index, conn, client_random, group, len(ch_msg), len(sh_msg), bounds)
     return frames, keylog_lines, truth
 
 
@@ -641,65 +628,23 @@ def _chunk(data: bytes, rng: Random) -> list[bytes]:
     return chunks
 
 
-def _truncate_status_segment(frames, server_segs, resp_off, isn_s):
-    """Snap-cut the segment carrying the HTTP status line (caplen < wirelen)."""
-    target_seq = (isn_s + 1 + resp_off) & 0xFFFFFFFF
-    out = []
-    for ts, data, orig_len in frames:
-        seq = struct.unpack(">I", data[38:42])[0]
-        src_port = struct.unpack(">H", data[34:36])[0]
-        payload_len = len(data) - 54
-        if payload_len > 40 and seq == target_seq and src_port != 0 and len(data) == orig_len:
-            out.append((ts, data[: 54 + 20], orig_len))  # keep 20 payload bytes
-        else:
-            out.append((ts, data, orig_len))
-    return out
-
-
-def _retransmissions(frames, client_segs, server_segs, isn_c, isn_s):
-    """Duplicate the second data segment five milliseconds later."""
-    segs = client_segs if len(client_segs) > 1 else server_segs
-    isn = isn_c if len(client_segs) > 1 else isn_s
-    if len(segs) < 2:
-        return []
-    off, payload, _ = segs[1]
-    target_seq = (isn + 1 + off) & 0xFFFFFFFF
-    for ts, data, orig_len in frames:
-        if len(data) - 54 == len(payload) and struct.unpack(">I", data[38:42])[0] == target_seq:
-            return [(ts + 5_000_000, data, orig_len)]
-    return []
-
-
-def _connection_truth(
-    index, conn, client_random, group, suite, ch_len, sh_len,
-    t0, t1, t2, t3, t4, t5, coalesce,
-) -> ConnectionTruth:
+def _connection_truth(index, conn, client_random, group, ch_len, sh_len, bounds) -> ConnectionTruth:
+    """What the analysis must report for one connection; `bounds` are the six boundary times."""
     anomalies = conn.anomalies
-    t_get = t3 if coalesce else t4
-    boundaries = {
-        "t_syn": t0,
-        "t_synack": t1,
-        "t_clienthello": t2,
-        "t_client_finished": t3,
-        "t_http_get": t_get,
-        "t_http_200": t5,
-    }
-    layer_bounds = [t0, t1, t2, t3, t_get, t5]
-
     if "drop_keylog" in anomalies:
         validity, reason, n_layers = PARTIAL, "no_keys", 2
-        boundaries.update(t_client_finished=None, t_http_get=None, t_http_200=None)
     elif "truncate" in anomalies:
         validity, reason, n_layers = PARTIAL, "truncated", 4
-        boundaries.update(t_http_200=None)
     elif "non200" in anomalies:
         validity, reason, n_layers = EXCLUDED, "non200", 0
     else:
         validity, reason, n_layers = VALID, None, 5
 
-    layers_ns = {
-        LAYERS[i]: layer_bounds[i + 1] - layer_bounds[i] for i in range(n_layers)
-    }
+    boundaries = dict(zip(BOUNDARIES, bounds))
+    if validity == PARTIAL:
+        # the walk stops after the boundary that closes its last measurable layer
+        boundaries.update(dict.fromkeys(BOUNDARIES[n_layers + 1 :]))
+    layers_ns = {LAYERS[i]: bounds[i + 1] - bounds[i] for i in range(n_layers)}
     return ConnectionTruth(
         index=index,
         client_random=client_random,
@@ -707,12 +652,12 @@ def _connection_truth(
         reason=reason,
         boundaries=boundaries,
         layers_ns=layers_ns,
-        e2e_ns=(t5 - t0) if validity == VALID else None,
+        e2e_ns=(bounds[-1] - bounds[0]) if validity == VALID else None,
         group=group.name,
         key_share_len=group.client_share_len,
         client_hello_len=ch_len,
         server_hello_len=sh_len,
-        cipher_suite=suite.name,
+        cipher_suite=conn.cipher_suite,
     )
 
 

@@ -344,6 +344,8 @@ MALFORMED_INPUTS = {
     "scenario-port-negative": ("synth", lambda doc: "server_port: -1\n" + SCENARIO_YAML),
     "scenario-time-past-pcap-seconds": ("synth", lambda doc: SCENARIO_YAML.replace("1018006000]", "5000000000000000000]")),
     "scenario-unknown-group": ("synth", lambda doc: SCENARIO_YAML.replace("group: x25519", "group: x448")),
+    "scenario-anomalies-mapping": ("synth", lambda doc: SCENARIO_YAML.replace("[drop_keylog]", "{retransmit: false}")),
+    "scenario-anomalies-string": ("synth", lambda doc: SCENARIO_YAML.replace("[drop_keylog]", "retransmit")),
     "document-array": ("compare", lambda doc: "[]"),
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),
