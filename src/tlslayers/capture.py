@@ -1,30 +1,37 @@
 """Packet capture ingest: classic pcap and pcapng readers.
 
-`read_frames` is the one reader.  It yields each frame as a span of the
-chunk or block it already read, `(timestamp_ns, link_type, buf, start, end,
-orig_len)`, with an integer-nanosecond timestamp whatever the file's
-resolution; `open_capture` copies spans out as `CapturedFrame`s.  Truncated
-trailing records are skipped with a warning rather than aborting: partial
-captures of long load tests are common.
+`read_frames` is the one reader.  It maps the file read-only once and
+yields each frame as a span of the map, `(timestamp_ns, link_type, buf,
+start, end, orig_len)`, with an integer-nanosecond timestamp whatever the
+file's resolution; `open_capture` copies spans out as `CapturedFrame`s.
+Truncated trailing records are skipped with a warning rather than aborting:
+partial captures of long load tests are common.
 
-Classic pcap is read in fixed chunks of `_CHUNK` bytes, each record header
-decoded in place with one precompiled `struct.Struct`.  A record that runs
-past the end of a chunk is completed with one read of its remainder, so
-memory is bounded by about two chunks plus the largest record, never by the
-file size.  A read never asks for more than the file has left: a length
-field that claims more is a truncated record, not an allocation of the
-claimed size.  pcapng is read one block at a time; each section has its own
+Both formats are walked by offset over the one buffer, and every length
+field is checked against the end of the file before it is trusted: a field
+that claims more than the file holds is a truncated record, not an
+allocation of the claimed size.  Classic pcap record headers are decoded in
+place with one precompiled `struct.Struct`; each pcapng section has its own
 byte order, read from the SHB's byte-order magic before any length in it is
 trusted.
+
+Resident memory is bounded by about `_CHUNK` plus one frame, not by the
+file size: every `_CHUNK` bytes of file walked, the mapped pages behind the
+current frame are released (`MADV_DONTNEED`, so POSIX only); a caller that
+still reads an earlier span faults its pages in again from the page cache.
+The map is closed when its last span is dropped.  The file is read as it
+was when opened: a capture that grows meanwhile is read up to its old end,
+and one that shrinks under the reader ends the process with SIGBUS.
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
 
@@ -48,7 +55,7 @@ _BYTE_ORDERS = {struct.pack("<I", PCAPNG_BYTE_ORDER_MAGIC): "<", struct.pack(">I
 _IDB = 0x00000001
 _EPB = 0x00000006
 
-# pcap read size; reading in chunks keeps peak memory independent of file size
+# release stride: the mapped pages behind the current frame are dropped every _CHUNK bytes walked
 _CHUNK = 1 << 20
 
 
@@ -61,7 +68,7 @@ class CapturedFrame(NamedTuple):
     orig_len: int  # length on the wire; > len(data) when snap-truncated
 
 
-def read_frames(path: str | Path) -> Iterator[tuple[int, int, bytes, int, int, int]]:
+def read_frames(path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
     """Yield each frame in file order as `(timestamp_ns, link_type, buf, start, end, orig_len)`, a span of `buf`.
 
     Raises UnreadableFile on I/O errors, UnknownMagic if the file is neither
@@ -69,24 +76,21 @@ def read_frames(path: str | Path) -> Iterator[tuple[int, int, bytes, int, int, i
     """
     path = Path(path)
     try:
-        fh = path.open("rb")
+        with path.open("rb") as fh:
+            # mmap refuses a zero-length map; an empty file is read as no bytes
+            size = os.fstat(fh.fileno()).st_size
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
-    with fh:
-        try:
-            head = fh.read(4)
-        except OSError as exc:
-            raise UnreadableFile(f"{path}: {exc}") from exc
-        if len(head) < 4:
-            raise UnknownMagic(f"{path}: file shorter than any capture header")
-        (magic,) = struct.unpack("<I", head)
-        if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS, PCAP_MAGIC_US_SWAPPED, PCAP_MAGIC_NS_SWAPPED):
-            yield from _read_pcap(fh, magic, str(path))
-        elif magic == PCAPNG_SHB_TYPE:
-            fh.seek(0)  # the pcapng reader starts at the first block's type field
-            yield from _read_pcapng(fh, str(path))
-        else:
-            raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
+    if len(buf) < 4:
+        raise UnknownMagic(f"{path}: file shorter than any capture header")
+    (magic,) = struct.unpack_from("<I", buf)
+    if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS, PCAP_MAGIC_US_SWAPPED, PCAP_MAGIC_NS_SWAPPED):
+        yield from _read_pcap(buf, magic, str(path))
+    elif magic == PCAPNG_SHB_TYPE:
+        yield from _read_pcapng(buf, str(path))
+    else:
+        raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
 
 
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
@@ -95,7 +99,16 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
 
 
-def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[tuple[int, int, bytes, int, int, int]]:
+def _release(buf: mmap.mmap, start: int, end: int) -> int:
+    """Drop the mapped pages from `start` to `end` rounded down to a page; return where the next release starts."""
+    end &= -mmap.PAGESIZE
+    if end > start:
+        buf.madvise(mmap.MADV_DONTNEED, start, end - start)
+        return end
+    return start
+
+
+def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
     if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
         endian = "<"
     else:
@@ -103,42 +116,33 @@ def _read_pcap(fh: BinaryIO, magic: int, name: str) -> Iterator[tuple[int, int, 
         magic = struct.unpack(">I", struct.pack("<I", magic))[0]
     frac_to_ns = 1000 if magic == PCAP_MAGIC_US else 1
 
-    rest = fh.read(20)
-    if len(rest) < 20:
+    n = len(buf)
+    if n < 24:
         raise MalformedHeader(f"{name}: pcap global header truncated")
-    _vmaj, _vmin, _tz, _sigfigs, _snaplen, network = struct.unpack(endian + "HHiIII", rest)
+    _vmaj, _vmin, _tz, _sigfigs, _snaplen, network = struct.unpack_from(endian + "HHiIII", buf, 4)
     if network not in SUPPORTED_LINK_TYPES:
         raise UnknownLinkType(f"{name}: link type {network} not supported")
 
     unpack_hdr = struct.Struct(endian + "IIII").unpack_from
-    tail = b""  # the start of a record header cut by the previous chunk's end
-    while True:
-        chunk = fh.read(min(_CHUNK, _left(fh)))
-        if not chunk:
-            if tail:
-                logger.warning("%s: truncated trailing record header, skipping", name)
+    stride = _CHUNK
+    off = 24
+    released = 0
+    while off < n:
+        if n - off < 16:
+            logger.warning("%s: truncated trailing record header, skipping", name)
             return
-        buf = tail + chunk if tail else chunk
-        n = len(buf)
-        off = 0
-        while n - off >= 16:
-            ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
-            start = off + 16
-            off = start + caplen
-            frame = buf
-            if off > n:
-                missing = off - n
-                more = fh.read(missing) if missing <= _left(fh) else b""
-                if len(more) < missing:
-                    logger.warning("%s: truncated trailing record body, skipping", name)
-                    return
-                frame, start = buf[start:] + more, 0  # the one frame copy: a record across the chunk edge
-                off = n
-            if not caplen:
-                logger.warning("%s: zero-length record, skipping", name)
-                continue
-            yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, frame, start, start + caplen, origlen
-        tail = buf[off:]
+        ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
+        start = off + 16
+        off = start + caplen
+        if off > n:
+            logger.warning("%s: truncated trailing record body, skipping", name)
+            return
+        if not caplen:
+            logger.warning("%s: zero-length record, skipping", name)
+            continue
+        if start - released >= stride:
+            released = _release(buf, released, start)
+        yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
 
 
 def _pcapng_ts_to_ns(ticks: int, resol_pow10: int | None, resol_pow2: int | None) -> int:
@@ -150,65 +154,61 @@ def _pcapng_ts_to_ns(ticks: int, resol_pow10: int | None, resol_pow2: int | None
     return ticks // 10 ** (n - 9)
 
 
-def _left(fh: BinaryIO) -> int:
-    """Bytes between the read position and the end of the (regular) file."""
-    return max(0, os.fstat(fh.fileno()).st_size - fh.tell())  # 0 if the file shrank under us
-
-
-def _read_pcapng(fh: BinaryIO, name: str) -> Iterator[tuple[int, int, bytes, int, int, int]]:
+def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
     # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
     interfaces: list[tuple[int, int | None, int | None]] = []  # (linktype, pow10, pow2)
-
-    while True:
-        head = fh.read(8)
-        if not head:
-            return
-        is_shb = head[:4] == _SHB_TYPE
-        if is_shb:
-            head += fh.read(4)  # the byte-order magic, which says how to read the length before it
-        if len(head) < (12 if is_shb else 8):
+    stride = _CHUNK
+    n = len(buf)
+    off = released = 0
+    while off < n:
+        is_shb = buf[off : off + 4] == _SHB_TYPE
+        # an SHB's byte-order magic says how to read the length before it
+        if n - off < (12 if is_shb else 8):
             logger.warning("%s: truncated block header, stopping", name)
             return
         if is_shb:
-            endian = _BYTE_ORDERS.get(head[8:])
+            endian = _BYTE_ORDERS.get(buf[off + 8 : off + 12])
             if endian is None:
                 raise UnknownMagic(f"{name}: bad pcapng byte-order magic")
             interfaces = []
-        block_type, total_len = struct.unpack_from(endian + "II", head)
+        block_type, total_len = struct.unpack_from(endian + "II", buf, off)
         if total_len < 12 or total_len % 4 != 0:
             logger.warning("%s: implausible block length %d, stopping", name, total_len)
             return
-        need = total_len - len(head)
-        rest = fh.read(need) if need <= _left(fh) else b""
-        if len(rest) < need:
+        body = off + 8
+        off += total_len
+        if off > n:
             logger.warning("%s: truncated block body, stopping", name)
             return
-        body_end = need - 4  # the trailing duplicate length follows the body
+        body_len = total_len - 12  # the trailing duplicate length follows the body
 
         if block_type == _IDB:
-            if body_end < 8:
+            if body_len < 8:
                 logger.warning("%s: short IDB, skipping", name)
                 continue
-            linktype, _resv, _snaplen = struct.unpack_from(endian + "HHI", rest)
+            linktype, _resv, _snaplen = struct.unpack_from(endian + "HHI", buf, body)
             if linktype not in SUPPORTED_LINK_TYPES:
                 raise UnknownLinkType(f"{name}: link type {linktype} not supported")
-            pow10, pow2 = _parse_tsresol(rest[8:body_end], endian, name)
+            pow10, pow2 = _parse_tsresol(buf[body + 8 : off - 4], endian, name)
             interfaces.append((linktype, pow10, pow2))
         elif block_type == _EPB:
-            if body_end < 20:
+            if body_len < 20:
                 logger.warning("%s: short EPB, skipping", name)
                 continue
-            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + "IIIII", rest)
+            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + "IIIII", buf, body)
             if iface_id >= len(interfaces):
                 raise MalformedHeader(f"{name}: EPB references undefined interface {iface_id}")
-            if 20 + caplen > body_end:
+            if 20 + caplen > body_len:
                 logger.warning("%s: EPB shorter than caplen, skipping", name)
                 continue
             if caplen == 0:
                 continue
+            if body - released >= stride:
+                released = _release(buf, released, body)
             linktype, pow10, pow2 = interfaces[iface_id]
-            yield _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2), linktype, rest, 20, 20 + caplen, origlen
+            ts_ns = _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2)
+            yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen
         # all other block types are skipped
 
 

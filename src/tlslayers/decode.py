@@ -1,10 +1,11 @@
 """Frame to TCP-segment decoding.
 
 `decode_at` is the one decode path; `decode_frame` adapts it to a
-`CapturedFrame`.  It reads a frame where it lies, `buf[start:end]`, with one
-precompiled `struct.Struct.unpack_from` per header, and checks every length
-field against the frame's end, never the buffer's, before trusting it.  The
-payload slice, the one copy, is `bytes`, so no packet keeps a buffer alive.
+`CapturedFrame`.  It reads a frame where it lies, `buf[start:end]` (a span
+of the capture's map), with one precompiled `struct.Struct.unpack_from` per
+header, and checks every length field against the frame's end, never the
+buffer's, before trusting it.  The payload slice, the one copy, is `bytes`,
+so no packet keeps the map alive.
 Fragments, IPv6 extension headers and non-TCP traffic decode to None; the
 payload excludes Ethernet trailer padding and is marked truncated when the
 snap length cut into it.

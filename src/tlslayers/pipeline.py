@@ -2,12 +2,12 @@
 
 A run is one process.  `analyze_capture` reads and hashes the key log,
 hashes the capture, then in one loop counts each frame `capture.read_frames`
-yields, decodes it where it lies (`decode.decode_at`) and appends the plain
-tuple to its flow's bucket; `analyze_packets` buckets decoded packets.  Both
-hand the buckets to one walk, `_analyze_flows`: each flow in turn is
-assembled, walked and dropped, so only one flow's streams are in memory at
-once.  Walk order is free: every connection is walked on its own.
-Timelines are reported in `TcpConnection.sort_key` order, which
+yields, decodes it where it lies in the capture's map (`decode.decode_at`)
+and appends the plain tuple to its flow's bucket; `analyze_packets` buckets
+decoded packets.  Both hand the buckets to one walk, `_analyze_flows`: each
+flow in turn is assembled, walked and dropped, so only one flow's streams
+are in memory at once.  Walk order is free: every connection is walked on
+its own.  Timelines are reported in `TcpConnection.sort_key` order, which
 `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection

@@ -125,12 +125,15 @@ def validate_spec(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"connection {i}: {exc}") from None
 
 
-def _anomaly_set(value) -> frozenset[str]:
-    if value is None:
-        return frozenset()
+def _listed(name: str, value) -> list:
+    """`value`, which must be a list: a string or mapping would be read as its characters or keys."""
     if not isinstance(value, list):
-        raise TypeError(f"anomalies: expected a list, not {type(value).__name__}")
-    return frozenset(value)
+        raise TypeError(f"{name}: expected a list, not {type(value).__name__}")
+    return value
+
+
+def _anomaly_set(value) -> frozenset[str]:
+    return frozenset() if value is None else frozenset(_listed("anomalies", value))
 
 
 # How a scenario file's optional fields convert; an absent field keeps the dataclass default.
@@ -172,7 +175,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
                 raise InvalidSpec(f"{path}: connection {i} lacks boundary_times_ns")
             conns.append(
                 ConnectionSpec(
-                    boundary_times=tuple(int(t) for t in merged["boundary_times_ns"]),
+                    boundary_times=tuple(int(t) for t in _listed("boundary_times_ns", merged["boundary_times_ns"])),
                     **_converted(merged, _CONNECTION_FIELDS),
                 )
             )
@@ -331,7 +334,6 @@ def _segment_stream(
     records: list[tuple[bytes, int]],
     forced_cuts: set[int],
     rng: Random,
-    no_random_cuts_from: int | None = None,
 ) -> list[tuple[int, bytes, int]]:
     """Cut a direction's record stream into (offset, payload, ts) segments.
 
@@ -357,8 +359,6 @@ def _segment_stream(
         if forced_ahead:
             pos = min(forced_ahead)
             continue
-        if no_random_cuts_from is not None and nxt > no_random_cuts_from and pos >= no_random_cuts_from:
-            break
         if nxt >= total:
             break
         cuts.add(nxt)
@@ -561,12 +561,7 @@ def _generate_connection(
         server_records.append((seal_sap.seal(CT_APPLICATION_DATA, chunk), t5 + i * 50_000))
 
     # segmentation: the forced cut at the Finished gives the client at least two segments
-    client_segs = _segment_stream(
-        client_records,
-        client_forced,
-        rng,
-        no_random_cuts_from=fin_rec_off if coalesce else None,
-    )
+    client_segs = _segment_stream(client_records, client_forced, rng)
     server_segs = _segment_stream(server_records, {resp_off}, rng)
 
     # the packet plan, in IP-id order: (from_client, seq, ack, flags, payload, ts)
@@ -617,8 +612,6 @@ def _generate_connection(
 
 
 def _chunk(data: bytes, rng: Random) -> list[bytes]:
-    if not data:
-        return [b""]
     chunks = []
     pos = 0
     while pos < len(data):

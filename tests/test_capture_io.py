@@ -3,6 +3,7 @@
 import logging
 import random
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -339,3 +340,233 @@ def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt
     assert [f.data for f in frames] == [b"good"]
     assert len(warnings) == 1 and warning in warnings[0]
     assert peak < 1 << 20
+
+
+# -- pcapng against a block-at-a-time reference ----------------------------------
+
+PCAPNG_WARNINGS = (
+    "truncated block header", "implausible block length", "truncated block body",
+    "short IDB", "short EPB", "EPB shorter than caplen",
+)
+_BYTE_ORDER_MAGIC = {"<": b"\x4d\x3c\x2b\x1a", ">": b"\x1a\x2b\x3c\x4d"}
+
+
+def _ng_block(endian, block_type, body, total=None):
+    """One pcapng block; `total` overrides the length fields."""
+    body += bytes(-len(body) % 4)
+    total = len(body) + 12 if total is None else total
+    return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
+
+
+def _reference_read_pcapng(raw):
+    """Block-at-a-time pcapng reader over the whole file: (frames, warnings, error class or None)."""
+    frames, warnings = [], []
+    endian, interfaces = "<", []  # (linktype, ticks per second)
+    off = 0
+    while off < len(raw):
+        head = raw[off : off + 12]
+        is_shb = head[:4] == b"\x0a\x0d\x0d\x0a"
+        if len(head) < (12 if is_shb else 8):
+            warnings.append("truncated block header")
+            break
+        if is_shb:
+            endian = {v: k for k, v in _BYTE_ORDER_MAGIC.items()}.get(head[8:12])
+            if endian is None:
+                return frames, warnings, UnknownMagic
+            interfaces = []
+        block_type, total = struct.unpack(endian + "II", head[:8])
+        if total < 12 or total % 4:
+            warnings.append("implausible block length")
+            break
+        block = raw[off : off + total]
+        if len(block) < total:
+            warnings.append("truncated block body")
+            break
+        off += total
+        body = block[8:-4]
+        if block_type == 1:
+            if len(body) < 8:
+                warnings.append("short IDB")
+                continue
+            (linktype,) = struct.unpack(endian + "H", body[:2])
+            if linktype not in (1, 101, 113):
+                return frames, warnings, UnknownLinkType
+            per_second = 10**6
+            options = body[8:]
+            while len(options) >= 4:
+                code, length = struct.unpack(endian + "HH", options[:4])
+                if code == 0:
+                    break
+                if 4 + length > len(options):
+                    return frames, warnings, MalformedHeader
+                if code == 9 and length == 1:
+                    per_second = 2 ** (options[4] & 0x7F) if options[4] & 0x80 else 10 ** options[4]
+                    break
+                options = options[4 + (length + 3) // 4 * 4 :]
+            interfaces.append((linktype, per_second))
+        elif block_type == 6:
+            if len(body) < 20:
+                warnings.append("short EPB")
+                continue
+            iface, ts_high, ts_low, caplen, orig_len = struct.unpack(endian + "IIIII", body[:20])
+            if iface >= len(interfaces):
+                return frames, warnings, MalformedHeader
+            if 20 + caplen > len(body):
+                warnings.append("EPB shorter than caplen")
+                continue
+            if caplen:
+                linktype, per_second = interfaces[iface]
+                ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
+                frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
+    return frames, warnings, None
+
+
+def _random_idb_options(rng, endian):
+    """IDB options: maybe an unrelated option, then an if_tsresol of each kind or none."""
+    options = b""
+    if rng.random() < 0.4:
+        name = rng.randbytes(rng.randint(0, 9))
+        options += struct.pack(endian + "HH", 2, len(name)) + name + bytes(-len(name) % 4)
+    resolution = rng.choice(("default", "pow10", "pow2"))
+    if resolution == "pow10":
+        options += struct.pack(endian + "HH", 9, 1) + bytes([rng.choice((0, 3, 6, 9, 10, 12, 15))]) + bytes(3)
+    elif resolution == "pow2":
+        options += struct.pack(endian + "HH", 9, 1) + bytes([0x80 | rng.choice((0, 10, 20, 30, 32, 40))]) + bytes(3)
+    if options and rng.random() < 0.5:
+        options += struct.pack(endian + "HH", 0, 0)
+    return options
+
+
+def _random_pcapng(rng):
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        endian = rng.choice("<>")
+        out.append(_ng_block(endian, 0x0A0D0D0A, _BYTE_ORDER_MAGIC[endian] + struct.pack(endian + "HHq", 1, 0, -1)))
+        interfaces = 0
+        for _ in range(rng.randint(1, 14)):
+            kind = rng.choices(
+                ("idb", "epb", "unknown", "short idb", "short epb",
+                 "undefined interface", "long caplen", "zero caplen"),
+                weights=(3, 10, 1, 1, 1, 0.3, 1, 1),
+            )[0]
+            if kind == "idb" or (kind == "epb" and not interfaces):
+                linktype = rng.choice((1, 1, 101, 113))
+                idb = struct.pack(endian + "HHI", linktype, 0, 65535) + _random_idb_options(rng, endian)
+                out.append(_ng_block(endian, 1, idb))
+                interfaces += 1
+                continue
+            iface = interfaces + rng.randrange(3) if kind == "undefined interface" else rng.randrange(interfaces or 1)
+            data = rng.randbytes(0 if kind == "zero caplen" else rng.randint(1, 3000))
+            ticks = rng.randrange(2**64)
+            caplen = len(data) + rng.randint(4, 40) if kind == "long caplen" else len(data)
+            orig_len = len(data) + rng.choice((0, 9))
+            body = struct.pack(endian + "IIIII", iface, ticks >> 32, ticks & 0xFFFFFFFF, caplen, orig_len) + data
+            if kind == "unknown":
+                out.append(_ng_block(endian, rng.choice((2, 3, 5, 0x0BAD)), rng.randbytes(rng.randint(0, 40))))
+            elif kind == "short idb":
+                out.append(_ng_block(endian, 1, rng.randbytes(4)))
+            elif kind == "short epb":
+                out.append(_ng_block(endian, 6, body[: rng.choice((0, 4, 16))]))
+            else:
+                out.append(_ng_block(endian, 6, body))
+    ending = rng.choice(("clean", "cut header", "cut shb header", "cut body", "implausible length"))
+    if ending == "cut header":
+        out.append(_ng_block(endian, 6, bytes(24))[: rng.randint(1, 7)])
+    elif ending == "cut shb header":
+        out.append(_ng_block(endian, 0x0A0D0D0A, _BYTE_ORDER_MAGIC[endian] + bytes(12))[: rng.randint(4, 11)])
+    elif ending == "cut body":
+        out.append(_ng_block(endian, 6, bytes(24))[: rng.randint(8, 39)])
+    elif ending == "implausible length":
+        out.append(_ng_block(endian, 6, bytes(24), total=rng.choice((0, 8, 11, 13, 42))))
+    return b"".join(out)
+
+
+def _read_spans_until_error(path):
+    """Every span `read_frames` yields, copied out only after the walk ends, and the error class it raised."""
+    spans, error = [], None
+    try:
+        for span in capture.read_frames(path):
+            spans.append(span)
+    except (UnknownMagic, UnknownLinkType, MalformedHeader) as exc:
+        error = type(exc)
+    return [CapturedFrame(ts, link, buf[start:end], orig) for ts, link, buf, start, end, orig in spans], error
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch, seed):
+    # A tiny release stride drops pages behind every frame; the spans copied
+    # out after the walk must still hold the frames' bytes.
+    monkeypatch.setattr(capture, "_CHUNK", 1)
+    rng = random.Random(seed)
+    path = tmp_path / "random.pcapng"
+    kinds = set()
+    for _ in range(40):
+        raw = _random_pcapng(rng)
+        path.write_bytes(raw)
+        expected = _reference_read_pcapng(raw)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
+            frames, error = _read_spans_until_error(path)
+        warnings = [w for r in caplog.records for w in PCAPNG_WARNINGS if w in r.getMessage()]
+        assert (frames, warnings, error) == expected
+        kinds.update(expected[1])
+        kinds.add(expected[2])
+    assert {"truncated block header", "truncated block body", "short EPB", "EPB shorter than caplen"} <= kinds
+
+
+def _pcapng_idb(linktype, options=b""):
+    return _ng_block("<", 0x0A0D0D0A, _BYTE_ORDER_MAGIC["<"] + struct.pack("<HHq", 1, 0, -1)) + _ng_block(
+        "<", 1, struct.pack("<HHI", linktype, 0, 65535) + options
+    )
+
+
+@pytest.mark.parametrize(
+    "raw,error,message",
+    [
+        (b"", UnknownMagic, "shorter than any capture header"),
+        (b"\xd4\xc3\xb2", UnknownMagic, "shorter than any capture header"),
+        (b"\xde\xad\xbe\xef" + bytes(60), UnknownMagic, "neither pcap nor pcapng"),
+        (_ng_block("<", 0x0A0D0D0A, b"\xde\xad\xbe\xef" + bytes(12)), UnknownMagic, "bad pcapng byte-order magic"),
+        (struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 105), UnknownLinkType, "link type 105"),
+        (_pcapng_idb(105), UnknownLinkType, "link type 105"),
+        (struct.pack("<IHHi", 0xA1B2C3D4, 2, 4, 0), MalformedHeader, "pcap global header truncated"),
+        (
+            _pcapng_idb(1) + _ng_block("<", 6, struct.pack("<IIIII", 1, 0, 0, 4, 4) + b"data"),
+            MalformedHeader,
+            "undefined interface 1",
+        ),
+        (_pcapng_idb(1, struct.pack("<HH", 2, 9) + b"eth0"), MalformedHeader, "IDB option 2 runs past its block"),
+    ],
+    ids=[
+        "empty", "three bytes", "bad magic", "bad byte-order magic", "pcap link type", "pcapng link type",
+        "pcap header cut", "undefined interface", "option past block",
+    ],
+)
+def test_reader_errors_name_the_file(tmp_path, raw, error, message):
+    path = tmp_path / "bad.cap"
+    path.write_bytes(raw)
+    with pytest.raises(error, match=f"^{path}: .*{message}"):
+        list(capture.read_frames(path))
+
+
+# -- resident memory ---------------------------------------------------------------
+
+def _rss_file_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from Linux /proc")
+def test_reading_a_large_capture_keeps_resident_memory_flat(tmp_path):
+    # 24 MiB of filler records: without the page release every mapped page
+    # read stays resident and RssFile grows by the file size.
+    filler = bytes(range(256)) * 6
+    path = tmp_path / "large.pcap"
+    records = [(i, 0, filler, len(filler)) for i in range(24 * 1024 * 1024 // len(filler))]
+    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, records))
+    samples = []
+    for i, _span in enumerate(capture.read_frames(path)):
+        if i % 256 == 0:
+            samples.append(_rss_file_kib())
+    assert len(samples) > 60
+    assert max(samples) - samples[0] < 8 * 1024

@@ -335,6 +335,7 @@ def _string_statistic(doc):
     return json.dumps(doc)
 
 
+FIRST_BOUNDARIES = "[0, 360000, 654000, 6201000, 6727000, 15798000]"
 MALFORMED_INPUTS = {
     "scenario-yaml-syntax": ("synth", lambda doc: "connections: [\n  - boundary_times_ns: [0, 1\n"),
     "scenario-field-type": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: lots")),
@@ -346,6 +347,8 @@ MALFORMED_INPUTS = {
     "scenario-unknown-group": ("synth", lambda doc: SCENARIO_YAML.replace("group: x25519", "group: x448")),
     "scenario-anomalies-mapping": ("synth", lambda doc: SCENARIO_YAML.replace("[drop_keylog]", "{retransmit: false}")),
     "scenario-anomalies-string": ("synth", lambda doc: SCENARIO_YAML.replace("[drop_keylog]", "retransmit")),
+    "scenario-boundaries-mapping": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "{0: a, 1: b, 2: c, 3: d, 4: e, 5: f}")),
+    "scenario-boundaries-string": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, '"012345"')),
     "document-array": ("compare", lambda doc: "[]"),
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),

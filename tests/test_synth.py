@@ -319,6 +319,10 @@ def test_scenario_file_loading(tmp_path):
         path.write_text("connections:\n  - boundary_times_ns: [0, 1, 2, 3, 4, 5]\n    anomalies: " + value + "\n")
         with pytest.raises(InvalidSpec, match="anomalies: expected a list"):
             synth.load_scenario(path)
+    for value in ('"012345"', "{0: a, 1: b, 2: c, 3: d, 4: e, 5: f}"):
+        path.write_text("connections:\n  - boundary_times_ns: " + value + "\n")
+        with pytest.raises(InvalidSpec, match="connection 0: boundary_times_ns: expected a list"):
+            synth.load_scenario(path)
 
 
 def test_documented_scenario_example_analyses_to_its_ground_truth(tmp_path):
