@@ -1,13 +1,18 @@
 """Document building, canonical serialization, rendering, comparison."""
 
 import csv
+import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
 from tlslayers import documents
 from tlslayers.documents import IncompatibleDocuments
+from tlslayers.pipeline import analyze_capture
+from tlslayers.stats import PERCENTILE_FIELDS
+from tlslayers.tlswire import GROUPS_BY_ID, SUITES_BY_NAME
 
 from conftest import run_scenario
 from reference_runs import analysis_document_for
@@ -120,3 +125,66 @@ def test_documents_validate_against_published_schemas(sample_doc):
     comp = documents.build_comparison_document(sample_doc, sample_doc)
     comparison_schema = json.loads((schema_dir / "comparison.v1.schema.json").read_text())
     jsonschema.validate(comp, comparison_schema)
+
+
+def _pinned_connection(i: int, group: str, suite: str, anomalies=(), kex_ns: int = 0) -> synth.ConnectionSpec:
+    # odd nanosecond steps that differ per connection, so every statistic has digits
+    # past the document's rounding and every layer a nonzero sd; `kex_ns` slows the
+    # two layers a larger key exchange costs
+    steps = (350_000 + 13_001 * i, 290_000 + 7_919 * i + kex_ns, 5_500_000 + 104_729 * i + 3 * kex_ns,
+             520_000 + 3_571 * i, 9_000_000 + 86_243 * i)
+    times = list(itertools.accumulate(steps, initial=i * 40_000_000 + 123 * i))
+    return synth.ConnectionSpec(
+        boundary_times=tuple(times), group=group, cipher_suite=suite,
+        response_body_bytes=(i * 977) % 6000, segmentation_seed=i, anomalies=frozenset(anomalies),
+    )
+
+
+def _pinned_runs():
+    """(name, capture format, spec): every group, suite and anomaly, and all three capture formats."""
+    groups = sorted(g.name for g in GROUPS_BY_ID.values())
+    suites = sorted(SUITES_BY_NAME)
+    classical = [_pinned_connection(i, "x25519", suites[i % 3]) for i in range(4)]
+    post_quantum = [
+        _pinned_connection(i, g, suites[i % 3], kex_ns=400_000 + 61_333 * i)
+        for i, g in enumerate(g for g in groups if g != "x25519")
+    ]
+    anomalous = [
+        _pinned_connection(i, groups[i % len(groups)], suites[i % 3], [a] if a else [])
+        for i, a in enumerate([None, *sorted(synth.ANOMALIES)])
+    ]
+    return (
+        ("classical", "pcap-us", classical),
+        ("post-quantum", "pcapng", post_quantum),
+        ("anomalies", "pcap-ns", anomalous),
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_document_bytes_are_pinned(tmp_path):
+    # a change that moves a byte of any rendering must update these hashes and say why
+    docs = {}
+    for name, fmt, conns in _pinned_runs():
+        paths = synth.write_outputs(synth.ScenarioSpec(connections=tuple(conns)), tmp_path / name, fmt)
+        docs[name] = documents.build_analysis_document(analyze_capture(paths["capture"], paths["keylog"], name))
+    comparison = documents.build_comparison_document(
+        docs["classical"], docs["post-quantum"], percentiles=PERCENTILE_FIELDS
+    )
+    got = {name: _sha256(documents.render_json(doc)) for name, doc in docs.items()}
+    got["anomalies.csv"] = _sha256(documents.render_csv(docs["anomalies"]))
+    got["anomalies.table"] = _sha256(documents.render_table(docs["anomalies"]))
+    for fmt in ("json", "csv", "table"):
+        got[f"comparison.{fmt}"] = _sha256(documents.render(comparison, fmt))
+    assert got == {
+        "classical": "ba9ba26a5ad6333cc8ef4f6e089f93cead1aa2dd28ac1b4ffea7e9bb0b55d020",
+        "post-quantum": "3029e6e3d5d95ecd65ff3190be80b4cf9adb3e90ec12ca9ea00a88b46b5cb019",
+        "anomalies": "7d52f3ba875618444d2a7682b692888f3c4d543f1aa3f98bea88b1dc5b959a5d",
+        "anomalies.csv": "180b2a634243ef1143b531f0e9017a44a08d3c842ba7fd9c62efc502e47dc624",
+        "anomalies.table": "88a1c3bcdd3f2493691e892a2895b23fd9bdef48577733a30ff3b1d55eca4ecf",
+        "comparison.json": "c85688b3ad473d28d8e2f73932a55c18e1f5dc5cddfe9c0fb14e3528456d664e",
+        "comparison.csv": "7253ace98132786dc8e1b6294cba41dd456ee31a231bd9938cabfc77c3b207b1",
+        "comparison.table": "1c69f883091e5a039e4ace2d11fc4617cc8ba8251fbbe8098528fe75a50cceab",
+    }
