@@ -42,12 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the analysis document (canonical JSON) here")
     p.add_argument("--workers", type=int, default=1, help="deprecated; ignored (analysis runs in one process)")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table", help="console output format")
-    p.add_argument(
-        "--cos-denominator",
-        choices=documents.COS_MODES,
-        default=documents.COS_MODE_LAYERSUM,
-        help="denominator mode recorded for downstream comparisons",
-    )
 
     p = sub.add_parser("compare", help="compare two analysis documents")
     p.add_argument("--baseline", required=True, help="baseline analysis document (JSON)")
@@ -75,7 +69,7 @@ def _cmd_analyze(args) -> int:
     usable = sum(s.count for s in result.layer_stats.values())
     if usable == 0:
         raise NoUsableStreams(f"{args.pcap}: no connection produced a measurable layer")
-    doc = documents.build_analysis_document(result, cos_denominator_mode=args.cos_denominator)
+    doc = documents.build_analysis_document(result)
     if args.out:
         Path(args.out).write_text(documents.render_json(doc))
     sys.stdout.write(documents.render(doc, args.format))
@@ -101,11 +95,13 @@ def _cmd_compare(args) -> int:
             cos_denominator_mode=args.cos_denominator,
             delta_basis=args.delta_basis,
         )
+        text = documents.render_json(doc)  # a metric that overflowed to infinity is not JSON
+        console = documents.render(doc, args.format)
     except ValueError as exc:
         raise UnreadableFile(str(exc)) from exc
     if args.out:
-        Path(args.out).write_text(documents.render_json(doc))
-    sys.stdout.write(documents.render(doc, args.format))
+        Path(args.out).write_text(text)
+    sys.stdout.write(console)
     return EXIT_OK
 
 

@@ -4,12 +4,15 @@ Documents are plain dicts with a fixed schema (see docs/schema/).  Written
 JSON is canonical: sorted keys, and all floats quantized at build time
 (milliseconds to 3 decimals, overhead factors and effect sizes to 2,
 percentages to 1) so that rendering is byte-deterministic and round-trips
-losslessly.
+losslessly.  Canonical JSON never holds `NaN` or `Infinity`: `parse_document`
+rejects a non-finite statistic, and `render_json` raises ValueError on a
+non-finite value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from io import StringIO
 from typing import TYPE_CHECKING
 
@@ -22,7 +25,7 @@ from tlslayers.metrics import (
     overhead_factor,
     relative_e2e_overhead,
 )
-from tlslayers.stats import PERCENTILE_FIELDS
+from tlslayers.stats import PERCENTILE_FIELDS, STAT_FIELDS
 from tlslayers.timeline import LAYERS
 
 if TYPE_CHECKING:
@@ -36,8 +39,6 @@ COS_MODE_E2E = "e2e"  # the candidate's measured per-connection e2e percentile
 COS_MODES = (COS_MODE_LAYERSUM, COS_MODE_E2E)
 
 DELTA_BASES = ("p50", "mean")
-
-STAT_FIELDS = ("count", "mean", "p50", "p90", "p95", "p99", "min", "max", "sd")
 
 
 class IncompatibleDocuments(TlsLayersError):
@@ -53,15 +54,13 @@ def _stats_block(stats) -> dict:
     return {k: (v if k == "count" else _round_ms(v)) for k, v in block.items()}
 
 
-def build_analysis_document(result: RunResult, cos_denominator_mode: str = COS_MODE_LAYERSUM) -> dict:
-    if cos_denominator_mode not in COS_MODES:
-        raise ValueError(f"unknown COS denominator mode {cos_denominator_mode!r}")
-    doc = {
+def build_analysis_document(result: RunResult) -> dict:
+    return {
         "schema": ANALYSIS_SCHEMA,
         "tool_version": __version__,
         "label": result.label,
         "decrypted": result.decrypted,
-        "cos_denominator_mode": cos_denominator_mode,
+        "cos_denominator_mode": COS_MODE_LAYERSUM,  # compare --cos-denominator picks the mode it uses
         "inputs": {
             "pcap_sha256": result.inputs.get("pcap_sha256"),
             "keylog_sha256": result.inputs.get("keylog_sha256"),
@@ -73,15 +72,6 @@ def build_analysis_document(result: RunResult, cos_denominator_mode: str = COS_M
         "e2e": _stats_block(result.e2e_stats) if result.e2e_stats else None,
         "ttlb": _stats_block(result.ttlb_stats) if result.ttlb_stats else None,
     }
-    _check_analysis(doc)
-    return doc
-
-
-def _check_analysis(doc: dict) -> None:
-    counts = doc["counts"]
-    total = counts["valid"] + sum(counts["partial"].values()) + sum(counts["excluded"].values())
-    if total != counts["total_streams"]:
-        raise AssertionError("analysis counts do not sum to total_streams")
 
 
 def comparison_metrics(
@@ -146,6 +136,8 @@ def _require_comparable(baseline: dict, candidate: dict, percentiles) -> None:
     bad = [p for p in percentiles if p not in PERCENTILE_FIELDS]
     if bad:
         raise ValueError(f"unsupported percentiles: {bad}")
+    if not percentiles or len(set(percentiles)) != len(percentiles):
+        raise ValueError(f"need one or more distinct percentiles, got {list(percentiles)}")
 
 
 def build_comparison_document(
@@ -194,7 +186,7 @@ def build_comparison_document(
 # -- serialization -------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_document(text: str) -> dict:
@@ -202,7 +194,7 @@ def parse_document(text: str) -> dict:
 
     An analysis document needs a string label, and each of its layer blocks,
     and its `e2e` and `ttlb` blocks unless null, must map every one of
-    `STAT_FIELDS` to a number.
+    `STAT_FIELDS` to a finite number.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -216,12 +208,20 @@ def parse_document(text: str) -> dict:
         blocks = {**layers, **{k: doc[k] for k in ("e2e", "ttlb") if doc.get(k) is not None}}
         for name, block in blocks.items():
             if not (isinstance(block, dict) and all(_is_number(block.get(k)) for k in STAT_FIELDS)):
-                raise ValueError(f"{name} block does not map {', '.join(STAT_FIELDS)} to numbers")
+                raise ValueError(f"{name} block does not map {', '.join(STAT_FIELDS)} to finite numbers")
     return doc
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _stat_blocks(doc: dict) -> list[tuple[str, dict]]:
+    """An analysis document's statistics blocks as CSV and table list them: layers in order, then e2e."""
+    blocks = [(layer, doc["layers"][layer]) for layer in LAYERS if layer in doc["layers"]]
+    if doc.get("e2e"):
+        blocks.append(("e2e", doc["e2e"]))
+    return blocks
 
 
 def render_csv(doc: dict) -> str:
@@ -231,10 +231,7 @@ def render_csv(doc: dict) -> str:
     w = csv.writer(buf, lineterminator="\n")
     if doc["schema"] == ANALYSIS_SCHEMA:
         w.writerow(["layer", "statistic", "value"])
-        blocks = [(layer, doc["layers"][layer]) for layer in LAYERS if layer in doc["layers"]]
-        if doc.get("e2e"):
-            blocks.append(("e2e", doc["e2e"]))
-        for name, block in blocks:
+        for name, block in _stat_blocks(doc):
             for stat in STAT_FIELDS:
                 w.writerow([name, stat, block[stat]])
     else:
@@ -279,16 +276,10 @@ def render_table(doc: dict) -> str:
 
 
 def _render_analysis_table(doc: dict) -> str:
-    header = ["layer", "count", "mean", "p50", "p90", "p95", "p99", "min", "max", "sd"]
-    rows = [header]
-    blocks = [(layer, doc["layers"][layer]) for layer in LAYERS if layer in doc["layers"]]
-    if doc.get("e2e"):
-        blocks.append(("e2e", doc["e2e"]))
-    for name, block in blocks:
-        rows.append(
-            [_LAYER_TITLES.get(name, name), str(block["count"])]
-            + [f"{block[k]:.3f}" for k in ("mean", "p50", "p90", "p95", "p99", "min", "max", "sd")]
-        )
+    rows = [["layer", *STAT_FIELDS]]
+    for name, block in _stat_blocks(doc):
+        cells = [str(block[k]) if k == "count" else f"{block[k]:.3f}" for k in STAT_FIELDS]
+        rows.append([_LAYER_TITLES[name], *cells])
     counts = doc["counts"]
     tail = (
         f"\nrun: {doc['label']}  streams: {counts['total_streams']}  valid: {counts['valid']}"

@@ -8,7 +8,7 @@ of the order in which samples arrive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Sequence
 
 from tlslayers.errors import EmptySamples
@@ -71,17 +71,10 @@ class LayerStatistics:
     sd: float
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p95": self.p95,
-            "p99": self.p99,
-            "min": self.min,
-            "max": self.max,
-            "sd": self.sd,
-        }
+        return asdict(self)
+
+
+STAT_FIELDS = tuple(f.name for f in fields(LayerStatistics))
 
 
 def summarize(samples: Iterable[float]) -> LayerStatistics:

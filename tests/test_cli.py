@@ -15,6 +15,8 @@ from tlslayers.decode import decode_frame
 from tlslayers.documents import parse_document
 from tlslayers.timeline import LAYERS
 
+from reference_runs import analysis_document_for
+
 
 SCENARIO_YAML = """\
 defaults:
@@ -293,13 +295,41 @@ def test_compare_cos_denominator_e2e_divides_by_the_candidate_e2e(run_pair, tmp_
     assert round(by_hand, 1) != round(layer_sum, 1)  # the two denominators differ on these runs
 
 
-def test_compare_unknown_percentile_exits_2(run_pair, capsys):
+@pytest.mark.parametrize("percentiles, named", [("p42", "p42"), ("", "[]"), ("p50,p50", "['p50', 'p50']")])
+def test_compare_unknown_percentile_exits_2(run_pair, capsys, percentiles, named):
     baseline, candidate = run_pair
     capsys.readouterr()
-    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate), "--percentiles", "p42"])
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate), "--percentiles", percentiles])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "p42" in err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fmt):
+    # finite statistics whose overhead factor overflows to infinity, which JSON cannot hold
+    baseline = analysis_document_for("x25519")
+    candidate = json.loads(json.dumps(baseline))
+    candidate["layers"]["tcp_to_tls"]["p50"] = 1e308
+    paths = []
+    for name, doc in (("baseline", baseline), ("candidate", candidate)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out = tmp_path / "comparison.json"
+    code = main(["compare", "--baseline", str(paths[0]), "--candidate", str(paths[1]),
+                 "--out", str(out), "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
+def test_analyze_rejects_cos_denominator(fixture_dir, capsys):
+    # only compare chooses the COS denominator; analysis documents always record layersum
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--pcap", str(fixture_dir / "capture.pcap"), "--cos-denominator", "e2e"])
+    assert exc.value.code == 2
+    assert "--cos-denominator" in capsys.readouterr().err
 
 
 def test_compare_incompatible_exits_5(fixture_dir, tmp_path, capsys):
@@ -335,6 +365,14 @@ def _string_statistic(doc):
     return json.dumps(doc)
 
 
+def _tcp_to_tls_p50(token):
+    """A document whose tcp_to_tls p50 is the JSON token `token` (Python's json reads NaN and Infinity)."""
+    def make(doc):
+        doc["layers"]["tcp_to_tls"]["p50"] = "TOKEN"
+        return json.dumps(doc).replace('"TOKEN"', token)
+    return make
+
+
 FIRST_BOUNDARIES = "[0, 360000, 654000, 6201000, 6727000, 15798000]"
 MALFORMED_INPUTS = {
     "scenario-yaml-syntax": ("synth", lambda doc: "connections: [\n  - boundary_times_ns: [0, 1\n"),
@@ -353,6 +391,9 @@ MALFORMED_INPUTS = {
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),
     "document-without-label": ("compare", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "label"})),
+    "document-nan-statistic": ("compare", _tcp_to_tls_p50("NaN")),
+    "document-infinite-statistic": ("compare", _tcp_to_tls_p50("Infinity")),
+    "document-statistic-overflows-to-infinity": ("compare", _tcp_to_tls_p50("1e999")),
 }
 
 

@@ -109,9 +109,10 @@ def test_incompatible_documents_rejected(sample_doc):
         documents.build_comparison_document({"schema": "bogus"}, sample_doc)
 
 
-def test_unknown_percentile_rejected(sample_doc):
+@pytest.mark.parametrize("percentiles", [("p42",), (), ("p50", "p50")], ids=["unknown", "empty", "repeated"])
+def test_unknown_percentile_rejected(sample_doc, percentiles):
     with pytest.raises(ValueError):
-        documents.build_comparison_document(sample_doc, sample_doc, percentiles=("p42",))
+        documents.build_comparison_document(sample_doc, sample_doc, percentiles=percentiles)
 
 
 def test_documents_validate_against_published_schemas(sample_doc):
