@@ -295,7 +295,9 @@ def test_compare_cos_denominator_e2e_divides_by_the_candidate_e2e(run_pair, tmp_
     assert round(by_hand, 1) != round(layer_sum, 1)  # the two denominators differ on these runs
 
 
-@pytest.mark.parametrize("percentiles, named", [("p42", "p42"), ("", "[]"), ("p50,p50", "['p50', 'p50']")])
+@pytest.mark.parametrize(
+    "percentiles, named", [("p42", "p42"), ("", "[]"), ("p50,p50", "['p50', 'p50']")], ids=["unknown", "empty", "repeated"]
+)
 def test_compare_unknown_percentile_exits_2(run_pair, capsys, percentiles, named):
     baseline, candidate = run_pair
     capsys.readouterr()
@@ -308,15 +310,12 @@ def test_compare_unknown_percentile_exits_2(run_pair, capsys, percentiles, named
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fmt):
     # finite statistics whose overhead factor overflows to infinity, which JSON cannot hold
-    baseline = analysis_document_for("x25519")
-    candidate = json.loads(json.dumps(baseline))
-    candidate["layers"]["tcp_to_tls"]["p50"] = 1e308
-    paths = []
-    for name, doc in (("baseline", baseline), ("candidate", candidate)):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps(doc))
-    out = tmp_path / "comparison.json"
-    code = main(["compare", "--baseline", str(paths[0]), "--candidate", str(paths[1]),
+    baseline, candidate, out = (tmp_path / f"{name}.json" for name in ("baseline", "candidate", "comparison"))
+    doc = analysis_document_for("x25519")
+    baseline.write_text(json.dumps(doc))
+    doc["layers"]["tcp_to_tls"]["p50"] = 1e308
+    candidate.write_text(json.dumps(doc))
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate),
                  "--out", str(out), "--format", fmt])
     assert code == 2
     captured = capsys.readouterr()
