@@ -17,11 +17,15 @@ trusted.
 
 Resident memory is bounded by about `_CHUNK` plus one frame, not by the
 file size: every `_CHUNK` bytes of file walked, the mapped pages behind the
-current frame are released (`MADV_DONTNEED`, so POSIX only); a caller that
-still reads an earlier span faults its pages in again from the page cache.
-The map is closed when its last span is dropped.  The file is read as it
-was when opened: a capture that grows meanwhile is read up to its old end,
-and one that shrinks under the reader ends the process with SIGBUS.
+current frame are released (`release_pages`: `MADV_DONTNEED`, so POSIX
+only); a caller that still reads an earlier span faults its pages in again
+from the page cache.  The pipeline does: its flow buckets hold spans of the
+map, not copies, so the map stays open until the last flow is walked, and
+the walk releases pages behind itself by the same rule.  The map is closed
+when its last span is dropped.  The file is read as it was when opened: a
+capture that grows meanwhile is read up to its old end, and one that
+shrinks before its last span is read, at any point until the walk ends,
+ends the process with SIGBUS.
 """
 
 from __future__ import annotations
@@ -69,10 +73,11 @@ class CapturedFrame(NamedTuple):
 
 
 def read_frames(path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
-    """Yield each frame in file order as `(timestamp_ns, link_type, buf, start, end, orig_len)`, a span of `buf`.
+    """Each frame in file order as `(timestamp_ns, link_type, buf, start, end, orig_len)`, a span of `buf`.
 
-    Raises UnreadableFile on I/O errors, UnknownMagic if the file is neither
-    format, UnknownLinkType for unsupported interfaces.
+    Raises UnreadableFile on I/O errors and UnknownMagic if the file is neither
+    format, both when called; UnknownLinkType for unsupported interfaces, as
+    the walk reaches them.
     """
     path = Path(path)
     try:
@@ -86,11 +91,10 @@ def read_frames(path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, in
         raise UnknownMagic(f"{path}: file shorter than any capture header")
     (magic,) = struct.unpack_from("<I", buf)
     if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS, PCAP_MAGIC_US_SWAPPED, PCAP_MAGIC_NS_SWAPPED):
-        yield from _read_pcap(buf, magic, str(path))
-    elif magic == PCAPNG_SHB_TYPE:
-        yield from _read_pcapng(buf, str(path))
-    else:
-        raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
+        return _read_pcap(buf, magic, str(path))
+    if magic == PCAPNG_SHB_TYPE:
+        return _read_pcapng(buf, str(path))
+    raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
 
 
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
@@ -99,7 +103,7 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
 
 
-def _release(buf: mmap.mmap, start: int, end: int) -> int:
+def release_pages(buf: mmap.mmap, start: int, end: int) -> int:
     """Drop the mapped pages from `start` to `end` rounded down to a page; return where the next release starts."""
     end &= -mmap.PAGESIZE
     if end > start:
@@ -141,7 +145,7 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
             logger.warning("%s: zero-length record, skipping", name)
             continue
         if start - released >= stride:
-            released = _release(buf, released, start)
+            released = release_pages(buf, released, start)
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
 
 
@@ -205,7 +209,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if caplen == 0:
                 continue
             if body - released >= stride:
-                released = _release(buf, released, body)
+                released = release_pages(buf, released, body)
             linktype, pow10, pow2 = interfaces[iface_id]
             ts_ns = _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2)
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen

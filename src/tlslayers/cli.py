@@ -95,10 +95,13 @@ def _cmd_compare(args) -> int:
             cos_denominator_mode=args.cos_denominator,
             delta_basis=args.delta_basis,
         )
-        text = documents.render_json(doc)  # a metric that overflowed to infinity is not JSON
-        console = documents.render(doc, args.format)
     except ValueError as exc:
         raise UnreadableFile(str(exc)) from exc
+    try:
+        text = documents.render_json(doc)  # a metric that overflowed to infinity is not JSON
+    except ValueError as exc:
+        raise UnreadableFile(f"comparing {args.baseline} with {args.candidate}: {exc}") from exc
+    console = documents.render(doc, args.format)
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(console)

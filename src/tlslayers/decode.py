@@ -4,8 +4,11 @@
 `CapturedFrame`.  It reads a frame where it lies, `buf[start:end]` (a span
 of the capture's map), with one precompiled `struct.Struct.unpack_from` per
 header, and checks every length field against the frame's end, never the
-buffer's, before trusting it.  The payload slice, the one copy, is `bytes`,
-so no packet keeps the map alive.
+buffer's, before trusting it.  It copies nothing: the payload is returned
+as its span of `buf`, so whoever keeps that span keeps the capture's map
+alive, and a capture that shrinks on disk before the span is read ends the
+process with SIGBUS (see `capture`).  `decode_frame` slices the payload
+out as `bytes`.
 Fragments, IPv6 extension headers and non-TCP traffic decode to None; the
 payload excludes Ethernet trailer padding and is marked truncated when the
 snap length cut into it.
@@ -41,7 +44,10 @@ class TcpFlags(enum.IntFlag):
 
 
 class DecodedPacket(NamedTuple):
-    """One TCP segment, in the field order of `decode_at`'s plain tuple; IPs are raw 4- or 16-byte values."""
+    """One TCP segment; IPs are raw 4- or 16-byte values.
+
+    The fields are `decode_at`'s, but for the payload: `bytes` here, a span of the buffer there.
+    """
 
     timestamp_ns: int
     src_ip: bytes
@@ -57,11 +63,17 @@ class DecodedPacket(NamedTuple):
 def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
     """`decode_at` over one whole frame, as a `DecodedPacket`."""
     fields = decode_at(frame.timestamp_ns, frame.link_type, frame.data, 0, len(frame.data), frame.orig_len)
-    return None if fields is None else DecodedPacket._make(fields)
+    if fields is None:
+        return None
+    *head, start, end, truncated = fields
+    return DecodedPacket(*head, frame.data[start:end], truncated)
 
 
 def decode_at(timestamp_ns: int, link_type: int, buf: bytes, start: int, end: int, orig_len: int) -> tuple | None:
-    """The frame `buf[start:end]` as `DecodedPacket`'s fields in a plain tuple; None for non-TCP traffic.
+    """The frame `buf[start:end]` as a plain tuple; None for non-TCP traffic.
+
+    The tuple is `(timestamp_ns, src_ip, dst_ip, src_port, dst_port, tcp_flags, seq,
+    payload_start, payload_end, truncated)`: the payload is `buf[payload_start:payload_end]`.
 
     Raises MalformedHeader when length fields are inconsistent with the frame size.
     """
@@ -132,4 +144,4 @@ def decode_at(timestamp_ns: int, link_type: int, buf: bytes, start: int, end: in
         truncated = True  # the snap length cut into the payload
     else:
         truncated = orig_len > end - start
-    return timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags & 0x1F, seq, buf[payload_start:ip_end], truncated
+    return timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags & 0x1F, seq, payload_start, ip_end, truncated

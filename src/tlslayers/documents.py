@@ -186,7 +186,23 @@ def build_comparison_document(
 # -- serialization -------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text; ValueError naming every field that is not a finite number."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        fields = list(_nonfinite_fields(doc))
+        if not fields:
+            raise
+        raise ValueError(f"not a finite number, which JSON cannot hold: {', '.join(fields)}") from exc
+
+
+def _nonfinite_fields(block: dict, path: str = ""):
+    """Dotted names of the non-finite floats in a document block, in key order."""
+    for key, value in sorted(block.items()):
+        if isinstance(value, dict):
+            yield from _nonfinite_fields(value, f"{path}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield f"{path}{key}"
 
 
 def parse_document(text: str) -> dict:

@@ -3,12 +3,16 @@
 A run is one process.  `analyze_capture` reads and hashes the key log,
 hashes the capture, then in one loop counts each frame `capture.read_frames`
 yields, decodes it where it lies in the capture's map (`decode.decode_at`)
-and appends the plain tuple to its flow's bucket; `analyze_packets` buckets
-decoded packets.  Both hand the buckets to one walk, `_analyze_flows`: each
-flow in turn is assembled, walked and dropped, so only one flow's streams
-are in memory at once.  Walk order is free: every connection is walked on
-its own.  Timelines are reported in `TcpConnection.sort_key` order, which
-`summarize_run` does not depend on.
+and appends it to its flow's bucket as a `reassembly` bucket entry, whose
+payload is a span of the map: no payload is copied at ingest.
+`analyze_packets` buckets decoded packets.  Both hand the buckets to one
+walk, `_analyze_flows`: each flow in turn is assembled, walked and dropped,
+so only one flow's streams are in memory at once.  Every connection is
+walked on its own; flows are walked in the file order of their first
+frames, so the map's pages before the current flow's first frame are no
+longer needed, and the walk releases them every `capture._CHUNK` bytes as
+the reader did.  Timelines are reported in `TcpConnection.sort_key` order,
+which `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -29,11 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import mmap
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from tlslayers.capture import read_frames
+from tlslayers.capture import _CHUNK, read_frames, release_pages
 from tlslayers.decode import decode_at
 from tlslayers.errors import (
     AuthFailure,
@@ -55,7 +60,7 @@ from tlslayers.keylog import (
     parse_keylog,
 )
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_flow, flow_key, group_flows
+from tlslayers.reassembly import TcpConnection, assemble_flow, group_flows
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -244,12 +249,24 @@ def analyze_packets(packets, keystore: KeyLogStore | None, label: str) -> RunRes
     return _analyze_flows(group_flows(packets), keystore, label)
 
 
-def _analyze_flows(groups: dict[tuple, list], keystore: KeyLogStore | None, label: str) -> RunResult:
-    """Assemble, walk and drop each flow's bucket in turn (emptying `groups`), then summarize."""
+def _analyze_flows(
+    groups: dict[tuple, list], keystore: KeyLogStore | None, label: str, capture_map: mmap.mmap | None = None
+) -> RunResult:
+    """Assemble, walk and drop each flow's bucket in turn (emptying `groups`), then summarize.
+
+    Flows are walked in the order `groups` holds them.  With `capture_map`, the map the
+    buckets' spans point into, that must be the file order of their first frames: the
+    pages before each flow's first frame are then released once they add up to `_CHUNK`.
+    """
     keyed: list[tuple[tuple, ConnectionTimeline]] = []
-    while groups:
-        group = groups.popitem()[1]
-        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(group))
+    released = 0
+    for key in list(groups):
+        group = groups.pop(key)
+        if capture_map is not None:
+            start = group[0][5]  # the first frame's payload offset, before assemble_flow sorts the bucket
+            if start - released >= _CHUNK:
+                released = release_pages(capture_map, released, start)
+        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
     keyed.sort(key=itemgetter(0))
     return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None)
 
@@ -369,28 +386,34 @@ def analyze_capture(
         keylog_sha256 = hashlib.sha256(raw).hexdigest()
         # a non-UTF-8 byte spoils only its own line, which parse_keylog then rejects
         keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
+        del raw  # not held through ingest and the walk
     inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
 
     groups: dict[tuple, list] = {}
     frames = non_tcp = malformed = 0
-    for frame in read_frames(pcap_path):
+    capture_map = None
+    for ts, link_type, capture_map, start, end, orig_len in read_frames(pcap_path):
         frames += 1
         try:
-            pkt = decode_at(*frame)
+            pkt = decode_at(ts, link_type, capture_map, start, end, orig_len)
         except MalformedHeader:
             malformed += 1
             continue
         if pkt is None:
             non_tcp += 1
             continue
-        canon = flow_key(pkt)
+        # reassembly's bucket entry, as group_flows builds it; inline, because this runs once per frame
+        ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = pkt
+        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+        entry = (ts, from_lower, flags, seq, capture_map, start, end, truncated)
         try:
-            groups[canon].append(pkt)
+            groups[key].append(entry)
         except KeyError:
-            groups[canon] = [pkt]
+            groups[key] = [entry]
     if malformed:
         logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
 
-    result = _analyze_flows(groups, keystore, label)
+    result = _analyze_flows(groups, keystore, label, capture_map)
     result.ingest, result.inputs = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}, inputs
     return result

@@ -18,8 +18,18 @@ covered are compared with the stored bytes, a difference being recorded as
 into the stream.  Memory is therefore proportional to the captured payload
 bytes, never to the sequence offsets a segment claims.  `group_flows` and
 `assemble_flow` let a caller assemble one four-tuple at a time; the pipeline
-does.  Packets are read by position: `decode_at`'s plain tuples and
-`DecodedPacket`s are interchangeable.
+does.
+
+A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
+ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
+plain tuple per packet, `(ts, from_lower, flags, seq, buf, start, end,
+truncated)`: one direction bit stands in for the two endpoints, and the
+payload is the span `buf[start:end]`.  The pipeline's buckets point into
+the capture's map, so they keep it alive until the flow is assembled, and
+a capture that shrinks on disk before then ends the process with SIGBUS
+(see `capture`); `group_flows` builds the same entries from
+`DecodedPacket`s, each payload its own `buf`.  `assemble_flow` copies a
+flow's payloads out of their buffers only when it assembles that flow.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -139,48 +149,48 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
     are recorded in `anomalies` and leave validity to the TLS walk.
     """
     groups = group_flows(packets)
-    return [conn for canon in sorted(groups) for conn in assemble_flow(groups[canon])]
+    return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key])]
 
 
-def flow_key(pkt: DecodedPacket) -> tuple:
-    """A packet's canonical four-tuple: its lower (ip, port) endpoint first."""
-    a, b = (pkt[1], pkt[3]), (pkt[2], pkt[4])
-    return (a, b) if a <= b else (b, a)
-
-
-def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[DecodedPacket]]:
-    """Packets by `flow_key`, in the order given."""
-    groups: dict[tuple, list[DecodedPacket]] = {}
-    for pkt in packets:
-        canon = flow_key(pkt)
+def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[tuple]]:
+    """Packets as bucket entries by canonical four-tuple, in the order given."""
+    groups: dict[tuple, list[tuple]] = {}
+    for ts, src_ip, dst_ip, src_port, dst_port, flags, seq, payload, truncated in packets:
+        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+        entry = (ts, from_lower, flags, seq, payload, 0, len(payload), truncated)
         try:
-            groups[canon].append(pkt)
+            groups[key].append(entry)
         except KeyError:
-            groups[canon] = [pkt]
+            groups[key] = [entry]
     return groups
 
 
-def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
-    """One four-tuple's packets (sorted in place) as its connections, in incarnation order."""
+def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
+    """One four-tuple's bucket (sorted in place) as its connections, in incarnation order."""
     # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
     group.sort(key=_first)
+    lower, higher = key[:2], key[2:]
+    # a four-tuple whose endpoints are equal: every packet is both the client's and the server's
+    looped = lower == higher
     conns: list[TcpConnection] = []
     curr: TcpConnection | None = None
+    client_lower = True  # curr's client is the lower endpoint
 
-    for ts, src_ip, dst_ip, src_port, dst_port, tcp_flags, seq, payload, truncated in group:
-        src = (src_ip, src_port)
-        dst = (dst_ip, dst_port)
+    for ts, from_lower, tcp_flags, seq, buf, start, end, truncated in group:
+        from_client = from_lower == client_lower
         syn = tcp_flags & _SYN
         ack = tcp_flags & _ACK
 
         if syn and not ack:
             # a new incarnation after a close, or after a remnant seen before any SYN
             if curr is None or curr.t_syn is None or curr.reset or (curr.fin_c and curr.fin_s):
-                curr = TcpConnection(src, dst, ts, len(conns))
+                curr = _open(lower, higher, from_lower, ts, len(conns))
                 conns.append(curr)
+                client_lower = from_lower
                 curr.isn_c = seq
                 curr.t_syn = ts
-            elif src == curr.client:
+            elif from_client:
                 if seq != curr.isn_c:
                     curr.anomalies.add("dual_isn")
                 # retransmitted SYN: entries are time-ordered, first wins
@@ -190,11 +200,12 @@ def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
 
         if curr is None:
             # mid-stream capture: orientation unknown; the walk stops at no_syn
-            curr = TcpConnection(src, dst, ts, len(conns))
+            curr = _open(lower, higher, from_lower, ts, len(conns))
             conns.append(curr)
+            client_lower = from_client = from_lower
 
         if syn and ack:
-            if src == curr.server:
+            if not from_client or looped:
                 if curr.isn_s is None:
                     curr.isn_s = seq
                     curr.t_synack = ts
@@ -208,22 +219,26 @@ def assemble_flow(group: list[DecodedPacket]) -> list[TcpConnection]:
             curr.reset = True
             continue
         if tcp_flags & _FIN:
-            if src == curr.client:
+            if from_client:
                 curr.fin_c = True
             else:
                 curr.fin_s = True
 
         if truncated:
             curr.truncated = True
-        if payload:
-            if src == curr.client:
-                curr.segs_c.append((seq, payload, ts))
-            elif src == curr.server:
-                curr.segs_s.append((seq, payload, ts))
+        if end > start:
+            (curr.segs_c if from_client else curr.segs_s).append((seq, buf[start:end], ts))
 
     for conn in conns:
         conn.join_streams()
     return conns
+
+
+def _open(lower: tuple, higher: tuple, from_lower: bool, ts: int, incarnation: int) -> TcpConnection:
+    """A connection whose client sent the packet at hand."""
+    if from_lower:
+        return TcpConnection(lower, higher, ts, incarnation)
+    return TcpConnection(higher, lower, ts, incarnation)
 
 
 def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies: set[str]) -> DirectionalStream:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from tlslayers import capture, synth
+from tlslayers import capture, pipeline, synth
 from tlslayers.capture import CapturedFrame, open_capture
 from tlslayers.cli import main
 from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
@@ -570,3 +570,39 @@ def test_reading_a_large_capture_keeps_resident_memory_flat(tmp_path):
             samples.append(_rss_file_kib())
     assert len(samples) > 60
     assert max(samples) - samples[0] < 8 * 1024
+
+
+def _tcp_frame(src, dst, flags, seq, payload=b""):
+    """An Ethernet/IPv4/TCP frame from `src` to `dst`, each an (ip, port); no checksums."""
+    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 40 + len(payload), 0, 0x4000, 64, 6, 0, src[0], dst[0])
+    tcp = struct.pack(">HHIIBBHHH", src[1], dst[1], seq, 0, 5 << 4, flags, 65535, 0, 0)
+    return b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + tcp + payload
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from Linux /proc")
+def test_walking_a_large_capture_keeps_resident_memory_flat(tmp_path, monkeypatch):
+    # 400 flows one after another, 60 KiB of server data each, 26 MiB in all.
+    # The flow buckets hold spans of the capture's map, so assembling a flow
+    # faults its pages back in; without the walk's page release RssFile grows
+    # by the file size again after the reader has kept it flat.
+    payload = bytes(1400)
+    server = (bytes([10, 0, 0, 2]), 443)
+    frames = []
+    for flow in range(400):
+        client = (bytes([10, 0, 0, 1]), 10000 + flow)
+        frames += [_tcp_frame(client, server, 0x02, 0), _tcp_frame(server, client, 0x12, 0)]
+        frames += [_tcp_frame(server, client, 0x10, 1 + i * len(payload), payload) for i in range(44)]
+    path = tmp_path / "flows.pcap"
+    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, [(i, 0, data, len(data)) for i, data in enumerate(frames)]))
+    assert path.stat().st_size >= 24 << 20
+    samples = []
+    walk_one = pipeline.analyze_connection
+
+    def sampled(conn, keystore):
+        samples.append(_rss_file_kib())
+        return walk_one(conn, keystore)
+
+    monkeypatch.setattr(pipeline, "analyze_connection", sampled)
+    result = pipeline.analyze_capture(path, None, "flows")
+    assert result.counts["total_streams"] == len(samples) == 400
+    assert max(samples) - samples[0] < 8 * 1024, (samples[0], max(samples))

@@ -319,7 +319,8 @@ def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fm
                  "--out", str(out), "--format", fmt])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.startswith(f"error: comparing {baseline} with {candidate}: ") and captured.out == ""
+    assert "reports.p50.overhead_factor.tcp_to_tls" in captured.err
     assert not out.exists()
 
 

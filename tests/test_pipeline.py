@@ -4,12 +4,12 @@ import tracemalloc
 
 import pytest
 
-from tlslayers import synth
+from tlslayers import pipeline, synth
 from tlslayers.capture import CapturedFrame
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
 from tlslayers.keylog import KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, analyze_packets, summarize_run
-from tlslayers.reassembly import TcpConnection, assemble_connections
+from tlslayers.reassembly import TcpConnection, assemble_connections, group_flows
 from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
     CT_HANDSHAKE,
@@ -380,15 +380,46 @@ def test_walk_holds_one_flow_of_streams_at_a_time():
     ))
     packets, keystore = _decoded(spec)
     payload_bytes = sum(len(p.payload) for p in packets)
+    groups = group_flows(packets)  # the buckets, which the next test bounds per packet
     tracemalloc.start()
     try:
-        result = analyze_packets(packets, keystore, "memory")
+        result = pipeline._analyze_flows(groups, keystore, "memory")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.counts["valid"] == 30
     # every connection's joined streams alive at once would be about 1x the payload
     assert peak < 0.25 * payload_bytes, (peak, payload_bytes)
+
+
+def test_flow_buckets_hold_no_payload_copies(tmp_path, monkeypatch):
+    # Traced memory at the end of ingest, key log included, per bucketed packet.
+    # Most of these segments carry over 1 KiB of payload; a bucket entry that
+    # copies it out of the capture's map costs that much again.
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, response_body_bytes=64 * 1024)
+        for i in range(8)
+    ))
+    frames, keylog_text, _ = synth.generate(spec)
+    synth.emit_capture(frames, tmp_path / "capture.pcap")
+    (tmp_path / "keylog.txt").write_text(keylog_text)
+    seen = {}
+    walk = pipeline._analyze_flows
+
+    def measured(groups, *args):
+        seen["traced"] = tracemalloc.get_traced_memory()[0]
+        seen["packets"] = sum(map(len, groups.values()))
+        return walk(groups, *args)
+
+    monkeypatch.setattr(pipeline, "_analyze_flows", measured)
+    tracemalloc.start()
+    try:
+        result = analyze_capture(tmp_path / "capture.pcap", tmp_path / "keylog.txt", "buckets")
+    finally:
+        tracemalloc.stop()
+    assert result.counts["valid"] == 8
+    assert seen["packets"] == len(frames)
+    assert seen["traced"] / seen["packets"] < 400, seen
 
 
 @pytest.mark.parametrize("from_client", [True, False], ids=["client", "server"])

@@ -46,6 +46,37 @@ def test_syn_synack_no_data():
     assert conn.client[1] == 40000 and conn.server[1] == 443
 
 
+@pytest.mark.parametrize("client, server", [(CLIENT, SERVER), (SERVER, CLIENT)], ids=["client-lower", "client-higher"])
+def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server):
+    packets = [
+        pkt(server, client, 0, TcpFlags.PSH | TcpFlags.ACK, 50, b"stray"),  # a remnant before any SYN
+        pkt(client, server, 10, TcpFlags.SYN, 100),
+        pkt(server, client, 20, TcpFlags.SYN | TcpFlags.ACK, 900),
+        pkt(client, server, 30, TcpFlags.PSH | TcpFlags.ACK, 101, b"ping"),
+        pkt(server, client, 40, TcpFlags.PSH | TcpFlags.ACK, 901, b"pong"),
+        pkt(server, client, 50, TcpFlags.FIN | TcpFlags.ACK, 905),
+    ]
+    remnant, conn = assemble_connections(packets)
+    assert (remnant.client, remnant.server, remnant.anomalies) == (server, client, {"unanchored_data"})
+    assert (conn.client, conn.server, conn.t_syn, conn.t_synack) == (client, server, 10, 20)
+    assert (conn.client_to_server.data, conn.server_to_client.data) == (b"ping", b"pong")
+    assert (conn.fin_c, conn.fin_s, conn.anomalies) == (False, True, set())
+
+
+def test_a_flow_from_an_endpoint_to_itself_is_all_client():
+    # both ends are one (ip, port): every packet matches the client, and a SYN-ACK the server too
+    packets = [
+        pkt(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
+        pkt(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
+        pkt(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
+        pkt(CLIENT, CLIENT, 30, TcpFlags.FIN | TcpFlags.ACK, 106),
+    ]
+    (conn,) = assemble_connections(packets)
+    assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
+    assert (conn.client_to_server.data, len(conn.server_to_client)) == (b"hello", 0)
+    assert (conn.fin_c, conn.fin_s, conn.anomalies) == (True, False, set())
+
+
 def test_prescribed_handshake_spacing_is_exact():
     (conn,) = assemble_connections(handshake(t_syn=0, t_synack=360_000))
     assert conn.t_synack - conn.t_syn == 360_000  # 0.360 ms
