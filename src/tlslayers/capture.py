@@ -17,15 +17,15 @@ trusted.
 
 Resident memory is bounded by about `_CHUNK` plus one frame, not by the
 file size: every `_CHUNK` bytes of file walked, the mapped pages behind the
-current frame are released (`release_pages`: `MADV_DONTNEED`, so POSIX
+current frame are released (`release_behind`: `MADV_DONTNEED`, so POSIX
 only); a caller that still reads an earlier span faults its pages in again
 from the page cache.  The pipeline does: its flow buckets hold spans of the
 map, not copies, so the map stays open until the last flow is walked, and
-the walk releases pages behind itself by the same rule.  The map is closed
-when its last span is dropped.  The file is read as it was when opened: a
-capture that grows meanwhile is read up to its old end, and one that
-shrinks before its last span is read, at any point until the walk ends,
-ends the process with SIGBUS.
+the walk releases pages behind itself with the same `release_behind`.  The
+map is closed when its last span is dropped.  The file is read as it was
+when opened: a capture that grows meanwhile is read up to its old end, and
+one that shrinks before its last span is read, at any point until the walk
+ends, ends the process with SIGBUS.
 """
 
 from __future__ import annotations
@@ -103,13 +103,19 @@ def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
         yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
 
 
-def release_pages(buf: mmap.mmap, start: int, end: int) -> int:
-    """Drop the mapped pages from `start` to `end` rounded down to a page; return where the next release starts."""
-    end &= -mmap.PAGESIZE
-    if end > start:
-        buf.madvise(mmap.MADV_DONTNEED, start, end - start)
+def release_behind(buf: mmap.mmap, released: int, offset: int) -> int:
+    """Drop `buf`'s mapped pages from `released` to `offset` once that is `_CHUNK` or more.
+
+    `offset` is rounded down to a page.  Returns where the next release starts,
+    which the caller passes back as `released`.
+    """
+    if offset - released < _CHUNK:
+        return released
+    end = offset & -mmap.PAGESIZE
+    if end > released:
+        buf.madvise(mmap.MADV_DONTNEED, released, end - released)
         return end
-    return start
+    return released
 
 
 def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
@@ -128,7 +134,6 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
         raise UnknownLinkType(f"{name}: link type {network} not supported")
 
     unpack_hdr = struct.Struct(endian + "IIII").unpack_from
-    stride = _CHUNK
     off = 24
     released = 0
     while off < n:
@@ -144,8 +149,7 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
         if not caplen:
             logger.warning("%s: zero-length record, skipping", name)
             continue
-        if start - released >= stride:
-            released = release_pages(buf, released, start)
+        released = release_behind(buf, released, start)
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
 
 
@@ -162,7 +166,6 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
     # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
     interfaces: list[tuple[int, int | None, int | None]] = []  # (linktype, pow10, pow2)
-    stride = _CHUNK
     n = len(buf)
     off = released = 0
     while off < n:
@@ -208,8 +211,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
                 continue
             if caplen == 0:
                 continue
-            if body - released >= stride:
-                released = release_pages(buf, released, body)
+            released = release_behind(buf, released, body)
             linktype, pow10, pow2 = interfaces[iface_id]
             ts_ns = _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2)
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen

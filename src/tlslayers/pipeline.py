@@ -10,8 +10,8 @@ walk, `_analyze_flows`: each flow in turn is assembled, walked and dropped,
 so only one flow's streams are in memory at once.  Every connection is
 walked on its own; flows are walked in the file order of their first
 frames, so the map's pages before the current flow's first frame are no
-longer needed, and the walk releases them every `capture._CHUNK` bytes as
-the reader did.  Timelines are reported in `TcpConnection.sort_key` order,
+longer needed, and the walk releases them (`capture.release_behind`) as the
+reader did.  Timelines are reported in `TcpConnection.sort_key` order,
 which `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import mmap
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from tlslayers.capture import _CHUNK, read_frames, release_pages
+from tlslayers.capture import read_frames, release_behind
 from tlslayers.decode import decode_at
 from tlslayers.errors import (
     AuthFailure,
@@ -60,7 +59,7 @@ from tlslayers.keylog import (
     parse_keylog,
 )
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_flow, group_flows
+from tlslayers.reassembly import TcpConnection, assemble_flow, bucket_entry, group_flows
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -249,23 +248,20 @@ def analyze_packets(packets, keystore: KeyLogStore | None, label: str) -> RunRes
     return _analyze_flows(group_flows(packets), keystore, label)
 
 
-def _analyze_flows(
-    groups: dict[tuple, list], keystore: KeyLogStore | None, label: str, capture_map: mmap.mmap | None = None
-) -> RunResult:
+def _analyze_flows(groups: dict[tuple, list], keystore: KeyLogStore | None, label: str) -> RunResult:
     """Assemble, walk and drop each flow's bucket in turn (emptying `groups`), then summarize.
 
-    Flows are walked in the order `groups` holds them.  With `capture_map`, the map the
-    buckets' spans point into, that must be the file order of their first frames: the
-    pages before each flow's first frame are then released once they add up to `_CHUNK`.
+    Flows are walked in the order `groups` holds them, which for buckets that point into a
+    capture's map is the file order of their first frames: the map's pages before each
+    flow's first frame are released behind the walk as behind the reader.  Entries that
+    `group_flows` builds start at offset 0 of their own payload, so none is released.
     """
     keyed: list[tuple[tuple, ConnectionTimeline]] = []
     released = 0
     for key in list(groups):
         group = groups.pop(key)
-        if capture_map is not None:
-            start = group[0][5]  # the first frame's payload offset, before assemble_flow sorts the bucket
-            if start - released >= _CHUNK:
-                released = release_pages(capture_map, released, start)
+        # the first frame's buffer and payload offset, before assemble_flow sorts the bucket
+        released = release_behind(group[0][4], released, group[0][5])
         keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
     keyed.sort(key=itemgetter(0))
     return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None)
@@ -391,22 +387,17 @@ def analyze_capture(
 
     groups: dict[tuple, list] = {}
     frames = non_tcp = malformed = 0
-    capture_map = None
-    for ts, link_type, capture_map, start, end, orig_len in read_frames(pcap_path):
+    for ts, link_type, buf, start, end, orig_len in read_frames(pcap_path):
         frames += 1
         try:
-            pkt = decode_at(ts, link_type, capture_map, start, end, orig_len)
+            pkt = decode_at(ts, link_type, buf, start, end, orig_len)
         except MalformedHeader:
             malformed += 1
             continue
         if pkt is None:
             non_tcp += 1
             continue
-        # reassembly's bucket entry, as group_flows builds it; inline, because this runs once per frame
-        ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = pkt
-        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
-        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-        entry = (ts, from_lower, flags, seq, capture_map, start, end, truncated)
+        key, entry = bucket_entry(buf, pkt)
         try:
             groups[key].append(entry)
         except KeyError:
@@ -414,6 +405,6 @@ def analyze_capture(
     if malformed:
         logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
 
-    result = _analyze_flows(groups, keystore, label, capture_map)
+    result = _analyze_flows(groups, keystore, label)
     result.ingest, result.inputs = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}, inputs
     return result

@@ -23,13 +23,14 @@ does.
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
 plain tuple per packet, `(ts, from_lower, flags, seq, buf, start, end,
-truncated)`: one direction bit stands in for the two endpoints, and the
-payload is the span `buf[start:end]`.  The pipeline's buckets point into
-the capture's map, so they keep it alive until the flow is assembled, and
-a capture that shrinks on disk before then ends the process with SIGBUS
-(see `capture`); `group_flows` builds the same entries from
-`DecodedPacket`s, each payload its own `buf`.  `assemble_flow` copies a
-flow's payloads out of their buffers only when it assembles that flow.
+truncated)`, built by `bucket_entry`: one direction bit stands in for the
+two endpoints, and the payload is the span `buf[start:end]`.  The
+pipeline's buckets point into the capture's map, so they keep it alive
+until the flow is assembled, and a capture that shrinks on disk before
+then ends the process with SIGBUS (see `capture`); `group_flows` builds
+the same entries from `DecodedPacket`s, each payload its own `buf`.
+`assemble_flow` copies a flow's payloads out of their buffers only when it
+assembles that flow.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -155,15 +156,26 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
 def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[tuple]]:
     """Packets as bucket entries by canonical four-tuple, in the order given."""
     groups: dict[tuple, list[tuple]] = {}
-    for ts, src_ip, dst_ip, src_port, dst_port, flags, seq, payload, truncated in packets:
-        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
-        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-        entry = (ts, from_lower, flags, seq, payload, 0, len(payload), truncated)
+    for *head, payload, truncated in packets:
+        key, entry = bucket_entry(payload, (*head, 0, len(payload), truncated))
         try:
             groups[key].append(entry)
         except KeyError:
             groups[key] = [entry]
     return groups
+
+
+def bucket_entry(buf: bytes, fields: tuple) -> tuple[tuple, tuple]:
+    """A packet as its flow's canonical four-tuple and its bucket entry.
+
+    `fields` is `decode.decode_at`'s tuple for a frame of `buf`, so the payload is
+    `buf[start:end]`.  It comes as one tuple, not spread into arguments, because the
+    ingest loop calls this once per frame.
+    """
+    ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = fields
+    from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+    key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+    return key, (ts, from_lower, flags, seq, buf, start, end, truncated)
 
 
 def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
@@ -199,10 +211,11 @@ def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
             continue
 
         if curr is None:
-            # mid-stream capture: orientation unknown; the walk stops at no_syn
+            # mid-stream capture: orientation unknown, the sender is taken as the client; the walk stops at no_syn
             curr = _open(lower, higher, from_lower, ts, len(conns))
             conns.append(curr)
-            client_lower = from_client = from_lower
+            client_lower = from_lower
+            from_client = True
 
         if syn and ack:
             if not from_client or looped:

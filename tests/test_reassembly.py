@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tlslayers.decode import DecodedPacket, TcpFlags
 from tlslayers.errors import GapAtOffset
+from tlslayers.pipeline import analyze_connection
 from tlslayers.reassembly import assemble_connections
 
 CLIENT = (bytes([10, 0, 0, 1]), 40000)
@@ -49,7 +50,11 @@ def test_syn_synack_no_data():
 @pytest.mark.parametrize("client, server", [(CLIENT, SERVER), (SERVER, CLIENT)], ids=["client-lower", "client-higher"])
 def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server):
     packets = [
-        pkt(server, client, 0, TcpFlags.PSH | TcpFlags.ACK, 50, b"stray"),  # a remnant before any SYN
+        # a remnant before any SYN, as in a capture that starts after it: its first
+        # packet's sender is taken as its client, whichever endpoint is lower
+        pkt(server, client, 0, TcpFlags.SYN | TcpFlags.ACK, 40),
+        pkt(client, server, 1, TcpFlags.PSH | TcpFlags.ACK, 41, b"early"),
+        pkt(server, client, 2, TcpFlags.PSH | TcpFlags.ACK, 47, b"stray"),
         pkt(client, server, 10, TcpFlags.SYN, 100),
         pkt(server, client, 20, TcpFlags.SYN | TcpFlags.ACK, 900),
         pkt(client, server, 30, TcpFlags.PSH | TcpFlags.ACK, 101, b"ping"),
@@ -57,7 +62,13 @@ def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server)
         pkt(server, client, 50, TcpFlags.FIN | TcpFlags.ACK, 905),
     ]
     remnant, conn = assemble_connections(packets)
-    assert (remnant.client, remnant.server, remnant.anomalies) == (server, client, {"unanchored_data"})
+    assert (remnant.client, remnant.server, remnant.t_syn, remnant.t_synack) == (server, client, None, None)
+    # neither side has a SYN to anchor its data, so no byte is placed in either stream
+    assert remnant.anomalies == {"synack_from_client", "unanchored_data"}
+    assert (len(remnant.client_to_server), len(remnant.server_to_client)) == (0, 0)
+    assert (analyze_connection(remnant, None).validity, analyze_connection(remnant, None).reason) == (
+        "partial", "no_syn",
+    )
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack) == (client, server, 10, 20)
     assert (conn.client_to_server.data, conn.server_to_client.data) == (b"ping", b"pong")
     assert (conn.fin_c, conn.fin_s, conn.anomalies) == (False, True, set())
