@@ -1,18 +1,17 @@
 """Capture-to-statistics pipeline.
 
-A run is one process.  `analyze_capture` reads and hashes the key log,
-hashes the capture, then in one loop counts each frame `capture.read_frames`
-yields, decodes it where it lies in the capture's map (`decode.decode_at`)
-and appends it to its flow's bucket as a `reassembly` bucket entry, whose
-payload is a span of the map: no payload is copied at ingest.
-`analyze_packets` buckets decoded packets.  Both hand the buckets to one
-walk, `_analyze_flows`: each flow in turn is assembled, walked and dropped,
-so only one flow's streams are in memory at once.  Every connection is
-walked on its own; flows are walked in the file order of their first
-frames, so the map's pages before the current flow's first frame are no
-longer needed, and the walk releases them (`capture.release_behind`) as the
-reader did.  Timelines are reported in `TcpConnection.sort_key` order,
-which `summarize_run` does not depend on.
+A run is one process and has one driver, `analyze_capture`.  It reads and
+hashes the key log, hashes the capture, then in one loop counts each frame
+`capture.read_frames` yields, decodes it where it lies in the capture's map
+(`decode.decode_at`) and appends it to its flow's bucket as a `reassembly`
+bucket entry, whose payload is a span of the map: no payload is copied at
+ingest.  It then assembles, walks and drops each flow in turn, so only one
+flow's streams are in memory at once.  Every connection is walked on its
+own; flows are walked in the file order of their first frames, so the map's
+pages before the current flow's first frame are no longer needed, and the
+walk releases them (`capture.release_behind`) as the reader did.  Timelines
+are reported in `TcpConnection.sort_key` order, which `summarize_run` does
+not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -59,7 +59,7 @@ from tlslayers.keylog import (
     parse_keylog,
 )
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_flow, bucket_entry, group_flows
+from tlslayers.reassembly import TcpConnection, assemble_flow, bucket_entry
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -243,30 +243,6 @@ def _open_protected(records, hs_keys, ap_keys):
             yield None, plaintext, rec.timestamp_ns
 
 
-def analyze_packets(packets, keystore: KeyLogStore | None, label: str) -> RunResult:
-    """Analyze decoded packets, in any order: assemble, walk and drop one flow at a time."""
-    return _analyze_flows(group_flows(packets), keystore, label)
-
-
-def _analyze_flows(groups: dict[tuple, list], keystore: KeyLogStore | None, label: str) -> RunResult:
-    """Assemble, walk and drop each flow's bucket in turn (emptying `groups`), then summarize.
-
-    Flows are walked in the order `groups` holds them, which for buckets that point into a
-    capture's map is the file order of their first frames: the map's pages before each
-    flow's first frame are released behind the walk as behind the reader.  Entries that
-    `group_flows` builds start at offset 0 of their own payload, so none is released.
-    """
-    keyed: list[tuple[tuple, ConnectionTimeline]] = []
-    released = 0
-    for key in list(groups):
-        group = groups.pop(key)
-        # the first frame's buffer and payload offset, before assemble_flow sorts the bucket
-        released = release_behind(group[0][4], released, group[0][5])
-        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
-    keyed.sort(key=itemgetter(0))
-    return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None)
-
-
 def analyze_connections(
     conns: list[TcpConnection],
     keystore: KeyLogStore | None,
@@ -291,7 +267,6 @@ def summarize_run(
     valid = 0
     partial: dict[str, int] = {}
     excluded: dict[str, int] = {}
-    meta: dict[str, list] = {k: [] for k in ("group", "key_share_len", "client_hello_len", "server_hello_len", "cipher_suite")}
 
     for tl in timelines:
         deltas = layer_deltas_ns(tl)
@@ -306,10 +281,6 @@ def summarize_run(
             partial[tl.reason] = partial.get(tl.reason, 0) + 1
         else:
             excluded[tl.reason] = excluded.get(tl.reason, 0) + 1
-        for k in meta:
-            v = getattr(tl, k)
-            if v is not None:
-                meta[k].append(v)
 
     counts = {
         "total_streams": len(timelines),
@@ -333,20 +304,31 @@ def summarize_run(
         e2e_stats=summarize(e2e) if e2e else None,
         ttlb_stats=summarize(ttlb) if ttlb else None,
         counts=counts,
-        handshake={k: _modal(v) for k, v in meta.items()},
+        handshake=_handshake_block(timelines),
         ingest=ingest or {},
         inputs=inputs or {},
         decrypted=decrypted,
     )
 
 
-def _modal(values: list):
-    if not values:
-        return None
-    freq: dict = {}
-    for v in values:
-        freq[v] = freq.get(v, 0) + 1
-    return sorted(freq.items(), key=lambda kv: (-kv[1], str(kv[0])))[0][0]
+def _handshake_block(timelines: list[ConnectionTimeline]) -> dict:
+    """The run's modal group and suite, and the modal hello and key-share sizes within that group.
+
+    A run that mixes groups thus never reports one group's name beside another's sizes.  The
+    suite is the whole run's: it is not a property of the group.
+    """
+    group = _modal(tl.group for tl in timelines)
+    of_group = [tl for tl in timelines if tl.group == group]
+    sizes = {
+        k: _modal(getattr(tl, k) for tl in of_group) for k in ("key_share_len", "client_hello_len", "server_hello_len")
+    }
+    return {"group": group, **sizes, "cipher_suite": _modal(tl.cipher_suite for tl in timelines)}
+
+
+def _modal(values):
+    """The most frequent value but None, a tie going to the one that sorts first as text; None for none."""
+    freq = Counter(v for v in values if v is not None)
+    return min(freq, key=lambda v: (-freq[v], str(v)), default=None)
 
 
 def _sha256(path: Path) -> str:
@@ -405,6 +387,14 @@ def analyze_capture(
     if malformed:
         logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
 
-    result = _analyze_flows(groups, keystore, label)
-    result.ingest, result.inputs = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}, inputs
-    return result
+    # one flow at a time, in the file order of its first frame, emptying the buckets
+    keyed: list[tuple[tuple, ConnectionTimeline]] = []
+    released = 0
+    for key in list(groups):
+        group = groups.pop(key)
+        # the first frame's buffer and payload offset, before assemble_flow sorts the bucket
+        released = release_behind(group[0][4], released, group[0][5])
+        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
+    keyed.sort(key=itemgetter(0))
+    ingest = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
+    return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None, ingest=ingest, inputs=inputs)

@@ -16,9 +16,9 @@ referencing the captured payload it came from), and the sub-ranges already
 covered are compared with the stored bytes, a difference being recorded as
 ``overlap_mismatch``.  Only the contiguous prefix from offset 0 is joined
 into the stream.  Memory is therefore proportional to the captured payload
-bytes, never to the sequence offsets a segment claims.  `group_flows` and
-`assemble_flow` let a caller assemble one four-tuple at a time; the pipeline
-does.
+bytes, never to the sequence offsets a segment claims.  `assemble_flow`
+assembles one four-tuple at a time; the pipeline's walk calls it flow by
+flow.
 
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
@@ -27,10 +27,10 @@ truncated)`, built by `bucket_entry`: one direction bit stands in for the
 two endpoints, and the payload is the span `buf[start:end]`.  The
 pipeline's buckets point into the capture's map, so they keep it alive
 until the flow is assembled, and a capture that shrinks on disk before
-then ends the process with SIGBUS (see `capture`); `group_flows` builds
-the same entries from `DecodedPacket`s, each payload its own `buf`.
-`assemble_flow` copies a flow's payloads out of their buffers only when it
-assembles that flow.
+then ends the process with SIGBUS (see `capture`).  `assemble_connections`
+builds the same entries from `DecodedPacket`s, each payload its own `buf`,
+and assembles every flow at once.  `assemble_flow` copies a flow's payloads
+out of their buffers only when it assembles that flow.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -145,24 +145,16 @@ class TcpConnection:
 def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection]:
     """Group packets into connections; one per SYN-initiated incarnation.
 
-    Flows come in canonical four-tuple order.  Nothing here is fatal:
-    anomalies (duplicate SYN with a new ISN, inconsistent overlapping data)
-    are recorded in `anomalies` and leave validity to the TLS walk.
+    Each packet becomes a bucket entry whose span is its whole payload.  Flows come in
+    canonical four-tuple order.  Nothing here is fatal: anomalies (duplicate SYN with a
+    new ISN, inconsistent overlapping data) are recorded in `anomalies` and leave
+    validity to the TLS walk.
     """
-    groups = group_flows(packets)
-    return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key])]
-
-
-def group_flows(packets: Iterable[DecodedPacket]) -> dict[tuple, list[tuple]]:
-    """Packets as bucket entries by canonical four-tuple, in the order given."""
     groups: dict[tuple, list[tuple]] = {}
     for *head, payload, truncated in packets:
         key, entry = bucket_entry(payload, (*head, 0, len(payload), truncated))
-        try:
-            groups[key].append(entry)
-        except KeyError:
-            groups[key] = [entry]
-    return groups
+        groups.setdefault(key, []).append(entry)
+    return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key])]
 
 
 def bucket_entry(buf: bytes, fields: tuple) -> tuple[tuple, tuple]:

@@ -132,6 +132,16 @@ def _listed(name: str, value) -> list:
     return value
 
 
+def _integer(name: str):
+    """A converter that takes a YAML integer only: `int()` would read a bool, float or string as another value."""
+    def convert(value) -> int:
+        if type(value) is not int:
+            raise TypeError(f"{name}: expected an integer, not {type(value).__name__} {value!r}")
+        return value
+
+    return convert
+
+
 def _anomaly_set(value) -> frozenset[str]:
     return frozenset() if value is None else frozenset(_listed("anomalies", value))
 
@@ -140,11 +150,11 @@ def _anomaly_set(value) -> frozenset[str]:
 _CONNECTION_FIELDS = {
     "group": str,
     "cipher_suite": str,
-    "response_body_bytes": int,
-    "segmentation_seed": int,
+    "response_body_bytes": _integer("response_body_bytes"),
+    "segmentation_seed": _integer("segmentation_seed"),
     "anomalies": _anomaly_set,
 }
-_SCENARIO_FIELDS = {"client_ip": str, "server_ip": str, "server_port": int}
+_SCENARIO_FIELDS = {"client_ip": str, "server_ip": str, "server_port": _integer("server_port")}
 
 
 def _converted(raw: dict, converters: dict) -> dict:
@@ -173,9 +183,10 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             merged = {**defaults, **entry}
             if "boundary_times_ns" not in merged:
                 raise InvalidSpec(f"{path}: connection {i} lacks boundary_times_ns")
+            times = _listed("boundary_times_ns", merged["boundary_times_ns"])
             conns.append(
                 ConnectionSpec(
-                    boundary_times=tuple(int(t) for t in _listed("boundary_times_ns", merged["boundary_times_ns"])),
+                    boundary_times=tuple(map(_integer("boundary_times_ns"), times)),
                     **_converted(merged, _CONNECTION_FIELDS),
                 )
             )

@@ -1,4 +1,5 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -6,18 +7,22 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tlslayers import synth
-from tlslayers.decode import decode_frame
-from tlslayers.keylog import parse_keylog
+from tlslayers.pipeline import analyze_capture
+
+
+def analyze_frames(frames, keylog_text: str, label: str = "scenario"):
+    """Write frames and a key log to a temporary directory and run `analyze_capture` on them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        capture, keylog = Path(tmp) / "capture.pcap", Path(tmp) / "keylog.txt"
+        synth.emit_capture(frames, capture)
+        keylog.write_text(keylog_text)
+        return analyze_capture(capture, keylog, label)
 
 
 def run_scenario(spec):
-    """Generate a scenario and analyze the frames in-memory."""
-    from tlslayers import pipeline
-
+    """Generate a scenario and analyze it from a capture, as `tlslayers analyze` does."""
     frames, keylog_text, truth = synth.generate(spec)
-    packets = [p for f in frames if (p := decode_frame(f)) is not None]
-    result = pipeline.analyze_packets(packets, parse_keylog(keylog_text), "scenario")
-    return result, truth
+    return analyze_frames(frames, keylog_text), truth
 
 
 def clean_connection_spec(offset_ns: int = 0, seed: int = 1, **kw) -> synth.ConnectionSpec:

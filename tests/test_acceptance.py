@@ -20,13 +20,12 @@ from tlslayers.errors import AuthFailure
 from tlslayers.keylog import parse_keylog
 from tlslayers.keyschedule import decrypt_record, derive_traffic_keys
 from tlslayers.metrics import glass_delta
-from tlslayers.pipeline import analyze_packets
 from tlslayers.stats import mean, percentile, sample_sd
 from tlslayers.timeline import BOUNDARIES, LAYERS, ConnectionTimeline, classify, layer_deltas_ns
 from tlslayers.tlswire import group_by_name, parse_client_hello, render_client_hello
 
 import reference_runs as ref
-from conftest import run_scenario
+from conftest import analyze_frames, run_scenario
 
 
 def _pass(criterion: int, name: str) -> None:
@@ -62,8 +61,7 @@ def mixed_run():
     spec = _mixed_scenario()
     started = time.perf_counter()
     frames, keylog_text, truth = synth.generate(spec)
-    packets = [p for f in frames if (p := decode_frame(f)) is not None]
-    result = analyze_packets(packets, parse_keylog(keylog_text), "mixed")
+    result = analyze_frames(frames, keylog_text, "mixed")
     elapsed = time.perf_counter() - started
     return spec, frames, keylog_text, truth, result, elapsed
 

@@ -340,6 +340,10 @@ def test_compare_incompatible_exits_5(fixture_dir, tmp_path, capsys):
     main(["analyze", "--pcap", str(fixture_dir / "capture.pcap"), "--out", str(nodecrypt)])
     capsys.readouterr()
     assert main(["compare", "--baseline", str(nodecrypt), "--candidate", str(full)]) == 5
+    # every decrypted layer, but no connection reached an HTTP 200, so no e2e block
+    without_e2e = tmp_path / "no-e2e.json"
+    without_e2e.write_text(json.dumps({**json.loads(full.read_text()), "e2e": None}))
+    assert main(["compare", "--baseline", str(full), "--candidate", str(without_e2e)]) == 5
 
 
 def test_compare_unreadable_exits_2(tmp_path):
@@ -387,7 +391,27 @@ MALFORMED_INPUTS = {
     "scenario-anomalies-string": ("synth", lambda doc: SCENARIO_YAML.replace("[drop_keylog]", "retransmit")),
     "scenario-boundaries-mapping": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "{0: a, 1: b, 2: c, 3: d, 4: e, 5: f}")),
     "scenario-boundaries-string": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, '"012345"')),
+    "scenario-boundary-time-float": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "[0, 1, 2, 3, 4, 5.5]"),
+                                     "connection 0: boundary_times_ns"),
+    "scenario-boundary-time-bool": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "[true, 1, 2, 3, 4, 5]"),
+                                    "connection 0: boundary_times_ns"),
+    "scenario-boundary-time-quoted": ("synth", lambda doc: SCENARIO_YAML.replace("15798000]", "'15798000']"),
+                                      "connection 0: boundary_times_ns"),
+    "scenario-body-bytes-float": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: 4096.9"),
+                                  "response_body_bytes"),
+    "scenario-port-float": ("synth", lambda doc: "server_port: 443.5\n" + SCENARIO_YAML, "server_port"),
+    "scenario-five-boundary-times": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "[0, 1, 2, 3, 4]"),
+                                     "connection 0"),
+    "scenario-negative-boundary-time": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "[-1, 1, 2, 3, 4, 5]"),
+                                        "connection 0"),
+    "scenario-unknown-suite": ("synth", lambda doc: SCENARIO_YAML.replace("segmentation_seed: 2", "segmentation_seed: 2\n    cipher_suite: RC4_128_SHA"),
+                               "connection 1", "RC4_128_SHA"),
+    "scenario-top-level-list": ("synth", lambda doc: "- " + FIRST_BOUNDARIES + "\n"),
+    "scenario-connection-not-a-mapping": ("synth", lambda doc: "connections:\n  - " + FIRST_BOUNDARIES + "\n", "connection 0"),
+    "scenario-connection-without-boundaries": ("synth", lambda doc: "connections:\n  - segmentation_seed: 1\n",
+                                               "connection 0", "boundary_times_ns"),
     "document-array": ("compare", lambda doc: "[]"),
+    "document-unknown-schema": ("compare", lambda doc: json.dumps({**doc, "schema": "tlslayers.unknown/v0"}), "schema"),
     "document-layer-without-p50": ("compare", _without_p50),
     "document-string-statistic": ("compare", _string_statistic),
     "document-without-label": ("compare", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "label"})),
@@ -399,7 +423,7 @@ MALFORMED_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_scenario_or_document_exits_2(fixture_dir, tmp_path, capsys, case):
-    command, make = MALFORMED_INPUTS[case]
+    command, make, *named = MALFORMED_INPUTS[case]
     run = tmp_path / "run.json"
     assert main(["analyze", "--pcap", str(fixture_dir / "capture.pcap"),
                  "--keylog", str(fixture_dir / "keylog.txt"), "--out", str(run)]) == 0
@@ -411,7 +435,9 @@ def test_malformed_scenario_or_document_exits_2(fixture_dir, tmp_path, capsys, c
     else:
         code = main(["compare", "--baseline", str(bad), "--candidate", str(run)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert all(name in err for name in named), err
 
 
 def test_internal_invariant_violation_exits_4(fixture_dir, monkeypatch, capsys):

@@ -116,6 +116,15 @@ def test_malformed_lengths_raise():
     long_ihl[14] = 0x4F  # 60-byte ipv4 header, cut inside its options
     with pytest.raises(MalformedHeader, match="ipv4 options truncated"):
         _decode(1, bytes(long_ihl[: 14 + 40]))
+    with pytest.raises(MalformedHeader, match="unsupported link type"):
+        _decode(147, _eth_ipv4_tcp())  # a user-reserved DLT
+    with pytest.raises(MalformedHeader, match="ipv4 total length below header length"):
+        _decode(1, _eth_ipv4_tcp(total_len_override=19))
+    with pytest.raises(MalformedHeader, match="tcp header exceeds ip length"):
+        _decode(1, _eth_ipv4_tcp(payload=b"o" * 40, total_len_override=20 + 19))
+    with_options = _eth_ipv4_tcp(payload=b"o" * 40, options=b"\x01" * 12)
+    with pytest.raises(MalformedHeader, match="tcp options truncated"):
+        _decode(1, with_options[: 14 + 20 + 20 + 6])  # cut inside the 12 option bytes
 
 
 def test_decode_frame_wrapper():

@@ -181,7 +181,7 @@ def test_document_bytes_are_pinned(tmp_path):
         got[f"comparison.{fmt}"] = _sha256(documents.render(comparison, fmt))
     assert got == {
         "classical": "ba9ba26a5ad6333cc8ef4f6e089f93cead1aa2dd28ac1b4ffea7e9bb0b55d020",
-        "post-quantum": "3029e6e3d5d95ecd65ff3190be80b4cf9adb3e90ec12ca9ea00a88b46b5cb019",
+        "post-quantum": "18752025294a28b1eef75706f570938f6cffa083b441744cbd47272c3f7f961a",
         "anomalies": "7d52f3ba875618444d2a7682b692888f3c4d543f1aa3f98bea88b1dc5b959a5d",
         "anomalies.csv": "180b2a634243ef1143b531f0e9017a44a08d3c842ba7fd9c62efc502e47dc624",
         "anomalies.table": "88a1c3bcdd3f2493691e892a2895b23fd9bdef48577733a30ff3b1d55eca4ecf",

@@ -5,22 +5,23 @@ import tracemalloc
 import pytest
 
 from tlslayers import pipeline, synth
-from tlslayers.capture import CapturedFrame
+from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
 from tlslayers.keylog import KeyLogStore, parse_keylog
-from tlslayers.pipeline import analyze_capture, analyze_connection, analyze_packets, summarize_run
-from tlslayers.reassembly import TcpConnection, assemble_connections, group_flows
+from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
+from tlslayers.reassembly import TcpConnection, assemble_connections
 from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
     CT_HANDSHAKE,
     HRR_RANDOM,
     build_handshake_message,
     build_record,
+    group_by_name,
     render_client_hello,
     render_server_hello,
 )
 
-from conftest import clean_connection_spec
+from conftest import analyze_frames, clean_connection_spec, run_scenario
 
 CLIENT = (bytes([10, 0, 0, 1]), 41000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
@@ -116,6 +117,26 @@ def test_summarize_run_counts_must_balance():
     assert result.counts["total_streams"] == 2
     assert result.counts["valid"] == 0
     assert sum(result.counts["partial"].values()) == 2
+
+
+def test_handshake_block_takes_its_sizes_from_the_modal_group():
+    # mlkem1024 and mlkem768 tie and mlkem1024 wins by name, while of the tied key-share
+    # sizes mlkem768's (1184) sorts first; the suite is the run's, not the group's
+    plan = [("mlkem768", "AES_128_GCM_SHA256"), ("mlkem1024", "AES_256_GCM_SHA384"),
+            ("mlkem768", "AES_128_GCM_SHA256"), ("mlkem1024", "AES_256_GCM_SHA384"), ("x25519", "AES_128_GCM_SHA256")]
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, group=group, cipher_suite=suite)
+        for i, (group, suite) in enumerate(plan)
+    ))
+    result, truth = run_scenario(spec)
+    modal = next(ct for ct in truth.connections if ct.group == "mlkem1024")
+    assert result.handshake == {
+        "group": "mlkem1024",
+        "key_share_len": group_by_name("mlkem1024").client_share_len,
+        "client_hello_len": modal.client_hello_len,
+        "server_hello_len": modal.server_hello_len,
+        "cipher_suite": "AES_128_GCM_SHA256",
+    }
 
 
 def _store_for(client_random: bytes) -> KeyLogStore:
@@ -370,51 +391,66 @@ def test_reassembly_anomaly_leaves_validity_to_the_walk(inject, anomalies, outco
 
 def _decoded(spec):
     frames, keylog_text, _ = synth.generate(spec)
-    return [p for f in frames if (p := decode_frame(f)) is not None], parse_keylog(keylog_text)
+    return [p for f in frames if (p := decode_frame(f)) is not None], keylog_text
 
 
-def test_walk_holds_one_flow_of_streams_at_a_time():
-    spec = synth.ScenarioSpec(connections=tuple(
+def _framed(packets):
+    """Packets as Ethernet frames again, so that a run can read them from a capture."""
+    frames = []
+    for p in packets:
+        src, dst = (bytes(6), p.src_ip, p.src_port), (bytes(6), p.dst_ip, p.dst_port)
+        data = synth._tcp_frame(src, dst, 0, p.seq, 0, p.tcp_flags, p.payload)
+        # a snap-cut segment stays one: the wire carried more than the frame holds
+        frames.append(CapturedFrame(p.timestamp_ns, LINKTYPE_ETHERNET, data, len(data) + p.truncated))
+    return frames
+
+
+def _bucket_spec(n):
+    return synth.ScenarioSpec(connections=tuple(
         clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, response_body_bytes=64 * 1024)
-        for i in range(30)
+        for i in range(n)
     ))
-    packets, keystore = _decoded(spec)
-    payload_bytes = sum(len(p.payload) for p in packets)
-    groups = group_flows(packets)  # the buckets, which the next test bounds per packet
-    tracemalloc.start()
+
+
+def test_walk_holds_one_flow_of_streams_at_a_time(monkeypatch):
+    frames, keylog_text, _ = synth.generate(_bucket_spec(30))
+    payload_bytes = sum(len(p.payload) for f in frames if (p := decode_frame(f)) is not None)
+    assemble = pipeline.assemble_flow
+
+    def traced_from_the_first_flow(key, group):
+        # tracing starts once ingest has filled the buckets, which the next test bounds per packet
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return assemble(key, group)
+
+    monkeypatch.setattr(pipeline, "assemble_flow", traced_from_the_first_flow)
     try:
-        result = pipeline._analyze_flows(groups, keystore, "memory")
+        result = analyze_frames(frames, keylog_text, "memory")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.counts["valid"] == 30
     # every connection's joined streams alive at once would be about 1x the payload
-    assert peak < 0.25 * payload_bytes, (peak, payload_bytes)
+    assert 0 < peak < 0.25 * payload_bytes, (peak, payload_bytes)
 
 
-def test_flow_buckets_hold_no_payload_copies(tmp_path, monkeypatch):
+def test_flow_buckets_hold_no_payload_copies(monkeypatch):
     # Traced memory at the end of ingest, key log included, per bucketed packet.
     # Most of these segments carry over 1 KiB of payload; a bucket entry that
     # copies it out of the capture's map costs that much again.
-    spec = synth.ScenarioSpec(connections=tuple(
-        clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, response_body_bytes=64 * 1024)
-        for i in range(8)
-    ))
-    frames, keylog_text, _ = synth.generate(spec)
-    synth.emit_capture(frames, tmp_path / "capture.pcap")
-    (tmp_path / "keylog.txt").write_text(keylog_text)
-    seen = {}
-    walk = pipeline._analyze_flows
+    frames, keylog_text, _ = synth.generate(_bucket_spec(8))
+    seen = {"packets": 0}
+    assemble = pipeline.assemble_flow
 
-    def measured(groups, *args):
-        seen["traced"] = tracemalloc.get_traced_memory()[0]
-        seen["packets"] = sum(map(len, groups.values()))
-        return walk(groups, *args)
+    def measured(key, group):
+        seen.setdefault("traced", tracemalloc.get_traced_memory()[0])  # at the first flow: ingest is done
+        seen["packets"] += len(group)
+        return assemble(key, group)
 
-    monkeypatch.setattr(pipeline, "_analyze_flows", measured)
+    monkeypatch.setattr(pipeline, "assemble_flow", measured)
     tracemalloc.start()
     try:
-        result = analyze_capture(tmp_path / "capture.pcap", tmp_path / "keylog.txt", "buckets")
+        result = analyze_frames(frames, keylog_text, "buckets")
     finally:
         tracemalloc.stop()
     assert result.counts["valid"] == 8
@@ -424,14 +460,14 @@ def test_flow_buckets_hold_no_payload_copies(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("from_client", [True, False], ids=["client", "server"])
 def test_stray_segment_before_the_syn_leaves_the_connection_valid(from_client):
-    packets, keystore = _decoded(synth.ScenarioSpec(connections=(clean_connection_spec(offset_ns=5_000_000),)))
+    packets, keylog_text = _decoded(synth.ScenarioSpec(connections=(clean_connection_spec(offset_ns=5_000_000),)))
     syn = min(packets, key=lambda p: p.timestamp_ns)
     ends = {} if from_client else dict(
         src_ip=syn.dst_ip, dst_ip=syn.src_ip, src_port=syn.dst_port, dst_port=syn.src_port
     )
     stray = _copy(syn, timestamp_ns=syn.timestamp_ns - 1_000_000, tcp_flags=int(TcpFlags.PSH | TcpFlags.ACK),
                   payload=bytes(14), **ends)
-    counts = analyze_packets([stray, *packets], keystore, "stray").counts
+    counts = analyze_frames(_framed([stray, *packets]), keylog_text, "stray").counts
     assert (counts["valid"], counts["partial"]) == (1, {"no_syn": 1})
 
 
@@ -470,8 +506,11 @@ def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
         clean_connection_spec(offset_ns=ms * 1_000_000, seed=i + 1, anomalies=frozenset(a))
         for i, (a, ms) in enumerate(zip(anomalies, start_ms))
     ))
-    packets, keystore = _decoded(spec)
+    packets, keylog_text = _decoded(spec)
     packets = _reuse_after_rst(packets, first_port=10001, second_port=10007)
+    frames = _framed(packets)
+    assert [decode_frame(f) for f in frames] == packets
+    keystore = parse_keylog(keylog_text)
 
     conns = assemble_connections(packets)
     assert sorted((c.client[1], c.incarnation) for c in conns if c.client[1] == 10001) == [
@@ -484,4 +523,4 @@ def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
         ("valid", None), ("partial", "truncated"), ("partial", "no_keys")
     }
 
-    assert analyze_packets(packets, keystore, "hard").timelines == expected
+    assert analyze_frames(frames, keylog_text, "hard").timelines == expected

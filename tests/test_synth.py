@@ -10,13 +10,10 @@ from pathlib import Path
 import pytest
 
 from tlslayers import synth
-from tlslayers.decode import decode_frame
 from tlslayers.errors import InvalidSpec
-from tlslayers.keylog import parse_keylog
-from tlslayers.pipeline import analyze_packets
 from tlslayers.timeline import BOUNDARIES, LAYERS
 
-from conftest import clean_connection_spec, run_scenario
+from conftest import analyze_frames, clean_connection_spec, run_scenario
 
 
 def _frames_fingerprint(frames):
@@ -176,6 +173,7 @@ def test_reorder_within_one_ms_yields_identical_timelines(clean_scenario):
         clean_connection_spec(seed=1, anomalies=frozenset({"reorder"})),
     ))
     result, _ = run_scenario(spec)
+    assert len(result.timelines) == len(base_result.timelines)
     for a, b in zip(base_result.timelines, result.timelines):
         for name in BOUNDARIES:
             assert a.boundary(name) == b.boundary(name)
@@ -183,13 +181,7 @@ def test_reorder_within_one_ms_yields_identical_timelines(clean_scenario):
 
 def test_file_order_shuffle_yields_identical_timelines(clean_scenario):
     frames, keylog_text, _ = synth.generate(clean_scenario)
-    keystore = parse_keylog(keylog_text)
-
-    def analyze(frame_list):
-        packets = [p for f in frame_list if (p := decode_frame(f)) is not None]
-        return analyze_packets(packets, keystore, "shuffle")
-
-    base = analyze(frames)
+    base = analyze_frames(frames, keylog_text, "shuffle")
     rng = random.Random(17)
     for _ in range(3):
         shuffled = frames[:]
@@ -202,7 +194,8 @@ def test_file_order_shuffle_yields_identical_timelines(clean_scenario):
             group = buckets[key]
             rng.shuffle(group)
             mixed.extend(group)
-        result = analyze(mixed)
+        result = analyze_frames(mixed, keylog_text, "shuffle")
+        assert len(result.timelines) == len(base.timelines)
         for a, b in zip(base.timelines, result.timelines):
             for name in BOUNDARIES:
                 assert a.boundary(name) == b.boundary(name)
