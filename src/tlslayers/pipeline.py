@@ -24,8 +24,9 @@ traffic keys, then runs one protected-record opener (`_open_protected`)
 over each direction in turn: the client's yields the Finished and the HTTP
 request, the server's the HTTP status line.  The walk writes boundaries
 and handshake metadata straight into a `ConnectionTimeline` and returns why
-it stopped early, if it did; `timeline.classify` turns that into validity
-and reason.
+it stopped early, if it did.  `analyze_connection` maps the walk's errors
+to stop reasons and notes whether the capture cut the connection;
+`timeline.classify` alone turns stop and cut into validity and reason.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from tlslayers.errors import (
     AuthFailure,
     BadRecordHeader,
     EmptyInnerPlaintext,
+    LengthMismatch,
     MalformedHeader,
     MalformedHello,
     OversizeRecord,
-    TlsLayersError,
     UnreadableFile,
     UnsupportedCipherSuite,
 )
@@ -115,15 +116,10 @@ def analyze_connection(conn: TcpConnection, keystore: KeyLogStore | None) -> Con
         stop = "bad_tls_stream"
     except MalformedHello:
         stop = "malformed_hello"
-    except (UnsupportedCipherSuite, AuthFailure, EmptyInnerPlaintext):
+    except (UnsupportedCipherSuite, LengthMismatch, AuthFailure, EmptyInnerPlaintext):
         stop = "undecryptable"
-    # A snap-cut or gapped capture is the root cause of an early stop, except
-    # missing keys (the walk stops before it reaches the cut) and an HRR.
-    if stop not in (None, "no_keys", "hrr") and (
-        conn.truncated or conn.client_to_server.has_gap or conn.server_to_client.has_gap
-    ):
-        stop = "truncated"
-    return classify(tl, stop)
+    cut = conn.truncated or conn.client_to_server.has_gap or conn.server_to_client.has_gap
+    return classify(tl, stop, cut)
 
 
 def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimeline) -> str | None:
@@ -163,10 +159,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
         secret = keystore.get(ch.client_random, label)
         if secret is None:
             return "no_keys"
-        try:
-            keys.append(derive_traffic_keys(secret, tl.cipher_suite))
-        except TlsLayersError:
-            return "undecryptable"
+        keys.append(derive_traffic_keys(secret, tl.cipher_suite))
     client_hs, server_hs, client_ap, server_ap = keys
 
     # decryption stops once each direction's boundary is found
@@ -288,11 +281,6 @@ def summarize_run(
         "partial": dict(sorted(partial.items())),
         "excluded": dict(sorted(excluded.items())),
     }
-    bucket_sum = valid + sum(partial.values()) + sum(excluded.values())
-    if bucket_sum != len(timelines):
-        raise AssertionError(
-            f"stream tallies ({bucket_sum}) do not sum to total ({len(timelines)})"
-        )
 
     layer_stats = {
         layer: summarize(samples) for layer, samples in layer_samples.items() if samples

@@ -72,6 +72,8 @@ _MAX_SEG = 1448
 # Boundary times stay below 2^31 s, so the frames written after t5 still
 # fit classic pcap's 32-bit seconds field.
 _BOUNDARY_LIMIT_NS = (1 << 31) * 1_000_000_000
+# A body is generated in memory at once; 16 MiB is 100 times the benchmark's largest.
+_BODY_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ def validate_spec(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"connection {i}: boundary times not ordered")
         if conn.boundary_times[-1] >= _BOUNDARY_LIMIT_NS:
             raise InvalidSpec(f"connection {i}: boundary time at or past 2^31 s")
-        if conn.response_body_bytes < 0:
-            raise InvalidSpec(f"connection {i}: negative response body size")
+        if not 0 <= conn.response_body_bytes <= _BODY_LIMIT:
+            raise InvalidSpec(f"connection {i}: response_body_bytes {conn.response_body_bytes} is outside 0-2^24")
         unknown = set(conn.anomalies) - ANOMALIES
         if unknown:
             raise InvalidSpec(f"connection {i}: unknown anomalies {sorted(unknown)}")

@@ -45,9 +45,6 @@ class ConnectionTimeline:
     validity: str = PARTIAL
     reason: str | None = None
 
-    def boundary(self, name: str) -> int | None:
-        return getattr(self, name)
-
 
 def starts_http_request(plaintext: bytes) -> bool:
     """Whether a client application-data record starts an HTTP request.
@@ -62,45 +59,44 @@ def http_status(plaintext: bytes, ts: int, t_http_get: int) -> int | None:
     """Status code of a server record that opens with an HTTP/1.x status line.
 
     None for a record that arrived before the request (`ts < t_http_get`) or
-    does not start with a status line.  The record's first-byte arrival is
-    the response-latency boundary, not time-to-last-byte.
+    does not start with a status line, whose code is exactly three digits
+    (RFC 9110 §15).  The record's first-byte arrival is the response-latency
+    boundary, not time-to-last-byte.
     """
     if ts < t_http_get or not plaintext.startswith(b"HTTP/1."):
         return None
     parts = plaintext.split(b" ", 2)
-    if len(parts) < 2 or not parts[1].isdigit():
+    if len(parts) < 2 or len(parts[1]) != 3 or not parts[1].isdigit():
         return None
     return int(parts[1])
 
 
-def classify(tl: ConnectionTimeline, stop_reason: str | None = None) -> ConnectionTimeline:
-    """Set `tl.validity` and `tl.reason` in place; returns `tl`.
+def classify(tl: ConnectionTimeline, stop_reason: str | None = None, cut: bool = False) -> ConnectionTimeline:
+    """Set `tl.validity` and `tl.reason` in place, by the first rule that holds; returns `tl`.
 
-    `stop_reason` says why the walk stopped early, if it did.  An `hrr`
-    stop and a non-200 status yield `excluded`; missing boundaries yield
-    `partial` with the stop reason, or else one named after the first
-    missing boundary; ordering violations yield `excluded`.
+    `stop_reason` says why the walk stopped early, if it did; `cut` says the
+    capture lost bytes of the connection (snap-cut or a gap).  An `hrr` stop
+    is `excluded`.  Any other stop is `partial`: its reason is `truncated` on
+    a cut connection, since the cut is then the root cause, but `no_keys`
+    stays `no_keys` (the walk stops before it reaches the cut).  With no
+    stop, a non-200 status or unordered boundaries are `excluded`, and else
+    the connection is `valid`.
+
+    The walk returns no stop only right after it sets `http_status` and
+    `t_http_200`, when the other five boundaries are already set, and every
+    stop leaves `t_http_200` unset.  So with no stop all six boundaries
+    exist, and with a stop at least one is missing.
     """
     if stop_reason == "hrr":
-        tl.validity, tl.reason = EXCLUDED, stop_reason
-        return tl
-    if tl.http_status is not None and tl.http_status != 200:
+        tl.validity, tl.reason = EXCLUDED, "hrr"
+    elif stop_reason is not None:
+        tl.validity, tl.reason = PARTIAL, "truncated" if cut and stop_reason != "no_keys" else stop_reason
+    elif tl.http_status != 200:
         tl.validity, tl.reason = EXCLUDED, "non200"
-        return tl
-
-    missing = [name for name in BOUNDARIES if tl.boundary(name) is None]
-    if missing:
-        tl.validity = PARTIAL
-        tl.reason = stop_reason or f"no_{missing[0][2:]}"
-        return tl
-
-    ordered = all(
-        tl.boundary(a) <= tl.boundary(b) for a, b in zip(BOUNDARIES, BOUNDARIES[1:])
-    )
-    if not ordered:
+    elif any(getattr(tl, a) > getattr(tl, b) for a, b in zip(BOUNDARIES, BOUNDARIES[1:])):
         tl.validity, tl.reason = EXCLUDED, "ordering"
-        return tl
-    tl.validity, tl.reason = VALID, None
+    else:
+        tl.validity, tl.reason = VALID, None
     return tl
 
 
@@ -116,7 +112,7 @@ def layer_deltas_ns(tl: ConnectionTimeline) -> list[int]:
     out = []
     a = tl.t_syn
     for name in BOUNDARIES[1:]:
-        b = tl.boundary(name)
+        b = getattr(tl, name)
         if a is None or b is None or b < a:
             break
         out.append(b - a)

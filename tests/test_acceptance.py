@@ -189,7 +189,7 @@ def test_criterion_4_synthetic_round_trip(mixed_run):
                 break
         assert ct is not None
         for name in BOUNDARIES:
-            assert tl.boundary(name) == ct.boundaries[name], (ct.index, name)
+            assert getattr(tl, name) == ct.boundaries[name], (ct.index, name)
         matched += 1
     assert matched == 200
 

@@ -89,10 +89,10 @@ def test_analyze_worker_count_does_not_change_output(fixture_dir, tmp_path, caps
 
 
 def test_cli_import_loads_no_process_pool():
-    """Nor the pipeline: only `analyze` imports it, so `--version` and `compare` skip cryptography."""
+    """Nor the pipeline or synth, so `--version` and `compare` load neither cryptography nor yaml."""
     src = str(Path(tlslayers.__file__).resolve().parent.parent)
     absent = (
-        "multiprocessing", "concurrent.futures", "cryptography",
+        "multiprocessing", "concurrent.futures", "cryptography", "yaml", "tlslayers.synth",
         "tlslayers.pipeline", "tlslayers.reassembly", "tlslayers.tlswire", "tlslayers.keyschedule",
     )
     code = f"import sys, tlslayers.cli; print([m for m in {absent!r} if m in sys.modules])"
@@ -399,6 +399,8 @@ MALFORMED_INPUTS = {
                                       "connection 0: boundary_times_ns"),
     "scenario-body-bytes-float": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: 4096.9"),
                                   "response_body_bytes"),
+    "scenario-body-bytes-above-2^24": ("synth", lambda doc: SCENARIO_YAML.replace("response_body_bytes: 4096", "response_body_bytes: 1000000000000"),
+                                       "connection 0", "response_body_bytes"),
     "scenario-port-float": ("synth", lambda doc: "server_port: 443.5\n" + SCENARIO_YAML, "server_port"),
     "scenario-five-boundary-times": ("synth", lambda doc: SCENARIO_YAML.replace(FIRST_BOUNDARIES, "[0, 1, 2, 3, 4]"),
                                      "connection 0"),

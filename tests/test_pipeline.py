@@ -12,6 +12,7 @@ from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_ru
 from tlslayers.reassembly import TcpConnection, assemble_connections
 from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
+    CT_CHANGE_CIPHER_SPEC,
     CT_HANDSHAKE,
     HRR_RANDOM,
     build_handshake_message,
@@ -95,6 +96,16 @@ def test_missing_server_hello_is_partial():
     assert tl.reason == "no_serverhello"
 
 
+def test_change_cipher_spec_before_server_hello_is_skipped():
+    # RFC 8446 §5: a change_cipher_spec record may arrive any time after the ClientHello
+    ch = build_record(CT_HANDSHAKE, render_client_hello(bytes(32), [(0x001D, bytes(32))]), 0x0301)
+    ccs = build_record(CT_CHANGE_CIPHER_SPEC, b"\x01")
+    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    tl = analyze_connection(_connection([ch], [ccs, sh]), None)
+    assert (tl.validity, tl.reason) == ("partial", "no_keys")
+    assert tl.group == "x25519"
+
+
 def test_no_decrypt_mode_stops_at_keys():
     ch = build_record(CT_HANDSHAKE, render_client_hello(bytes(32), [(0x001D, bytes(32))]), 0x0301)
     sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
@@ -111,7 +122,7 @@ def test_summarize_run_counts_must_balance():
 
     timelines = [
         classify(ConnectionTimeline(t_syn=0, t_synack=100), "no_clienthello"),
-        classify(ConnectionTimeline(t_syn=0, t_synack=None)),
+        classify(ConnectionTimeline(t_syn=0, t_synack=None), "no_synack"),
     ]
     result = summarize_run(timelines, "unit")
     assert result.counts["total_streams"] == 2

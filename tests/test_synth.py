@@ -78,7 +78,7 @@ def test_clean_connection_recovered_exactly(clean_scenario):
     ct = truth.connections[0]
     assert tl.validity == ct.validity == "valid"
     for name in BOUNDARIES:
-        assert tl.boundary(name) == ct.boundaries[name], name
+        assert getattr(tl, name) == ct.boundaries[name], name
     assert tl.group == ct.group
     assert tl.key_share_len == ct.key_share_len
     assert tl.client_hello_len == ct.client_hello_len
@@ -164,7 +164,7 @@ def test_retransmission_does_not_inflate_boundaries(clean_scenario):
     ))
     result, _ = run_scenario(retrans)
     for name in BOUNDARIES:
-        assert result.timelines[0].boundary(name) == base_result.timelines[0].boundary(name)
+        assert getattr(result.timelines[0], name) == getattr(base_result.timelines[0], name)
 
 
 def test_reorder_within_one_ms_yields_identical_timelines(clean_scenario):
@@ -176,7 +176,7 @@ def test_reorder_within_one_ms_yields_identical_timelines(clean_scenario):
     assert len(result.timelines) == len(base_result.timelines)
     for a, b in zip(base_result.timelines, result.timelines):
         for name in BOUNDARIES:
-            assert a.boundary(name) == b.boundary(name)
+            assert getattr(a, name) == getattr(b, name)
 
 
 def test_file_order_shuffle_yields_identical_timelines(clean_scenario):
@@ -198,7 +198,7 @@ def test_file_order_shuffle_yields_identical_timelines(clean_scenario):
         assert len(result.timelines) == len(base.timelines)
         for a, b in zip(base.timelines, result.timelines):
             for name in BOUNDARIES:
-                assert a.boundary(name) == b.boundary(name)
+                assert getattr(a, name) == getattr(b, name)
 
 
 def test_cross_format_equivalence_for_us_aligned_times(tmp_path, clean_scenario):
@@ -289,6 +289,16 @@ def test_validation_rejects_bad_specs():
         )))
 
 
+def test_response_body_bound_is_inclusive():
+    # checked without generating: the body would be 16 MiB
+    conn = synth.ConnectionSpec(boundary_times=(0, 1, 2, 3, 4, 5), response_body_bytes=1 << 24)
+    synth.validate_spec(synth.ScenarioSpec(connections=(conn,)))
+    with pytest.raises(InvalidSpec, match="connection 0: response_body_bytes"):
+        synth.validate_spec(synth.ScenarioSpec(connections=(
+            synth.ConnectionSpec(boundary_times=(0, 1, 2, 3, 4, 5), response_body_bytes=(1 << 24) + 1),
+        )))
+
+
 def test_scenario_file_loading(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(
@@ -329,4 +339,4 @@ def test_documented_scenario_example_analyses_to_its_ground_truth(tmp_path):
     for tl in result.timelines:
         ct = by_syn[tl.t_syn]
         for name in BOUNDARIES:
-            assert tl.boundary(name) == ct.boundaries[name], name
+            assert getattr(tl, name) == ct.boundaries[name], name

@@ -61,6 +61,10 @@ def test_non200_status_parsed():
 def test_no_response_found():
     assert http_status(b"partial body", 10, 0) is None
     assert http_status(b"HTTP/1.1 OK\r\n", 10, 0) is None
+    # a status code is exactly three digits (RFC 9110 §15); int() refuses 4301 or more
+    assert http_status(b"HTTP/1.1 " + b"2" * 5000 + b" OK\r\n", 10, 0) is None
+    assert http_status(b"HTTP/1.1 2000 OK\r\n", 10, 0) is None
+    assert http_status(b"HTTP/1.1 20 OK\r\n", 10, 0) is None
 
 
 # -- timeline validity ---------------------------------------------------------
@@ -112,11 +116,19 @@ def test_partial_prefix_stops_at_first_unordered_pair():
     assert layer_deltas_ns(tl) == [360_000]  # tcp_handshake only
 
 
-def test_partial_reason_derived_from_first_missing_boundary():
-    tl = classify(ConnectionTimeline(t_syn=0, t_synack=None))
-    assert tl.validity == PARTIAL
-    assert tl.reason == "no_synack"
-    assert layer_deltas_ns(tl) == []
+def test_stop_precedence_on_a_cut_connection():
+    # a cut names the cause of every stop but missing keys, which come before it, and an HRR
+    table = [
+        ("no_response", PARTIAL, "truncated"),
+        ("undecryptable", PARTIAL, "truncated"),
+        ("no_keys", PARTIAL, "no_keys"),
+        ("hrr", EXCLUDED, "hrr"),
+    ]
+    for stop, validity, reason in table:
+        tl = classify(ConnectionTimeline(t_syn=0, t_synack=100_000, t_clienthello=200_000), stop, cut=True)
+        assert (tl.validity, tl.reason) == (validity, reason), stop
+        uncut = classify(ConnectionTimeline(t_syn=0, t_synack=100_000, t_clienthello=200_000), stop)
+        assert uncut.reason == stop
 
 
 # -- delta arithmetic -------------------------------------------------------------
