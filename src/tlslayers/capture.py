@@ -52,12 +52,12 @@ PCAP_MAGIC_US_SWAPPED = 0xD4C3B2A1
 PCAP_MAGIC_NS_SWAPPED = 0x4D3CB2A1
 PCAPNG_SHB_TYPE = 0x0A0D0D0A
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
+PCAPNG_IDB_TYPE = 0x00000001
+PCAPNG_EPB_TYPE = 0x00000006
 CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and synth writes
 
 _SHB_TYPE = struct.pack("<I", PCAPNG_SHB_TYPE)  # the same bytes in either byte order
 _BYTE_ORDERS = {struct.pack("<I", PCAPNG_BYTE_ORDER_MAGIC): "<", struct.pack(">I", PCAPNG_BYTE_ORDER_MAGIC): ">"}
-_IDB = 0x00000001
-_EPB = 0x00000006
 
 # release stride: the mapped pages behind the current frame are dropped every _CHUNK bytes walked
 _CHUNK = 1 << 20
@@ -190,7 +190,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             return
         body_len = total_len - 12  # the trailing duplicate length follows the body
 
-        if block_type == _IDB:
+        if block_type == PCAPNG_IDB_TYPE:
             if body_len < 8:
                 logger.warning("%s: short IDB, skipping", name)
                 continue
@@ -199,7 +199,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
                 raise UnknownLinkType(f"{name}: link type {linktype} not supported")
             pow10, pow2 = _parse_tsresol(buf[body + 8 : off - 4], endian, name)
             interfaces.append((linktype, pow10, pow2))
-        elif block_type == _EPB:
+        elif block_type == PCAPNG_EPB_TYPE:
             if body_len < 20:
                 logger.warning("%s: short EPB, skipping", name)
                 continue

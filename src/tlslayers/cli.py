@@ -17,7 +17,7 @@ from pathlib import Path
 from tlslayers import __version__, documents
 from tlslayers.capture import CAPTURE_FORMATS
 from tlslayers.documents import IncompatibleDocuments
-from tlslayers.errors import NoUsableStreams, TlsLayersError, UnreadableFile
+from tlslayers.errors import InvalidSpec, NoUsableStreams, TlsLayersError, UnreadableFile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,7 +112,10 @@ def _cmd_synth(args) -> int:
     from tlslayers import synth  # imports PyYAML; analyze and compare do not need it
 
     spec = synth.load_scenario(args.spec)
-    paths = synth.write_outputs(spec, args.out, capture_format=args.capture_format)
+    try:
+        paths = synth.write_outputs(spec, args.out, capture_format=args.capture_format)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{args.spec}: {exc}") from exc
     for kind, path in paths.items():
         print(f"{kind}: {path}")
     return EXIT_OK

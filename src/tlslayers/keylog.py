@@ -10,6 +10,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+from tlslayers.tlswire import SUITES_BY_ID
+
 logger = logging.getLogger(__name__)
 
 LABEL_CLIENT_HS = "CLIENT_HANDSHAKE_TRAFFIC_SECRET"
@@ -19,7 +21,7 @@ LABEL_SERVER_AP = "SERVER_TRAFFIC_SECRET_0"
 
 KNOWN_LABELS = frozenset({LABEL_CLIENT_HS, LABEL_SERVER_HS, LABEL_CLIENT_AP, LABEL_SERVER_AP})
 
-_SECRET_LENGTHS = frozenset({32, 48})
+_SECRET_LENGTHS = frozenset(s.secret_len for s in SUITES_BY_ID.values())
 
 
 @dataclass

@@ -17,8 +17,9 @@ from __future__ import annotations
 import ipaddress
 import json
 import struct
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import Iterable
@@ -31,8 +32,13 @@ from tlslayers.capture import (
     LINKTYPE_ETHERNET,
     PCAP_MAGIC_NS,
     PCAP_MAGIC_US,
+    PCAPNG_BYTE_ORDER_MAGIC,
+    PCAPNG_EPB_TYPE,
+    PCAPNG_IDB_TYPE,
+    PCAPNG_SHB_TYPE,
     CapturedFrame,
 )
+from tlslayers.decode import TcpFlags
 from tlslayers.errors import InvalidSpec, UnknownGroup, WriteFailure
 from tlslayers.keyschedule import NONCE_LEN, hkdf_expand_label
 from tlslayers.keylog import (
@@ -41,7 +47,7 @@ from tlslayers.keylog import (
     LABEL_SERVER_AP,
     LABEL_SERVER_HS,
 )
-from tlslayers.timeline import BOUNDARIES, EXCLUDED, LAYERS, PARTIAL, VALID
+from tlslayers.timeline import BOUNDARIES, EXCLUDED, LAYERS, NS_PER_MS, PARTIAL, VALID
 from tlslayers.tlswire import (
     CT_APPLICATION_DATA,
     CT_CHANGE_CIPHER_SPEC,
@@ -50,6 +56,7 @@ from tlslayers.tlswire import (
     HT_CERTIFICATE_VERIFY,
     HT_ENCRYPTED_EXTENSIONS,
     HT_FINISHED,
+    SUITES_BY_ID,
     SUITES_BY_NAME,
     CipherSuite,
     build_handshake_message,
@@ -68,6 +75,8 @@ _SERVER_MAC = bytes.fromhex("020000000002")
 
 _MIN_SEG = 240
 _MAX_SEG = 1448
+
+_SYN, _ACK, _PSH, _FIN = map(int, (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.PSH, TcpFlags.FIN))
 
 # Boundary times stay below 2^31 s, so the frames written after t5 still
 # fit classic pcap's 32-bit seconds field.
@@ -244,10 +253,10 @@ class GroundTruth:
         }
 
     def layer_samples_ms(self, layer: str) -> list[float]:
-        return [c.layers_ns[layer] / 1_000_000 for c in self.connections if layer in c.layers_ns]
+        return [c.layers_ns[layer] / NS_PER_MS for c in self.connections if layer in c.layers_ns]
 
     def e2e_samples_ms(self) -> list[float]:
-        return [c.e2e_ns / 1_000_000 for c in self.connections if c.e2e_ns is not None]
+        return [c.e2e_ns / NS_PER_MS for c in self.connections if c.e2e_ns is not None]
 
     def as_dict(self) -> dict:
         return {
@@ -350,47 +359,32 @@ def _segment_stream(
 ) -> list[tuple[int, bytes, int]]:
     """Cut a direction's record stream into (offset, payload, ts) segments.
 
+    Each step draws a length; a forced cut at or before its end ends the segment instead.
     A segment's timestamp is the time of the record containing its first
     byte; extra segments inside one record get a capped 1 microsecond step so
     they never outrun the next record's time.
     """
     stream = b"".join(body for body, _ in records)
-    offsets = []
-    times = []
-    pos = 0
-    for body, ts in records:
-        offsets.append(pos)
-        times.append(ts)
-        pos += len(body)
-    total = pos
-
-    cuts = {0, total} | {c for c in forced_cuts if 0 < c < total}
-    pos = 0
+    total = len(stream)
+    ends = sorted({c for c in forced_cuts if 0 < c < total} | {total})
+    segments = []
+    k = pos = 0
+    r, record_end, j = 0, len(records[0][0]), 0  # the record holding `pos`, and its segments so far
     while pos < total:
         nxt = pos + rng.randint(_MIN_SEG, _MAX_SEG)
-        forced_ahead = [c for c in cuts if pos < c < nxt]
-        if forced_ahead:
-            pos = min(forced_ahead)
-            continue
-        if nxt >= total:
-            break
-        cuts.add(nxt)
+        if ends[k] <= nxt:
+            nxt = ends[k]
+            k += 1
+        while record_end <= pos:
+            r += 1
+            record_end += len(records[r][0])
+            j = 0
+        base = records[r][1]
+        after = records[r + 1][1] if r + 1 < len(records) else base + 10_000_000
+        ts = min(base + j * 1000, after - 1) if after > base else base
+        segments.append((pos, stream[pos:nxt], ts))
+        j += 1
         pos = nxt
-    cut_list = sorted(cuts)
-
-    segments = []
-    seg_index_in_record: dict[int, int] = {}
-    for a, b in zip(cut_list, cut_list[1:]):
-        r = bisect_right(offsets, a) - 1
-        j = seg_index_in_record.get(r, 0)
-        seg_index_in_record[r] = j + 1
-        base = times[r]
-        nxt_time = times[r + 1] if r + 1 < len(times) else base + 10_000_000
-        if nxt_time > base:
-            ts = min(base + j * 1000, nxt_time - 1)
-        else:
-            ts = base
-        segments.append((a, stream[a:b], ts))
     return segments
 
 
@@ -400,55 +394,46 @@ _REASON_TEXT = {200: "OK", 503: "Service Unavailable"}
 
 
 def generate(spec: ScenarioSpec) -> tuple[list[CapturedFrame], str, GroundTruth]:
-    """Produce (frames, keylog text, ground truth); byte-deterministic per spec."""
+    """Produce (frames, keylog text, ground truth); byte-deterministic per spec.
+
+    Frames are in time order; equal times keep connection order, then plan order.
+    `reorder` on any connection then shuffles the whole capture within 1 ms
+    buckets, seeded by the first such connection. Connection i's client port is
+    10000 + i mod 50000, so connections 50000 apart share a four-tuple.
+    """
     validate_spec(spec)
     client_ip = ipaddress.ip_address(spec.client_ip).packed
     server = (_SERVER_MAC, ipaddress.ip_address(spec.server_ip).packed, spec.server_port)
 
-    all_frames: list[tuple[int, int, bytes, int]] = []  # (ts, order, frame bytes, orig_len)
+    frames: list[CapturedFrame] = []
     keylog_lines: list[str] = []
     truth = GroundTruth()
-    order = 0
 
     for index, conn in enumerate(spec.connections):
         rng = Random(f"tlslayers-synth:{index}:{conn.segmentation_seed}")
         client = (_CLIENT_MAC, client_ip, 10000 + (index % 50000))
-        frames, lines, ct = _generate_connection(index, conn, rng, client, server)
-        for ts, data, orig_len in frames:
-            all_frames.append((ts, order, data, orig_len))
-            order += 1
+        conn_frames, lines, ct = _generate_connection(index, conn, rng, client, server)
+        frames.extend(conn_frames)
         keylog_lines.extend(lines)
         truth.connections.append(ct)
 
-    all_frames.sort(key=lambda f: (f[0], f[1]))
-
-    # the first reorder connection's seed shuffles the whole capture
+    frames.sort(key=attrgetter("timestamp_ns"))
     for index, conn in enumerate(spec.connections):
         if "reorder" in conn.anomalies:
             rng = Random(f"tlslayers-reorder:{index}:{conn.segmentation_seed}")
-            all_frames = _shuffle_within_ms(all_frames, rng)
+            frames = _shuffle_within_ms(frames, rng)
             break
-
-    frames_out = [
-        CapturedFrame(timestamp_ns=ts, link_type=LINKTYPE_ETHERNET, data=data, orig_len=orig_len)
-        for ts, _, data, orig_len in all_frames
-    ]
-    return frames_out, "".join(keylog_lines), truth
+    return frames, "".join(keylog_lines), truth
 
 
-def _shuffle_within_ms(frames: list[tuple[int, int, bytes, int]], rng: Random) -> list:
-    buckets: dict[int, list] = {}
-    for f in frames:
-        buckets.setdefault(f[0] // 1_000_000, []).append(f)
+def _shuffle_within_ms(frames: list[CapturedFrame], rng: Random) -> list[CapturedFrame]:
+    """`frames`, sorted by time, with the frames of each millisecond shuffled among themselves."""
     out = []
-    for key in sorted(buckets):
-        group = buckets[key]
+    for _, group in groupby(frames, key=lambda f: f.timestamp_ns // NS_PER_MS):
+        group = list(group)
         rng.shuffle(group)
         out.extend(group)
     return out
-
-
-_SYN, _ACK, _PSH, _FIN = 0x02, 0x10, 0x08, 0x01
 
 
 def _generate_connection(
@@ -480,7 +465,7 @@ def _generate_connection(
         ]
 
     # handshake messages
-    suite_ids = [suite.suite_id] + [s for s in (0x1301, 0x1302, 0x1303) if s != suite.suite_id]
+    suite_ids = [suite.suite_id] + [s for s in SUITES_BY_ID if s != suite.suite_id]
     ch_msg = render_client_hello(
         client_random,
         [(group.group_id, rng.randbytes(group.client_share_len))],
@@ -554,12 +539,8 @@ def _generate_connection(
     t_sh = t2 + (t3 - t2) // 4
     flight = ee_msg + cert_msg + cv_msg + server_fin_msg
     n_chunks = rng.randint(1, 3)
-    cut_points = sorted(rng.sample(range(1, len(flight)), n_chunks - 1)) if n_chunks > 1 else []
-    flight_parts = []
-    prev = 0
-    for cp in cut_points + [len(flight)]:
-        flight_parts.append(flight[prev:cp])
-        prev = cp
+    flight_cuts = [0, *sorted(rng.sample(range(1, len(flight)), n_chunks - 1)), len(flight)]
+    flight_parts = [flight[a:b] for a, b in zip(flight_cuts, flight_cuts[1:])]
     flight_end = t2 + (t3 - t2) * 3 // 4
     server_records: list[tuple[bytes, int]] = [
         (build_record(CT_HANDSHAKE, sh_msg), t_sh),
@@ -605,19 +586,18 @@ def _generate_connection(
     for i, (from_client, seq, ack, flags, payload, ts) in enumerate(plan, start=1):
         src, dst = (client, server) if from_client else (server, client)
         data = _tcp_frame(src, dst, (ip_id + i) & 0xFFFF, seq, ack, flags, payload)
-        frames.append((ts, data, len(data)))
+        frames.append(CapturedFrame(ts, LINKTYPE_ETHERNET, data, len(data)))
 
     # anomalies, by index into the frames
     if "truncate" in anomalies:
         # snap-cut the segment carrying the status line to 20 payload bytes (caplen < wirelen)
         k = first_server_seg + [off for off, _, _ in server_segs].index(resp_off)
-        ts, data, orig_len = frames[k]
-        payload = plan[k][4]
-        frames[k] = (ts, data[: orig_len - len(payload) + 20], orig_len)
+        f = frames[k]
+        frames[k] = f._replace(data=f.data[: f.orig_len - len(plan[k][4]) + 20])
     if "retransmit" in anomalies:
         # the second client segment's frame again, five milliseconds later
-        ts, data, orig_len = frames[first_client_seg + 1]
-        frames.append((ts + 5_000_000, data, orig_len))
+        f = frames[first_client_seg + 1]
+        frames.append(f._replace(timestamp_ns=f.timestamp_ns + 5_000_000))
 
     bounds = (t0, t1, t2, t3, t_get, t5)
     truth = _connection_truth(index, conn, client_random, group, len(ch_msg), len(sh_msg), bounds)
@@ -705,10 +685,10 @@ def _block(block_type: int, body: bytes) -> bytes:
 
 
 def _write_pcapng(fh, frames) -> None:
-    fh.write(_block(0x0A0D0D0A, struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1)))
+    fh.write(_block(PCAPNG_SHB_TYPE, struct.pack("<IHHq", PCAPNG_BYTE_ORDER_MAGIC, 1, 0, -1)))
     # IDB with if_tsresol = 9 (nanoseconds)
     opts = struct.pack("<HH", 9, 1) + b"\x09\x00\x00\x00" + struct.pack("<HH", 0, 0)
-    fh.write(_block(0x00000001, struct.pack("<HHI", LINKTYPE_ETHERNET, 0, 262144) + opts))
+    fh.write(_block(PCAPNG_IDB_TYPE, struct.pack("<HHI", LINKTYPE_ETHERNET, 0, 262144) + opts))
     for f in frames:
         body = struct.pack(
             "<IIIII",
@@ -718,7 +698,7 @@ def _write_pcapng(fh, frames) -> None:
             len(f.data),
             f.orig_len,
         ) + _pad4(f.data)
-        fh.write(_block(0x00000006, body))
+        fh.write(_block(PCAPNG_EPB_TYPE, body))
 
 
 def write_outputs(
@@ -727,6 +707,10 @@ def write_outputs(
     capture_format: str = "pcap-ns",
 ) -> dict[str, Path]:
     """Generate a scenario and write capture, key log and ground truth files."""
+    if capture_format == "pcap-us":  # a capture that rounds the truth's times would contradict it
+        for i, conn in enumerate(spec.connections):
+            if any(t % 1000 for t in conn.boundary_times):
+                raise InvalidSpec(f"connection {i}: pcap-us holds whole microseconds only, and boundary_times_ns do not")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames, keylog_text, truth = generate(spec)

@@ -359,6 +359,18 @@ def test_synth_bad_spec_exits_2(tmp_path):
     assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_synth_pcap_us_rejects_times_it_cannot_hold(tmp_path, capsys):
+    # pcap-us would round these to whole microseconds, and analyze would report a valid
+    # connection whose boundaries contradict the ground truth written beside it
+    spec = tmp_path / "sub_us.yaml"
+    spec.write_text(SCENARIO_YAML.replace("1008135000", "1008135789"))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "us"), "--capture-format", "pcap-us"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: connection 1: ") and "boundary_times_ns" in err, err
+    assert not (tmp_path / "us").exists()
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ns"), "--capture-format", "pcap-ns"]) == 0
+
+
 def _without_p50(doc):
     del doc["layers"]["tls_handshake"]["p50"]
     return json.dumps(doc)

@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlslayers import synth
 from tlslayers.errors import InvalidSpec
@@ -62,6 +64,28 @@ def test_generated_bytes_are_pinned(tmp_path):
         "keylog": "c90a6a44ebbe8c2ae450c957a6a803b7e2fa19bbffc0b9b2927beb4bff32b8c4",
         "truth": "5b3006bf40ba7303ba24cbdff3e0000aa32be9796b9ef36533278a9839b92f28",
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 50_000)), min_size=1, max_size=8),
+    forced=st.sets(st.integers(0, 25_000), max_size=4),
+    seed=st.integers(0, 2**32),
+    pick=st.integers(0),
+)
+def test_segmentation_tiles_the_stream_and_a_cut_it_makes_anyway_changes_nothing(records, forced, seed, pick):
+    times = sorted(ts for _, ts in records)
+    records = [(bytes([i]) * n, ts) for i, ((n, _), ts) in enumerate(zip(records, times))]
+    stream = b"".join(body for body, _ in records)
+    segs = synth._segment_stream(records, forced, random.Random(seed))
+    offsets = [off for off, _, _ in segs]
+    assert b"".join(p for _, p, _ in segs) == stream
+    assert offsets == list(itertools.accumulate((len(p) for _, p, _ in segs[:-1]), initial=0))
+    assert all(0 < len(p) <= synth._MAX_SEG for _, p, _ in segs)
+    assert {c for c in forced if 0 < c < len(stream)} <= set(offsets)
+    # forcing a cut the draws make anyway must cost no draw and add no segment
+    also = forced | {offsets[pick % len(offsets)]}
+    assert synth._segment_stream(records, also, random.Random(seed)) == segs
 
 
 def test_different_seeds_change_segmentation():
@@ -184,16 +208,8 @@ def test_file_order_shuffle_yields_identical_timelines(clean_scenario):
     base = analyze_frames(frames, keylog_text, "shuffle")
     rng = random.Random(17)
     for _ in range(3):
-        shuffled = frames[:]
         # permute within 1 ms buckets, preserving each frame's timestamp
-        buckets = {}
-        for f in shuffled:
-            buckets.setdefault(f.timestamp_ns // 1_000_000, []).append(f)
-        mixed = []
-        for key in sorted(buckets):
-            group = buckets[key]
-            rng.shuffle(group)
-            mixed.extend(group)
+        mixed = synth._shuffle_within_ms(frames, rng)
         result = analyze_frames(mixed, keylog_text, "shuffle")
         assert len(result.timelines) == len(base.timelines)
         for a, b in zip(base.timelines, result.timelines):
