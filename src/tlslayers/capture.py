@@ -1,4 +1,7 @@
-"""Packet capture ingest: classic pcap and pcapng readers.
+"""Packet capture files: classic pcap and pcapng, read and written.
+
+Each on-disk header layout is stated once, below, without a byte order: the
+readers prefix the file's, the writer (`emit_capture`) prefixes `"<"`.
 
 `read_frames` is the one reader.  It maps the file read-only once and
 yields each frame as a span of the map, `(timestamp_ns, link_type, buf,
@@ -35,9 +38,9 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
+from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile, WriteFailure
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +57,19 @@ PCAPNG_SHB_TYPE = 0x0A0D0D0A
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 PCAPNG_IDB_TYPE = 0x00000001
 PCAPNG_EPB_TYPE = 0x00000006
-CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and synth writes
+CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and emit_capture writes
 
+# struct layouts without a byte-order prefix
+_PCAP_HEADER = "IHHiIII"  # magic, version major, minor, thiszone, sigfigs, snaplen, link type
+_PCAP_RECORD = "IIII"  # ts_sec, ts_frac, caplen, orig_len
+_BLOCK_HEADER = "II"  # block type, total length (repeated after the body)
+_IDB = "HHI"  # link type, reserved, snaplen
+_EPB = "IIIII"  # interface id, ts high, ts low, caplen, orig_len
+_OPTION = "HH"  # option code, value length
+
+# a pcap magic as read little-endian: (the file's byte order, ns per unit of ts_frac)
+_PCAP_MAGICS = {PCAP_MAGIC_US: ("<", 1000), PCAP_MAGIC_NS: ("<", 1),
+                PCAP_MAGIC_US_SWAPPED: (">", 1000), PCAP_MAGIC_NS_SWAPPED: (">", 1)}
 _SHB_TYPE = struct.pack("<I", PCAPNG_SHB_TYPE)  # the same bytes in either byte order
 _BYTE_ORDERS = {struct.pack("<I", PCAPNG_BYTE_ORDER_MAGIC): "<", struct.pack(">I", PCAPNG_BYTE_ORDER_MAGIC): ">"}
 
@@ -90,7 +104,7 @@ def read_frames(path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, in
     if len(buf) < 4:
         raise UnknownMagic(f"{path}: file shorter than any capture header")
     (magic,) = struct.unpack_from("<I", buf)
-    if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS, PCAP_MAGIC_US_SWAPPED, PCAP_MAGIC_NS_SWAPPED):
+    if magic in _PCAP_MAGICS:
         return _read_pcap(buf, magic, str(path))
     if magic == PCAPNG_SHB_TYPE:
         return _read_pcapng(buf, str(path))
@@ -119,21 +133,15 @@ def release_behind(buf: mmap.mmap, released: int, offset: int) -> int:
 
 
 def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
-    if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
-        endian = "<"
-    else:
-        endian = ">"
-        magic = struct.unpack(">I", struct.pack("<I", magic))[0]
-    frac_to_ns = 1000 if magic == PCAP_MAGIC_US else 1
-
+    endian, frac_to_ns = _PCAP_MAGICS[magic]
     n = len(buf)
     if n < 24:
         raise MalformedHeader(f"{name}: pcap global header truncated")
-    _vmaj, _vmin, _tz, _sigfigs, _snaplen, network = struct.unpack_from(endian + "HHiIII", buf, 4)
+    *_, network = struct.unpack_from(endian + _PCAP_HEADER, buf)
     if network not in SUPPORTED_LINK_TYPES:
         raise UnknownLinkType(f"{name}: link type {network} not supported")
 
-    unpack_hdr = struct.Struct(endian + "IIII").unpack_from
+    unpack_hdr = struct.Struct(endian + _PCAP_RECORD).unpack_from
     off = 24
     released = 0
     while off < n:
@@ -153,19 +161,10 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
 
 
-def _pcapng_ts_to_ns(ticks: int, resol_pow10: int | None, resol_pow2: int | None) -> int:
-    if resol_pow2 is not None:
-        return (ticks * 1_000_000_000) >> resol_pow2
-    n = 6 if resol_pow10 is None else resol_pow10
-    if n <= 9:
-        return ticks * 10 ** (9 - n)
-    return ticks // 10 ** (n - 9)
-
-
 def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
     # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
-    interfaces: list[tuple[int, int | None, int | None]] = []  # (linktype, pow10, pow2)
+    interfaces: list[tuple[int, int]] = []  # (linktype, timestamp units per second)
     n = len(buf)
     off = released = 0
     while off < n:
@@ -179,7 +178,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if endian is None:
                 raise UnknownMagic(f"{name}: bad pcapng byte-order magic")
             interfaces = []
-        block_type, total_len = struct.unpack_from(endian + "II", buf, off)
+        block_type, total_len = struct.unpack_from(endian + _BLOCK_HEADER, buf, off)
         if total_len < 12 or total_len % 4 != 0:
             logger.warning("%s: implausible block length %d, stopping", name, total_len)
             return
@@ -194,16 +193,15 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if body_len < 8:
                 logger.warning("%s: short IDB, skipping", name)
                 continue
-            linktype, _resv, _snaplen = struct.unpack_from(endian + "HHI", buf, body)
+            linktype, _resv, _snaplen = struct.unpack_from(endian + _IDB, buf, body)
             if linktype not in SUPPORTED_LINK_TYPES:
                 raise UnknownLinkType(f"{name}: link type {linktype} not supported")
-            pow10, pow2 = _parse_tsresol(buf[body + 8 : off - 4], endian, name)
-            interfaces.append((linktype, pow10, pow2))
+            interfaces.append((linktype, _parse_tsresol(buf[body + 8 : off - 4], endian, name)))
         elif block_type == PCAPNG_EPB_TYPE:
             if body_len < 20:
                 logger.warning("%s: short EPB, skipping", name)
                 continue
-            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + "IIIII", buf, body)
+            iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + _EPB, buf, body)
             if iface_id >= len(interfaces):
                 raise MalformedHeader(f"{name}: EPB references undefined interface {iface_id}")
             if 20 + caplen > body_len:
@@ -212,17 +210,17 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if caplen == 0:
                 continue
             released = release_behind(buf, released, body)
-            linktype, pow10, pow2 = interfaces[iface_id]
-            ts_ns = _pcapng_ts_to_ns((ts_high << 32) | ts_low, pow10, pow2)
+            linktype, units = interfaces[iface_id]
+            ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // units
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen
         # all other block types are skipped
 
 
-def _parse_tsresol(options: bytes, endian: str, name: str) -> tuple[int | None, int | None]:
-    """Extract if_tsresol (option 9) from an IDB option list."""
+def _parse_tsresol(options: bytes, endian: str, name: str) -> int:
+    """Timestamp units per second from an IDB option list's if_tsresol (option 9); 10**6 without one."""
     off = 0
     while off + 4 <= len(options):
-        code, length = struct.unpack(endian + "HH", options[off : off + 4])
+        code, length = struct.unpack(endian + _OPTION, options[off : off + 4])
         off += 4
         if code == 0:  # opt_endofopt
             break
@@ -232,7 +230,46 @@ def _parse_tsresol(options: bytes, endian: str, name: str) -> tuple[int | None, 
         off += (length + 3) & ~3
         if code == 9 and length == 1:
             raw = val[0]
-            if raw & 0x80:
-                return None, raw & 0x7F
-            return raw, None
-    return None, None
+            return 2 ** (raw & 0x7F) if raw & 0x80 else 10**raw
+    return 10**6
+
+
+def emit_capture(frames: Iterable[CapturedFrame], path: str | Path, fmt: str = "pcap-ns") -> None:
+    """Write frames to a bit-valid capture file in the requested format."""
+    if fmt not in CAPTURE_FORMATS:
+        raise ValueError(f"unknown capture format {fmt!r}")
+    try:
+        with open(path, "wb") as fh:
+            if fmt == "pcapng":
+                _write_pcapng(fh, frames)
+            else:
+                _write_pcap(fh, frames, ns=(fmt == "pcap-ns"))
+    except OSError as exc:
+        raise WriteFailure(f"{path}: {exc}") from exc
+
+
+def _write_pcap(fh, frames, ns: bool) -> None:
+    magic = PCAP_MAGIC_NS if ns else PCAP_MAGIC_US
+    fh.write(struct.pack("<" + _PCAP_HEADER, magic, 2, 4, 0, 0, 262144, LINKTYPE_ETHERNET))
+    pack_record = struct.Struct("<" + _PCAP_RECORD).pack
+    for f in frames:
+        sec, rem = divmod(f.timestamp_ns, 1_000_000_000)
+        fh.write(pack_record(sec, rem if ns else rem // 1000, len(f.data), f.orig_len))
+        fh.write(f.data)
+
+
+def _block(block_type: int, body: bytes) -> bytes:
+    body += bytes(-len(body) % 4)
+    header = struct.pack("<" + _BLOCK_HEADER, block_type, len(body) + 12)
+    return header + body + header[4:]  # the total length again
+
+
+def _write_pcapng(fh, frames) -> None:
+    fh.write(_block(PCAPNG_SHB_TYPE, struct.pack("<IHHq", PCAPNG_BYTE_ORDER_MAGIC, 1, 0, -1)))
+    # one interface, if_tsresol = 9 (nanoseconds), then opt_endofopt
+    opts = struct.pack("<" + _OPTION, 9, 1) + b"\x09\x00\x00\x00" + struct.pack("<" + _OPTION, 0, 0)
+    fh.write(_block(PCAPNG_IDB_TYPE, struct.pack("<" + _IDB, LINKTYPE_ETHERNET, 0, 262144) + opts))
+    pack_epb = struct.Struct("<" + _EPB).pack
+    for f in frames:
+        ts_high, ts_low = divmod(f.timestamp_ns, 1 << 32)
+        fh.write(_block(PCAPNG_EPB_TYPE, pack_epb(0, ts_high, ts_low, len(f.data), f.orig_len) + f.data))

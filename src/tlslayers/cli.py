@@ -17,7 +17,7 @@ from pathlib import Path
 from tlslayers import __version__, documents
 from tlslayers.capture import CAPTURE_FORMATS
 from tlslayers.documents import IncompatibleDocuments
-from tlslayers.errors import InvalidSpec, NoUsableStreams, TlsLayersError, UnreadableFile
+from tlslayers.errors import InvalidSpec, NoUsableStreams, TlsLayersError, UnreadableFile, ZeroBaseline, ZeroDenominator
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -97,6 +97,8 @@ def _cmd_compare(args) -> int:
         )
     except ValueError as exc:
         raise UnreadableFile(str(exc)) from exc
+    except (ZeroBaseline, ZeroDenominator) as exc:  # the message names the report entry
+        raise UnreadableFile(f"comparing {args.baseline} with {args.candidate}: {exc}") from exc
     try:
         text = documents.render_json(doc)  # a metric that overflowed to infinity is not JSON
     except ValueError as exc:

@@ -17,7 +17,7 @@ from io import StringIO
 from typing import TYPE_CHECKING
 
 from tlslayers import __version__
-from tlslayers.errors import TlsLayersError, ZeroBaselineSD
+from tlslayers.errors import TlsLayersError, ZeroBaseline, ZeroBaselineSD, ZeroDenominator
 from tlslayers.metrics import (
     combined_overhead_factor,
     cryptographic_overhead_share,
@@ -74,35 +74,35 @@ def build_analysis_document(result: RunResult) -> dict:
     }
 
 
+def _metric(field: str, metric, *args) -> float:
+    """`metric(*args)`; a zero denominator is raised again naming `field`, the report entry it fills."""
+    try:
+        return metric(*args)
+    except (ZeroBaseline, ZeroDenominator) as exc:
+        raise type(exc)(f"{field}: {exc}") from exc
+
+
 def comparison_metrics(
     baseline: dict,
     candidate: dict,
     percentile: str,
     cos_denominator_mode: str = COS_MODE_LAYERSUM,
 ) -> dict:
-    """Full-precision overhead metrics at one percentile."""
-    of = {
-        layer: overhead_factor(candidate["layers"][layer][percentile], baseline["layers"][layer][percentile])
-        for layer in LAYERS
-    }
-    of_combined = combined_overhead_factor(
-        candidate["layers"]["tcp_to_tls"][percentile],
-        candidate["layers"]["tls_handshake"][percentile],
-        baseline["layers"]["tcp_to_tls"][percentile],
-        baseline["layers"]["tls_handshake"][percentile],
-    )
-    if cos_denominator_mode == COS_MODE_LAYERSUM:
-        denom = sum(candidate["layers"][layer][percentile] for layer in LAYERS)
-    else:
-        denom = candidate["e2e"][percentile]
-    cos = cryptographic_overhead_share(
-        candidate["layers"]["tcp_to_tls"][percentile],
-        candidate["layers"]["tls_handshake"][percentile],
-        baseline["layers"]["tcp_to_tls"][percentile],
-        baseline["layers"]["tls_handshake"][percentile],
-        denom,
-    )
-    rel = relative_e2e_overhead(candidate["e2e"][percentile], baseline["e2e"][percentile])
+    """Full-precision overhead metrics at one percentile.
+
+    ZeroBaseline or ZeroDenominator, naming the report entry as `reports.<percentile>.<metric>`,
+    when a metric's denominator is not positive.
+    """
+    at = f"reports.{percentile}."
+    cand = {layer: candidate["layers"][layer][percentile] for layer in LAYERS}
+    base = {layer: baseline["layers"][layer][percentile] for layer in LAYERS}
+    of = {layer: _metric(f"{at}overhead_factor.{layer}", overhead_factor, cand[layer], base[layer]) for layer in LAYERS}
+    crypto = (cand["tcp_to_tls"], cand["tls_handshake"], base["tcp_to_tls"], base["tls_handshake"])
+    of_combined = _metric(at + "of_combined", combined_overhead_factor, *crypto)
+    denom = sum(cand.values()) if cos_denominator_mode == COS_MODE_LAYERSUM else candidate["e2e"][percentile]
+    cos = _metric(at + "cos_percent", cryptographic_overhead_share, *crypto, denom)
+    e2e = (candidate["e2e"][percentile], baseline["e2e"][percentile])
+    rel = _metric(at + "relative_e2e_overhead_percent", relative_e2e_overhead, *e2e)
     return {
         "overhead_factor": of,
         "of_combined": of_combined,

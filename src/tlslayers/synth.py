@@ -1,10 +1,11 @@
 """Deterministic synthetic captures with known ground-truth timelines.
 
 Scenarios prescribe the six boundary timestamps per connection; the
-generator emits a fully decryptable wire-format session (real record
-framing, real AEAD under generator-chosen traffic secrets written to the
-key log) whose analysis must recover those boundaries exactly.  Timestamps
-are prescribed, not simulated: this module is an oracle, not a performance
+generator builds the frames of a fully decryptable wire-format session (real
+record framing, real AEAD under generator-chosen traffic secrets written to
+the key log) whose analysis must recover those boundaries exactly, and
+`capture.emit_capture` writes them to a pcap or pcapng file.  Timestamps are
+prescribed, not simulated: this module is an oracle, not a performance
 model.
 
 Encryption here is coded independently of the analyzer's decryption path
@@ -22,22 +23,11 @@ from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from random import Random
-from typing import Iterable
 
 import yaml
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
 
-from tlslayers.capture import (
-    CAPTURE_FORMATS,
-    LINKTYPE_ETHERNET,
-    PCAP_MAGIC_NS,
-    PCAP_MAGIC_US,
-    PCAPNG_BYTE_ORDER_MAGIC,
-    PCAPNG_EPB_TYPE,
-    PCAPNG_IDB_TYPE,
-    PCAPNG_SHB_TYPE,
-    CapturedFrame,
-)
+from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame, emit_capture
 from tlslayers.decode import TcpFlags
 from tlslayers.errors import InvalidSpec, UnknownGroup, WriteFailure
 from tlslayers.keyschedule import NONCE_LEN, hkdf_expand_label
@@ -394,7 +384,7 @@ _REASON_TEXT = {200: "OK", 503: "Service Unavailable"}
 
 
 def generate(spec: ScenarioSpec) -> tuple[list[CapturedFrame], str, GroundTruth]:
-    """Produce (frames, keylog text, ground truth); byte-deterministic per spec.
+    """Produce (frames, keylog text, ground truth), byte-deterministic per spec; `emit_capture` writes the frames.
 
     Frames are in time order; equal times keep connection order, then plan order.
     `reorder` on any connection then shuffles the whole capture within 1 ms
@@ -645,60 +635,6 @@ def _connection_truth(index, conn, client_random, group, ch_len, sh_len, bounds)
         server_hello_len=sh_len,
         cipher_suite=conn.cipher_suite,
     )
-
-
-# -- capture emission --------------------------------------------------------------
-
-def emit_capture(frames: Iterable[CapturedFrame], path: str | Path, fmt: str = "pcap-ns") -> None:
-    """Write frames to a bit-valid capture file in the requested format."""
-    if fmt not in CAPTURE_FORMATS:
-        raise ValueError(f"unknown capture format {fmt!r}")
-    path = Path(path)
-    try:
-        with path.open("wb") as fh:
-            if fmt == "pcapng":
-                _write_pcapng(fh, frames)
-            else:
-                _write_pcap(fh, frames, ns=(fmt == "pcap-ns"))
-    except OSError as exc:
-        raise WriteFailure(f"{path}: {exc}") from exc
-
-
-def _write_pcap(fh, frames, ns: bool) -> None:
-    magic = PCAP_MAGIC_NS if ns else PCAP_MAGIC_US
-    fh.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, 262144, LINKTYPE_ETHERNET))
-    for f in frames:
-        sec, rem = divmod(f.timestamp_ns, 1_000_000_000)
-        frac = rem if ns else rem // 1000
-        fh.write(struct.pack("<IIII", sec, frac, len(f.data), f.orig_len))
-        fh.write(f.data)
-
-
-def _pad4(data: bytes) -> bytes:
-    return data + b"\x00" * (-len(data) % 4)
-
-
-def _block(block_type: int, body: bytes) -> bytes:
-    body = _pad4(body)
-    total = len(body) + 12
-    return struct.pack("<II", block_type, total) + body + struct.pack("<I", total)
-
-
-def _write_pcapng(fh, frames) -> None:
-    fh.write(_block(PCAPNG_SHB_TYPE, struct.pack("<IHHq", PCAPNG_BYTE_ORDER_MAGIC, 1, 0, -1)))
-    # IDB with if_tsresol = 9 (nanoseconds)
-    opts = struct.pack("<HH", 9, 1) + b"\x09\x00\x00\x00" + struct.pack("<HH", 0, 0)
-    fh.write(_block(PCAPNG_IDB_TYPE, struct.pack("<HHI", LINKTYPE_ETHERNET, 0, 262144) + opts))
-    for f in frames:
-        body = struct.pack(
-            "<IIIII",
-            0,
-            (f.timestamp_ns >> 32) & 0xFFFFFFFF,
-            f.timestamp_ns & 0xFFFFFFFF,
-            len(f.data),
-            f.orig_len,
-        ) + _pad4(f.data)
-        fh.write(_block(PCAPNG_EPB_TYPE, body))
 
 
 def write_outputs(

@@ -4,8 +4,8 @@ A connection's six boundaries are SYN, SYN-ACK, ClientHello, client TLS
 Finished, HTTP GET, HTTP 200 OK.  Consecutive differences give the five
 layer latencies; the end-to-end time is the full SYN-to-200 span.  The HTTP
 200 boundary is the arrival of the record carrying the status line, not the
-last body byte (time-to-last-byte is emitted separately as an informational
-figure).
+last body byte.  Time-to-last-byte, from the HTTP GET to the last server
+application-data byte, is emitted separately as an informational figure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ConnectionTimeline:
     server_hello_len: int | None = None
     key_share_len: int | None = None
     http_status: int | None = None
-    t_response_last: int | None = None  # informational TTLB anchor
+    t_response_last: int | None = None  # last server application-data byte; TTLB runs from t_http_get to it
     validity: str = PARTIAL
     reason: str | None = None
 

@@ -38,10 +38,18 @@ def test_microsecond_timestamp_conversion_is_exact(tmp_path):
 
 def test_synth_frames_round_trip_all_formats(tmp_path, clean_scenario):
     frames, _, _ = synth.generate(clean_scenario)
+    # odd lengths, which pcapng pads to 4 bytes, and a frame cut to its snap length
+    last = frames[-1].timestamp_ns
+    frames += [CapturedFrame(last + 1_001 * i, 1, bytes(range(i)), i) for i in (1, 3, 61, 63)]
+    frames.append(CapturedFrame(last + 9_999, 1, b"s" * 54, 1514))
     for fmt in ("pcap-us", "pcap-ns", "pcapng"):
         path = tmp_path / f"cap-{fmt}"
         synth.emit_capture(frames, path, fmt)
         back = list(open_capture(path))
+        # the writer and the reader share their layouts, so check the file with this module's own readers
+        raw = path.read_bytes()
+        reference = _reference_read_pcapng(raw) if fmt == "pcapng" else (*_reference_read(raw), None)
+        assert reference == (back, [], None), fmt
         assert len(back) == len(frames)
         if fmt == "pcap-us":
             # microsecond container: encoded value is the truncated timestamp

@@ -324,6 +324,21 @@ def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fm
     assert not out.exists()
 
 
+def test_compare_zero_baseline_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a layer whose baseline percentile is 0 (say, every request coalesced with Finished) has no overhead factor
+    baseline, candidate, out = (tmp_path / f"{name}.json" for name in ("baseline", "candidate", "comparison"))
+    doc = analysis_document_for("x25519")
+    candidate.write_text(json.dumps(doc))
+    doc["layers"]["tls_to_app"]["p50"] = 0.0
+    baseline.write_text(json.dumps(doc))
+    code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: comparing {baseline} with {candidate}: ") and captured.out == ""
+    assert "reports.p50.overhead_factor.tls_to_app: " in captured.err
+    assert not out.exists()
+
+
 def test_analyze_rejects_cos_denominator(fixture_dir, capsys):
     # only compare chooses the COS denominator; analysis documents always record layersum
     with pytest.raises(SystemExit) as exc:
@@ -369,6 +384,17 @@ def test_synth_pcap_us_rejects_times_it_cannot_hold(tmp_path, capsys):
     assert err.startswith(f"error: {spec}: connection 1: ") and "boundary_times_ns" in err, err
     assert not (tmp_path / "us").exists()
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "ns"), "--capture-format", "pcap-ns"]) == 0
+
+
+@pytest.mark.parametrize("name", ["capture.pcap", "keylog.txt", "ground_truth.json"])
+def test_synth_unwritable_output_exits_2(tmp_path, capsys, name):
+    # a directory stands where synth writes one of its three files
+    spec, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    spec.write_text(SCENARIO_YAML)
+    (out / name).mkdir(parents=True)
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err and "Traceback" not in err, err
 
 
 def _without_p50(doc):

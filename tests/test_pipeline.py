@@ -279,6 +279,8 @@ def test_walk_takes_boundaries_from_record_times():
     assert (tl.t_clienthello, tl.t_client_finished, tl.t_http_get) == (200_000, 250_000, 350_000)
     assert (tl.http_status, tl.t_http_200) == (200, 400_000)
     assert tl.t_response_last == 500_000
+    # TTLB runs from the GET to the last server byte, not from the status line
+    assert summarize_run([tl], "x").ttlb_stats.p50 == 0.15
 
 
 def test_missing_request_and_response_are_partial():
