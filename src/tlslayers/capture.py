@@ -33,16 +33,13 @@ ends, ends the process with SIGBUS.
 
 from __future__ import annotations
 
-import logging
 import mmap
 import os
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile, WriteFailure
-
-logger = logging.getLogger(__name__)
+from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile, WriteFailure, warn
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
@@ -146,16 +143,16 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
     released = 0
     while off < n:
         if n - off < 16:
-            logger.warning("%s: truncated trailing record header, skipping", name)
+            warn(__name__, "%s: truncated trailing record header, skipping", name)
             return
         ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
         start = off + 16
         off = start + caplen
         if off > n:
-            logger.warning("%s: truncated trailing record body, skipping", name)
+            warn(__name__, "%s: truncated trailing record body, skipping", name)
             return
         if not caplen:
-            logger.warning("%s: zero-length record, skipping", name)
+            warn(__name__, "%s: zero-length record, skipping", name)
             continue
         released = release_behind(buf, released, start)
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
@@ -171,7 +168,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
         is_shb = buf[off : off + 4] == _SHB_TYPE
         # an SHB's byte-order magic says how to read the length before it
         if n - off < (12 if is_shb else 8):
-            logger.warning("%s: truncated block header, stopping", name)
+            warn(__name__, "%s: truncated block header, stopping", name)
             return
         if is_shb:
             endian = _BYTE_ORDERS.get(buf[off + 8 : off + 12])
@@ -180,18 +177,18 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             interfaces = []
         block_type, total_len = struct.unpack_from(endian + _BLOCK_HEADER, buf, off)
         if total_len < 12 or total_len % 4 != 0:
-            logger.warning("%s: implausible block length %d, stopping", name, total_len)
+            warn(__name__, "%s: implausible block length %d, stopping", name, total_len)
             return
         body = off + 8
         off += total_len
         if off > n:
-            logger.warning("%s: truncated block body, stopping", name)
+            warn(__name__, "%s: truncated block body, stopping", name)
             return
         body_len = total_len - 12  # the trailing duplicate length follows the body
 
         if block_type == PCAPNG_IDB_TYPE:
             if body_len < 8:
-                logger.warning("%s: short IDB, skipping", name)
+                warn(__name__, "%s: short IDB, skipping", name)
                 continue
             linktype, _resv, _snaplen = struct.unpack_from(endian + _IDB, buf, body)
             if linktype not in SUPPORTED_LINK_TYPES:
@@ -199,13 +196,13 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             interfaces.append((linktype, _parse_tsresol(buf[body + 8 : off - 4], endian, name)))
         elif block_type == PCAPNG_EPB_TYPE:
             if body_len < 20:
-                logger.warning("%s: short EPB, skipping", name)
+                warn(__name__, "%s: short EPB, skipping", name)
                 continue
             iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + _EPB, buf, body)
             if iface_id >= len(interfaces):
                 raise MalformedHeader(f"{name}: EPB references undefined interface {iface_id}")
             if 20 + caplen > body_len:
-                logger.warning("%s: EPB shorter than caplen, skipping", name)
+                warn(__name__, "%s: EPB shorter than caplen, skipping", name)
                 continue
             if caplen == 0:
                 continue

@@ -1,8 +1,20 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the one warning helper.
 
 Most of these mark a single connection as partial/excluded and are caught by
 the pipeline; only the capture-level ones normally reach the CLI.
 """
+
+
+def warn(logger_name: str, msg: str, *args) -> None:
+    """Log `msg % args` as a warning from the logger `logger_name`.
+
+    `logging` is imported here, when the first warning fires, so that a run
+    over well-formed input never loads it.  The record names the caller's
+    file, line and function, as a direct `logger.warning` call would.
+    """
+    import logging
+
+    logging.getLogger(logger_name).warning(msg, *args, stacklevel=2)
 
 
 class TlsLayersError(Exception):

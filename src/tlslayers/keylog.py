@@ -7,12 +7,8 @@ Only the four TLS 1.3 traffic-secret labels are stored; anything else
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-
+from tlslayers.errors import warn
 from tlslayers.tlswire import SUITES_BY_ID
-
-logger = logging.getLogger(__name__)
 
 LABEL_CLIENT_HS = "CLIENT_HANDSHAKE_TRAFFIC_SECRET"
 LABEL_SERVER_HS = "SERVER_HANDSHAKE_TRAFFIC_SECRET"
@@ -24,21 +20,29 @@ KNOWN_LABELS = frozenset({LABEL_CLIENT_HS, LABEL_SERVER_HS, LABEL_CLIENT_AP, LAB
 _SECRET_LENGTHS = frozenset(s.secret_len for s in SUITES_BY_ID.values())
 
 
-@dataclass
 class KeyLogStore:
     """Traffic secrets keyed by (client_random, label)."""
 
-    _entries: dict[tuple[bytes, str], bytes] = field(default_factory=dict)
-    malformed_lines: int = 0
-    unknown_labels: int = 0
-    duplicates: int = 0
+    __slots__ = ("_entries", "malformed_lines", "unknown_labels", "duplicates")
+
+    def __init__(
+        self,
+        _entries: dict[tuple[bytes, str], bytes] | None = None,
+        malformed_lines: int = 0,
+        unknown_labels: int = 0,
+        duplicates: int = 0,
+    ) -> None:
+        self._entries = {} if _entries is None else _entries
+        self.malformed_lines = malformed_lines
+        self.unknown_labels = unknown_labels
+        self.duplicates = duplicates
 
     def insert(self, client_random: bytes, label: str, secret: bytes) -> None:
         key = (client_random, label)
         if key in self._entries:
             # Re-keying exporters append; observed behavior is last-wins.
             self.duplicates += 1
-            logger.warning("duplicate keylog entry for %s/%s, keeping last", client_random.hex(), label)
+            warn(__name__, "duplicate keylog entry for %s/%s, keeping last", client_random.hex(), label)
         self._entries[key] = secret
 
     def get(self, client_random: bytes, label: str) -> bytes | None:

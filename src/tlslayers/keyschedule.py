@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -45,14 +44,16 @@ def hkdf_expand_label(secret: bytes, label: bytes, context: bytes, length: int, 
     return hkdf_expand(secret, _hkdf_label(label, context, length), length, hash_name)
 
 
-@dataclass
 class TrafficKeys:
     """Write key, IV, the AEAD built from the key, and the per-record sequence counter."""
 
-    key: bytes
-    iv: bytes
-    aead: AESGCM | ChaCha20Poly1305
-    sequence_counter: int = 0
+    __slots__ = ("key", "iv", "aead", "sequence_counter")
+
+    def __init__(self, key: bytes, iv: bytes, aead: AESGCM | ChaCha20Poly1305, sequence_counter: int = 0) -> None:
+        self.key = key
+        self.iv = iv
+        self.aead = aead
+        self.sequence_counter = sequence_counter
 
     def nonce(self) -> bytes:
         """The IV XOR the counter left-padded to 12 bytes (RFC 8446 §5.3)."""

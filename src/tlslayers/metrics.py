@@ -10,7 +10,7 @@ deviation and is classified by Cohen's conventional thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from tlslayers.errors import ZeroBaseline, ZeroBaselineSD, ZeroDenominator
 
@@ -23,8 +23,7 @@ CLASS_SMALL_TO_MEDIUM = "small_to_medium"
 CLASS_LARGE = "large"
 
 
-@dataclass(frozen=True)
-class EffectSize:
+class EffectSize(NamedTuple):
     delta: float
     classification: str
 

@@ -32,11 +32,10 @@ to stop reasons and notes whether the capture cut the connection;
 from __future__ import annotations
 
 import hashlib
-import logging
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from tlslayers.capture import read_frames, release_behind
 from tlslayers.decode import decode_at
@@ -50,6 +49,7 @@ from tlslayers.errors import (
     OversizeRecord,
     UnreadableFile,
     UnsupportedCipherSuite,
+    warn,
 )
 from tlslayers.keylog import (
     LABEL_CLIENT_AP,
@@ -88,11 +88,8 @@ from tlslayers.tlswire import (
     parse_server_hello,
 )
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Full-precision analysis of one capture run."""
 
     label: str
@@ -103,7 +100,7 @@ class RunResult:
     counts: dict
     handshake: dict
     ingest: dict
-    inputs: dict = field(default_factory=dict)
+    inputs: dict
     decrypted: bool = True
 
 
@@ -373,7 +370,7 @@ def analyze_capture(
         except KeyError:
             groups[key] = [entry]
     if malformed:
-        logger.warning("%s: %d malformed frames skipped", pcap_path, malformed)
+        warn(__name__, "%s: %d malformed frames skipped", pcap_path, malformed)
 
     # one flow at a time, in the file order of its first frame, emptying the buckets
     keyed: list[tuple[tuple, ConnectionTimeline]] = []

@@ -41,15 +41,12 @@ corrupt copy, AEAD rejects the record.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterable
 
 from tlslayers.decode import DecodedPacket, TcpFlags
 from tlslayers.errors import GapAtOffset
-
-logger = logging.getLogger(__name__)
 
 _SEQ_MOD = 1 << 32
 _FORWARD_WINDOW = 1 << 30  # relative offsets past this are treated as pre-ISN junk

@@ -8,8 +8,7 @@ of the order in which samples arrive.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from tlslayers.errors import EmptySamples
 
@@ -58,8 +57,7 @@ def sample_sd(samples: Sequence[float]) -> float:
     return math.sqrt(math.fsum((d - m) ** 2 for d in shifted) / (n - 1))
 
 
-@dataclass(frozen=True)
-class LayerStatistics:
+class LayerStatistics(NamedTuple):
     count: int
     mean: float
     p50: float
@@ -71,10 +69,10 @@ class LayerStatistics:
     sd: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-STAT_FIELDS = tuple(f.name for f in fields(LayerStatistics))
+STAT_FIELDS = LayerStatistics._fields
 
 
 def summarize(samples: Iterable[float]) -> LayerStatistics:

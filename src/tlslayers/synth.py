@@ -642,7 +642,11 @@ def write_outputs(
     out_dir: str | Path,
     capture_format: str = "pcap-ns",
 ) -> dict[str, Path]:
-    """Generate a scenario and write capture, key log and ground truth files."""
+    """Generate a scenario and write capture, key log and ground truth files.
+
+    All three are written or none: when one cannot be written, those written
+    before it are removed and `WriteFailure` names the file that failed.
+    """
     if capture_format == "pcap-us":  # a capture that rounds the truth's times would contradict it
         for i, conn in enumerate(spec.connections):
             if any(t % 1000 for t in conn.boundary_times):
@@ -656,10 +660,15 @@ def write_outputs(
         "keylog": out_dir / "keylog.txt",
         "ground_truth": out_dir / "ground_truth.json",
     }
-    emit_capture(frames, paths["capture"], capture_format)
-    try:
-        paths["keylog"].write_text(keylog_text)
-        paths["ground_truth"].write_text(json.dumps(truth.as_dict(), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise WriteFailure(str(exc)) from exc
+    truth_text = json.dumps(truth.as_dict(), indent=2, sort_keys=True) + "\n"
+    emit_capture(frames, paths["capture"], capture_format)  # its WriteFailure names the path
+    written = [paths["capture"]]
+    for path, text in ((paths["keylog"], keylog_text), (paths["ground_truth"], truth_text)):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            for done in written:
+                done.unlink()
+            raise WriteFailure(f"{path}: {exc}") from exc
+        written.append(path)
     return paths

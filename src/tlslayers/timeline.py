@@ -10,8 +10,6 @@ application-data byte, is emitted separately as an informational figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 NS_PER_MS = 1_000_000
 
 LAYERS = ("tcp_handshake", "tcp_to_tls", "tls_handshake", "tls_to_app", "app_response")
@@ -27,23 +25,59 @@ _REQUEST_STARTS = (
 )
 
 
-@dataclass
 class ConnectionTimeline:
-    t_syn: int | None = None
-    t_synack: int | None = None
-    t_clienthello: int | None = None
-    t_client_finished: int | None = None
-    t_http_get: int | None = None
-    t_http_200: int | None = None
-    group: str | None = None
-    cipher_suite: str | None = None
-    client_hello_len: int | None = None
-    server_hello_len: int | None = None
-    key_share_len: int | None = None
-    http_status: int | None = None
-    t_response_last: int | None = None  # last server application-data byte; TTLB runs from t_http_get to it
-    validity: str = PARTIAL
-    reason: str | None = None
+    """One connection's boundaries (ns), handshake metadata and verdict; fields compare with `==`."""
+
+    __slots__ = (
+        *BOUNDARIES, "group", "cipher_suite", "client_hello_len", "server_hello_len", "key_share_len",
+        "http_status", "t_response_last", "validity", "reason",
+    )
+
+    def __init__(
+        self,
+        t_syn: int | None = None,
+        t_synack: int | None = None,
+        t_clienthello: int | None = None,
+        t_client_finished: int | None = None,
+        t_http_get: int | None = None,
+        t_http_200: int | None = None,
+        group: str | None = None,
+        cipher_suite: str | None = None,
+        client_hello_len: int | None = None,
+        server_hello_len: int | None = None,
+        key_share_len: int | None = None,
+        http_status: int | None = None,
+        t_response_last: int | None = None,  # last server application-data byte; TTLB runs from t_http_get to it
+        validity: str = PARTIAL,
+        reason: str | None = None,
+    ) -> None:
+        self.t_syn = t_syn
+        self.t_synack = t_synack
+        self.t_clienthello = t_clienthello
+        self.t_client_finished = t_client_finished
+        self.t_http_get = t_http_get
+        self.t_http_200 = t_http_200
+        self.group = group
+        self.cipher_suite = cipher_suite
+        self.client_hello_len = client_hello_len
+        self.server_hello_len = server_hello_len
+        self.key_share_len = key_share_len
+        self.http_status = http_status
+        self.t_response_last = t_response_last
+        self.validity = validity
+        self.reason = reason
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def starts_http_request(plaintext: bytes) -> bool:

@@ -7,7 +7,6 @@ generator and give the parser a round-trip partner.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from tlslayers.errors import (
@@ -54,8 +53,7 @@ HRR_RANDOM = bytes.fromhex(
 
 # -- cipher suites -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CipherSuite:
+class CipherSuite(NamedTuple):
     name: str
     suite_id: int
     key_len: int
@@ -84,8 +82,7 @@ def suite_by_id(suite_id: int) -> CipherSuite:
 
 # -- key exchange groups -------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyExchangeGroup:
+class KeyExchangeGroup(NamedTuple):
     name: str
     group_id: int
     client_share_len: int  # offered key_share payload, fixed per group
@@ -243,15 +240,13 @@ class HandshakeAccumulator:
 
 # -- ClientHello / ServerHello ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ClientHelloInfo:
+class ClientHelloInfo(NamedTuple):
     client_random: bytes
     total_length: int  # handshake message length incl. 4-byte header
     key_shares: tuple[tuple[int, int], ...]  # (group_id, key_exchange_length)
 
 
-@dataclass(frozen=True)
-class ServerHelloInfo:
+class ServerHelloInfo(NamedTuple):
     selected_group: int | None
     cipher_suite: str
     total_length: int

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -88,20 +89,52 @@ def test_analyze_worker_count_does_not_change_output(fixture_dir, tmp_path, caps
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
+# the environment of a fresh interpreter that imports the package under test
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(tlslayers.__file__).resolve().parent.parent)}
+
+
+def _loaded_after_import(modules: str, names: tuple[str, ...]) -> list[str]:
+    """Which of `names` a fresh interpreter holds in sys.modules after `import <modules>`."""
+    code = f"import sys, {modules}, json; print(json.dumps([m for m in {names!r} if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_cli_import_loads_no_process_pool():
     """Nor the pipeline or synth, so `--version` and `compare` load neither cryptography nor yaml."""
-    src = str(Path(tlslayers.__file__).resolve().parent.parent)
     absent = (
         "multiprocessing", "concurrent.futures", "cryptography", "yaml", "tlslayers.synth",
         "tlslayers.pipeline", "tlslayers.reassembly", "tlslayers.tlswire", "tlslayers.keyschedule",
     )
-    code = f"import sys, tlslayers.cli; print([m for m in {absent!r} if m in sys.modules])"
+    assert _loaded_after_import("tlslayers.cli", absent) == []
+
+
+@pytest.mark.parametrize("modules", ["tlslayers.cli", "tlslayers.cli, tlslayers.pipeline"])
+def test_start_up_loads_no_dataclasses_or_logging(modules):
+    """Every command pays this import; `logging` loads only when a warning fires."""
+    assert _loaded_after_import(modules, ("dataclasses", "logging")) == []
+
+
+def test_warnings_reach_stderr(tmp_path):
+    """The warnings of a run that skips input still print, worded as before, though `logging` loads late."""
+    from conftest import clean_connection_spec
+
+    frames, keylog_text, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
+    bad_ihl = frames[0]._replace(data=frames[0].data[:14] + b"\x42" + frames[0].data[15:])
+    capture, keylog = tmp_path / "capture.pcap", tmp_path / "keylog.txt"
+    synth.emit_capture([*frames, bad_ihl], capture)
+    with capture.open("ab") as fh:
+        fh.write(struct.pack("<IIII", 9, 0, 100, 100) + b"cut")  # body shorter than caplen
+    keylog.write_text(keylog_text)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-m", "tlslayers.cli", "analyze", "--pcap", str(capture), "--keylog", str(keylog)],
+        env=SUBPROCESS_ENV, capture_output=True, text=True,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"{capture}: truncated trailing record body, skipping",
+        f"{capture}: 1 malformed frames skipped",
+    ]
 
 
 def test_non_utf8_keylog_line_is_rejected_alone(fixture_dir, tmp_path):
@@ -388,13 +421,14 @@ def test_synth_pcap_us_rejects_times_it_cannot_hold(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["capture.pcap", "keylog.txt", "ground_truth.json"])
 def test_synth_unwritable_output_exits_2(tmp_path, capsys, name):
-    # a directory stands where synth writes one of its three files
+    # a directory stands where synth writes one of its three files: it writes none of them
     spec, out = tmp_path / "scenario.yaml", tmp_path / "out"
     spec.write_text(SCENARIO_YAML)
     (out / name).mkdir(parents=True)
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out / name) in err and "Traceback" not in err, err
+    assert err.startswith(f"error: {out / name}: ") and "Traceback" not in err, err
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def _without_p50(doc):
