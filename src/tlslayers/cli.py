@@ -95,18 +95,11 @@ def _cmd_compare(args) -> int:
             cos_denominator_mode=args.cos_denominator,
             delta_basis=args.delta_basis,
         )
-    except ValueError as exc:
-        raise UnreadableFile(str(exc)) from exc
-    except (ZeroBaseline, ZeroDenominator) as exc:  # the message names the report entry
+    except (ValueError, ZeroBaseline, ZeroDenominator) as exc:  # names the report entry where there is one
         raise UnreadableFile(f"comparing {args.baseline} with {args.candidate}: {exc}") from exc
-    try:
-        text = documents.render_json(doc)  # a metric that overflowed to infinity is not JSON
-    except ValueError as exc:
-        raise UnreadableFile(f"comparing {args.baseline} with {args.candidate}: {exc}") from exc
-    console = documents.render(doc, args.format)
     if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(console)
+        Path(args.out).write_text(documents.render_json(doc))
+    sys.stdout.write(documents.render(doc, args.format))
     return EXIT_OK
 
 

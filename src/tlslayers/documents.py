@@ -74,54 +74,19 @@ def build_analysis_document(result: RunResult) -> dict:
     }
 
 
-def _metric(field: str, metric, *args) -> float:
-    """`metric(*args)`; a zero denominator is raised again naming `field`, the report entry it fills."""
-    try:
-        return metric(*args)
-    except (ZeroBaseline, ZeroDenominator) as exc:
-        raise type(exc)(f"{field}: {exc}") from exc
+def _entry(name: str, digits: int, formula, *args) -> float:
+    """`formula(*args)` rounded to `digits` places, as the comparison document holds entry `name`.
 
-
-def comparison_metrics(
-    baseline: dict,
-    candidate: dict,
-    percentile: str,
-    cos_denominator_mode: str = COS_MODE_LAYERSUM,
-) -> dict:
-    """Full-precision overhead metrics at one percentile.
-
-    ZeroBaseline or ZeroDenominator, naming the report entry as `reports.<percentile>.<metric>`,
-    when a metric's denominator is not positive.
+    A ZeroBaseline or ZeroDenominator from the formula is raised again naming `name`;
+    a result that is not a finite number, which JSON cannot hold, raises ValueError naming it.
     """
-    at = f"reports.{percentile}."
-    cand = {layer: candidate["layers"][layer][percentile] for layer in LAYERS}
-    base = {layer: baseline["layers"][layer][percentile] for layer in LAYERS}
-    of = {layer: _metric(f"{at}overhead_factor.{layer}", overhead_factor, cand[layer], base[layer]) for layer in LAYERS}
-    crypto = (cand["tcp_to_tls"], cand["tls_handshake"], base["tcp_to_tls"], base["tls_handshake"])
-    of_combined = _metric(at + "of_combined", combined_overhead_factor, *crypto)
-    denom = sum(cand.values()) if cos_denominator_mode == COS_MODE_LAYERSUM else candidate["e2e"][percentile]
-    cos = _metric(at + "cos_percent", cryptographic_overhead_share, *crypto, denom)
-    e2e = (candidate["e2e"][percentile], baseline["e2e"][percentile])
-    rel = _metric(at + "relative_e2e_overhead_percent", relative_e2e_overhead, *e2e)
-    return {
-        "overhead_factor": of,
-        "of_combined": of_combined,
-        "cos_percent": cos,
-        "relative_e2e_overhead_percent": rel,
-    }
-
-
-def effect_sizes(baseline: dict, candidate: dict, basis: str) -> dict:
-    out = {}
-    for layer in LAYERS:
-        sd = baseline["layers"][layer]["sd"]
-        try:
-            es = glass_delta(candidate["layers"][layer][basis], baseline["layers"][layer][basis], sd)
-        except ZeroBaselineSD:
-            out[layer] = {"delta": None, "classification": None}
-            continue
-        out[layer] = {"delta": es.delta, "classification": es.classification}
-    return out
+    try:
+        value = formula(*args)
+    except (ZeroBaseline, ZeroDenominator) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: not a finite number, which JSON cannot hold: {value}")
+    return round(value, digits)
 
 
 def _require_comparable(baseline: dict, candidate: dict, percentiles) -> None:
@@ -156,20 +121,32 @@ def build_comparison_document(
 
     reports = {}
     for p in percentiles:
-        m = comparison_metrics(baseline, candidate, p, cos_denominator_mode)
+        at = f"reports.{p}."
+        cand = {layer: candidate["layers"][layer][p] for layer in LAYERS}
+        base = {layer: baseline["layers"][layer][p] for layer in LAYERS}
+        crypto = (cand["tcp_to_tls"], cand["tls_handshake"], base["tcp_to_tls"], base["tls_handshake"])
+        denom = sum(cand.values()) if cos_denominator_mode == COS_MODE_LAYERSUM else candidate["e2e"][p]
         reports[p] = {
-            "overhead_factor": {layer: round(v, 2) for layer, v in m["overhead_factor"].items()},
-            "of_combined": round(m["of_combined"], 2),
-            "cos_percent": round(m["cos_percent"], 1),
-            "relative_e2e_overhead_percent": round(m["relative_e2e_overhead_percent"], 1),
+            "overhead_factor": {
+                layer: _entry(f"{at}overhead_factor.{layer}", 2, overhead_factor, cand[layer], base[layer])
+                for layer in LAYERS
+            },
+            "of_combined": _entry(at + "of_combined", 2, combined_overhead_factor, *crypto),
+            "cos_percent": _entry(at + "cos_percent", 1, cryptographic_overhead_share, *crypto, denom),
+            "relative_e2e_overhead_percent": _entry(
+                at + "relative_e2e_overhead_percent", 1, relative_e2e_overhead, candidate["e2e"][p], baseline["e2e"][p]
+            ),
         }
-    deltas = {
-        layer: {
-            "delta": None if es["delta"] is None else round(es["delta"], 2),
-            "classification": es["classification"],
-        }
-        for layer, es in effect_sizes(baseline, candidate, delta_basis).items()
-    }
+    deltas = {}
+    for layer in LAYERS:
+        base = baseline["layers"][layer]
+        try:
+            es = glass_delta(candidate["layers"][layer][delta_basis], base[delta_basis], base["sd"])
+        except ZeroBaselineSD:
+            deltas[layer] = {"delta": None, "classification": None}
+            continue
+        delta = _entry(f"effect_size.{layer}.delta", 2, lambda: es.delta)
+        deltas[layer] = {"delta": delta, "classification": es.classification}
     return {
         "schema": COMPARISON_SCHEMA,
         "tool_version": __version__,
@@ -186,23 +163,8 @@ def build_comparison_document(
 # -- serialization -------------------------------------------------------------
 
 def render_json(doc: dict) -> str:
-    """Canonical JSON text; ValueError naming every field that is not a finite number."""
-    try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        fields = list(_nonfinite_fields(doc))
-        if not fields:
-            raise
-        raise ValueError(f"not a finite number, which JSON cannot hold: {', '.join(fields)}") from exc
-
-
-def _nonfinite_fields(block: dict, path: str = ""):
-    """Dotted names of the non-finite floats in a document block, in key order."""
-    for key, value in sorted(block.items()):
-        if isinstance(value, dict):
-            yield from _nonfinite_fields(value, f"{path}{key}.")
-        elif isinstance(value, float) and not math.isfinite(value):
-            yield f"{path}{key}"
+    """Canonical JSON text; ValueError on a value that is not a finite number."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_document(text: str) -> dict:

@@ -25,17 +25,11 @@ class KeyLogStore:
 
     __slots__ = ("_entries", "malformed_lines", "unknown_labels", "duplicates")
 
-    def __init__(
-        self,
-        _entries: dict[tuple[bytes, str], bytes] | None = None,
-        malformed_lines: int = 0,
-        unknown_labels: int = 0,
-        duplicates: int = 0,
-    ) -> None:
-        self._entries = {} if _entries is None else _entries
-        self.malformed_lines = malformed_lines
-        self.unknown_labels = unknown_labels
-        self.duplicates = duplicates
+    def __init__(self) -> None:
+        self._entries: dict[tuple[bytes, str], bytes] = {}
+        self.malformed_lines = 0
+        self.unknown_labels = 0
+        self.duplicates = 0
 
     def insert(self, client_random: bytes, label: str, secret: bytes) -> None:
         key = (client_random, label)

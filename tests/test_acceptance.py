@@ -19,7 +19,7 @@ from tlslayers.decode import decode_frame
 from tlslayers.errors import AuthFailure
 from tlslayers.keylog import parse_keylog
 from tlslayers.keyschedule import decrypt_record, derive_traffic_keys
-from tlslayers.metrics import glass_delta
+from tlslayers.metrics import combined_overhead_factor, cryptographic_overhead_share, glass_delta, overhead_factor
 from tlslayers.stats import mean, percentile, sample_sd
 from tlslayers.timeline import BOUNDARIES, LAYERS, ConnectionTimeline, classify, layer_deltas_ns
 from tlslayers.tlswire import group_by_name, parse_client_hello, render_client_hello
@@ -98,11 +98,13 @@ def test_criterion_1_overhead_table_reproduction(tmp_path):
             assert rep["of_combined"] == pytest.approx(of_comb, abs=0.005), (config, p)
             assert rep["cos_percent"] == pytest.approx(cos, abs=0.05), (config, p)
             # the unquantized metrics meet the same tolerances
-            m = documents.comparison_metrics(baseline_doc, candidate_doc, p, "layersum")
-            assert m["overhead_factor"]["tcp_to_tls"] == pytest.approx(of_t2t, abs=0.005)
-            assert m["overhead_factor"]["tls_handshake"] == pytest.approx(of_tls, abs=0.005)
-            assert m["of_combined"] == pytest.approx(of_comb, abs=0.005)
-            assert m["cos_percent"] == pytest.approx(cos, abs=0.05)
+            cand = {layer: candidate_doc["layers"][layer][p] for layer in LAYERS}
+            base = {layer: baseline_doc["layers"][layer][p] for layer in LAYERS}
+            crypto = (cand["tcp_to_tls"], cand["tls_handshake"], base["tcp_to_tls"], base["tls_handshake"])
+            assert overhead_factor(cand["tcp_to_tls"], base["tcp_to_tls"]) == pytest.approx(of_t2t, abs=0.005)
+            assert overhead_factor(cand["tls_handshake"], base["tls_handshake"]) == pytest.approx(of_tls, abs=0.005)
+            assert combined_overhead_factor(*crypto) == pytest.approx(of_comb, abs=0.005)
+            assert cryptographic_overhead_share(*crypto, sum(cand.values())) == pytest.approx(cos, abs=0.05)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"comparison took {elapsed:.2f}s"
     _pass(1, "overhead table reproduction, 8 rows x 4 columns")

@@ -337,23 +337,39 @@ def test_compare_unknown_percentile_exits_2(run_pair, capsys, percentiles, named
     code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate), "--percentiles", percentiles])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith(f"error: comparing {baseline} with {candidate}: ") and named in err
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fmt):
-    # finite statistics whose overhead factor overflows to infinity, which JSON cannot hold
+def _overflow_overhead_factor(baseline, candidate):
+    candidate["layers"]["tcp_to_tls"]["p50"] = 1e308
+    return "reports.p50.overhead_factor.tcp_to_tls"
+
+
+def _overflow_effect_size(baseline, candidate):
+    baseline["layers"]["tcp_to_tls"]["sd"] = 1e-308
+    candidate["layers"]["tcp_to_tls"]["p50"] += 10
+    return "effect_size.tcp_to_tls.delta"
+
+
+@pytest.mark.parametrize(
+    "fmt, overflow",
+    [("json", _overflow_overhead_factor), ("csv", _overflow_overhead_factor), ("table", _overflow_overhead_factor),
+     ("json", _overflow_effect_size)],
+    ids=["json", "csv", "table", "effect-size"],
+)
+def test_compare_metric_overflow_exits_2_and_writes_nothing(tmp_path, capsys, fmt, overflow):
+    # finite statistics whose metric overflows to infinity, which JSON cannot hold
     baseline, candidate, out = (tmp_path / f"{name}.json" for name in ("baseline", "candidate", "comparison"))
-    doc = analysis_document_for("x25519")
-    baseline.write_text(json.dumps(doc))
-    doc["layers"]["tcp_to_tls"]["p50"] = 1e308
-    candidate.write_text(json.dumps(doc))
+    base_doc, cand_doc = analysis_document_for("x25519"), analysis_document_for("x25519")
+    named = overflow(base_doc, cand_doc)
+    baseline.write_text(json.dumps(base_doc))
+    candidate.write_text(json.dumps(cand_doc))
     code = main(["compare", "--baseline", str(baseline), "--candidate", str(candidate),
                  "--out", str(out), "--format", fmt])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: comparing {baseline} with {candidate}: ") and captured.out == ""
-    assert "reports.p50.overhead_factor.tcp_to_tls" in captured.err
+    assert named in captured.err
     assert not out.exists()
 
 

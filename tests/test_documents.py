@@ -49,6 +49,11 @@ def test_json_is_canonical(sample_doc):
     assert keys == sorted(keys)
 
 
+def test_render_json_rejects_a_non_finite_value():
+    with pytest.raises(ValueError):
+        documents.render_json({"x": float("inf")})
+
+
 def test_comparison_round_trip(sample_doc):
     comp = documents.build_comparison_document(sample_doc, sample_doc)
     text = documents.render_json(comp)
