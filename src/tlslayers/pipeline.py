@@ -51,14 +51,7 @@ from tlslayers.errors import (
     UnsupportedCipherSuite,
     warn,
 )
-from tlslayers.keylog import (
-    LABEL_CLIENT_AP,
-    LABEL_CLIENT_HS,
-    LABEL_SERVER_AP,
-    LABEL_SERVER_HS,
-    KeyLogStore,
-    parse_keylog,
-)
+from tlslayers.keylog import KeyLogStore, parse_keylog
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
 from tlslayers.reassembly import TcpConnection, assemble_flow, bucket_entry
 from tlslayers.stats import LayerStatistics, summarize
@@ -152,8 +145,8 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
     if keystore is None:
         return "no_keys"
     keys = []
-    for label in (LABEL_CLIENT_HS, LABEL_SERVER_HS, LABEL_CLIENT_AP, LABEL_SERVER_AP):
-        secret = keystore.get(ch.client_random, label)
+    # in keylog.LABELS order: the first missing secret stops the walk before later ones are derived
+    for secret in keystore.secrets(ch.client_random):
         if secret is None:
             return "no_keys"
         keys.append(derive_traffic_keys(secret, tl.cipher_suite))
@@ -347,8 +340,9 @@ def analyze_capture(
         except OSError as exc:
             raise UnreadableFile(f"{keylog_path}: {exc}") from exc
         keylog_sha256 = hashlib.sha256(raw).hexdigest()
-        # a non-UTF-8 byte spoils only its own line, which parse_keylog then rejects
-        keystore = parse_keylog(raw.decode("utf-8", errors="replace"))
+        # a leading byte-order mark is dropped; a non-UTF-8 byte spoils only its own line,
+        # which parse_keylog then rejects
+        keystore = parse_keylog(raw.decode("utf-8-sig", errors="replace"))
         del raw  # not held through ingest and the walk
     inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
 

@@ -262,8 +262,9 @@ class GroundTruth:
 class _Sealer:
     """Seals one direction's records in one epoch.
 
-    The key and IV come from the general HKDF-Expand-Label loop, not the
-    analyzer's one-HMAC derivation.
+    The key and IV come from the general HKDF-Expand-Label loop
+    (`hmac.digest` per block), independent of the analyzer's hand-built HMAC
+    over precomputed pad states.
     """
 
     def __init__(self, secret: bytes, suite: CipherSuite):

@@ -7,6 +7,8 @@ import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlslayers.errors import AuthFailure, EmptyInnerPlaintext, LengthMismatch
 from tlslayers.keyschedule import (
@@ -16,7 +18,7 @@ from tlslayers.keyschedule import (
     hkdf_expand_label,
 )
 from tlslayers.reassembly import DirectionalStream
-from tlslayers.tlswire import CT_APPLICATION_DATA, TlsRecord, build_record, parse_records
+from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, TlsRecord, build_record, parse_records
 
 # RFC 8448 §3 (simple 1-RTT) handshake traffic secrets and their derived keys
 RFC8448_CLIENT_HS_SECRET = bytes.fromhex(
@@ -79,6 +81,23 @@ def test_every_suite_matches_independent_hkdf_oracle(suite, algorithm, secret_le
         keys = derive_traffic_keys(secret, suite)
         assert keys.key == _oracle_expand_label(secret, b"key", key_len, algorithm())
         assert keys.iv == _oracle_expand_label(secret, b"iv", 12, algorithm())
+
+
+_ORACLE_HASHES = {"sha256": hashes.SHA256, "sha384": hashes.SHA384}
+
+
+@pytest.mark.parametrize("suite", SUITES_BY_NAME.values(), ids=SUITES_BY_NAME)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derived_keys_equal_both_hkdf_loops(suite, data):
+    # the hand-built HMAC pads against cryptography's HKDFExpand and the general loop synth seals with
+    secret = data.draw(st.binary(min_size=suite.secret_len, max_size=suite.secret_len))
+    keys = derive_traffic_keys(secret, suite.name)
+    algorithm = _ORACLE_HASHES[suite.hash_name]()
+    assert keys.key == _oracle_expand_label(secret, b"key", suite.key_len, algorithm)
+    assert keys.key == hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
+    assert keys.iv == _oracle_expand_label(secret, b"iv", 12, algorithm)
+    assert keys.iv == hkdf_expand_label(secret, b"iv", b"", 12, suite.hash_name)
 
 
 def test_expand_label_multi_block_output():

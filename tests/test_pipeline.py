@@ -7,7 +7,7 @@ import pytest
 from tlslayers import pipeline, synth
 from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
-from tlslayers.keylog import KeyLogStore, parse_keylog
+from tlslayers.keylog import LABELS, KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
 from tlslayers.reassembly import TcpConnection, assemble_connections
 from tlslayers.timeline import layer_deltas_ns
@@ -216,6 +216,29 @@ def test_secret_too_long_for_the_suite_is_undecryptable():
     tl = analyze_connection(_connection([ch], [sh]), store)
     assert (tl.validity, tl.reason) == ("partial", "undecryptable")
     assert tl.cipher_suite == "AES_128_GCM_SHA256"
+
+
+@pytest.mark.parametrize("logged", [LABELS[:1], LABELS[:3], LABELS[1:], LABELS[:2] + LABELS[3:]])
+def test_any_missing_secret_is_no_keys(logged):
+    client_random = b"\x0f" * 32
+    store = KeyLogStore()
+    for label in logged:
+        store.insert(client_random, label, bytes(32))
+    ch, sh = _hellos(client_random)
+    tl = analyze_connection(_connection([ch], [sh]), store)
+    assert (tl.validity, tl.reason) == ("partial", "no_keys")
+
+
+def test_wrong_length_secret_before_a_missing_one_is_undecryptable():
+    # secrets are derived in label order, so the 48-byte CLIENT_HS fails before SERVER_AP is missed
+    client_random = b"\x10" * 32
+    store = KeyLogStore()
+    store.insert(client_random, LABELS[0], bytes(48))
+    for label in LABELS[1:3]:
+        store.insert(client_random, label, bytes(32))
+    ch, sh = _hellos(client_random)
+    tl = analyze_connection(_connection([ch], [sh]), store)
+    assert (tl.validity, tl.reason) == ("partial", "undecryptable")
 
 
 def test_client_hello_spanning_two_records():
