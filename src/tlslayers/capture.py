@@ -8,7 +8,8 @@ yields each frame as a span of the map, `(timestamp_ns, link_type, buf,
 start, end, orig_len)`, with an integer-nanosecond timestamp whatever the
 file's resolution; `open_capture` copies spans out as `CapturedFrame`s.
 Truncated trailing records are skipped with a warning rather than aborting:
-partial captures of long load tests are common.
+partial captures of long load tests are common.  Both formats skip a
+zero-length record with the same warning.
 
 Both formats are walked by offset over the one buffer, and every length
 field is checked against the end of the file before it is trusted: a field
@@ -204,7 +205,8 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if 20 + caplen > body_len:
                 warn(__name__, "%s: EPB shorter than caplen, skipping", name)
                 continue
-            if caplen == 0:
+            if not caplen:
+                warn(__name__, "%s: zero-length record, skipping", name)
                 continue
             released = release_behind(buf, released, body)
             linktype, units = interfaces[iface_id]

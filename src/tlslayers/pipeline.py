@@ -22,10 +22,11 @@ Each connection has one walk (`_walk`).  It finds the first handshake
 message of each direction (ClientHello, ServerHello), derives the four
 traffic keys, then runs one protected-record opener (`_open_protected`)
 over each direction in turn: the client's yields the Finished and the HTTP
-request, the server's the HTTP status line.  The walk writes boundaries
-and handshake metadata straight into a `ConnectionTimeline` and returns why
-it stopped early, if it did.  `analyze_connection` maps the walk's errors
-to stop reasons and notes whether the capture cut the connection;
+request, the server's the HTTP status line.  The walk collects the
+boundaries and handshake metadata it finds in a dict and returns why it
+stopped early, if it did.  `analyze_connection` maps the walk's errors to
+stop reasons, notes whether the capture cut the connection, and builds the
+connection's one `ConnectionTimeline` from what the walk found;
 `timeline.classify` alone turns stop and cut into validity and reason.
 """
 
@@ -99,9 +100,9 @@ class RunResult(NamedTuple):
 
 def analyze_connection(conn: TcpConnection, keystore: KeyLogStore | None) -> ConnectionTimeline:
     """Walk one connection's TLS session and extract the six boundaries."""
-    tl = ConnectionTimeline(t_syn=conn.t_syn, t_synack=conn.t_synack)
+    found: dict = {}
     try:
-        stop = _walk(conn, keystore, tl)
+        stop = _walk(conn, keystore, found)
     except (BadRecordHeader, OversizeRecord):
         stop = "bad_tls_stream"
     except MalformedHello:
@@ -109,11 +110,11 @@ def analyze_connection(conn: TcpConnection, keystore: KeyLogStore | None) -> Con
     except (UnsupportedCipherSuite, LengthMismatch, AuthFailure, EmptyInnerPlaintext):
         stop = "undecryptable"
     cut = conn.truncated or conn.client_to_server.has_gap or conn.server_to_client.has_gap
-    return classify(tl, stop, cut)
+    return classify(ConnectionTimeline(conn.t_syn, conn.t_synack, **found), stop, cut)
 
 
-def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimeline) -> str | None:
-    """Fill in tl's boundaries and handshake metadata; why the walk stopped early, or None."""
+def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str | None:
+    """Put the boundaries and handshake metadata the walk finds in `found`; why it stopped early, or None."""
     if conn.t_syn is None:
         return "no_syn"
     if conn.t_synack is None:
@@ -126,7 +127,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
     if msg_type != HT_CLIENT_HELLO:
         return "no_clienthello"
     ch = parse_client_hello(message)
-    tl.t_clienthello, tl.client_hello_len = ts, ch.total_length
+    found["t_clienthello"], found["client_hello_len"] = ts, ch.total_length
 
     msg_type, message, _ts = _first_handshake_message(server_records)
     if msg_type != HT_SERVER_HELLO:
@@ -134,12 +135,12 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
     sh = parse_server_hello(message)
     if sh.is_hrr:
         return "hrr"
-    tl.cipher_suite, tl.server_hello_len = sh.cipher_suite, sh.total_length
+    found["cipher_suite"], found["server_hello_len"] = sh.cipher_suite, sh.total_length
     if sh.selected_group is not None:
-        tl.group = group_name(sh.selected_group)
+        found["group"] = group_name(sh.selected_group)
         for gid, length in ch.key_shares:
             if gid == sh.selected_group:
-                tl.key_share_len = length
+                found["key_share_len"] = length
                 break
 
     if keystore is None:
@@ -149,35 +150,36 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, tl: ConnectionTimel
     for secret in keystore.secrets(ch.client_random):
         if secret is None:
             return "no_keys"
-        keys.append(derive_traffic_keys(secret, tl.cipher_suite))
+        keys.append(derive_traffic_keys(secret, sh.cipher_suite))
     client_hs, server_hs, client_ap, server_ap = keys
 
     # decryption stops once each direction's boundary is found
+    t_finished = None
     for msg_type, data, ts in _open_protected(client_records, client_hs, client_ap):
         if msg_type == HT_FINISHED:
-            if tl.t_client_finished is None:
-                tl.t_client_finished = ts
+            if t_finished is None:
+                t_finished = found["t_client_finished"] = ts
         elif msg_type == HT_KEY_UPDATE:
             return "undecryptable"
         elif msg_type is None and starts_http_request(data):
-            if tl.t_client_finished is None:
+            if t_finished is None:
                 return "no_finished"  # a request before the client Finished
-            tl.t_http_get = ts
+            t_get = found["t_http_get"] = ts
             break
     else:
-        return "no_finished" if tl.t_client_finished is None else "no_request"
+        return "no_finished" if t_finished is None else "no_request"
 
     # TTLB anchor from record metadata alone: the last server application-data byte
     last = next((r for r in reversed(server_records) if r.content_type == CT_APPLICATION_DATA), None)
     if last is not None:
         end = last.stream_offset + len(last.header) + len(last.body)
-        tl.t_response_last = conn.server_to_client.timestamp_at(end - 1)
+        found["t_response_last"] = conn.server_to_client.timestamp_at(end - 1)
 
     for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
         if msg_type is None:
-            status = http_status(data, ts, tl.t_http_get)
+            status = http_status(data, ts, t_get)
             if status is not None:
-                tl.http_status, tl.t_http_200 = status, ts
+                found["http_status"], found["t_http_200"] = status, ts
                 return None
     return "no_response"
 

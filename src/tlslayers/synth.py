@@ -94,19 +94,28 @@ class ScenarioSpec:
 
 
 def validate_spec(spec: ScenarioSpec) -> None:
+    """Raise InvalidSpec, naming the connection where there is one, for a field of the wrong type or value."""
     if not spec.connections:
         raise InvalidSpec("scenario has no connections")
     for name in ("client_ip", "server_ip"):
         value = getattr(spec, name)
+        _require(str, name, value)
         try:
             ipaddress.IPv4Address(value)
         except ValueError:
             raise InvalidSpec(f"{name} {value!r} is not an IPv4 address (synth writes IPv4 frames only)") from None
+    _require(int, "server_port", spec.server_port)
     if not 1 <= spec.server_port <= 65535:
         raise InvalidSpec(f"server_port {spec.server_port} is outside 1-65535")
     for i, conn in enumerate(spec.connections):
+        _require(tuple, f"connection {i}: boundary_times_ns", conn.boundary_times)
         if len(conn.boundary_times) != 6:
             raise InvalidSpec(f"connection {i}: need six boundary times")
+        _require(int, f"connection {i}: boundary_times_ns", *conn.boundary_times)
+        _require(int, f"connection {i}: response_body_bytes", conn.response_body_bytes)
+        _require(int, f"connection {i}: segmentation_seed", conn.segmentation_seed)
+        _require(str, f"connection {i}: group", conn.group)
+        _require(str, f"connection {i}: cipher_suite", conn.cipher_suite)
         if any(t < 0 for t in conn.boundary_times):
             raise InvalidSpec(f"connection {i}: negative boundary time")
         if list(conn.boundary_times) != sorted(conn.boundary_times):
@@ -133,33 +142,21 @@ def _listed(name: str, value) -> list:
     return value
 
 
-def _integer(name: str):
-    """A converter that takes a YAML integer only: `int()` would read a bool, float or string as another value."""
-    def convert(value) -> int:
-        if type(value) is not int:
-            raise TypeError(f"{name}: expected an integer, not {type(value).__name__} {value!r}")
-        return value
-
-    return convert
+def _require(kind: type, name: str, *values) -> None:
+    """Raise InvalidSpec unless each value is exactly a `kind`: an int field takes no bool, float or string,
+    which `int()` would read as another value, and a name or address field takes no number."""
+    for value in values:
+        if type(value) is not kind:
+            raise InvalidSpec(f"{name}: expected {kind.__name__}, not {type(value).__name__} {value!r}")
 
 
 def _anomaly_set(value) -> frozenset[str]:
     return frozenset() if value is None else frozenset(_listed("anomalies", value))
 
 
-# How a scenario file's optional fields convert; an absent field keeps the dataclass default.
-_CONNECTION_FIELDS = {
-    "group": str,
-    "cipher_suite": str,
-    "response_body_bytes": _integer("response_body_bytes"),
-    "segmentation_seed": _integer("segmentation_seed"),
-    "anomalies": _anomaly_set,
-}
-_SCENARIO_FIELDS = {"client_ip": str, "server_ip": str, "server_port": _integer("server_port")}
-
-
-def _converted(raw: dict, converters: dict) -> dict:
-    return {name: convert(raw[name]) for name, convert in converters.items() if name in raw}
+# A scenario file's optional fields; an absent one keeps the dataclass default, and validate_spec checks types.
+_CONNECTION_FIELDS = ("group", "cipher_suite", "response_body_bytes", "segmentation_seed")
+_SCENARIO_FIELDS = ("client_ip", "server_ip", "server_port")
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -184,17 +181,17 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             merged = {**defaults, **entry}
             if "boundary_times_ns" not in merged:
                 raise InvalidSpec(f"{path}: connection {i} lacks boundary_times_ns")
-            times = _listed("boundary_times_ns", merged["boundary_times_ns"])
             conns.append(
                 ConnectionSpec(
-                    boundary_times=tuple(map(_integer("boundary_times_ns"), times)),
-                    **_converted(merged, _CONNECTION_FIELDS),
+                    boundary_times=tuple(_listed("boundary_times_ns", merged["boundary_times_ns"])),
+                    anomalies=_anomaly_set(merged.get("anomalies")),
+                    **{k: merged[k] for k in _CONNECTION_FIELDS if k in merged},
                 )
             )
         except (ValueError, TypeError) as exc:
             raise InvalidSpec(f"{path}: connection {i}: {exc}") from exc
     try:
-        spec = ScenarioSpec(connections=tuple(conns), **_converted(raw, _SCENARIO_FIELDS))
+        spec = ScenarioSpec(connections=tuple(conns), **{k: raw[k] for k in _SCENARIO_FIELDS if k in raw})
         validate_spec(spec)
     except (ValueError, TypeError, InvalidSpec) as exc:
         raise InvalidSpec(f"{path}: {exc}") from exc

@@ -6,14 +6,18 @@ layer latencies; the end-to-end time is the full SYN-to-200 span.  The HTTP
 200 boundary is the arrival of the record carrying the status line, not the
 last body byte.  Time-to-last-byte, from the HTTP GET to the last server
 application-data byte, is emitted separately as an informational figure.
+
+A connection's timeline is a value, `ConnectionTimeline`: the walk builds it
+once from what it found, and `classify` returns it with its verdict set.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 NS_PER_MS = 1_000_000
 
 LAYERS = ("tcp_handshake", "tcp_to_tls", "tls_handshake", "tls_to_app", "app_response")
-BOUNDARIES = ("t_syn", "t_synack", "t_clienthello", "t_client_finished", "t_http_get", "t_http_200")
 
 VALID = "valid"
 PARTIAL = "partial"
@@ -25,59 +29,27 @@ _REQUEST_STARTS = (
 )
 
 
-class ConnectionTimeline:
-    """One connection's boundaries (ns), handshake metadata and verdict; fields compare with `==`."""
+class ConnectionTimeline(NamedTuple):
+    """One connection's boundaries (ns), handshake metadata and verdict."""
 
-    __slots__ = (
-        *BOUNDARIES, "group", "cipher_suite", "client_hello_len", "server_hello_len", "key_share_len",
-        "http_status", "t_response_last", "validity", "reason",
-    )
+    t_syn: int | None = None
+    t_synack: int | None = None
+    t_clienthello: int | None = None
+    t_client_finished: int | None = None
+    t_http_get: int | None = None
+    t_http_200: int | None = None
+    group: str | None = None
+    cipher_suite: str | None = None
+    client_hello_len: int | None = None
+    server_hello_len: int | None = None
+    key_share_len: int | None = None
+    http_status: int | None = None
+    t_response_last: int | None = None  # last server application-data byte; TTLB runs from t_http_get to it
+    validity: str = PARTIAL
+    reason: str | None = None
 
-    def __init__(
-        self,
-        t_syn: int | None = None,
-        t_synack: int | None = None,
-        t_clienthello: int | None = None,
-        t_client_finished: int | None = None,
-        t_http_get: int | None = None,
-        t_http_200: int | None = None,
-        group: str | None = None,
-        cipher_suite: str | None = None,
-        client_hello_len: int | None = None,
-        server_hello_len: int | None = None,
-        key_share_len: int | None = None,
-        http_status: int | None = None,
-        t_response_last: int | None = None,  # last server application-data byte; TTLB runs from t_http_get to it
-        validity: str = PARTIAL,
-        reason: str | None = None,
-    ) -> None:
-        self.t_syn = t_syn
-        self.t_synack = t_synack
-        self.t_clienthello = t_clienthello
-        self.t_client_finished = t_client_finished
-        self.t_http_get = t_http_get
-        self.t_http_200 = t_http_200
-        self.group = group
-        self.cipher_suite = cipher_suite
-        self.client_hello_len = client_hello_len
-        self.server_hello_len = server_hello_len
-        self.key_share_len = key_share_len
-        self.http_status = http_status
-        self.t_response_last = t_response_last
-        self.validity = validity
-        self.reason = reason
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
+BOUNDARIES = ConnectionTimeline._fields[:6]  # in time order
 
 
 def starts_http_request(plaintext: bytes) -> bool:
@@ -106,7 +78,7 @@ def http_status(plaintext: bytes, ts: int, t_http_get: int) -> int | None:
 
 
 def classify(tl: ConnectionTimeline, stop_reason: str | None = None, cut: bool = False) -> ConnectionTimeline:
-    """Set `tl.validity` and `tl.reason` in place, by the first rule that holds; returns `tl`.
+    """`tl` with `validity` and `reason` set by the first rule that holds; `tl` itself is a value and unchanged.
 
     `stop_reason` says why the walk stopped early, if it did; `cut` says the
     capture lost bytes of the connection (snap-cut or a gap).  An `hrr` stop
@@ -116,22 +88,22 @@ def classify(tl: ConnectionTimeline, stop_reason: str | None = None, cut: bool =
     stop, a non-200 status or unordered boundaries are `excluded`, and else
     the connection is `valid`.
 
-    The walk returns no stop only right after it sets `http_status` and
-    `t_http_200`, when the other five boundaries are already set, and every
-    stop leaves `t_http_200` unset.  So with no stop all six boundaries
-    exist, and with a stop at least one is missing.
+    The walk returns no stop only right after it finds `http_status` and
+    `t_http_200`, when the other five boundaries are already found, and
+    every stop leaves `t_http_200` unfound.  So with no stop all six
+    boundaries exist, and with a stop at least one is missing.
     """
     if stop_reason == "hrr":
-        tl.validity, tl.reason = EXCLUDED, "hrr"
+        validity, reason = EXCLUDED, "hrr"
     elif stop_reason is not None:
-        tl.validity, tl.reason = PARTIAL, "truncated" if cut and stop_reason != "no_keys" else stop_reason
+        validity, reason = PARTIAL, "truncated" if cut and stop_reason != "no_keys" else stop_reason
     elif tl.http_status != 200:
-        tl.validity, tl.reason = EXCLUDED, "non200"
+        validity, reason = EXCLUDED, "non200"
     elif any(getattr(tl, a) > getattr(tl, b) for a, b in zip(BOUNDARIES, BOUNDARIES[1:])):
-        tl.validity, tl.reason = EXCLUDED, "ordering"
+        validity, reason = EXCLUDED, "ordering"
     else:
-        tl.validity, tl.reason = VALID, None
-    return tl
+        validity, reason = VALID, None
+    return tl._replace(validity=validity, reason=reason)
 
 
 def layer_deltas_ns(tl: ConnectionTimeline) -> list[int]:

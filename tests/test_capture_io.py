@@ -306,6 +306,14 @@ def test_pcapng_sections_may_differ_in_byte_order(tmp_path, caplog, first, secon
     assert warnings == []
 
 
+def test_pcapng_zero_length_record_warns_like_pcap(tmp_path, caplog):
+    path = tmp_path / "zero.pcapng"
+    path.write_bytes(_pcapng_section("<", [(1, b"one"), (2, b""), (3, b"two"), (4, b"")]))
+    frames, warnings = _read_with_warnings(path, caplog)
+    assert [(f.timestamp_ns, f.data) for f in frames] == [(1, b"one"), (3, b"two")]
+    assert warnings == ["zero-length record", "zero-length record"]
+
+
 def test_pcapng_bad_byte_order_magic_in_later_section(tmp_path):
     second = bytearray(_pcapng_section(">", [(2, b"second")]))
     second[8:12] = b"\xde\xad\xbe\xef"
@@ -354,7 +362,7 @@ def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt
 
 PCAPNG_WARNINGS = (
     "truncated block header", "implausible block length", "truncated block body",
-    "short IDB", "short EPB", "EPB shorter than caplen",
+    "short IDB", "short EPB", "EPB shorter than caplen", "zero-length record",
 )
 _BYTE_ORDER_MAGIC = {"<": b"\x4d\x3c\x2b\x1a", ">": b"\x1a\x2b\x3c\x4d"}
 
@@ -422,10 +430,12 @@ def _reference_read_pcapng(raw):
             if 20 + caplen > len(body):
                 warnings.append("EPB shorter than caplen")
                 continue
-            if caplen:
-                linktype, per_second = interfaces[iface]
-                ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
-                frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
+            if not caplen:
+                warnings.append("zero-length record")
+                continue
+            linktype, per_second = interfaces[iface]
+            ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
+            frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
     return frames, warnings, None
 
 
@@ -519,7 +529,8 @@ def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch,
         assert (frames, warnings, error) == expected
         kinds.update(expected[1])
         kinds.add(expected[2])
-    assert {"truncated block header", "truncated block body", "short EPB", "EPB shorter than caplen"} <= kinds
+    assert {"truncated block header", "truncated block body", "short EPB", "EPB shorter than caplen",
+            "zero-length record"} <= kinds
 
 
 def _pcapng_idb(linktype, options=b""):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tlslayers import synth
+from tlslayers import documents, synth
 from tlslayers.capture import CapturedFrame, read_frames
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_at, decode_frame
 from tlslayers.errors import MalformedHeader
+from tlslayers.pipeline import analyze_capture
 
 from conftest import clean_connection_spec
 
@@ -306,6 +307,39 @@ def _relink(eth_frame, link_type):
     if link_type == 113:
         return struct.pack(">HHH8s", 0, 1, 6, eth_frame[6:12] + bytes(2)) + eth_frame[12:]
     return eth_frame[14:]
+
+
+def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
+    # a whole run, re-encoded frame by frame, must analyze to the same document but for the capture's hash
+    spec = synth.ScenarioSpec(connections=(
+        clean_connection_spec(seed=1, anomalies=frozenset({"retransmit"})),
+        clean_connection_spec(offset_ns=10**8, seed=2, group="x25519_mlkem768", anomalies=frozenset({"truncate"})),
+        clean_connection_spec(offset_ns=2 * 10**8, seed=3, group="mlkem1024", anomalies=frozenset({"non200"})),
+        clean_connection_spec(offset_ns=3 * 10**8, seed=4, anomalies=frozenset({"drop_keylog"})),
+        clean_connection_spec(offset_ns=4 * 10**8, seed=5, group="mlkem512", anomalies=frozenset({"coalesce_request"})),
+    ))
+    frames, keylog_text, _ = synth.generate(spec)
+    keylog = tmp_path / "keylog.txt"
+    keylog.write_text(keylog_text)
+    docs = {}
+    for link_type in (1, 113, 101):
+        for ipv6 in (False, True):
+            relinked = []
+            for f in frames:
+                data = _relink(_to_ipv6(f.data) if ipv6 else f.data, link_type)
+                relinked.append(f._replace(link_type=link_type, data=data, orig_len=f.orig_len + len(data) - len(f.data)))
+            path = tmp_path / f"link{link_type}-ipv{6 if ipv6 else 4}.pcap"
+            synth.emit_capture(relinked, path)
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, 20, link_type)  # the pcap header's link type
+            path.write_bytes(raw)
+            doc = documents.build_analysis_document(analyze_capture(path, keylog, "links"))
+            docs[path.name] = {**doc, "inputs": None}
+    reference = docs.pop("link1-ipv4.pcap")
+    assert reference["counts"] == {
+        "total_streams": 5, "valid": 2, "partial": {"no_keys": 1, "truncated": 1}, "excluded": {"non200": 1},
+    }
+    assert {name: doc == reference for name, doc in docs.items()} == dict.fromkeys(docs, True)
 
 
 HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header with options

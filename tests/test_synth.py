@@ -289,20 +289,25 @@ def test_ground_truth_statistics_match_oracle_for_mixed_run():
 
 
 def test_validation_rejects_bad_specs():
-    with pytest.raises(InvalidSpec):
-        synth.validate_spec(synth.ScenarioSpec(connections=()))
-    with pytest.raises(InvalidSpec):
-        synth.validate_spec(synth.ScenarioSpec(connections=(
-            synth.ConnectionSpec(boundary_times=(5, 4, 3, 2, 1, 0)),
-        )))
-    with pytest.raises(InvalidSpec):
-        synth.validate_spec(synth.ScenarioSpec(connections=(
-            synth.ConnectionSpec(boundary_times=(0, 1, 2, 3, 4, 5), anomalies=frozenset({"alien"})),
-        )))
-    with pytest.raises(InvalidSpec):
-        synth.validate_spec(synth.ScenarioSpec(connections=(
-            synth.ConnectionSpec(boundary_times=(0, 1, 2, 3, 4, 5), response_body_bytes=-1),
-        )))
+    # (connection fields or None for no connection, scenario fields, what the error names); a spec
+    # built in code gets the same type checks as a scenario file
+    table = [
+        (None, {}, "no connections"),
+        ({"boundary_times": (5, 4, 3, 2, 1, 0)}, {}, "connection 0: boundary times not ordered"),
+        ({"anomalies": frozenset({"alien"})}, {}, "connection 0: unknown anomalies"),
+        ({"response_body_bytes": -1}, {}, "connection 0: response_body_bytes"),
+        ({"boundary_times": 5}, {}, "connection 0: boundary_times_ns: expected tuple"),
+        ({"boundary_times": (0, 1, 2, 3, 4, 5.5)}, {}, "connection 0: boundary_times_ns: expected int"),
+        ({"group": 5}, {}, "connection 0: group: expected str"),
+        ({"response_body_bytes": True}, {}, "connection 0: response_body_bytes: expected int"),
+        ({"segmentation_seed": "1"}, {}, "connection 0: segmentation_seed: expected int"),
+        ({}, {"server_port": 443.0}, "server_port: expected int"),
+        ({}, {"client_ip": 0x0A000001}, "client_ip: expected str"),
+    ]
+    for conn, scenario, named in table:
+        conns = () if conn is None else (synth.ConnectionSpec(**{"boundary_times": (0, 1, 2, 3, 4, 5), **conn}),)
+        with pytest.raises(InvalidSpec, match=named):
+            synth.validate_spec(synth.ScenarioSpec(connections=conns, **scenario))
 
 
 def test_response_body_bound_is_inclusive():
