@@ -9,7 +9,11 @@ start, end, orig_len)`, with an integer-nanosecond timestamp whatever the
 file's resolution; `open_capture` copies spans out as `CapturedFrame`s.
 Truncated trailing records are skipped with a warning rather than aborting:
 partial captures of long load tests are common.  Both formats skip a
-zero-length record with the same warning.
+zero-length record with the same warning.  pcapng Simple Packet Blocks and
+obsolete Packet Blocks are not read; a capture that has any warns once,
+with their count, when the walk ends.  The pipeline's ingest loop
+(`pipeline.ingest_frames`) decodes the spans; `decode` says which frames
+take its one-unpack first branch.
 
 Both formats are walked by offset over the one buffer, and every length
 field is checked against the end of the file before it is trusted: a field
@@ -54,6 +58,8 @@ PCAP_MAGIC_NS_SWAPPED = 0x4D3CB2A1
 PCAPNG_SHB_TYPE = 0x0A0D0D0A
 PCAPNG_BYTE_ORDER_MAGIC = 0x1A2B3C4D
 PCAPNG_IDB_TYPE = 0x00000001
+PCAPNG_PB_TYPE = 0x00000002  # obsolete Packet Block
+PCAPNG_SPB_TYPE = 0x00000003  # Simple Packet Block
 PCAPNG_EPB_TYPE = 0x00000006
 CAPTURE_FORMATS = ("pcap-us", "pcap-ns", "pcapng")  # what the readers accept and emit_capture writes
 
@@ -164,13 +170,13 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
     endian = "<"
     interfaces: list[tuple[int, int]] = []  # (linktype, timestamp units per second)
     n = len(buf)
-    off = released = 0
+    off = released = packet_blocks = 0
     while off < n:
         is_shb = buf[off : off + 4] == _SHB_TYPE
         # an SHB's byte-order magic says how to read the length before it
         if n - off < (12 if is_shb else 8):
             warn(__name__, "%s: truncated block header, stopping", name)
-            return
+            break
         if is_shb:
             endian = _BYTE_ORDERS.get(buf[off + 8 : off + 12])
             if endian is None:
@@ -179,12 +185,12 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
         block_type, total_len = struct.unpack_from(endian + _BLOCK_HEADER, buf, off)
         if total_len < 12 or total_len % 4 != 0:
             warn(__name__, "%s: implausible block length %d, stopping", name, total_len)
-            return
+            break
         body = off + 8
         off += total_len
         if off > n:
             warn(__name__, "%s: truncated block body, stopping", name)
-            return
+            break
         body_len = total_len - 12  # the trailing duplicate length follows the body
 
         if block_type == PCAPNG_IDB_TYPE:
@@ -212,7 +218,11 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             linktype, units = interfaces[iface_id]
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // units
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen
-        # all other block types are skipped
+        elif block_type in (PCAPNG_PB_TYPE, PCAPNG_SPB_TYPE):
+            packet_blocks += 1  # not read: a Simple Packet Block has no timestamp, a Packet Block is obsolete
+        # all other block types are skipped without a word
+    if packet_blocks:
+        warn(__name__, "%s: %d simple/obsolete packet blocks skipped", name, packet_blocks)
 
 
 def _parse_tsresol(options: bytes, endian: str, name: str) -> int:

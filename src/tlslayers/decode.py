@@ -1,7 +1,13 @@
 """Frame to TCP-segment decoding.
 
-`decode_at` is the one decode path; `decode_frame` adapts it to a
-`CapturedFrame`.  It reads a frame where it lies, `buf[start:end]` (a span
+`decode_at` is the general decoder; `decode_frame` adapts it to a
+`CapturedFrame`.  The run's ingest loop (`pipeline.ingest_frames`) has one
+first branch of its own for the common frame: Ethernet, IPv4 with a 20-byte
+header, not a fragment, TCP, at least 54 bytes captured.  It reads that
+frame with one unpack and applies `decode_at`'s checks with the same
+outcomes; every other frame (Linux SLL, raw IP, IPv6, IP options,
+fragments, non-TCP, short frames) comes here.  `decode_at` reads a frame
+where it lies, `buf[start:end]` (a span
 of the capture's map), with one precompiled `struct.Struct.unpack_from` per
 header, and checks every length field against the frame's end, never the
 buffer's, before trusting it.  It copies nothing: the payload is returned

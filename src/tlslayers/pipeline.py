@@ -1,17 +1,20 @@
 """Capture-to-statistics pipeline.
 
 A run is one process and has one driver, `analyze_capture`.  It reads and
-hashes the key log, hashes the capture, then in one loop counts each frame
-`capture.read_frames` yields, decodes it where it lies in the capture's map
-(`decode.decode_at`) and appends it to its flow's bucket as a `reassembly`
+hashes the key log, hashes the capture, then in one loop (`ingest_frames`)
+counts each frame `capture.read_frames` yields, decodes it where it lies in
+the capture's map and appends it to its flow's bucket as a `reassembly`
 bucket entry, whose payload is a span of the map: no payload is copied at
-ingest.  It then assembles, walks and drops each flow in turn, so only one
-flow's streams are in memory at once.  Every connection is walked on its
-own; flows are walked in the file order of their first frames, so the map's
-pages before the current flow's first frame are no longer needed, and the
-walk releases them (`capture.release_behind`) as the reader did.  Timelines
-are reported in `TcpConnection.sort_key` order, which `summarize_run` does
-not depend on.
+ingest.  The loop decodes and buckets the common frame (Ethernet, IPv4 with
+a 20-byte header, not a fragment, TCP, at least 54 bytes captured) itself,
+with one unpack and no call; `decode.decode_at`, the general decoder, and
+`reassembly.bucket_entry` take every other frame.  It then assembles, walks
+and drops each flow in turn, so only one flow's streams are in memory at
+once.  Every connection is walked on its own; flows are walked in the file
+order of their first frames, so the map's pages before the current flow's
+first frame are no longer needed, and the walk releases them
+(`capture.release_behind`) as the reader did.  Timelines are reported in
+`TcpConnection.sort_key` order, which `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -33,13 +36,14 @@ connection's one `ConnectionTimeline` from what the walk found;
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from tlslayers.capture import read_frames, release_behind
-from tlslayers.decode import decode_at
+from tlslayers.capture import LINKTYPE_ETHERNET, read_frames, release_behind
+from tlslayers.decode import ETH_IPV4, decode_at
 from tlslayers.errors import (
     AuthFailure,
     BadRecordHeader,
@@ -81,6 +85,11 @@ from tlslayers.tlswire import (
     parse_records,
     parse_server_hello,
 )
+
+# An Ethernet frame with a 20-byte IPv4 header, through the TCP flags: the ethertype; the IPv4
+# version/IHL, total length, flags/fragment offset, protocol, source and destination; the TCP ports,
+# sequence number, data offset and flags.  The TCP header ends 54 bytes into the frame.
+_ETH_IPV4_TCP = struct.Struct(">12xHBxH2xHxB2x4s4sHHI4xBB").unpack_from
 
 
 class RunResult(NamedTuple):
@@ -322,6 +331,62 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
+    """Decode each frame span and append it to its flow's bucket; return the buckets and the ingest counts.
+
+    A span is `(timestamp_ns, link_type, buf, start, end, orig_len)`, as `read_frames` yields it.  The
+    buckets are keyed by canonical four-tuple in the file order of each flow's first frame, and hold
+    `reassembly` bucket entries in file order.  An Ethernet frame of at least 54 bytes that carries
+    IPv4 with a 20-byte header, is not a fragment, and carries TCP takes the first branch: one unpack,
+    then the checks `decode.decode_at` would apply, with the same outcomes, and the entry
+    `bucket_entry` would build.  Every other frame takes `decode_at` and `bucket_entry`.  The branch
+    saves two calls and two unpacks per frame: on the 240-connection `bulk` benchmark capture
+    (2-vCPU Xeon, Python 3.11) `analyze` went from 0.392 to 0.351 s.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    frames = non_tcp = malformed = 0
+    for ts, link_type, buf, start, end, orig_len in spans:
+        frames += 1
+        if link_type == LINKTYPE_ETHERNET and end - start >= 54:
+            ethertype, b0, total_len, frag, proto, src_ip, dst_ip, src_port, dst_port, seq, doff, flags = (
+                _ETH_IPV4_TCP(buf, start)
+            )
+        else:
+            ethertype = None
+        if ethertype == ETH_IPV4 and b0 == 0x45 and not frag & 0x3FFF and proto == 6:
+            payload_start = start + 34 + (doff >> 4) * 4
+            ip_end = start + 14 + total_len
+            # a data offset below 5 words; the TCP header past the IP total length (which also catches
+            # a total length below the IP header's 20 bytes) or past the frame
+            if doff < 0x50 or payload_start > ip_end or payload_start > end:
+                malformed += 1
+                continue
+            # the payload ends with the IP datagram, excluding Ethernet trailer padding
+            if ip_end > end:
+                ip_end = end
+                truncated = True  # the snap length cut into the payload
+            else:
+                truncated = orig_len > end - start
+            from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+            key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+            entry = (ts, from_lower, flags & 0x1F, seq, buf, payload_start, ip_end, truncated)
+        else:
+            try:
+                pkt = decode_at(ts, link_type, buf, start, end, orig_len)
+            except MalformedHeader:
+                malformed += 1
+                continue
+            if pkt is None:
+                non_tcp += 1
+                continue
+            key, entry = bucket_entry(buf, pkt)
+        try:
+            groups[key].append(entry)
+        except KeyError:
+            groups[key] = [entry]
+    return groups, {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
+
+
 def analyze_capture(
     pcap_path: str | Path,
     keylog_path: str | Path | None,
@@ -348,25 +413,9 @@ def analyze_capture(
         del raw  # not held through ingest and the walk
     inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
 
-    groups: dict[tuple, list] = {}
-    frames = non_tcp = malformed = 0
-    for ts, link_type, buf, start, end, orig_len in read_frames(pcap_path):
-        frames += 1
-        try:
-            pkt = decode_at(ts, link_type, buf, start, end, orig_len)
-        except MalformedHeader:
-            malformed += 1
-            continue
-        if pkt is None:
-            non_tcp += 1
-            continue
-        key, entry = bucket_entry(buf, pkt)
-        try:
-            groups[key].append(entry)
-        except KeyError:
-            groups[key] = [entry]
-    if malformed:
-        warn(__name__, "%s: %d malformed frames skipped", pcap_path, malformed)
+    groups, ingest_counts = ingest_frames(read_frames(pcap_path))
+    if ingest_counts["malformed_frames"]:
+        warn(__name__, "%s: %d malformed frames skipped", pcap_path, ingest_counts["malformed_frames"])
 
     # one flow at a time, in the file order of its first frame, emptying the buckets
     keyed: list[tuple[tuple, ConnectionTimeline]] = []
@@ -377,5 +426,6 @@ def analyze_capture(
         released = release_behind(group[0][4], released, group[0][5])
         keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
     keyed.sort(key=itemgetter(0))
-    ingest = {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
-    return summarize_run([tl for _, tl in keyed], label, decrypted=keystore is not None, ingest=ingest, inputs=inputs)
+    return summarize_run(
+        [tl for _, tl in keyed], label, decrypted=keystore is not None, ingest=ingest_counts, inputs=inputs
+    )

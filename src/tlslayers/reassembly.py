@@ -23,8 +23,10 @@ flow.
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
 plain tuple per packet, `(ts, from_lower, flags, seq, buf, start, end,
-truncated)`, built by `bucket_entry`: one direction bit stands in for the
-two endpoints, and the payload is the span `buf[start:end]`.  The
+truncated)`, built by `bucket_entry` (and, for the common Ethernet/IPv4
+frame, inline by the pipeline's ingest loop, which the tests hold to the
+same entry): one direction bit stands in for the two endpoints, and the
+payload is the span `buf[start:end]`.  The
 pipeline's buckets point into the capture's map, so they keep it alive
 until the flow is assembled, and a capture that shrinks on disk before
 then ends the process with SIGBUS (see `capture`).  `assemble_connections`
@@ -159,7 +161,7 @@ def bucket_entry(buf: bytes, fields: tuple) -> tuple[tuple, tuple]:
 
     `fields` is `decode.decode_at`'s tuple for a frame of `buf`, so the payload is
     `buf[start:end]`.  It comes as one tuple, not spread into arguments, because the
-    ingest loop calls this once per frame.
+    ingest loop's general branch calls this once per frame.
     """
     ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = fields
     from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)

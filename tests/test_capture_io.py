@@ -363,6 +363,7 @@ def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt
 PCAPNG_WARNINGS = (
     "truncated block header", "implausible block length", "truncated block body",
     "short IDB", "short EPB", "EPB shorter than caplen", "zero-length record",
+    "simple/obsolete packet blocks skipped",
 )
 _BYTE_ORDER_MAGIC = {"<": b"\x4d\x3c\x2b\x1a", ">": b"\x1a\x2b\x3c\x4d"}
 
@@ -378,7 +379,7 @@ def _reference_read_pcapng(raw):
     """Block-at-a-time pcapng reader over the whole file: (frames, warnings, error class or None)."""
     frames, warnings = [], []
     endian, interfaces = "<", []  # (linktype, ticks per second)
-    off = 0
+    off = packet_blocks = 0
     while off < len(raw):
         head = raw[off : off + 12]
         is_shb = head[:4] == b"\x0a\x0d\x0d\x0a"
@@ -436,6 +437,10 @@ def _reference_read_pcapng(raw):
             linktype, per_second = interfaces[iface]
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
             frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
+        elif block_type in (2, 3):
+            packet_blocks += 1
+    if packet_blocks:
+        warnings.append("simple/obsolete packet blocks skipped")  # once, after the walk, however it stopped
     return frames, warnings, None
 
 
@@ -530,7 +535,22 @@ def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch,
         kinds.update(expected[1])
         kinds.add(expected[2])
     assert {"truncated block header", "truncated block body", "short EPB", "EPB shorter than caplen",
-            "zero-length record"} <= kinds
+            "zero-length record", "simple/obsolete packet blocks skipped"} <= kinds
+
+
+def test_pcapng_simple_and_obsolete_packet_blocks_are_counted_in_one_warning(tmp_path, caplog):
+    # Simple Packet Blocks (type 3) and obsolete Packet Blocks (type 2) carry frames this reader does
+    # not read; a capture made only of them must say so, not analyze silently to no frames
+    frame = _tcp_frame((bytes([10, 0, 0, 1]), 40000), (bytes([10, 0, 0, 2]), 443), 0x02, 0)
+    spb = _ng_block("<", 3, struct.pack("<I", len(frame)) + frame)
+    pb = _ng_block("<", 2, struct.pack("<HHIIII", 0, 0, 0, 1, len(frame), len(frame)) + frame)
+    path = tmp_path / "spb.pcapng"
+    path.write_bytes(_pcapng_idb(1) + spb + pb + spb)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        result = pipeline.analyze_capture(path, None, "spb")
+    assert result.ingest == {"frames": 0, "non_tcp_frames": 0, "malformed_frames": 0}
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: 3 simple/obsolete packet blocks skipped"]
 
 
 def _pcapng_idb(linktype, options=b""):

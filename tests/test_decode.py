@@ -11,7 +11,7 @@ from tlslayers import documents, synth
 from tlslayers.capture import CapturedFrame, read_frames
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_at, decode_frame
 from tlslayers.errors import MalformedHeader
-from tlslayers.pipeline import analyze_capture
+from tlslayers.pipeline import analyze_capture, ingest_frames
 
 from conftest import clean_connection_spec
 
@@ -264,6 +264,26 @@ def _reference_packet(frame):
     )
 
 
+def _ingested(span):
+    """One frame span through the run's ingest loop: ('malformed',), ('non-tcp',) or ('packet', fields)."""
+    groups, counts = ingest_frames([span])
+    kinds = {"malformed": counts["malformed_frames"], "non-tcp": counts["non_tcp_frames"], "packet": len(groups)}
+    assert counts["frames"] == sum(kinds.values()) == 1
+    if not groups:
+        return (next(kind for kind, n in kinds.items() if n),)
+    ((key, [entry]),) = groups.items()
+    ts, from_lower, flags, seq, buf, start, end, truncated = entry
+    lower, higher = key[:2], key[2:]
+    assert lower <= higher  # the canonical four-tuple names the lower (ip, port) first
+    (src_ip, src_port), (dst_ip, dst_port) = (lower, higher) if from_lower else (higher, lower)
+    return ("packet", (ts, src_ip, dst_ip, src_port, dst_port, flags, seq, buf[start:end], truncated))
+
+
+def _as_ingested(outcome):
+    """A decode outcome as `_ingested` reports it: the ingest loop counts errors without their message."""
+    return {"error": ("malformed",), "none": ("non-tcp",)}.get(outcome[0], outcome)
+
+
 def _span_sliced(buf, fields):
     """`decode_at`'s fields with the payload span sliced out of `buf`, as `DecodedPacket` holds it."""
     return None if fields is None else (*fields[:7], buf[fields[7] : fields[8]], fields[9])
@@ -309,6 +329,43 @@ def _relink(eth_frame, link_type):
     return eth_frame[14:]
 
 
+def _with_trailer(frame):
+    """The frame with 6 bytes of Ethernet trailer padding after the IP datagram; a snap-cut frame lost it."""
+    if frame.orig_len > len(frame.data):
+        return frame._replace(orig_len=frame.orig_len + 6)
+    return frame._replace(data=frame.data + bytes(6), orig_len=frame.orig_len + 6)
+
+
+def _with_ipv4_options(frame):
+    """The Ethernet/IPv4 frame with 4 bytes of NOP options in its IP header (IHL 6)."""
+    data = bytearray(frame.data[:34])
+    data[14] = 0x46
+    struct.pack_into(">H", data, 16, struct.unpack_from(">H", data, 16)[0] + 4)
+    return frame._replace(data=bytes(data) + b"\x01" * 4 + frame.data[34:], orig_len=frame.orig_len + 4)
+
+
+def _non_tcp_before(frame):
+    """ARP, UDP and an IPv4 fragment of `frame` with its payload inverted, all stamped with `frame`'s time."""
+    arp = b"\xff" * 6 + frame.data[6:12] + b"\x08\x06" + bytes(28)
+    udp = bytearray(frame.data[:42])
+    udp[23] = 17
+    struct.pack_into(">H", udp, 16, 28)
+    # a first fragment (MF set) that would be a TCP segment: bucketing it would put its bytes first
+    fragment = bytearray(frame.data[:54] + bytes(b ^ 0xFF for b in frame.data[54:]))
+    struct.pack_into(">H", fragment, 20, 0x2000)
+    return [frame._replace(data=bytes(d), orig_len=len(d)) for d in (arp, udp, fragment)]
+
+
+def _analyzed_without_inputs(tmp_path, name, frames, keylog, link_type=1):
+    path = tmp_path / f"{name}.pcap"
+    synth.emit_capture(frames, path)
+    if link_type != 1:
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 20, link_type)  # the pcap header's link type
+        path.write_bytes(raw)
+    return {**documents.build_analysis_document(analyze_capture(path, keylog, "links")), "inputs": None}
+
+
 def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
     # a whole run, re-encoded frame by frame, must analyze to the same document but for the capture's hash
     spec = synth.ScenarioSpec(connections=(
@@ -328,14 +385,22 @@ def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
             for f in frames:
                 data = _relink(_to_ipv6(f.data) if ipv6 else f.data, link_type)
                 relinked.append(f._replace(link_type=link_type, data=data, orig_len=f.orig_len + len(data) - len(f.data)))
-            path = tmp_path / f"link{link_type}-ipv{6 if ipv6 else 4}.pcap"
-            synth.emit_capture(relinked, path)
-            raw = bytearray(path.read_bytes())
-            struct.pack_into("<I", raw, 20, link_type)  # the pcap header's link type
-            path.write_bytes(raw)
-            doc = documents.build_analysis_document(analyze_capture(path, keylog, "links"))
-            docs[path.name] = {**doc, "inputs": None}
-    reference = docs.pop("link1-ipv4.pcap")
+            name = f"link{link_type}-ipv{6 if ipv6 else 4}"
+            docs[name] = _analyzed_without_inputs(tmp_path, name, relinked, keylog, link_type)
+    # Ethernet encodings that each frame's ingest must see through; the IPv6 one shows the
+    # payload ending where the IPv6 payload length says, not at the frame's end
+    trailed = [_with_trailer(f) for f in frames]
+    docs["trailer-ipv4"] = _analyzed_without_inputs(tmp_path, "trailer-ipv4", trailed, keylog)
+    trailed_v6 = [f._replace(data=_to_ipv6(f.data), orig_len=f.orig_len + 20) for f in trailed]
+    docs["trailer-ipv6"] = _analyzed_without_inputs(tmp_path, "trailer-ipv6", trailed_v6, keylog)
+    docs["ipv4-options"] = _analyzed_without_inputs(tmp_path, "ipv4-options", [_with_ipv4_options(f) for f in frames], keylog)
+    interleaved = [g for f in frames for g in (*_non_tcp_before(f), f)]
+    docs["interleaved"] = _analyzed_without_inputs(tmp_path, "interleaved", interleaved, keylog)
+    assert docs["interleaved"]["ingest"] == {
+        **docs["link1-ipv4"]["ingest"], "frames": 4 * len(frames), "non_tcp_frames": 3 * len(frames),
+    }
+    docs["interleaved"]["ingest"] = docs["link1-ipv4"]["ingest"]
+    reference = docs.pop("link1-ipv4")
     assert reference["counts"] == {
         "total_streams": 5, "valid": 2, "partial": {"no_keys": 1, "truncated": 1}, "excluded": {"non200": 1},
     }
@@ -377,7 +442,46 @@ def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig
     # the same frame at an offset in a larger buffer: nothing outside its span may be read
     buf = prefix + data + suffix
     at = len(prefix)
-    assert _outcome(lambda: _span_sliced(buf, decode_at(frame.timestamp_ns, link_type, buf, at, at + len(data), frame.orig_len))) == expected
+    span = (frame.timestamp_ns, link_type, buf, at, at + len(data), frame.orig_len)
+    assert _outcome(lambda: _span_sliced(buf, decode_at(*span))) == expected
+    assert _ingested(span) == _as_ingested(expected)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(min_value=0),
+    version_ihl=st.sampled_from([0x45, 0x45, 0x44, 0x46, 0x4F, 0x55, 0x65]),
+    flags_frag=st.sampled_from([None, 0, 0x4000, 0x2000, 0x6000, 0x0001, 0x1FFF, 0x8000]),
+    protocol=st.sampled_from([6, 6, 17]),
+    total_len=st.one_of(st.none(), st.integers(0, 120)),
+    data_offset=st.one_of(st.none(), st.integers(0, 15)),
+    cut=st.one_of(st.none(), st.integers(40, 120)),
+    trailer=st.binary(max_size=12),
+    orig_extra=st.sampled_from([0, 0, 1, 1500]),
+    prefix=st.binary(max_size=64),
+    suffix=st.binary(max_size=64),
+)
+def test_ingest_matches_reference_on_ethernet_ipv4_fields(
+    index, version_ihl, flags_frag, protocol, total_len, data_offset, cut, trailer, orig_extra, prefix, suffix
+):
+    # the fields the ingest loop's one-unpack branch reads, set to values on both sides of each of its checks
+    source = _synth_frames()[index % len(_synth_frames())]
+    data = bytearray(source.data + trailer)
+    data[14] = version_ihl
+    data[23] = protocol
+    if flags_frag is not None:
+        struct.pack_into(">H", data, 20, flags_frag)
+    if total_len is not None:
+        struct.pack_into(">H", data, 16, total_len)
+    if data_offset is not None:
+        data[46] = data_offset << 4 | data[46] & 0x0F
+    if cut is not None:
+        del data[cut:]
+    data = bytes(data)
+    frame = CapturedFrame(source.timestamp_ns, 1, data, len(data) + orig_extra)
+    buf = prefix + data + suffix
+    span = (frame.timestamp_ns, 1, buf, len(prefix), len(prefix) + len(data), frame.orig_len)
+    assert _ingested(span) == _as_ingested(_outcome(lambda: _reference_packet(frame)))
 
 
 def test_reference_agrees_on_unmutated_synth_frames():
