@@ -27,10 +27,12 @@ Resident memory is bounded by about `_CHUNK` plus one frame, not by the
 file size: every `_CHUNK` bytes of file walked, the mapped pages behind the
 current frame are released (`release_behind`: `MADV_DONTNEED`, so POSIX
 only); a caller that still reads an earlier span faults its pages in again
-from the page cache.  The pipeline does: its flow buckets hold spans of the
-map, not copies, so the map stays open until the last flow is walked, and
-the walk releases pages behind itself with the same `release_behind`.  The
-map is closed when its last span is dropped.  The file is read as it was
+from the page cache.  The pipeline does: its flow buckets, and the streams
+reassembled from them, hold spans of the map, not copies, so the map stays
+open until the last flow is walked, and the walk releases pages behind
+itself with the same `release_behind`.  The readers test the stride
+themselves and call `release_behind` only when a release is due.  The map
+is closed when its last span is dropped.  The file is read as it was
 when opened: a capture that grows meanwhile is read up to its old end, and
 one that shrinks before its last span is read, at any point until the walk
 ends, ends the process with SIGBUS.
@@ -161,7 +163,8 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
         if not caplen:
             warn(__name__, "%s: zero-length record, skipping", name)
             continue
-        released = release_behind(buf, released, start)
+        if start - released >= _CHUNK:
+            released = release_behind(buf, released, start)
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
 
 
@@ -214,7 +217,8 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             if not caplen:
                 warn(__name__, "%s: zero-length record, skipping", name)
                 continue
-            released = release_behind(buf, released, body)
+            if body - released >= _CHUNK:
+                released = release_behind(buf, released, body)
             linktype, units = interfaces[iface_id]
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // units
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen

@@ -9,12 +9,15 @@ ingest.  The loop decodes and buckets the common frame (Ethernet, IPv4 with
 a 20-byte header, not a fragment, TCP, at least 54 bytes captured) itself,
 with one unpack and no call; `decode.decode_at`, the general decoder, and
 `reassembly.bucket_entry` take every other frame.  It then assembles, walks
-and drops each flow in turn, so only one flow's streams are in memory at
-once.  Every connection is walked on its own; flows are walked in the file
-order of their first frames, so the map's pages before the current flow's
-first frame are no longer needed, and the walk releases them
-(`capture.release_behind`) as the reader did.  Timelines are reported in
-`TcpConnection.sort_key` order, which `summarize_run` does not depend on.
+and drops each flow in turn.  Reassembly copies nothing either: a flow's
+streams are spans of the map, which they keep alive through the walk, and
+the walk slices a record's body out of the map only when it opens the
+record, so only the records the walk opens are copied.  Every connection
+is walked on its own; flows are walked in the file order of their first
+frames, so the map's pages before the current flow's first frame are no
+longer needed, and the walk releases them (`capture.release_behind`) as
+the reader did.  Timelines are reported in `TcpConnection.sort_key` order,
+which `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -181,8 +184,7 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
     # TTLB anchor from record metadata alone: the last server application-data byte
     last = next((r for r in reversed(server_records) if r.content_type == CT_APPLICATION_DATA), None)
     if last is not None:
-        end = last.stream_offset + len(last.header) + len(last.body)
-        found["t_response_last"] = conn.server_to_client.timestamp_at(end - 1)
+        found["t_response_last"] = conn.server_to_client.timestamp_at(last.end - 1)
 
     for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
         if msg_type is None:

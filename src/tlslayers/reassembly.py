@@ -9,16 +9,17 @@ recording when each byte range FIRST crossed the wire; retransmissions never
 overwrite the first arrival, so reassembly is insensitive to capture-file
 ordering.
 
-Segments are placed in arrival order against a sorted list of disjoint
-covered intervals, following the segment-placement rules of RFC 9293
-§3.10.7: the uncovered sub-ranges of a segment become new pieces (each
-referencing the captured payload it came from), and the sub-ranges already
+A direction whose segments arrive in order, each starting where the one
+before it ended, takes its segments as the stream's pieces as they are,
+with no sort and no search.  Any other direction places its segments in
+arrival order against a sorted list of disjoint covered intervals,
+following the segment-placement rules of RFC 9293 §3.10.7: the uncovered
+sub-ranges of a segment become new pieces, and the sub-ranges already
 covered are compared with the stored bytes, a difference being recorded as
-``overlap_mismatch``.  Only the contiguous prefix from offset 0 is joined
-into the stream.  Memory is therefore proportional to the captured payload
-bytes, never to the sequence offsets a segment claims.  `assemble_flow`
-assembles one four-tuple at a time; the pipeline's walk calls it flow by
-flow.
+``overlap_mismatch``.  Only the contiguous prefix from offset 0 is the
+stream.  Memory is therefore proportional to the captured payload bytes,
+never to the sequence offsets a segment claims.  `assemble_flow` assembles
+one four-tuple at a time; the pipeline's walk calls it flow by flow.
 
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
@@ -26,13 +27,15 @@ plain tuple per packet, `(ts, from_lower, flags, seq, buf, start, end,
 truncated)`, built by `bucket_entry` (and, for the common Ethernet/IPv4
 frame, inline by the pipeline's ingest loop, which the tests hold to the
 same entry): one direction bit stands in for the two endpoints, and the
-payload is the span `buf[start:end]`.  The
-pipeline's buckets point into the capture's map, so they keep it alive
-until the flow is assembled, and a capture that shrinks on disk before
-then ends the process with SIGBUS (see `capture`).  `assemble_connections`
-builds the same entries from `DecodedPacket`s, each payload its own `buf`,
-and assembles every flow at once.  `assemble_flow` copies a flow's payloads
-out of their buffers only when it assembles that flow.
+payload is the span `buf[start:end]`.  Nothing is copied in reassembly: a
+connection's segments are its bucket entries, and a `DirectionalStream`
+holds each piece as a `(buf, start)` span, so a stream's bytes are copied
+only when `DirectionalStream.read` asks for them.  The pipeline's buffers
+are the capture's map, so its buckets keep the map alive until the flow is
+assembled and its streams until the flow is walked, and a capture that
+shrinks on disk before then ends the process with SIGBUS (see `capture`).
+`assemble_connections` builds the same entries from `DecodedPacket`s, each
+payload its own `buf`, and assembles every flow at once.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -56,23 +59,32 @@ _SYN = int(TcpFlags.SYN)
 _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
-_first = itemgetter(0)  # a packet's timestamp; a stream piece's start offset
-_ts_rel = itemgetter(2, 0)  # a placed segment's (ts, rel_offset)
+_first = itemgetter(0)  # a bucket entry's timestamp; a stream piece's start offset
+_span = itemgetter(4, 5)  # a bucket entry's (buf, start)
+_ts_rel = itemgetter(4, 0)  # a placed segment's (ts, rel_offset)
 
 
 class DirectionalStream:
-    """One direction's reassembled bytes and per-offset first-arrival times."""
+    """One direction's reassembled bytes as spans, and per-offset first-arrival times.
 
-    __slots__ = ("data", "offsets", "times", "has_gap")
+    The contiguous prefix from offset 0 is a run of pieces: piece `i` starts at
+    stream offset `offsets[i]`, first crossed the wire at `times[i]`, and its bytes
+    begin at index `start` of the buffer in `spans[i] = (buf, start)`; it ends where
+    the next piece starts, the last one at `len(self)`.  No byte is copied until
+    `read` asks for it.
+    """
 
-    def __init__(self, data: bytes, offsets_ts: list[tuple[int, int]], has_gap: bool):
-        self.data = data
-        self.offsets = [o for o, _ in offsets_ts]  # piece start offsets, ascending
-        self.times = [t for _, t in offsets_ts]  # each piece's first-arrival time
+    __slots__ = ("offsets", "times", "spans", "length", "has_gap")
+
+    def __init__(self, offsets: list[int], times: list[int], spans: list[tuple], length: int, has_gap: bool):
+        self.offsets = offsets  # piece start offsets, ascending
+        self.times = times  # each piece's first-arrival time
+        self.spans = spans  # each piece's (buf, start)
+        self.length = length
         self.has_gap = has_gap
 
     def __len__(self) -> int:
-        return len(self.data)
+        return self.length
 
     @property
     def offsets_ts(self) -> list[tuple[int, int]]:
@@ -82,15 +94,38 @@ class DirectionalStream:
         """Arrival time of the segment that first carried the byte at offset."""
         if offset < 0:
             raise ValueError(f"negative offset {offset}")
-        if offset >= len(self.data):
-            raise GapAtOffset(f"offset {offset} beyond contiguous data ({len(self.data)} bytes)")
+        if offset >= self.length:
+            raise GapAtOffset(f"offset {offset} beyond contiguous data ({self.length} bytes)")
         idx = bisect_right(self.offsets, offset) - 1
         if idx < 0:
             raise GapAtOffset(f"offset {offset} precedes first mapped byte")
         return self.times[idx]
 
+    def read(self, a: int, b: int) -> bytes:
+        """The stream's bytes `[a, b)`, joined from the pieces that cover them alone."""
+        if b > self.length:
+            raise GapAtOffset(f"offset {b} beyond contiguous data ({self.length} bytes)")
+        if a >= b:
+            return b""
+        offsets, spans = self.offsets, self.spans
+        i = bisect_right(offsets, a) - 1
+        if i < 0:
+            raise GapAtOffset(f"offset {a} precedes first mapped byte")
+        last = len(offsets) - 1
+        buf, start = spans[i]
+        base = start - offsets[i]  # the buffer index of stream offset 0, as piece i lies
+        parts = []
+        while i < last and offsets[i + 1] < b:
+            i += 1
+            parts.append(buf[base + a : base + offsets[i]])
+            a = offsets[i]
+            buf, start = spans[i]
+            base = start - a
+        parts.append(buf[base + a : base + b])
+        return b"".join(parts)  # one part is returned as it is, not copied
 
-EMPTY_STREAM = DirectionalStream(b"", [], False)
+
+EMPTY_STREAM = DirectionalStream([], [], [], 0, False)
 
 
 class TcpConnection:
@@ -114,8 +149,8 @@ class TcpConnection:
         self.isn_s: int | None = None
         self.t_syn: int | None = None
         self.t_synack: int | None = None
-        self.segs_c: list[tuple[int, bytes, int]] = []  # (seq, payload, ts)
-        self.segs_s: list[tuple[int, bytes, int]] = []
+        self.segs_c: list[tuple] = []  # the bucket entries that carry data, in time order
+        self.segs_s: list[tuple] = []
         self.reset = False
         self.fin_c = False
         self.fin_s = False
@@ -180,7 +215,8 @@ def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
     curr: TcpConnection | None = None
     client_lower = True  # curr's client is the lower endpoint
 
-    for ts, from_lower, tcp_flags, seq, buf, start, end, truncated in group:
+    for entry in group:
+        ts, from_lower, tcp_flags, seq, buf, start, end, truncated = entry
         from_client = from_lower == client_lower
         syn = tcp_flags & _SYN
         ack = tcp_flags & _ACK
@@ -231,7 +267,7 @@ def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
         if truncated:
             curr.truncated = True
         if end > start:
-            (curr.segs_c if from_client else curr.segs_s).append((seq, buf[start:end], ts))
+            (curr.segs_c if from_client else curr.segs_s).append(entry)
 
     for conn in conns:
         conn.join_streams()
@@ -245,7 +281,8 @@ def _open(lower: tuple, higher: tuple, from_lower: bool, ts: int, incarnation: i
     return TcpConnection(higher, lower, ts, incarnation)
 
 
-def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies: set[str]) -> DirectionalStream:
+def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str]) -> DirectionalStream:
+    """A direction's stream from its segments: bucket entries, sorted by time."""
     if not segs:
         return EMPTY_STREAM
     if isn is None:
@@ -254,25 +291,39 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
         return EMPTY_STREAM
 
     base = (isn + 1) % _SEQ_MOD
-    placed: list[tuple[int, bytes, int]] = []  # (rel_offset, payload, ts)
-    for seq, payload, ts in segs:
+    # In order: each segment starts where the one before it ended, the first at offset 0.
+    # The segments' times do not decrease, so the (ts, rel) sort below would leave them as
+    # they are and each would be appended as a piece of its own: the segments are the pieces.
+    offsets: list[int] = []
+    rel = 0
+    for _, _, _, seq, _, lo, hi, _ in segs:
+        if (seq - base) % _SEQ_MOD != rel:
+            break
+        offsets.append(rel)
+        rel += hi - lo
+    else:
+        if offsets[-1] < _FORWARD_WINDOW:  # the placement below drops a segment starting past it
+            return DirectionalStream(offsets, list(map(_first, segs)), list(map(_span, segs)), rel, False)
+
+    placed: list[tuple] = []  # (rel_offset, buf, lo, hi, ts): the payload is buf[lo:hi]
+    for ts, _, _, seq, buf, lo, hi, _ in segs:
         rel = (seq - base) % _SEQ_MOD
         if rel >= _FORWARD_WINDOW:
             continue  # keep-alive style probe at ISN or stale sequence
-        placed.append((rel, payload, ts))
+        placed.append((rel, buf, lo, hi, ts))
     if not placed:
         return EMPTY_STREAM
 
-    # Disjoint covered pieces sorted by offset: (start, end, bytes, ts), where
-    # ts is the arrival time of the segment that first carried those bytes.
-    pieces: list[tuple[int, int, bytes, int]] = []
+    # Disjoint covered pieces sorted by offset: (start, end, buf, lo, ts), the piece's bytes
+    # starting at buf[lo], where ts is the arrival time of the segment that first carried them.
+    pieces: list[tuple] = []
     placed.sort(key=_ts_rel)
     end_seen = 0  # the end of the last piece
-    for rel, payload, ts in placed:
-        end = rel + len(payload)
+    for rel, buf, lo, hi, ts in placed:
+        end = rel + hi - lo
         if rel >= end_seen:
             # in order or past a hole: overlaps no piece
-            pieces.append((rel, end, payload, ts))
+            pieces.append((rel, end, buf, lo, ts))
             end_seen = end
             continue
         i = bisect_right(pieces, rel, key=_first) - 1
@@ -284,26 +335,26 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
 
         # Walk the pieces overlapping [rel, end): the gaps between them become
         # new pieces, the covered sub-ranges must repeat the stored bytes.
-        run: list[tuple[int, int, bytes, int]] = []
+        run: list[tuple] = []
         pos = rel
         j = i
         while j < len(pieces) and pieces[j][0] < end:
             piece = pieces[j]
-            p_start, p_end, p_bytes, _ = piece
+            p_start, p_end, p_buf, p_lo, _ = piece
             if pos < p_start:
-                run.append((pos, p_start, payload[pos - rel : p_start - rel], ts))
+                run.append((pos, p_start, buf, lo + pos - rel, ts))
                 pos = p_start
             stop = min(end, p_end)
-            if p_bytes[pos - p_start : stop - p_start] != payload[pos - rel : stop - rel]:
+            if p_buf[p_lo + pos - p_start : p_lo + stop - p_start] != buf[lo + pos - rel : lo + stop - rel]:
                 anomalies.add("overlap_mismatch")
             run.append(piece)
             pos = stop
             j += 1
         if pos < end:
-            run.append((pos, end, payload[pos - rel :], ts))
+            run.append((pos, end, buf, lo + pos - rel, ts))
         pieces[i:j] = run
 
-    # Only the contiguous prefix from offset 0 is materialised.
+    # The stream is the contiguous prefix from offset 0.
     k = 0
     prefix = 0
     while k < len(pieces) and pieces[k][0] == prefix:
@@ -311,7 +362,9 @@ def _build_stream(segs: list[tuple[int, bytes, int]], isn: int | None, anomalies
         k += 1
     prefix_pieces = pieces[:k]
     return DirectionalStream(
-        b"".join(p[2] for p in prefix_pieces),
-        [(p[0], p[3]) for p in prefix_pieces],
+        [p[0] for p in prefix_pieces],
+        [p[4] for p in prefix_pieces],
+        [(p[2], p[3]) for p in prefix_pieces],
+        prefix,
         k < len(pieces),
     )

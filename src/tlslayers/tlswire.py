@@ -2,11 +2,18 @@
 
 Parsing is bit-exact per RFC 8446.  The builders exist for the synthetic
 generator and give the parser a round-trip partner.
+
+`parse_records` reads each record header where it lies in the stream's
+pieces and returns every record, but copies no body: a `TlsRecord` keeps
+its stream and slices its body only when asked (`TlsRecord.body`), so the
+walk copies only the records it opens.  A record thus keeps its stream's
+buffers alive, in the pipeline the capture's map, as long as it lives.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from tlslayers.errors import (
@@ -129,9 +136,15 @@ def group_name(group_id: int) -> str:
 class TlsRecord(NamedTuple):
     content_type: int
     header: bytes  # the 5 header bytes as captured: the AEAD's additional data
-    body: bytes
     stream_offset: int
+    end: int  # the stream offset just past the body
     timestamp_ns: int
+    stream: DirectionalStream
+
+    @property
+    def body(self) -> bytes:
+        """The record's body, sliced out of its stream when asked for."""
+        return self.stream.read(self.stream_offset + 5, self.end)
 
 
 def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
@@ -140,21 +153,30 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
     trailing_partial is True when the stream ends (or hits a reassembly gap)
     inside a record.  Records before that point are returned; the walk
     decides what the missing tail means for the connection.  Each record is
-    stamped as `stream.timestamp_at(offset)` would stamp it, by one forward
-    walk over the stream's piece offsets.
+    stamped as `stream.timestamp_at(offset)` would stamp it.  A header is
+    read where it lies in its piece's buffer (or joined by `stream.read`
+    when it straddles two pieces); a body is not read here at all.
     """
-    data = stream.data
-    offsets, times = stream.offsets, stream.times
-    last_piece = len(offsets) - 1
+    offsets, times, spans = stream.offsets, stream.times, stream.spans
+    count = len(offsets)
     records: list[TlsRecord] = []
     off = 0
-    n = len(data)
+    n = len(stream)
     piece = -1  # index of the last piece starting at or before off
-    next_start = offsets[0] if offsets else n
     while off < n:
         if off + 5 > n:
             return records, True
-        ctype, version, length = _RECORD_HEADER.unpack_from(data, off)
+        piece = bisect_right(offsets, off, piece + 1) - 1
+        if piece < 0:
+            raise GapAtOffset(f"offset {off} precedes first mapped byte")
+        if piece + 1 < count and offsets[piece + 1] < off + 5:
+            header = stream.read(off, off + 5)
+            ctype, version, length = _RECORD_HEADER.unpack(header)
+        else:
+            buf, start = spans[piece]
+            pos = start + off - offsets[piece]
+            ctype, version, length = _RECORD_HEADER.unpack_from(buf, pos)
+            header = buf[pos : pos + 5]
         if ctype not in _LEGAL_CONTENT_TYPES or version not in _LEGAL_VERSIONS:
             raise BadRecordHeader(
                 f"illegal record header at offset {off}: type={ctype} version=0x{version:04X}"
@@ -164,12 +186,7 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
         end = off + 5 + length
         if end > n:
             return records, True
-        while next_start <= off:
-            piece += 1
-            next_start = offsets[piece + 1] if piece < last_piece else n
-        if piece < 0:
-            raise GapAtOffset(f"offset {off} precedes first mapped byte")
-        records.append(TlsRecord(ctype, data[off : off + 5], data[off + 5 : end], off, times[piece]))
+        records.append(TlsRecord(ctype, header, off, end, times[piece], stream))
         off = end
     return records, stream.has_gap
 

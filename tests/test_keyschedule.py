@@ -135,12 +135,15 @@ def _protected_record(key, iv, counter, inner, offset=0, ts=1000):
     total = len(inner) + 16
     header = struct.pack(">BHH", 23, 0x0303, total)
     body = AESGCM(key).encrypt(nonce, inner, header)
+    end = offset + 5 + len(body)
     return TlsRecord(
         content_type=CT_APPLICATION_DATA,
         header=header,
-        body=body,
         stream_offset=offset,
+        end=end,
         timestamp_ns=ts,
+        # the record alone, lying at `offset` of its stream
+        stream=DirectionalStream([offset], [ts], [(header + body, 0)], end, False),
     )
 
 
@@ -204,7 +207,7 @@ def test_captured_header_is_the_additional_data():
     inner = b"GET / HTTP/1.1\r\n\r\n\x17"
     header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0301, len(inner) + 16)
     wire = build_record(CT_APPLICATION_DATA, AESGCM(keys.key).encrypt(keys.nonce(), inner, header), 0x0301)
-    (rec,), partial = parse_records(DirectionalStream(wire, [(0, 7)], False))
+    (rec,), partial = parse_records(DirectionalStream([0], [7], [(wire, 0)], len(wire), False))
     assert not partial and rec.header == header
     assert decrypt_record(rec, keys) == (0x17, inner[:-1])
 

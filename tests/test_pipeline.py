@@ -470,6 +470,25 @@ def test_walk_holds_one_flow_of_streams_at_a_time(monkeypatch):
     assert 0 < peak < 0.25 * payload_bytes, (peak, payload_bytes)
 
 
+def test_the_walk_copies_only_the_records_it_opens():
+    # A 512 KiB response: the walk opens the server's hello, its handshake flight and the
+    # record with the status line, and reads no other record body.  Joining the stream or
+    # copying every record body would cost at least the stream's length.
+    packets, keylog_text = _decoded(
+        synth.ScenarioSpec(connections=(clean_connection_spec(response_body_bytes=512 * 1024),))
+    )
+    (conn,) = assemble_connections(packets)
+    keystore = parse_keylog(keylog_text)
+    tracemalloc.start()
+    try:
+        tl = analyze_connection(conn, keystore)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tl.validity == "valid" and tl.t_response_last is not None
+    assert peak < len(conn.server_to_client) / 4, (peak, len(conn.server_to_client))
+
+
 def test_flow_buckets_hold_no_payload_copies(monkeypatch):
     # Traced memory at the end of ingest, key log included, per bucketed packet.
     # Most of these segments carry over 1 KiB of payload; a bucket entry that

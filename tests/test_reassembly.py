@@ -30,6 +30,11 @@ def pkt(src, dst, ts, flags=0, seq=0, payload=b"", truncated=False):
     )
 
 
+def _bytes(stream):
+    """A stream's contiguous prefix, joined."""
+    return stream.read(0, len(stream))
+
+
 def handshake(t_syn=0, t_synack=360_000, isn_c=5000, isn_s=9000):
     return [
         pkt(CLIENT, SERVER, t_syn, TcpFlags.SYN, isn_c),
@@ -70,7 +75,7 @@ def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server)
         "partial", "no_syn",
     )
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack) == (client, server, 10, 20)
-    assert (conn.client_to_server.data, conn.server_to_client.data) == (b"ping", b"pong")
+    assert (_bytes(conn.client_to_server), _bytes(conn.server_to_client)) == (b"ping", b"pong")
     assert (conn.fin_c, conn.fin_s, conn.anomalies) == (False, True, set())
 
 
@@ -84,7 +89,7 @@ def test_a_flow_from_an_endpoint_to_itself_is_all_client():
     ]
     (conn,) = assemble_connections(packets)
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
-    assert (conn.client_to_server.data, len(conn.server_to_client)) == (b"hello", 0)
+    assert (_bytes(conn.client_to_server), len(conn.server_to_client)) == (b"hello", 0)
     assert (conn.fin_c, conn.fin_s, conn.anomalies) == (True, False, set())
 
 
@@ -98,7 +103,7 @@ def test_data_placed_at_sequence_offset():
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK | TcpFlags.PSH, 101, b"hello"))
     packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK | TcpFlags.PSH, 106, b" world"))
     (conn,) = assemble_connections(packets)
-    assert conn.client_to_server.data == b"hello world"
+    assert _bytes(conn.client_to_server) == b"hello world"
     assert conn.client_to_server.timestamp_at(0) == 500_000
     assert conn.client_to_server.timestamp_at(5) == 600_000
     assert conn.client_to_server.timestamp_at(4) == 500_000
@@ -130,7 +135,7 @@ def test_out_of_order_segments_permutation_insensitive():
             off, payload, ts = segments[idx]
             packets.append(pkt(CLIENT, SERVER, ts, TcpFlags.ACK, 101 + off, payload))
         (conn,) = assemble_connections(packets)
-        assert (conn.client_to_server.data, conn.client_to_server.offsets_ts) == expected
+        assert (_bytes(conn.client_to_server), conn.client_to_server.offsets_ts) == expected
 
 
 def test_timestamp_at_brute_force_oracle():
@@ -148,7 +153,7 @@ def test_timestamp_at_brute_force_oracle():
             per_byte[j] = ts
     (conn,) = assemble_connections(packets)
     stream = conn.server_to_client
-    assert stream.data == data
+    assert _bytes(stream) == data
     for offset in rng.sample(range(total), 10_000):
         assert stream.timestamp_at(offset) == per_byte[offset]
 
@@ -160,7 +165,7 @@ def test_gap_detection_and_gap_at_offset():
     (conn,) = assemble_connections(packets)
     stream = conn.client_to_server
     assert stream.has_gap
-    assert stream.data == b"aaaa"  # contiguous prefix only
+    assert _bytes(stream) == b"aaaa"  # contiguous prefix only
     with pytest.raises(GapAtOffset):
         stream.timestamp_at(5)
     with pytest.raises(ValueError):
@@ -261,7 +266,7 @@ def test_keepalive_probe_ignored():
     # keep-alive: one stale byte just below the current edge
     packets.append(pkt(CLIENT, SERVER, 900_000, TcpFlags.ACK, 104, b"Z"))
     (conn,) = assemble_connections(packets)
-    assert conn.client_to_server.data == b"abcd"
+    assert _bytes(conn.client_to_server) == b"abcd"
     assert "overlap_mismatch" not in conn.anomalies
 
 
@@ -280,7 +285,7 @@ def test_far_ahead_stray_segment_costs_captured_bytes_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert conn.client_to_server.data == b"hello"
+    assert _bytes(conn.client_to_server) == b"hello"
     assert conn.client_to_server.has_gap
     assert peak < 1 << 20
 
@@ -361,8 +366,44 @@ def segment_sets(draw):
     return isn, segs
 
 
-@settings(max_examples=300, deadline=None)
-@given(segment_sets())
+@st.composite
+def tilings(draw):
+    """Segments that tile one byte string in order, each starting where the one before
+    it ended, at times that never decrease and often repeat; segments may be one byte
+    long, and one ISN puts the 2^32 wrap inside the tiling.  Then, in most draws, one
+    segment that breaks the order: a retransmitted tile, a segment starting before the
+    previous end, or a tile's copy that arrived before every tile.
+    Returns (isn, [(seq, payload, ts)]) in capture order."""
+    content = draw(st.binary(min_size=1, max_size=40))
+    wrap_at = draw(st.integers(0, len(content)))  # the offset whose sequence number is 0
+    isn = draw(st.sampled_from([100, _SEQ_MOD - 1 - wrap_at]))
+    tiles = []  # (rel, payload, ts)
+    rel, ts = 0, _T0
+    while rel < len(content):
+        end = min(rel + draw(st.integers(1, 6)), len(content))
+        ts += draw(st.integers(0, 2))
+        tiles.append((rel, content[rel:end], ts))
+        rel = end
+    kind = draw(st.sampled_from(["none", "retransmit", "overlap", "early"]))
+    if kind == "retransmit":
+        rel, payload, _ = draw(st.sampled_from(tiles))
+        tiles.append((rel, payload, ts + draw(st.integers(0, 2))))
+    elif kind == "overlap":
+        rel = draw(st.integers(0, len(content) - 1))
+        tiles.append((rel, content[rel:] + draw(st.binary(max_size=4)), ts + draw(st.integers(0, 2))))
+    elif kind == "early":
+        rel, payload, _ = draw(st.sampled_from(tiles))
+        tiles.append((rel, payload, _T0 - 1))
+    if kind != "none" and draw(st.integers(0, 3)) == 0:
+        rel, payload, ts = tiles[-1]
+        flipped = bytearray(payload)
+        flipped[draw(st.integers(0, len(payload) - 1))] ^= 0xFF
+        tiles[-1] = (rel, bytes(flipped), ts)
+    return isn, [((isn + 1 + rel) % _SEQ_MOD, payload, ts) for rel, payload, ts in tiles]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(segment_sets(), tilings()))
 def test_interval_builder_matches_per_byte_model(case):
     isn, segs = case
     packets = handshake(isn_c=isn)
@@ -370,7 +411,7 @@ def test_interval_builder_matches_per_byte_model(case):
     (conn,) = assemble_connections(packets)
     stream = conn.client_to_server
     data, offsets_ts, has_gap, anomalies = reference_stream(segs, isn)
-    assert stream.data == data
+    assert _bytes(stream) == data
     assert stream.offsets_ts == offsets_ts
     assert stream.has_gap == has_gap
     assert conn.anomalies == anomalies

@@ -32,7 +32,7 @@ from reference_runs import KEY_SHARE_SIZES
 
 
 def _stream(data: bytes, ts: int = 500) -> DirectionalStream:
-    return DirectionalStream(data, [(0, ts)], False)
+    return DirectionalStream([0], [ts], [(data, 0)], len(data), False)
 
 
 def test_empty_stream_parses_to_nothing():
@@ -78,7 +78,7 @@ def test_trailing_partial_record_stops_cleanly():
 
 def test_record_before_the_first_mapped_byte_raises_like_timestamp_at():
     wire = build_record(CT_HANDSHAKE, b"x" * 10)
-    stream = DirectionalStream(wire, [(3, 7)], False)
+    stream = DirectionalStream([3], [7], [(wire, 3)], len(wire), False)
     with pytest.raises(GapAtOffset):
         stream.timestamp_at(0)
     with pytest.raises(GapAtOffset):
@@ -111,7 +111,7 @@ def test_record_timestamps_from_offset_walk(bodies, data):
     starts = sorted(set(data.draw(st.lists(st.integers(1, max(kept - 1, 1)), max_size=12), label="starts")))
     offsets = [0, *(o for o in starts if o < kept)] if kept else []
     times = data.draw(st.lists(st.integers(0, 10**12), min_size=len(offsets), max_size=len(offsets)), label="times")
-    stream = DirectionalStream(wire[:kept], list(zip(offsets, times)), has_gap)
+    stream = DirectionalStream(offsets, times, [(wire[:kept], o) for o in offsets], kept, has_gap)
 
     records, partial = parse_records(stream)
     for rec in records:
@@ -123,6 +123,53 @@ def test_record_timestamps_from_offset_walk(bodies, data):
     assert [r.stream_offset for r in records] == ends[: len(complete)]
     # a tail inside a record is partial; a tail on a record boundary is partial only at a gap
     assert partial == (kept not in ends or has_gap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bodies=st.lists(st.integers(0, 300), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_records_and_reads_over_pieces_scattered_in_one_buffer(bodies, data):
+    """Pieces lie in one buffer between junk bytes, as frame headers lie between payloads in a capture."""
+    rng = random.Random(len(bodies))
+    wire = b"".join(build_record(CT_APPLICATION_DATA, rng.randbytes(n)) for n in bodies)
+    ends = [0]
+    for n in bodies:
+        ends.append(ends[-1] + 5 + n)
+    # the whole wire, or cut inside the last body, inside its header or before it
+    kept = data.draw(st.sampled_from([len(wire), len(wire) - 1, ends[-2] + 3, ends[-2]]), label="kept")
+    step = data.draw(st.integers(1, 64), label="step")  # a small step spreads a body over many pieces
+    cuts = set(range(step, kept, step)) | set(data.draw(st.lists(st.integers(1, max(kept, 1)), max_size=6), label="cuts"))
+    # a cut inside a record header, so that the header straddles two pieces
+    cuts.add(ends[data.draw(st.integers(0, len(bodies) - 1), label="straddled")] + data.draw(st.integers(1, 4)))
+    offsets = [0, *sorted(o for o in cuts if o < kept)] if kept else []
+    times = [1000 + 7 * i for i in range(len(offsets))]
+    has_gap = data.draw(st.booleans(), label="gap_at_end")
+
+    buf = bytearray()
+    starts = []
+    for a, b in zip(offsets, [*offsets[1:], kept]):
+        buf += data.draw(st.binary(min_size=1, max_size=12), label="junk")
+        starts.append(len(buf))
+        buf += wire[a:b]
+    buf += b"\x17\x03\x03\x40\x00"  # a read past the last piece would find a header here
+    scattered = DirectionalStream(offsets, times, [(bytes(buf), start) for start in starts], kept, has_gap)
+    joined = DirectionalStream(offsets, times, [(wire[:kept], o) for o in offsets], kept, has_gap)
+
+    records, partial = parse_records(scattered)
+    expected, expected_partial = parse_records(joined)
+    assert partial == expected_partial == (kept not in ends or has_gap)
+    assert [(r.content_type, r.stream_offset, r.end, r.timestamp_ns, r.header, r.body) for r in records] == [
+        (r.content_type, r.stream_offset, r.end, r.timestamp_ns, r.header, r.body) for r in expected
+    ]
+    assert [r.stream_offset for r in records] == [e for e, f in zip(ends, ends[1:]) if f <= kept]
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, kept), st.integers(0, kept)), max_size=8), label="reads"):
+        a, b = min(a, b), max(a, b)
+        assert scattered.read(a, b) == wire[a:b]
+    assert scattered.read(0, kept) == wire[:kept]
+    with pytest.raises(GapAtOffset):
+        scattered.read(0, kept + 1)  # past the prefix lie the junk bytes
 
 
 # -- hello parsing ----------------------------------------------------------------
