@@ -3,14 +3,19 @@
 Each on-disk header layout is stated once, below, without a byte order: the
 readers prefix the file's, the writer (`emit_capture`) prefixes `"<"`.
 
-`read_frames` is the one reader.  It maps the file read-only once and
-yields each frame as a span of the map, `(timestamp_ns, link_type, buf,
-start, end, orig_len)`, with an integer-nanosecond timestamp whatever the
-file's resolution; `open_capture` copies spans out as `CapturedFrame`s.
-Truncated trailing records are skipped with a warning rather than aborting:
-partial captures of long load tests are common.  Both formats skip a
-zero-length record with the same warning.  pcapng Simple Packet Blocks and
-obsolete Packet Blocks are not read; a capture that has any warns once,
+`map_capture` is the one function that opens a capture file: it maps the
+file read-only, as it is when opened, and the caller owns and closes the
+map.  A capture that grows meanwhile is read up to its old end.
+`read_frames` is the one format walk.  It yields each frame of a map as a
+span of it, `(timestamp_ns, link_type, buf, start, end, orig_len)`, with an
+integer-nanosecond timestamp whatever the file's resolution;
+`capture_sha256` hashes the same mapped bytes, so a document names the
+bytes it analyzed; `open_capture` opens, walks and closes a file, copying
+spans out as `CapturedFrame`s.  Truncated trailing records are skipped with
+a warning rather than aborting: partial captures of long load tests are
+common.  Records skipped inside the file (zero-length records in either
+format, short IDBs and EPBs, EPBs shorter than their caplen, and pcapng
+Simple and obsolete Packet Blocks, which are not read) warn once per kind,
 with their count, when the walk ends.  The pipeline's ingest loop
 (`pipeline.ingest_frames`) decodes the spans; `decode` says which frames
 take its one-unpack first branch.
@@ -24,18 +29,17 @@ byte order, read from the SHB's byte-order magic before any length in it is
 trusted.
 
 Resident memory is bounded by about `_CHUNK` plus one frame, not by the
-file size: every `_CHUNK` bytes of file walked, the mapped pages behind the
-current frame are released (`release_behind`: `MADV_DONTNEED`, so POSIX
-only); a caller that still reads an earlier span faults its pages in again
-from the page cache.  The pipeline does: its flow buckets, and the streams
-reassembled from them, hold spans of the map, not copies, so the map stays
-open until the last flow is walked, and the walk releases pages behind
-itself with the same `release_behind`.  The readers test the stride
-themselves and call `release_behind` only when a release is due.  The map
-is closed when its last span is dropped.  The file is read as it was
-when opened: a capture that grows meanwhile is read up to its old end, and
-one that shrinks before its last span is read, at any point until the walk
-ends, ends the process with SIGBUS.
+file size: every `_CHUNK` bytes of file hashed or walked, the mapped pages
+behind are released (`release_behind`: `MADV_DONTNEED`, so POSIX only); a
+caller that still reads an earlier span faults its pages in again from the
+page cache.  The pipeline does: its flow buckets, and the streams
+reassembled from them, hold spans of the map, not copies, and the walk
+releases pages behind itself with the same `release_behind`.  The readers
+test the stride themselves and call `release_behind` only when a release is
+due.  `pipeline.analyze_capture` holds the map from the hash to the end of
+the walk and closes it then, or when the run raises.  A capture that
+shrinks while its map is open ends the process with SIGBUS when a span
+past its new end is read.
 """
 
 from __future__ import annotations
@@ -92,35 +96,58 @@ class CapturedFrame(NamedTuple):
     orig_len: int  # length on the wire; > len(data) when snap-truncated
 
 
-def read_frames(path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
-    """Each frame in file order as `(timestamp_ns, link_type, buf, start, end, orig_len)`, a span of `buf`.
+def map_capture(path: str | Path) -> mmap.mmap:
+    """The capture file at `path` mapped read-only, as it is now; the caller closes the map.
 
-    Raises UnreadableFile on I/O errors and UnknownMagic if the file is neither
-    format, both when called; UnknownLinkType for unsupported interfaces, as
-    the walk reaches them.
+    Raises UnreadableFile on I/O errors and UnknownMagic for a file shorter
+    than any capture header.
     """
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            # mmap refuses a zero-length map; an empty file is read as no bytes
-            size = os.fstat(fh.fileno()).st_size
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+            # mmap refuses an empty file, which is too short anyway
+            if os.fstat(fh.fileno()).st_size >= 4:
+                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc}") from exc
-    if len(buf) < 4:
-        raise UnknownMagic(f"{path}: file shorter than any capture header")
+    raise UnknownMagic(f"{path}: file shorter than any capture header")
+
+
+def read_frames(buf: mmap.mmap, path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
+    """Each frame of `buf`, as `map_capture(path)` returned it, in file order: a span `(timestamp_ns, link_type,
+    buf, start, end, orig_len)`.
+
+    Raises UnknownMagic if the file is neither format, when called;
+    UnknownLinkType for unsupported interfaces, as the walk reaches them.
+    Warnings and errors name `path`.
+    """
+    name = str(Path(path))
     (magic,) = struct.unpack_from("<I", buf)
     if magic in _PCAP_MAGICS:
-        return _read_pcap(buf, magic, str(path))
+        return _read_pcap(buf, magic, name)
     if magic == PCAPNG_SHB_TYPE:
-        return _read_pcapng(buf, str(path))
-    raise UnknownMagic(f"{path}: magic 0x{magic:08X} is neither pcap nor pcapng")
+        return _read_pcapng(buf, name)
+    raise UnknownMagic(f"{name}: magic 0x{magic:08X} is neither pcap nor pcapng")
+
+
+def capture_sha256(buf: mmap.mmap) -> str:
+    """The sha256 of the mapped capture, hashed in `_CHUNK` strides whose pages are released behind."""
+    import hashlib  # not at module level: the CLI imports this module for --version and compare
+
+    h = hashlib.sha256()
+    released = 0
+    for off in range(0, len(buf), _CHUNK):
+        end = min(off + _CHUNK, len(buf))
+        h.update(buf[off:end])
+        released = release_behind(buf, released, end)
+    return h.hexdigest()
 
 
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
-    """`read_frames` with each frame copied out as a `CapturedFrame`."""
-    for timestamp_ns, link_type, buf, start, end, orig_len in read_frames(path):
-        yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
+    """Each frame of the capture file at `path` as a `CapturedFrame`; the map is closed when the walk ends."""
+    with map_capture(path) as buf:
+        for timestamp_ns, link_type, _buf, start, end, orig_len in read_frames(buf, path):
+            yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
 
 
 def release_behind(buf: mmap.mmap, released: int, offset: int) -> int:
@@ -150,22 +177,24 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
     unpack_hdr = struct.Struct(endian + _PCAP_RECORD).unpack_from
     off = 24
     released = 0
+    skipped = {"zero-length records": 0}
     while off < n:
         if n - off < 16:
             warn(__name__, "%s: truncated trailing record header, skipping", name)
-            return
+            break
         ts_sec, ts_frac, caplen, origlen = unpack_hdr(buf, off)
         start = off + 16
         off = start + caplen
         if off > n:
             warn(__name__, "%s: truncated trailing record body, skipping", name)
-            return
+            break
         if not caplen:
-            warn(__name__, "%s: zero-length record, skipping", name)
+            skipped["zero-length records"] += 1
             continue
         if start - released >= _CHUNK:
             released = release_behind(buf, released, start)
         yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
+    _warn_skipped(name, skipped)
 
 
 def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
@@ -173,7 +202,10 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
     endian = "<"
     interfaces: list[tuple[int, int]] = []  # (linktype, timestamp units per second)
     n = len(buf)
-    off = released = packet_blocks = 0
+    off = released = 0
+    # the kinds of record skipped and counted, in the order their warnings come
+    skipped = dict.fromkeys(("short IDBs", "short EPBs", "EPBs shorter than caplen", "zero-length records",
+                             "simple/obsolete packet blocks"), 0)
     while off < n:
         is_shb = buf[off : off + 4] == _SHB_TYPE
         # an SHB's byte-order magic says how to read the length before it
@@ -198,7 +230,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
 
         if block_type == PCAPNG_IDB_TYPE:
             if body_len < 8:
-                warn(__name__, "%s: short IDB, skipping", name)
+                skipped["short IDBs"] += 1
                 continue
             linktype, _resv, _snaplen = struct.unpack_from(endian + _IDB, buf, body)
             if linktype not in SUPPORTED_LINK_TYPES:
@@ -206,16 +238,16 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             interfaces.append((linktype, _parse_tsresol(buf[body + 8 : off - 4], endian, name)))
         elif block_type == PCAPNG_EPB_TYPE:
             if body_len < 20:
-                warn(__name__, "%s: short EPB, skipping", name)
+                skipped["short EPBs"] += 1
                 continue
             iface_id, ts_high, ts_low, caplen, origlen = struct.unpack_from(endian + _EPB, buf, body)
             if iface_id >= len(interfaces):
                 raise MalformedHeader(f"{name}: EPB references undefined interface {iface_id}")
             if 20 + caplen > body_len:
-                warn(__name__, "%s: EPB shorter than caplen, skipping", name)
+                skipped["EPBs shorter than caplen"] += 1
                 continue
             if not caplen:
-                warn(__name__, "%s: zero-length record, skipping", name)
+                skipped["zero-length records"] += 1
                 continue
             if body - released >= _CHUNK:
                 released = release_behind(buf, released, body)
@@ -223,10 +255,17 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // units
             yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen
         elif block_type in (PCAPNG_PB_TYPE, PCAPNG_SPB_TYPE):
-            packet_blocks += 1  # not read: a Simple Packet Block has no timestamp, a Packet Block is obsolete
+            # not read: a Simple Packet Block has no timestamp, a Packet Block is obsolete
+            skipped["simple/obsolete packet blocks"] += 1
         # all other block types are skipped without a word
-    if packet_blocks:
-        warn(__name__, "%s: %d simple/obsolete packet blocks skipped", name, packet_blocks)
+    _warn_skipped(name, skipped)
+
+
+def _warn_skipped(name: str, skipped: dict[str, int]) -> None:
+    """One warning for each kind of record the walk skipped, with its count."""
+    for kind, count in skipped.items():
+        if count:
+            warn(__name__, "%s: %d %s skipped", name, count, kind)
 
 
 def _parse_tsresol(options: bytes, endian: str, name: str) -> int:

@@ -11,8 +11,8 @@ where it lies, `buf[start:end]` (a span
 of the capture's map), with one precompiled `struct.Struct.unpack_from` per
 header, and checks every length field against the frame's end, never the
 buffer's, before trusting it.  It copies nothing: the payload is returned
-as its span of `buf`, so whoever keeps that span keeps the capture's map
-alive, and a capture that shrinks on disk before the span is read ends the
+as its span of `buf`, which can be read only while the capture's map is
+open, and a capture that shrinks on disk before the span is read ends the
 process with SIGBUS (see `capture`).  `decode_frame` slices the payload
 out as `bytes`.
 Fragments, IPv6 extension headers and non-TCP traffic decode to None; the

@@ -1,23 +1,26 @@
 """Capture-to-statistics pipeline.
 
 A run is one process and has one driver, `analyze_capture`.  It reads and
-hashes the key log, hashes the capture, then in one loop (`ingest_frames`)
-counts each frame `capture.read_frames` yields, decodes it where it lies in
-the capture's map and appends it to its flow's bucket as a `reassembly`
-bucket entry, whose payload is a span of the map: no payload is copied at
-ingest.  The loop decodes and buckets the common frame (Ethernet, IPv4 with
-a 20-byte header, not a fragment, TCP, at least 54 bytes captured) itself,
-with one unpack and no call; `decode.decode_at`, the general decoder, and
+hashes the key log, then maps the capture once (`capture.map_capture`) and
+holds that map until the walk ends: the document's capture hash
+(`capture.capture_sha256`) is of the mapped bytes, the bytes the run
+analyzes.  In one loop (`ingest_frames`) it counts each frame
+`capture.read_frames` yields from the map, decodes it where it lies and
+appends it to its flow's bucket as a `reassembly` bucket entry, whose
+payload is a span of the map: no payload is copied at ingest.  The loop
+decodes and buckets the common frame (Ethernet, IPv4 with a 20-byte header,
+not a fragment, TCP, at least 54 bytes captured) itself, with one unpack and
+no call; `decode.decode_at`, the general decoder, and
 `reassembly.bucket_entry` take every other frame.  It then assembles, walks
 and drops each flow in turn.  Reassembly copies nothing either: a flow's
-streams are spans of the map, which they keep alive through the walk, and
-the walk slices a record's body out of the map only when it opens the
-record, so only the records the walk opens are copied.  Every connection
-is walked on its own; flows are walked in the file order of their first
-frames, so the map's pages before the current flow's first frame are no
-longer needed, and the walk releases them (`capture.release_behind`) as
-the reader did.  Timelines are reported in `TcpConnection.sort_key` order,
-which `summarize_run` does not depend on.
+streams are spans of the map, and the walk slices a record's body out of
+the map only when it opens the record, so only the records the walk opens
+are copied.  Every connection is walked on its own; flows are walked in the
+file order of their first frames, so the map's pages before the current
+flow's first frame are no longer needed, and the walk releases them
+(`capture.release_behind`) as the reader did.  The map is closed when the
+walk ends, or when the run raises.  Timelines are reported in
+`TcpConnection.sort_key` order, which `summarize_run` does not depend on.
 
 A process pool for the walk did not pay for itself.  On the 3000-connection
 `handshake` benchmark inputs (2-core Xeon, Python 3.11) two workers took
@@ -45,7 +48,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from tlslayers.capture import LINKTYPE_ETHERNET, read_frames, release_behind
+from tlslayers.capture import LINKTYPE_ETHERNET, capture_sha256, map_capture, read_frames, release_behind
 from tlslayers.decode import ETH_IPV4, decode_at
 from tlslayers.errors import (
     AuthFailure,
@@ -322,17 +325,6 @@ def _modal(values):
     return min(freq, key=lambda v: (-freq[v], str(v)), default=None)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    try:
-        with path.open("rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
-    return h.hexdigest()
-
-
 def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
     """Decode each frame span and append it to its flow's bucket; return the buckets and the ingest counts.
 
@@ -398,8 +390,10 @@ def analyze_capture(
     """Run the full pipeline over a capture file and optional key log.
 
     The key log is read first, so a bad one fails before the capture is
-    read.  `workers` is deprecated and ignored: the analysis runs in one
-    process.
+    opened.  The capture is mapped once (`capture.map_capture`); its hash,
+    ingest and walk all read that map, which is closed when the walk ends
+    or the run raises.  `workers` is deprecated and ignored: the analysis
+    runs in one process.
     """
     pcap_path = Path(pcap_path)
     keystore = keylog_sha256 = None
@@ -413,20 +407,20 @@ def analyze_capture(
         # which parse_keylog then rejects
         keystore = parse_keylog(raw.decode("utf-8-sig", errors="replace"))
         del raw  # not held through ingest and the walk
-    inputs = {"pcap_sha256": _sha256(pcap_path), "keylog_sha256": keylog_sha256}
+    with map_capture(pcap_path) as buf:
+        inputs = {"pcap_sha256": capture_sha256(buf), "keylog_sha256": keylog_sha256}
+        groups, ingest_counts = ingest_frames(read_frames(buf, pcap_path))
+        if ingest_counts["malformed_frames"]:
+            warn(__name__, "%s: %d malformed frames skipped", pcap_path, ingest_counts["malformed_frames"])
 
-    groups, ingest_counts = ingest_frames(read_frames(pcap_path))
-    if ingest_counts["malformed_frames"]:
-        warn(__name__, "%s: %d malformed frames skipped", pcap_path, ingest_counts["malformed_frames"])
-
-    # one flow at a time, in the file order of its first frame, emptying the buckets
-    keyed: list[tuple[tuple, ConnectionTimeline]] = []
-    released = 0
-    for key in list(groups):
-        group = groups.pop(key)
-        # the first frame's buffer and payload offset, before assemble_flow sorts the bucket
-        released = release_behind(group[0][4], released, group[0][5])
-        keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
+        # one flow at a time, in the file order of its first frame, emptying the buckets
+        keyed: list[tuple[tuple, ConnectionTimeline]] = []
+        released = 0
+        for key in list(groups):
+            group = groups.pop(key)
+            # the first frame's payload offset, before assemble_flow sorts the bucket
+            released = release_behind(buf, released, group[0][5])
+            keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
     keyed.sort(key=itemgetter(0))
     return summarize_run(
         [tl for _, tl in keyed], label, decrypted=keystore is not None, ingest=ingest_counts, inputs=inputs

@@ -31,9 +31,9 @@ payload is the span `buf[start:end]`.  Nothing is copied in reassembly: a
 connection's segments are its bucket entries, and a `DirectionalStream`
 holds each piece as a `(buf, start)` span, so a stream's bytes are copied
 only when `DirectionalStream.read` asks for them.  The pipeline's buffers
-are the capture's map, so its buckets keep the map alive until the flow is
-assembled and its streams until the flow is walked, and a capture that
-shrinks on disk before then ends the process with SIGBUS (see `capture`).
+are the capture's map, which `pipeline.analyze_capture` holds open until
+the last flow is walked and then closes, and a capture that shrinks on
+disk before then ends the process with SIGBUS (see `capture`).
 `assemble_connections` builds the same entries from `DecodedPacket`s, each
 payload its own `buf`, and assembles every flow at once.
 

@@ -6,8 +6,9 @@ generator and give the parser a round-trip partner.
 `parse_records` reads each record header where it lies in the stream's
 pieces and returns every record, but copies no body: a `TlsRecord` keeps
 its stream and slices its body only when asked (`TlsRecord.body`), so the
-walk copies only the records it opens.  A record thus keeps its stream's
-buffers alive, in the pipeline the capture's map, as long as it lives.
+walk copies only the records it opens.  A record's body can thus be read
+only while its stream's buffers are open: in the pipeline, the capture's
+map, which `pipeline.analyze_capture` closes when the walk ends.
 """
 
 from __future__ import annotations

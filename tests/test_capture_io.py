@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 import struct
 import sys
 import tracemalloc
@@ -174,12 +175,12 @@ def _pcap_bytes(endian, magic, records, tail=b""):
 
 
 def _reference_read(raw):
-    """Record-at-a-time pcap reader over the whole file: (frames, warnings)."""
+    """Record-at-a-time pcap reader over the whole file: (frames, warnings), zero-length records counted last."""
     endian = "<" if struct.unpack_from("<I", raw)[0] in (0xA1B2C3D4, 0xA1B23C4D) else ">"
     frac_to_ns = 1 if struct.unpack_from(endian + "I", raw)[0] == 0xA1B23C4D else 1000
     network = struct.unpack_from(endian + "I", raw, 20)[0]
     frames, warnings = [], []
-    off = 24
+    off, zero_length = 24, 0
     while off < len(raw):
         if len(raw) - off < 16:
             warnings.append(PCAP_WARNINGS[0])
@@ -191,10 +192,10 @@ def _reference_read(raw):
             warnings.append(PCAP_WARNINGS[1])
             break
         if caplen == 0:
-            warnings.append(PCAP_WARNINGS[2])
+            zero_length += 1
             continue
         frames.append(CapturedFrame(ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, data, orig_len))
-    return frames, warnings
+    return frames, warnings + [PCAP_WARNINGS[2]] * zero_length
 
 
 def _frames_and_warnings(path, caplog):
@@ -204,9 +205,18 @@ def _frames_and_warnings(path, caplog):
     return frames, [r.getMessage() for r in caplog.records]
 
 
+def _warning_kinds(messages, kinds):
+    """The kind each warning names, repeated as many times as the records it says were skipped."""
+    found = []
+    for m in messages:
+        count = re.search(r": (\d+) ", m)
+        found += [w for w in kinds if w in m] * (int(count[1]) if count else 1)
+    return found
+
+
 def _read_with_warnings(path, caplog):
     frames, messages = _frames_and_warnings(path, caplog)
-    return frames, [w for m in messages for w in PCAP_WARNINGS if w in m]
+    return frames, _warning_kinds(messages, PCAP_WARNINGS)
 
 
 def _random_records(rng, count, max_len):
@@ -270,6 +280,18 @@ def test_zero_length_record_skipped_with_warning(tmp_path, caplog):
     frames, warnings = _read_with_warnings(path, caplog)
     assert [(f.timestamp_ns, f.data) for f in frames] == [(1_000_000_005, b"one"), (3_000_000_007, b"two")]
     assert warnings == ["zero-length record", "zero-length record"]
+
+
+@pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
+def test_zero_length_records_warn_once_with_their_count(tmp_path, caplog, fmt):
+    # a hostile capture of zero-length records writes one line, not one per record
+    if fmt == "pcap":
+        raw = _pcap_bytes("<", 0xA1B2C3D4, [(i, 0, b"", 0) for i in range(10_000)])
+    else:
+        raw = _pcapng_section(">", [(i, b"") for i in range(10_000)])
+    path = tmp_path / f"zeros.{fmt}"
+    path.write_bytes(raw)
+    assert _frames_and_warnings(path, caplog) == ([], [f"{path}: 10000 zero-length records skipped"])
 
 
 # -- pcapng sections and length claims -----------------------------------------
@@ -362,7 +384,7 @@ def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt
 
 PCAPNG_WARNINGS = (
     "truncated block header", "implausible block length", "truncated block body",
-    "short IDB", "short EPB", "EPB shorter than caplen", "zero-length record",
+    "short IDB", "short EPB", "EPBs shorter than caplen", "zero-length record",
     "simple/obsolete packet blocks skipped",
 )
 _BYTE_ORDER_MAGIC = {"<": b"\x4d\x3c\x2b\x1a", ">": b"\x1a\x2b\x3c\x4d"}
@@ -376,10 +398,14 @@ def _ng_block(endian, block_type, body, total=None):
 
 
 def _reference_read_pcapng(raw):
-    """Block-at-a-time pcapng reader over the whole file: (frames, warnings, error class or None)."""
+    """Block-at-a-time pcapng reader over the whole file: (frames, warnings, error class or None).
+
+    A record skipped inside the file is counted, and each kind's count is warned after the walk.
+    """
     frames, warnings = [], []
     endian, interfaces = "<", []  # (linktype, ticks per second)
-    off = packet_blocks = 0
+    off = 0
+    skipped = dict.fromkeys(PCAPNG_WARNINGS[3:], 0)
     while off < len(raw):
         head = raw[off : off + 12]
         is_shb = head[:4] == b"\x0a\x0d\x0d\x0a"
@@ -403,7 +429,7 @@ def _reference_read_pcapng(raw):
         body = block[8:-4]
         if block_type == 1:
             if len(body) < 8:
-                warnings.append("short IDB")
+                skipped["short IDB"] += 1
                 continue
             (linktype,) = struct.unpack(endian + "H", body[:2])
             if linktype not in (1, 101, 113):
@@ -423,25 +449,24 @@ def _reference_read_pcapng(raw):
             interfaces.append((linktype, per_second))
         elif block_type == 6:
             if len(body) < 20:
-                warnings.append("short EPB")
+                skipped["short EPB"] += 1
                 continue
             iface, ts_high, ts_low, caplen, orig_len = struct.unpack(endian + "IIIII", body[:20])
             if iface >= len(interfaces):
                 return frames, warnings, MalformedHeader
             if 20 + caplen > len(body):
-                warnings.append("EPB shorter than caplen")
+                skipped["EPBs shorter than caplen"] += 1
                 continue
             if not caplen:
-                warnings.append("zero-length record")
+                skipped["zero-length record"] += 1
                 continue
             linktype, per_second = interfaces[iface]
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
             frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
         elif block_type in (2, 3):
-            packet_blocks += 1
-    if packet_blocks:
-        warnings.append("simple/obsolete packet blocks skipped")  # once, after the walk, however it stopped
-    return frames, warnings, None
+            skipped["simple/obsolete packet blocks skipped"] += 1
+    # after the walk, however it stopped
+    return frames, warnings + [kind for kind, count in skipped.items() for _ in range(count)], None
 
 
 def _random_idb_options(rng, endian):
@@ -507,12 +532,13 @@ def _random_pcapng(rng):
 def _read_spans_until_error(path):
     """Every span `read_frames` yields, copied out only after the walk ends, and the error class it raised."""
     spans, error = [], None
-    try:
-        for span in capture.read_frames(path):
-            spans.append(span)
-    except (UnknownMagic, UnknownLinkType, MalformedHeader) as exc:
-        error = type(exc)
-    return [CapturedFrame(ts, link, buf[start:end], orig) for ts, link, buf, start, end, orig in spans], error
+    with capture.map_capture(path) as buf:
+        try:
+            for span in capture.read_frames(buf, path):
+                spans.append(span)
+        except (UnknownMagic, UnknownLinkType, MalformedHeader) as exc:
+            error = type(exc)
+        return [CapturedFrame(ts, link, buf[start:end], orig) for ts, link, buf, start, end, orig in spans], error
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -530,11 +556,11 @@ def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch,
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
             frames, error = _read_spans_until_error(path)
-        warnings = [w for r in caplog.records for w in PCAPNG_WARNINGS if w in r.getMessage()]
+        warnings = _warning_kinds([r.getMessage() for r in caplog.records], PCAPNG_WARNINGS)
         assert (frames, warnings, error) == expected
         kinds.update(expected[1])
         kinds.add(expected[2])
-    assert {"truncated block header", "truncated block body", "short EPB", "EPB shorter than caplen",
+    assert {"truncated block header", "truncated block body", "short EPB", "EPBs shorter than caplen",
             "zero-length record", "simple/obsolete packet blocks skipped"} <= kinds
 
 
@@ -585,7 +611,8 @@ def test_reader_errors_name_the_file(tmp_path, raw, error, message):
     path = tmp_path / "bad.cap"
     path.write_bytes(raw)
     with pytest.raises(error, match=f"^{path}: .*{message}"):
-        list(capture.read_frames(path))
+        with capture.map_capture(path) as buf:
+            list(capture.read_frames(buf, path))
 
 
 # -- resident memory ---------------------------------------------------------------
@@ -604,9 +631,10 @@ def test_reading_a_large_capture_keeps_resident_memory_flat(tmp_path):
     records = [(i, 0, filler, len(filler)) for i in range(24 * 1024 * 1024 // len(filler))]
     path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, records))
     samples = []
-    for i, _span in enumerate(capture.read_frames(path)):
-        if i % 256 == 0:
-            samples.append(_rss_file_kib())
+    with capture.map_capture(path) as buf:
+        for i, _span in enumerate(capture.read_frames(buf, path)):
+            if i % 256 == 0:
+                samples.append(_rss_file_kib())
     assert len(samples) > 60
     assert max(samples) - samples[0] < 8 * 1024
 

@@ -154,7 +154,7 @@ def test_bad_keylog_fails_before_the_capture_is_read(tmp_path, monkeypatch, caps
     def no_capture(*args, **kwargs):
         raise AssertionError("the capture was opened before the key log was read")
 
-    monkeypatch.setattr("tlslayers.pipeline.read_frames", no_capture)
+    monkeypatch.setattr("tlslayers.pipeline.map_capture", no_capture)
     keylog = tmp_path / "missing-keylog.txt"
     # the capture is missing too: hashing it first would name it instead
     code = main(["analyze", "--pcap", str(tmp_path / "missing.pcap"), "--keylog", str(keylog)])

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tlslayers import documents, synth
-from tlslayers.capture import CapturedFrame, read_frames
+from tlslayers.capture import CapturedFrame, map_capture, read_frames
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_at, decode_frame
 from tlslayers.errors import MalformedHeader
 from tlslayers.pipeline import analyze_capture, ingest_frames
@@ -366,8 +366,9 @@ def _analyzed_without_inputs(tmp_path, name, frames, keylog, link_type=1):
     return {**documents.build_analysis_document(analyze_capture(path, keylog, "links")), "inputs": None}
 
 
-def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
-    # a whole run, re-encoded frame by frame, must analyze to the same document but for the capture's hash
+@functools.lru_cache(maxsize=1)
+def _five_connection_run():
+    """The frames and key log of a fixed run that mixes groups, anomalies and verdicts."""
     spec = synth.ScenarioSpec(connections=(
         clean_connection_spec(seed=1, anomalies=frozenset({"retransmit"})),
         clean_connection_spec(offset_ns=10**8, seed=2, group="x25519_mlkem768", anomalies=frozenset({"truncate"})),
@@ -376,6 +377,20 @@ def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
         clean_connection_spec(offset_ns=4 * 10**8, seed=5, group="mlkem512", anomalies=frozenset({"coalesce_request"})),
     ))
     frames, keylog_text, _ = synth.generate(spec)
+    return frames, keylog_text
+
+
+def _reference_document(tmp_path):
+    """The five-connection run's frames, its key log's path, and its document without `inputs`."""
+    frames, keylog_text = _five_connection_run()
+    keylog = tmp_path / "keylog.txt"
+    keylog.write_text(keylog_text)
+    return frames, keylog, _analyzed_without_inputs(tmp_path, "reference", frames, keylog)
+
+
+def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
+    # a whole run, re-encoded frame by frame, must analyze to the same document but for the capture's hash
+    frames, keylog_text = _five_connection_run()
     keylog = tmp_path / "keylog.txt"
     keylog.write_text(keylog_text)
     docs = {}
@@ -405,6 +420,60 @@ def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
         "total_streams": 5, "valid": 2, "partial": {"no_keys": 1, "truncated": 1}, "excluded": {"non200": 1},
     }
     assert {name: doc == reference for name, doc in docs.items()} == dict.fromkeys(docs, True)
+
+
+def _pcapng_sections(frames):
+    """The frames as pcapng in two sections of opposite byte order, each with two interfaces of
+    different link type and time resolution; the frames alternate between a section's interfaces,
+    and go to the microsecond one only when they are whole microseconds."""
+    sections = (("<", ((1, 6), (113, 9))), (">", ((101, 9), (1, 6))))  # (link type, if_tsresol) per interface
+    half = len(frames) // 2
+    out, used = [], set()
+    for part, (endian, interfaces) in zip((frames[:half], frames[half:]), sections):
+        def block(block_type, body):
+            body += bytes(-len(body) % 4)
+            total = len(body) + 12
+            return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
+
+        out.append(block(0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1)))
+        for link_type, tsresol in interfaces:
+            options = struct.pack(endian + "HH", 9, 1) + bytes([tsresol, 0, 0, 0]) + struct.pack(endian + "HH", 0, 0)
+            out.append(block(1, struct.pack(endian + "HHI", link_type, 0, 262144) + options))
+        for i, f in enumerate(part):
+            iface = i % 2
+            if f.timestamp_ns % 10 ** (9 - interfaces[iface][1]):
+                iface = 1 - iface
+            link_type, tsresol = interfaces[iface]
+            used.add((endian, iface))
+            data = _relink(f.data, link_type)
+            ticks = f.timestamp_ns // 10 ** (9 - tsresol)
+            orig_len = f.orig_len + len(data) - len(f.data)
+            epb = struct.pack(endian + "IIIII", iface, ticks >> 32, ticks & 0xFFFFFFFF, len(data), orig_len)
+            out.append(block(6, epb + data))
+    assert len(used) == 4  # every interface of both sections carries frames
+    return b"".join(out)
+
+
+def test_pcapng_sections_and_interfaces_give_the_same_document(tmp_path):
+    # byte order is a section's, and link type and time resolution an interface's: none may reach the document
+    frames, keylog, reference = _reference_document(tmp_path)
+    path = tmp_path / "sections.pcapng"
+    path.write_bytes(_pcapng_sections(frames))
+    assert {**documents.build_analysis_document(analyze_capture(path, keylog, "links")), "inputs": None} == reference
+    assert reference["counts"]["valid"] == 2
+
+
+def test_a_clean_retransmission_changes_nothing_but_the_frame_count(tmp_path):
+    # every data segment sent again 1 us later with the same bytes: each direction takes the general
+    # placement, which must keep the first arrival's bytes and times
+    frames, keylog, reference = _reference_document(tmp_path)
+    copies = [f._replace(timestamp_ns=f.timestamp_ns + 1000) for f in frames if decode_frame(f).payload]
+    resent = sorted(frames + copies, key=lambda f: f.timestamp_ns)
+    doc = _analyzed_without_inputs(tmp_path, "resent", resent, keylog)
+    assert doc["ingest"]["frames"] == reference["ingest"]["frames"] + len(copies)
+    assert len(copies) > 30
+    doc["ingest"]["frames"] = reference["ingest"]["frames"]
+    assert doc == reference
 
 
 HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header with options
@@ -502,10 +571,11 @@ def test_length_claim_past_the_frame_stops_at_the_frame_end(tmp_path):
     second = _eth_ipv4_tcp(payload=b"b" * 60)
     path = tmp_path / "two.pcap"
     synth.emit_capture([CapturedFrame(1, 1, bytes(first), len(first)), CapturedFrame(2, 1, second, len(second))], path)
-    (ts1, link1, buf1, start1, end1, orig1), span2 = read_frames(path)
-    assert buf1 is span2[2] and end1 + 16 == span2[3]  # the second record's header follows the first frame
-    pkt = DecodedPacket._make(_span_sliced(buf1, decode_at(ts1, link1, buf1, start1, end1, orig1)))
-    assert pkt.payload == b"a" * 60
-    assert pkt.truncated is True
-    assert buf1[end1 : end1 + 16] not in pkt.payload
-    assert _span_sliced(buf1, decode_at(*span2))[7:] == (b"b" * 60, False)
+    with map_capture(path) as buf:
+        (ts1, link1, buf1, start1, end1, orig1), span2 = read_frames(buf, path)
+        assert buf1 is buf is span2[2] and end1 + 16 == span2[3]  # the second record's header follows the first frame
+        pkt = DecodedPacket._make(_span_sliced(buf1, decode_at(ts1, link1, buf1, start1, end1, orig1)))
+        assert pkt.payload == b"a" * 60
+        assert pkt.truncated is True
+        assert buf1[end1 : end1 + 16] not in pkt.payload
+        assert _span_sliced(buf1, decode_at(*span2))[7:] == (b"b" * 60, False)

@@ -1,12 +1,16 @@
 """Per-connection walk edge cases built from hand-assembled streams."""
 
+import hashlib
+import pathlib
+import struct
 import tracemalloc
 
 import pytest
 
-from tlslayers import pipeline, synth
+from tlslayers import capture, pipeline, synth
 from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame
 from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
+from tlslayers.errors import UnknownLinkType
 from tlslayers.keylog import LABELS, KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
 from tlslayers.reassembly import TcpConnection, assemble_connections
@@ -535,6 +539,84 @@ def test_capture_ingest_counts_every_frame(tmp_path):
     result = analyze_capture(tmp_path / "capture.pcap", tmp_path / "keylog.txt", "ingest")
     assert result.ingest == {"frames": len(frames) + 3, "non_tcp_frames": 2, "malformed_frames": 1}
     assert result.counts["valid"] == 1
+
+
+def test_a_capture_that_grows_after_it_is_opened_is_hashed_and_analyzed_as_opened(tmp_path, monkeypatch):
+    # a capture still being written: the first handle opened on it appends a second connection when it
+    # closes, and the document must hash and count the same bytes, those of the file as it was opened
+    spec = synth.ScenarioSpec(connections=(clean_connection_spec(), clean_connection_spec(offset_ns=10**8, seed=2)))
+    frames, keylog_text, _ = synth.generate(spec)
+    first = [f for f in frames if f.timestamp_ns < 10**8]
+    path, whole, keylog = tmp_path / "growing.pcap", tmp_path / "whole.pcap", tmp_path / "keylog.txt"
+    synth.emit_capture(first, path)
+    synth.emit_capture(frames, whole)
+    keylog.write_text(keylog_text)
+    original = path.read_bytes()
+    later = whole.read_bytes()[len(original) :]
+    assert whole.read_bytes() == original + later and len(first) < len(frames)
+
+    real_open = pathlib.Path.open
+    opened = []
+
+    class GrowsOnClose:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            with real_open(path, "ab") as out:
+                out.write(later)
+
+    def open_once_growing(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        if self == path and not opened:
+            opened.append(self)
+            return GrowsOnClose(fh)
+        return fh
+
+    monkeypatch.setattr(pathlib.Path, "open", open_once_growing)
+    result = analyze_capture(path, keylog, "growing")
+    assert opened and path.read_bytes() == original + later
+    assert result.inputs["pcap_sha256"] == hashlib.sha256(original).hexdigest()
+    assert result.ingest["frames"] == len(first)
+    assert result.counts["total_streams"] == result.counts["valid"] == 1
+
+
+def test_the_capture_map_is_closed_when_the_walk_ends_or_raises(tmp_path, monkeypatch):
+    maps = []
+
+    def recorded(path):
+        maps.append(capture.map_capture(path))
+        return maps[-1]
+
+    monkeypatch.setattr(pipeline, "map_capture", recorded)
+    frames, _, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
+    path = tmp_path / "run.pcapng"
+    synth.emit_capture(frames, path, "pcapng")
+    assert analyze_capture(path, None, "run").counts["total_streams"] == 1
+    assert len(maps) == 1 and maps[0].closed
+
+    # a second interface, of an unsupported link type, half way through the frames
+    raw = path.read_bytes()
+    epbs, off = [], 0
+    while off < len(raw):
+        block_type, total = struct.unpack_from("<II", raw, off)
+        if block_type == 6:
+            epbs.append(off)
+        off += total
+    half = epbs[len(epbs) // 2]
+    idb = struct.pack("<IIHHII", 1, 20, 105, 0, 65535, 20)
+    bad = tmp_path / "bad.pcapng"
+    bad.write_bytes(raw[:half] + idb + raw[half:])
+    with pytest.raises(UnknownLinkType):
+        analyze_capture(bad, None, "bad")
+    assert len(maps) == 2 and maps[1].closed
 
 
 def _reuse_after_rst(packets, first_port, second_port):
