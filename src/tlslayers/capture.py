@@ -5,13 +5,17 @@ readers prefix the file's, the writer (`emit_capture`) prefixes `"<"`.
 
 `map_capture` is the one function that opens a capture file: it maps the
 file read-only, as it is when opened, and the caller owns and closes the
-map.  A capture that grows meanwhile is read up to its old end.
-`read_frames` is the one format walk.  It yields each frame of a map as a
-span of it, `(timestamp_ns, link_type, buf, start, end, orig_len)`, with an
-integer-nanosecond timestamp whatever the file's resolution;
-`capture_sha256` hashes the same mapped bytes, so a document names the
-bytes it analyzed; `open_capture` opens, walks and closes a file, copying
-spans out as `CapturedFrame`s.  Truncated trailing records are skipped with
+map.  A capture that grows meanwhile is read up to its old end.  That map
+is the run's one buffer.  `read_frames` is the one format walk.  It yields
+each frame of a map as a span of it, two offsets into the map:
+`(timestamp_ns, link_type, start, end, orig_len)`, the frame being
+`buf[start:end]`, with an integer-nanosecond timestamp whatever the file's
+resolution.  No span carries the buffer: the functions that read spans
+(`pipeline.ingest_frames`, `reassembly.assemble_flow`) take the map once,
+as an argument.  `capture_sha256` hashes the same mapped bytes, so a
+document names the bytes it analyzed; `open_capture` opens, walks and
+closes a file, copying spans out as `CapturedFrame`s (only the benchmark's
+layer trace calls it).  Truncated trailing records are skipped with
 a warning rather than aborting: partial captures of long load tests are
 common.  Records skipped inside the file (zero-length records in either
 format, short IDBs and EPBs, EPBs shorter than their caplen, and pcapng
@@ -113,9 +117,9 @@ def map_capture(path: str | Path) -> mmap.mmap:
     raise UnknownMagic(f"{path}: file shorter than any capture header")
 
 
-def read_frames(buf: mmap.mmap, path: str | Path) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
+def read_frames(buf: mmap.mmap, path: str | Path) -> Iterator[tuple[int, int, int, int, int]]:
     """Each frame of `buf`, as `map_capture(path)` returned it, in file order: a span `(timestamp_ns, link_type,
-    buf, start, end, orig_len)`.
+    start, end, orig_len)`, the frame's bytes being `buf[start:end]`.
 
     Raises UnknownMagic if the file is neither format, when called;
     UnknownLinkType for unsupported interfaces, as the walk reaches them.
@@ -146,7 +150,7 @@ def capture_sha256(buf: mmap.mmap) -> str:
 def open_capture(path: str | Path) -> Iterator[CapturedFrame]:
     """Each frame of the capture file at `path` as a `CapturedFrame`; the map is closed when the walk ends."""
     with map_capture(path) as buf:
-        for timestamp_ns, link_type, _buf, start, end, orig_len in read_frames(buf, path):
+        for timestamp_ns, link_type, start, end, orig_len in read_frames(buf, path):
             yield CapturedFrame(timestamp_ns, link_type, buf[start:end], orig_len)
 
 
@@ -165,7 +169,7 @@ def release_behind(buf: mmap.mmap, released: int, offset: int) -> int:
     return released
 
 
-def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
+def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int, int, int, int]]:
     endian, frac_to_ns = _PCAP_MAGICS[magic]
     n = len(buf)
     if n < 24:
@@ -193,11 +197,11 @@ def _read_pcap(buf: mmap.mmap, magic: int, name: str) -> Iterator[tuple[int, int
             continue
         if start - released >= _CHUNK:
             released = release_behind(buf, released, start)
-        yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, buf, start, off, origlen
+        yield ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, start, off, origlen
     _warn_skipped(name, skipped)
 
 
-def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mmap, int, int, int]]:
+def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, int, int, int]]:
     # Per-section state; each SHB sets the byte order and clears the interface list.
     endian = "<"
     interfaces: list[tuple[int, int]] = []  # (linktype, timestamp units per second)
@@ -253,7 +257,7 @@ def _read_pcapng(buf: mmap.mmap, name: str) -> Iterator[tuple[int, int, mmap.mma
                 released = release_behind(buf, released, body)
             linktype, units = interfaces[iface_id]
             ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // units
-            yield ts_ns, linktype, buf, body + 20, body + 20 + caplen, origlen
+            yield ts_ns, linktype, body + 20, body + 20 + caplen, origlen
         elif block_type in (PCAPNG_PB_TYPE, PCAPNG_SPB_TYPE):
             # not read: a Simple Packet Block has no timestamp, a Packet Block is obsolete
             skipped["simple/obsolete packet blocks"] += 1

@@ -1,20 +1,21 @@
 """Frame to TCP-segment decoding.
 
 `decode_at` is the general decoder; `decode_frame` adapts it to a
-`CapturedFrame`.  The run's ingest loop (`pipeline.ingest_frames`) has one
-first branch of its own for the common frame: Ethernet, IPv4 with a 20-byte
-header, not a fragment, TCP, at least 54 bytes captured.  It reads that
-frame with one unpack and applies `decode_at`'s checks with the same
-outcomes; every other frame (Linux SLL, raw IP, IPv6, IP options,
-fragments, non-TCP, short frames) comes here.  `decode_at` reads a frame
-where it lies, `buf[start:end]` (a span
-of the capture's map), with one precompiled `struct.Struct.unpack_from` per
-header, and checks every length field against the frame's end, never the
-buffer's, before trusting it.  It copies nothing: the payload is returned
-as its span of `buf`, which can be read only while the capture's map is
-open, and a capture that shrinks on disk before the span is read ends the
-process with SIGBUS (see `capture`).  `decode_frame` slices the payload
-out as `bytes`.
+`CapturedFrame` (only the benchmark's layer trace calls it).  The run's
+ingest loop (`pipeline.ingest_frames`) has one first branch of its own for
+the common frame: Ethernet, IPv4 with a 20-byte header, not a fragment,
+TCP, at least 54 bytes captured.  It reads that frame with one unpack and
+applies `decode_at`'s checks with the same outcomes; every other frame
+(Linux SLL, raw IP, IPv6, IP options, fragments, non-TCP, short frames)
+comes here.  `decode_at` reads a frame where it lies, `buf[start:end]`:
+`buf` is the run's one buffer, the capture's map (`capture.map_capture`),
+and `start` and `end` are the span `capture.read_frames` yielded.  It reads
+with one precompiled `struct.Struct.unpack_from` per header, and checks
+every length field against the frame's end, never the buffer's, before
+trusting it.  It copies nothing: the payload is returned as two offsets
+into `buf`, which can be read only while the capture's map is open, and a
+capture that shrinks on disk before the span is read ends the process with
+SIGBUS (see `capture`).  `decode_frame` slices the payload out as `bytes`.
 Fragments, IPv6 extension headers and non-TCP traffic decode to None; the
 payload excludes Ethernet trailer padding and is marked truncated when the
 snap length cut into it.

@@ -4,7 +4,10 @@ Line format, bit-exact: ``<LABEL> <client_random hex> <secret hex>``.
 Only the four TLS 1.3 traffic-secret labels are stored; anything else
 (e.g. TLS 1.2 CLIENT_RANDOM lines) is counted and ignored.  The store holds
 one list of four secrets per client_random, in `LABELS` order, so the walk
-finds a connection's secrets with one lookup.
+finds a connection's secrets with one lookup.  A secret logged again for the
+same connection and label replaces the earlier one (last wins), and the
+parse warns once with the number of such duplicates: a key log flooded with
+100,000 copies of one line writes one line to stderr, not 99,999.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class KeyLogStore:
         if secrets[slot] is not None:
             # Re-keying exporters append; observed behavior is last-wins.
             self.duplicates += 1
-            warn(__name__, "duplicate keylog entry for %s/%s, keeping last", client_random.hex(), label)
         secrets[slot] = secret
 
     def secrets(self, client_random: bytes) -> list[bytes | None] | tuple[None, ...]:
@@ -87,5 +89,7 @@ def parse_keylog(text: str) -> KeyLogStore:
             continue
         store.insert(client_random, label, secret)
     store.malformed_lines, store.unknown_labels = malformed, unknown
+    if store.duplicates:
+        warn(__name__, "%d duplicate keylog entries, keeping the last of each", store.duplicates)
     return store
 

@@ -4,7 +4,10 @@ A run is one process and has one driver, `analyze_capture`.  It reads and
 hashes the key log, then maps the capture once (`capture.map_capture`) and
 holds that map until the walk ends: the document's capture hash
 (`capture.capture_sha256`) is of the mapped bytes, the bytes the run
-analyzes.  In one loop (`ingest_frames`) it counts each frame
+analyzes.  The map is the run's one buffer, and every span is two offsets
+into it: `ingest_frames` and `reassembly.assemble_flow` take the map once,
+as an argument, and no frame span, bucket entry or stream piece carries it.
+In one loop (`ingest_frames`) the run counts each frame span
 `capture.read_frames` yields from the map, decodes it where it lies and
 appends it to its flow's bucket as a `reassembly` bucket entry, whose
 payload is a span of the map: no payload is copied at ingest.  The loop
@@ -248,7 +251,10 @@ def analyze_connections(
     label: str,
     workers: int = 1,
 ) -> RunResult:
-    """Walk each connection in order and summarize; `workers` is deprecated and ignored."""
+    """Walk each connection in order and summarize; `workers` is deprecated and ignored.
+
+    Only the benchmark's layer trace calls this: a run walks each flow as `analyze_capture` assembles it.
+    """
     timelines = [analyze_connection(c, keystore) for c in conns]
     return summarize_run(timelines, label, decrypted=keystore is not None)
 
@@ -325,12 +331,12 @@ def _modal(values):
     return min(freq, key=lambda v: (-freq[v], str(v)), default=None)
 
 
-def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
-    """Decode each frame span and append it to its flow's bucket; return the buckets and the ingest counts.
+def ingest_frames(buf, spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
+    """Decode each frame span of `buf` and append it to its flow's bucket; return the buckets and the ingest counts.
 
-    A span is `(timestamp_ns, link_type, buf, start, end, orig_len)`, as `read_frames` yields it.  The
-    buckets are keyed by canonical four-tuple in the file order of each flow's first frame, and hold
-    `reassembly` bucket entries in file order.  An Ethernet frame of at least 54 bytes that carries
+    A span is `(timestamp_ns, link_type, start, end, orig_len)`, as `read_frames` yields it for the map
+    `buf`: the frame is `buf[start:end]`.  The buckets are keyed by canonical four-tuple in the file
+    order of each flow's first frame, and hold `reassembly` bucket entries, spans of `buf`, in file order.  An Ethernet frame of at least 54 bytes that carries
     IPv4 with a 20-byte header, is not a fragment, and carries TCP takes the first branch: one unpack,
     then the checks `decode.decode_at` would apply, with the same outcomes, and the entry
     `bucket_entry` would build.  Every other frame takes `decode_at` and `bucket_entry`.  The branch
@@ -339,7 +345,7 @@ def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dic
     """
     groups: dict[tuple, list[tuple]] = {}
     frames = non_tcp = malformed = 0
-    for ts, link_type, buf, start, end, orig_len in spans:
+    for ts, link_type, start, end, orig_len in spans:
         frames += 1
         if link_type == LINKTYPE_ETHERNET and end - start >= 54:
             ethertype, b0, total_len, frag, proto, src_ip, dst_ip, src_port, dst_port, seq, doff, flags = (
@@ -363,7 +369,7 @@ def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dic
                 truncated = orig_len > end - start
             from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
             key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-            entry = (ts, from_lower, flags & 0x1F, seq, buf, payload_start, ip_end, truncated)
+            entry = (ts, from_lower, flags & 0x1F, seq, payload_start, ip_end, truncated)
         else:
             try:
                 pkt = decode_at(ts, link_type, buf, start, end, orig_len)
@@ -373,7 +379,7 @@ def ingest_frames(spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dic
             if pkt is None:
                 non_tcp += 1
                 continue
-            key, entry = bucket_entry(buf, pkt)
+            key, entry = bucket_entry(pkt)
         try:
             groups[key].append(entry)
         except KeyError:
@@ -409,7 +415,7 @@ def analyze_capture(
         del raw  # not held through ingest and the walk
     with map_capture(pcap_path) as buf:
         inputs = {"pcap_sha256": capture_sha256(buf), "keylog_sha256": keylog_sha256}
-        groups, ingest_counts = ingest_frames(read_frames(buf, pcap_path))
+        groups, ingest_counts = ingest_frames(buf, read_frames(buf, pcap_path))
         if ingest_counts["malformed_frames"]:
             warn(__name__, "%s: %d malformed frames skipped", pcap_path, ingest_counts["malformed_frames"])
 
@@ -419,8 +425,10 @@ def analyze_capture(
         for key in list(groups):
             group = groups.pop(key)
             # the first frame's payload offset, before assemble_flow sorts the bucket
-            released = release_behind(buf, released, group[0][5])
-            keyed.extend((conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group))
+            released = release_behind(buf, released, group[0][4])
+            keyed.extend(
+                (conn.sort_key(), analyze_connection(conn, keystore)) for conn in assemble_flow(key, group, buf)
+            )
     keyed.sort(key=itemgetter(0))
     return summarize_run(
         [tl for _, tl in keyed], label, decrypted=keystore is not None, ingest=ingest_counts, inputs=inputs

@@ -23,25 +23,30 @@ one four-tuple at a time; the pipeline's walk calls it flow by flow.
 
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
-plain tuple per packet, `(ts, from_lower, flags, seq, buf, start, end,
+plain tuple per packet, `(ts, from_lower, flags, seq, start, end,
 truncated)`, built by `bucket_entry` (and, for the common Ethernet/IPv4
 frame, inline by the pipeline's ingest loop, which the tests hold to the
 same entry): one direction bit stands in for the two endpoints, and the
-payload is the span `buf[start:end]`.  Nothing is copied in reassembly: a
+payload is the span `buf[start:end]` of the run's one buffer.  No entry
+holds that buffer: `assemble_flow` takes it once, as an argument.  In a
+run it is the capture's map (`capture.map_capture`), which
+`pipeline.analyze_capture` holds open until the last flow is walked and
+then closes, and a capture that shrinks on disk before then ends the
+process with SIGBUS (see `capture`).  Nothing is copied in reassembly: a
 connection's segments are its bucket entries, and a `DirectionalStream`
-holds each piece as a `(buf, start)` span, so a stream's bytes are copied
-only when `DirectionalStream.read` asks for them.  The pipeline's buffers
-are the capture's map, which `pipeline.analyze_capture` holds open until
-the last flow is walked and then closes, and a capture that shrinks on
-disk before then ends the process with SIGBUS (see `capture`).
-`assemble_connections` builds the same entries from `DecodedPacket`s, each
-payload its own `buf`, and assembles every flow at once.
+holds the buffer once and each piece as the integer index where its bytes
+start, so a stream's bytes are copied only when `DirectionalStream.read`
+asks for them.  `assemble_connections`, which only the benchmark's layer
+trace calls, joins its `DecodedPacket`s' payloads into one `bytes`, builds
+the same entries as offsets into it, and assembles every flow at once.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
 that from record framing, hello parsing and AEAD, so a retransmission with
 different bytes keeps the first arrival, and if the first arrival was the
-corrupt copy, AEAD rejects the record.
+corrupt copy, AEAD rejects the record.  The anomalies reach no document and
+no CLI output: `TcpConnection.anomalies` is read only by the tests and by
+the benchmark trace's `reassembly.anomalies` count.
 """
 
 from __future__ import annotations
@@ -60,35 +65,31 @@ _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
 _first = itemgetter(0)  # a bucket entry's timestamp; a stream piece's start offset
-_span = itemgetter(4, 5)  # a bucket entry's (buf, start)
-_ts_rel = itemgetter(4, 0)  # a placed segment's (ts, rel_offset)
+_start = itemgetter(4)  # a bucket entry's payload start
+_ts_rel = itemgetter(3, 0)  # a placed segment's (ts, rel_offset)
 
 
 class DirectionalStream:
-    """One direction's reassembled bytes as spans, and per-offset first-arrival times.
+    """One direction's reassembled bytes as spans of one buffer, and per-offset first-arrival times.
 
     The contiguous prefix from offset 0 is a run of pieces: piece `i` starts at
     stream offset `offsets[i]`, first crossed the wire at `times[i]`, and its bytes
-    begin at index `start` of the buffer in `spans[i] = (buf, start)`; it ends where
-    the next piece starts, the last one at `len(self)`.  No byte is copied until
-    `read` asks for it.
+    begin at `buf[starts[i]]`; it ends where the next piece starts, the last one at
+    `len(self)`.  No byte is copied until `read` asks for it.
     """
 
-    __slots__ = ("offsets", "times", "spans", "length", "has_gap")
+    __slots__ = ("buf", "offsets", "times", "starts", "length", "has_gap")
 
-    def __init__(self, offsets: list[int], times: list[int], spans: list[tuple], length: int, has_gap: bool):
+    def __init__(self, buf, offsets: list[int], times: list[int], starts: list[int], length: int, has_gap: bool):
+        self.buf = buf  # the run's one buffer: every piece lies in it
         self.offsets = offsets  # piece start offsets, ascending
         self.times = times  # each piece's first-arrival time
-        self.spans = spans  # each piece's (buf, start)
+        self.starts = starts  # the index in buf of each piece's first byte
         self.length = length
         self.has_gap = has_gap
 
     def __len__(self) -> int:
         return self.length
-
-    @property
-    def offsets_ts(self) -> list[tuple[int, int]]:
-        return list(zip(self.offsets, self.times))
 
     def timestamp_at(self, offset: int) -> int:
         """Arrival time of the segment that first carried the byte at offset."""
@@ -107,25 +108,23 @@ class DirectionalStream:
             raise GapAtOffset(f"offset {b} beyond contiguous data ({self.length} bytes)")
         if a >= b:
             return b""
-        offsets, spans = self.offsets, self.spans
+        buf, offsets, starts = self.buf, self.offsets, self.starts
         i = bisect_right(offsets, a) - 1
         if i < 0:
             raise GapAtOffset(f"offset {a} precedes first mapped byte")
         last = len(offsets) - 1
-        buf, start = spans[i]
-        base = start - offsets[i]  # the buffer index of stream offset 0, as piece i lies
+        base = starts[i] - offsets[i]  # the buffer index of stream offset 0, as piece i lies
         parts = []
         while i < last and offsets[i + 1] < b:
             i += 1
             parts.append(buf[base + a : base + offsets[i]])
             a = offsets[i]
-            buf, start = spans[i]
-            base = start - a
+            base = starts[i] - a
         parts.append(buf[base + a : base + b])
         return b"".join(parts)  # one part is returned as it is, not copied
 
 
-EMPTY_STREAM = DirectionalStream([], [], [], 0, False)
+EMPTY_STREAM = DirectionalStream(b"", [], [], [], 0, False)
 
 
 class TcpConnection:
@@ -169,43 +168,51 @@ class TcpConnection:
             self.incarnation,
         )
 
-    def join_streams(self) -> None:
-        """Build both directions' streams from the segments, then drop the segments."""
-        self.client_to_server = _build_stream(self.segs_c, self.isn_c, self.anomalies)
-        self.server_to_client = _build_stream(self.segs_s, self.isn_s, self.anomalies)
+    def join_streams(self, buf) -> None:
+        """Build both directions' streams from the segments, spans of `buf`, then drop the segments."""
+        self.client_to_server = _build_stream(self.segs_c, self.isn_c, self.anomalies, buf)
+        self.server_to_client = _build_stream(self.segs_s, self.isn_s, self.anomalies, buf)
         self.segs_c, self.segs_s = [], []
 
 
 def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection]:
     """Group packets into connections; one per SYN-initiated incarnation.
 
-    Each packet becomes a bucket entry whose span is its whole payload.  Flows come in
-    canonical four-tuple order.  Nothing here is fatal: anomalies (duplicate SYN with a
-    new ISN, inconsistent overlapping data) are recorded in `anomalies` and leave
-    validity to the TLS walk.
+    The packets' payloads are joined into one buffer, and each packet becomes a bucket
+    entry whose span is its payload there.  Flows come in canonical four-tuple order.
+    Nothing here is fatal: anomalies (duplicate SYN with a new ISN, inconsistent
+    overlapping data) are recorded in `anomalies` and leave validity to the TLS walk.
     """
     groups: dict[tuple, list[tuple]] = {}
+    payloads = []
+    end = 0
     for *head, payload, truncated in packets:
-        key, entry = bucket_entry(payload, (*head, 0, len(payload), truncated))
+        start, end = end, end + len(payload)
+        payloads.append(payload)
+        key, entry = bucket_entry((*head, start, end, truncated))
         groups.setdefault(key, []).append(entry)
-    return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key])]
+    buf = b"".join(payloads)
+    return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key], buf)]
 
 
-def bucket_entry(buf: bytes, fields: tuple) -> tuple[tuple, tuple]:
+def bucket_entry(fields: tuple) -> tuple[tuple, tuple]:
     """A packet as its flow's canonical four-tuple and its bucket entry.
 
-    `fields` is `decode.decode_at`'s tuple for a frame of `buf`, so the payload is
-    `buf[start:end]`.  It comes as one tuple, not spread into arguments, because the
+    `fields` is `decode.decode_at`'s tuple for a frame of the run's buffer, so the payload
+    is `buf[start:end]`.  It comes as one tuple, not spread into arguments, because the
     ingest loop's general branch calls this once per frame.
     """
     ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = fields
     from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
     key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-    return key, (ts, from_lower, flags, seq, buf, start, end, truncated)
+    return key, (ts, from_lower, flags, seq, start, end, truncated)
 
 
-def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
-    """One four-tuple's bucket (sorted in place) as its connections, in incarnation order."""
+def assemble_flow(key: tuple, group: list[tuple], buf) -> list[TcpConnection]:
+    """One four-tuple's bucket (sorted in place) as its connections, in incarnation order.
+
+    The entries' payloads are spans of `buf`, the run's one buffer.
+    """
     # first-arrival semantics: order by timestamp; the stable sort keeps file order on ties
     group.sort(key=_first)
     lower, higher = key[:2], key[2:]
@@ -216,7 +223,7 @@ def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
     client_lower = True  # curr's client is the lower endpoint
 
     for entry in group:
-        ts, from_lower, tcp_flags, seq, buf, start, end, truncated = entry
+        ts, from_lower, tcp_flags, seq, start, end, truncated = entry
         from_client = from_lower == client_lower
         syn = tcp_flags & _SYN
         ack = tcp_flags & _ACK
@@ -270,7 +277,7 @@ def assemble_flow(key: tuple, group: list[tuple]) -> list[TcpConnection]:
             (curr.segs_c if from_client else curr.segs_s).append(entry)
 
     for conn in conns:
-        conn.join_streams()
+        conn.join_streams(buf)
     return conns
 
 
@@ -281,8 +288,8 @@ def _open(lower: tuple, higher: tuple, from_lower: bool, ts: int, incarnation: i
     return TcpConnection(higher, lower, ts, incarnation)
 
 
-def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str]) -> DirectionalStream:
-    """A direction's stream from its segments: bucket entries, sorted by time."""
+def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str], buf) -> DirectionalStream:
+    """A direction's stream from its segments: bucket entries, sorted by time, whose payloads are spans of `buf`."""
     if not segs:
         return EMPTY_STREAM
     if isn is None:
@@ -296,34 +303,34 @@ def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str]) -> Di
     # they are and each would be appended as a piece of its own: the segments are the pieces.
     offsets: list[int] = []
     rel = 0
-    for _, _, _, seq, _, lo, hi, _ in segs:
+    for _, _, _, seq, lo, hi, _ in segs:
         if (seq - base) % _SEQ_MOD != rel:
             break
         offsets.append(rel)
         rel += hi - lo
     else:
         if offsets[-1] < _FORWARD_WINDOW:  # the placement below drops a segment starting past it
-            return DirectionalStream(offsets, list(map(_first, segs)), list(map(_span, segs)), rel, False)
+            return DirectionalStream(buf, offsets, list(map(_first, segs)), list(map(_start, segs)), rel, False)
 
-    placed: list[tuple] = []  # (rel_offset, buf, lo, hi, ts): the payload is buf[lo:hi]
-    for ts, _, _, seq, buf, lo, hi, _ in segs:
+    placed: list[tuple] = []  # (rel_offset, lo, hi, ts): the payload is buf[lo:hi]
+    for ts, _, _, seq, lo, hi, _ in segs:
         rel = (seq - base) % _SEQ_MOD
         if rel >= _FORWARD_WINDOW:
             continue  # keep-alive style probe at ISN or stale sequence
-        placed.append((rel, buf, lo, hi, ts))
+        placed.append((rel, lo, hi, ts))
     if not placed:
         return EMPTY_STREAM
 
-    # Disjoint covered pieces sorted by offset: (start, end, buf, lo, ts), the piece's bytes
+    # Disjoint covered pieces sorted by offset: (start, end, lo, ts), the piece's bytes
     # starting at buf[lo], where ts is the arrival time of the segment that first carried them.
     pieces: list[tuple] = []
     placed.sort(key=_ts_rel)
     end_seen = 0  # the end of the last piece
-    for rel, buf, lo, hi, ts in placed:
+    for rel, lo, hi, ts in placed:
         end = rel + hi - lo
         if rel >= end_seen:
             # in order or past a hole: overlaps no piece
-            pieces.append((rel, end, buf, lo, ts))
+            pieces.append((rel, end, lo, ts))
             end_seen = end
             continue
         i = bisect_right(pieces, rel, key=_first) - 1
@@ -340,18 +347,18 @@ def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str]) -> Di
         j = i
         while j < len(pieces) and pieces[j][0] < end:
             piece = pieces[j]
-            p_start, p_end, p_buf, p_lo, _ = piece
+            p_start, p_end, p_lo, _ = piece
             if pos < p_start:
-                run.append((pos, p_start, buf, lo + pos - rel, ts))
+                run.append((pos, p_start, lo + pos - rel, ts))
                 pos = p_start
             stop = min(end, p_end)
-            if p_buf[p_lo + pos - p_start : p_lo + stop - p_start] != buf[lo + pos - rel : lo + stop - rel]:
+            if buf[p_lo + pos - p_start : p_lo + stop - p_start] != buf[lo + pos - rel : lo + stop - rel]:
                 anomalies.add("overlap_mismatch")
             run.append(piece)
             pos = stop
             j += 1
         if pos < end:
-            run.append((pos, end, buf, lo + pos - rel, ts))
+            run.append((pos, end, lo + pos - rel, ts))
         pieces[i:j] = run
 
     # The stream is the contiguous prefix from offset 0.
@@ -362,9 +369,10 @@ def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str]) -> Di
         k += 1
     prefix_pieces = pieces[:k]
     return DirectionalStream(
+        buf,
         [p[0] for p in prefix_pieces],
-        [p[4] for p in prefix_pieces],
-        [(p[2], p[3]) for p in prefix_pieces],
+        [p[3] for p in prefix_pieces],
+        [p[2] for p in prefix_pieces],
         prefix,
         k < len(pieces),
     )

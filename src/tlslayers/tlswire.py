@@ -4,11 +4,12 @@ Parsing is bit-exact per RFC 8446.  The builders exist for the synthetic
 generator and give the parser a round-trip partner.
 
 `parse_records` reads each record header where it lies in the stream's
-pieces and returns every record, but copies no body: a `TlsRecord` keeps
-its stream and slices its body only when asked (`TlsRecord.body`), so the
-walk copies only the records it opens.  A record's body can thus be read
-only while its stream's buffers are open: in the pipeline, the capture's
-map, which `pipeline.analyze_capture` closes when the walk ends.
+one buffer and returns every record, but copies no body: a `TlsRecord`
+keeps its stream and slices its body only when asked (`TlsRecord.body`), so
+the walk copies only the records it opens.  A record's body can thus be
+read only while its stream's buffer is open: in the pipeline, the capture's
+map (`capture.map_capture`), which `pipeline.analyze_capture` closes when
+the walk ends.
 """
 
 from __future__ import annotations
@@ -155,10 +156,10 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
     inside a record.  Records before that point are returned; the walk
     decides what the missing tail means for the connection.  Each record is
     stamped as `stream.timestamp_at(offset)` would stamp it.  A header is
-    read where it lies in its piece's buffer (or joined by `stream.read`
+    read where it lies in the stream's buffer (or joined by `stream.read`
     when it straddles two pieces); a body is not read here at all.
     """
-    offsets, times, spans = stream.offsets, stream.times, stream.spans
+    buf, offsets, times, starts = stream.buf, stream.offsets, stream.times, stream.starts
     count = len(offsets)
     records: list[TlsRecord] = []
     off = 0
@@ -174,8 +175,7 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
             header = stream.read(off, off + 5)
             ctype, version, length = _RECORD_HEADER.unpack(header)
         else:
-            buf, start = spans[piece]
-            pos = start + off - offsets[piece]
+            pos = starts[piece] + off - offsets[piece]
             ctype, version, length = _RECORD_HEADER.unpack_from(buf, pos)
             header = buf[pos : pos + 5]
         if ctype not in _LEGAL_CONTENT_TYPES or version not in _LEGAL_VERSIONS:

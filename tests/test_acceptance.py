@@ -15,7 +15,6 @@ import pytest
 
 from tlslayers import documents, synth
 from tlslayers.cli import main
-from tlslayers.decode import decode_frame
 from tlslayers.errors import AuthFailure
 from tlslayers.keylog import parse_keylog
 from tlslayers.keyschedule import decrypt_record, derive_traffic_keys
@@ -25,7 +24,7 @@ from tlslayers.timeline import BOUNDARIES, LAYERS, ConnectionTimeline, classify,
 from tlslayers.tlswire import group_by_name, parse_client_hello, render_client_hello
 
 import reference_runs as ref
-from conftest import analyze_frames, run_scenario
+from conftest import analyze_frames, assemble_frames, run_scenario
 
 
 def _pass(criterion: int, name: str) -> None:
@@ -231,11 +230,9 @@ def test_criterion_5_decryption_correctness(mixed_run):
     spec, frames, keylog_text, truth, result, _ = mixed_run
     assert result.counts["valid"] == 200  # implies every needed record decrypted
 
-    from tlslayers.reassembly import assemble_connections
     from tlslayers.tlswire import CT_APPLICATION_DATA, parse_records
 
-    packets = [p for f in frames if (p := decode_frame(f)) is not None]
-    conns = assemble_connections(packets)
+    conns = assemble_frames(frames)
     store = parse_keylog(keylog_text)
     checked = 0
     for conn in conns[:10]:

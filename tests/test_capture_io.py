@@ -10,9 +10,11 @@ import tracemalloc
 import pytest
 
 from tlslayers import capture, pipeline, synth
-from tlslayers.capture import CapturedFrame, open_capture
+from tlslayers.capture import CapturedFrame
 from tlslayers.cli import main
 from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
+
+from conftest import read_capture
 
 
 def _write_pcap_us(path, records):
@@ -26,13 +28,13 @@ def _write_pcap_us(path, records):
 def test_empty_capture(tmp_path):
     path = tmp_path / "empty.pcap"
     _write_pcap_us(path, [])
-    assert list(open_capture(path)) == []
+    assert read_capture(path) == []
 
 
 def test_microsecond_timestamp_conversion_is_exact(tmp_path):
     path = tmp_path / "us.pcap"
     _write_pcap_us(path, [(1, 500_000, b"\x01\x02\x03")])
-    (frame,) = open_capture(path)
+    (frame,) = read_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
     assert frame.data == b"\x01\x02\x03"
 
@@ -46,7 +48,7 @@ def test_synth_frames_round_trip_all_formats(tmp_path, clean_scenario):
     for fmt in ("pcap-us", "pcap-ns", "pcapng"):
         path = tmp_path / f"cap-{fmt}"
         synth.emit_capture(frames, path, fmt)
-        back = list(open_capture(path))
+        back = read_capture(path)
         # the writer and the reader share their layouts, so check the file with this module's own readers
         raw = path.read_bytes()
         reference = _reference_read_pcapng(raw) if fmt == "pcapng" else (*_reference_read(raw), None)
@@ -66,7 +68,7 @@ def test_pcap_ns_preserves_sub_microsecond(tmp_path):
     frames = [CapturedFrame(timestamp_ns=1_000_000_123, link_type=1, data=b"x" * 60, orig_len=60)]
     path = tmp_path / "ns.pcap"
     synth.emit_capture(frames, path, "pcap-ns")
-    (back,) = open_capture(path)
+    (back,) = read_capture(path)
     assert back.timestamp_ns == 1_000_000_123
 
 
@@ -76,7 +78,7 @@ def test_big_endian_pcap(tmp_path):
         fh.write(struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
         fh.write(struct.pack(">IIII", 2, 7, 4, 4))
         fh.write(b"abcd")
-    (frame,) = open_capture(path)
+    (frame,) = read_capture(path)
     assert frame.timestamp_ns == 2_000_007_000
     assert frame.data == b"abcd"
 
@@ -85,12 +87,12 @@ def test_unknown_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xde\xad\xbe\xef" + bytes(60))
     with pytest.raises(UnknownMagic):
-        list(open_capture(path))
+        read_capture(path)
 
 
 def test_missing_file():
     with pytest.raises(UnreadableFile):
-        list(open_capture("/nonexistent/file.pcap"))
+        read_capture("/nonexistent/file.pcap")
 
 
 def test_unsupported_link_type(tmp_path):
@@ -98,7 +100,7 @@ def test_unsupported_link_type(tmp_path):
     with path.open("wb") as fh:
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 105))
     with pytest.raises(UnknownLinkType):
-        list(open_capture(path))
+        read_capture(path)
 
 
 def test_truncated_trailing_record_skipped_with_warning(tmp_path, caplog):
@@ -110,7 +112,7 @@ def test_truncated_trailing_record_skipped_with_warning(tmp_path, caplog):
         fh.write(struct.pack("<IIII", 2, 0, 100, 100))
         fh.write(b"cut")  # body shorter than caplen
     with caplog.at_level(logging.WARNING):
-        frames = list(open_capture(path))
+        frames = read_capture(path)
     assert len(frames) == 1
     assert frames[0].data == b"good"
     assert any("truncated" in r.message for r in caplog.records)
@@ -128,7 +130,7 @@ def test_pcapng_skips_unknown_blocks(tmp_path, clean_scenario):
     custom_body = b"\x00" * 8
     custom = struct.pack("<II", 0x0BAD, len(custom_body) + 12) + custom_body + struct.pack("<I", len(custom_body) + 12)
     path.write_bytes(raw[:cut] + custom + raw[cut:])
-    back = list(open_capture(path))
+    back = read_capture(path)
     assert len(back) == len(frames)
 
 
@@ -143,7 +145,7 @@ def test_pcapng_microsecond_default_resolution(tmp_path):
         data = b"z" * 16
         body = struct.pack("<IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(data), len(data)) + data
         fh.write(struct.pack("<II", 6, len(body) + 12) + body + struct.pack("<I", len(body) + 12))
-    (frame,) = open_capture(path)
+    (frame,) = read_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
 
 
@@ -156,7 +158,7 @@ def test_pcapng_option_value_past_its_block_exits_2(tmp_path, capsys):
         + struct.pack("<II", 1, len(idb) + 12) + idb + struct.pack("<I", len(idb) + 12)
     )
     with pytest.raises(MalformedHeader, match="short-option.pcapng"):
-        list(open_capture(path))
+        read_capture(path)
     assert main(["analyze", "--pcap", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
@@ -201,7 +203,7 @@ def _reference_read(raw):
 def _frames_and_warnings(path, caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
-        frames = list(open_capture(path))
+        frames = read_capture(path)
     return frames, [r.getMessage() for r in caplog.records]
 
 
@@ -342,7 +344,7 @@ def test_pcapng_bad_byte_order_magic_in_later_section(tmp_path):
     path = tmp_path / "bad-bom.pcapng"
     path.write_bytes(_pcapng_section("<", [(1, b"first")]) + second)
     with pytest.raises(UnknownMagic):
-        list(open_capture(path))
+        read_capture(path)
 
 
 @pytest.mark.parametrize("total_len", [8, 11])
@@ -538,7 +540,7 @@ def _read_spans_until_error(path):
                 spans.append(span)
         except (UnknownMagic, UnknownLinkType, MalformedHeader) as exc:
             error = type(exc)
-        return [CapturedFrame(ts, link, buf[start:end], orig) for ts, link, buf, start, end, orig in spans], error
+        return [CapturedFrame(ts, link, buf[start:end], orig) for ts, link, start, end, orig in spans], error
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,7 +12,6 @@ import pytest
 import tlslayers
 from tlslayers import synth
 from tlslayers.cli import main
-from tlslayers.decode import decode_frame
 from tlslayers.documents import parse_document
 from tlslayers.timeline import LAYERS
 
@@ -198,7 +197,7 @@ def test_analyze_zero_usable_streams_exits_3(tmp_path):
 
 
 def test_malformed_hello_does_not_abort_the_run(tmp_path):
-    from conftest import clean_connection_spec
+    from conftest import clean_connection_spec, decode_segment
 
     spec = synth.ScenarioSpec(connections=(
         clean_connection_spec(seed=1),
@@ -207,13 +206,13 @@ def test_malformed_hello_does_not_abort_the_run(tmp_path):
     frames, keylog_text, _ = synth.generate(spec)
     hello_frames = [
         i for i, f in enumerate(frames)
-        if (pkt := decode_frame(f)) is not None and pkt.payload.startswith(b"\x16\x03\x01")
+        if (pkt := decode_segment(f)) is not None and pkt.payload.startswith(b"\x16\x03\x01")
     ]
     assert len(hello_frames) == 2
     # shrink the second ClientHello's handshake length to 10 bytes: too short to parse
     i = max(hello_frames, key=lambda j: frames[j].timestamp_ns)
     data = bytearray(frames[i].data)
-    at = len(data) - len(decode_frame(frames[i]).payload) + 6
+    at = len(data) - len(decode_segment(frames[i]).payload) + 6
     data[at : at + 3] = (10).to_bytes(3, "big")
     frames[i] = frames[i]._replace(data=bytes(data))
     synth.emit_capture(frames, tmp_path / "capture.pcap")

@@ -1,7 +1,9 @@
 """Frame decoding: header arithmetic, truncation marking, differential oracle."""
 
 import functools
+import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,11 +11,11 @@ from hypothesis import strategies as st
 
 from tlslayers import documents, synth
 from tlslayers.capture import CapturedFrame, map_capture, read_frames
-from tlslayers.decode import DecodedPacket, TcpFlags, decode_at, decode_frame
+from tlslayers.decode import TcpFlags
 from tlslayers.errors import MalformedHeader
 from tlslayers.pipeline import analyze_capture, ingest_frames
 
-from conftest import clean_connection_spec
+from conftest import clean_connection_spec, decode_frames, decode_segment, decode_span
 
 
 def _eth_ipv4_tcp(payload=b"", options=b"", flags=0x18, total_len_override=None):
@@ -30,7 +32,7 @@ def _eth_ipv4_tcp(payload=b"", options=b"", flags=0x18, total_len_override=None)
 
 
 def _decode(link_type, data):
-    return decode_frame(CapturedFrame(timestamp_ns=0, link_type=link_type, data=data, orig_len=len(data)))
+    return decode_segment(CapturedFrame(timestamp_ns=0, link_type=link_type, data=data, orig_len=len(data)))
 
 
 def test_arp_frame_is_non_tcp():
@@ -128,22 +130,21 @@ def test_malformed_lengths_raise():
         _decode(1, with_options[: 14 + 20 + 20 + 6])  # cut inside the 12 option bytes
 
 
-def test_decode_frame_wrapper():
+def test_decode_at_reads_the_timestamp_payload_and_flags():
     frame = CapturedFrame(
         timestamp_ns=123, link_type=1, data=_eth_ipv4_tcp(payload=b"hello", flags=0x18), orig_len=0
     )
-    pkt = decode_frame(frame)
-    assert isinstance(pkt, DecodedPacket)
+    pkt = decode_segment(frame)
     assert pkt.timestamp_ns == 123
     assert pkt.payload == b"hello"
     assert pkt.tcp_flags & TcpFlags.ACK and pkt.tcp_flags & TcpFlags.PSH
     with pytest.raises(MalformedHeader):
-        decode_frame(CapturedFrame(timestamp_ns=1, link_type=1, data=b"\x00" * 8, orig_len=8))
+        decode_segment(CapturedFrame(timestamp_ns=1, link_type=1, data=b"\x00" * 8, orig_len=8))
 
 
 def test_decode_frame_orig_len_truncation():
     data = _eth_ipv4_tcp(payload=b"ok")
-    pkt = decode_frame(CapturedFrame(timestamp_ns=1, link_type=1, data=data, orig_len=len(data) + 10))
+    pkt = decode_segment(CapturedFrame(timestamp_ns=1, link_type=1, data=data, orig_len=len(data) + 10))
     assert pkt.truncated
 
 
@@ -151,7 +152,7 @@ def test_decode_frame_orig_len_truncation():
 
 
 def _reference_decode(link_type, data):
-    """Byte-indexing decoder kept as the oracle for `decode_frame`.
+    """Byte-indexing decoder kept as the oracle for `decode_at` and the ingest loop.
 
     Returns None for non-TCP traffic, raises ValueError for inconsistent
     length fields, or returns (src_ip, dst_ip, src_port, dst_port, flags,
@@ -264,15 +265,15 @@ def _reference_packet(frame):
     )
 
 
-def _ingested(span):
-    """One frame span through the run's ingest loop: ('malformed',), ('non-tcp',) or ('packet', fields)."""
-    groups, counts = ingest_frames([span])
+def _ingested(buf, span):
+    """One frame span of `buf` through the run's ingest loop: ('malformed',), ('non-tcp',) or ('packet', fields)."""
+    groups, counts = ingest_frames(buf, [span])
     kinds = {"malformed": counts["malformed_frames"], "non-tcp": counts["non_tcp_frames"], "packet": len(groups)}
     assert counts["frames"] == sum(kinds.values()) == 1
     if not groups:
         return (next(kind for kind, n in kinds.items() if n),)
     ((key, [entry]),) = groups.items()
-    ts, from_lower, flags, seq, buf, start, end, truncated = entry
+    ts, from_lower, flags, seq, start, end, truncated = entry
     lower, higher = key[:2], key[2:]
     assert lower <= higher  # the canonical four-tuple names the lower (ip, port) first
     (src_ip, src_port), (dst_ip, dst_port) = (lower, higher) if from_lower else (higher, lower)
@@ -284,19 +285,9 @@ def _as_ingested(outcome):
     return {"error": ("malformed",), "none": ("non-tcp",)}.get(outcome[0], outcome)
 
 
-def _span_sliced(buf, fields):
-    """`decode_at`'s fields with the payload span sliced out of `buf`, as `DecodedPacket` holds it."""
-    return None if fields is None else (*fields[:7], buf[fields[7] : fields[8]], fields[9])
-
-
 def _packet_fields(frame):
-    pkt = decode_frame(frame)
-    if pkt is None:
-        return None
-    return (
-        pkt.timestamp_ns, pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.tcp_flags, pkt.seq,
-        pkt.payload, pkt.truncated,
-    )
+    """The frame decoded by `decode_at` as the only frame of a buffer, its payload sliced out."""
+    return decode_segment(frame, prefix=b"", suffix=b"")
 
 
 @functools.lru_cache(maxsize=1)
@@ -467,13 +458,58 @@ def test_a_clean_retransmission_changes_nothing_but_the_frame_count(tmp_path):
     # every data segment sent again 1 us later with the same bytes: each direction takes the general
     # placement, which must keep the first arrival's bytes and times
     frames, keylog, reference = _reference_document(tmp_path)
-    copies = [f._replace(timestamp_ns=f.timestamp_ns + 1000) for f in frames if decode_frame(f).payload]
+    copies = [f._replace(timestamp_ns=f.timestamp_ns + 1000) for f in frames if decode_segment(f).payload]
     resent = sorted(frames + copies, key=lambda f: f.timestamp_ns)
     doc = _analyzed_without_inputs(tmp_path, "resent", resent, keylog)
     assert doc["ingest"]["frames"] == reference["ingest"]["frames"] + len(copies)
     assert len(copies) > 30
     doc["ingest"]["frames"] = reference["ingest"]["frames"]
     assert doc == reference
+
+
+def _overlapping_run():
+    """The frames and key log of a fixed run of six connections, each opened 1.5 ms after the one before
+    and open for about 16 ms, so that all six overlap in time; groups, anomalies and verdicts are mixed."""
+    kinds = (
+        ("x25519", {"retransmit"}), ("x25519_mlkem768", {"truncate"}), ("mlkem1024", {"non200"}),
+        ("x25519", {"drop_keylog"}), ("mlkem512", {"coalesce_request"}), ("x25519_mlkem768", set()),
+    )
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 1_500_000, seed=i + 1, group=group, anomalies=frozenset(anomalies))
+        for i, (group, anomalies) in enumerate(kinds)
+    ))
+    frames, keylog_text, _ = synth.generate(spec)
+    return frames, keylog_text
+
+
+def test_file_order_shuffled_across_all_connections_gives_the_same_document(tmp_path):
+    # first arrival is by timestamp, never by file order: frames whose timestamps no other frame
+    # shares are dealt out in a random file order across every connection, and only `inputs` may
+    # change (frames that tie on a timestamp keep their places: their file order breaks the tie)
+    frames, keylog_text = _overlapping_run()
+    keylog = tmp_path / "keylog.txt"
+    keylog.write_text(keylog_text)
+    reference = _analyzed_without_inputs(tmp_path, "reference", frames, keylog)
+    assert reference["counts"] == {
+        "total_streams": 6, "valid": 3, "partial": {"no_keys": 1, "truncated": 1}, "excluded": {"non200": 1},
+    }
+    spans = {}  # client port -> (first, last) timestamp
+    for seg in decode_frames(frames):
+        port = seg.src_port if seg.dst_port == 443 else seg.dst_port
+        first, last = spans.get(port, (seg.timestamp_ns, seg.timestamp_ns))
+        spans[port] = (min(first, seg.timestamp_ns), max(last, seg.timestamp_ns))
+    assert len(spans) == 6 and max(a for a, _ in spans.values()) < min(b for _, b in spans.values())
+
+    times = Counter(f.timestamp_ns for f in frames)
+    movable = [i for i, f in enumerate(frames) if times[f.timestamp_ns] == 1]
+    assert len(movable) > len(frames) * 3 // 4
+    for seed in range(3):
+        dealt = random.Random(seed).sample(movable, len(movable))
+        shuffled = list(frames)
+        for i, j in zip(movable, dealt):
+            shuffled[i] = frames[j]
+        assert shuffled != frames
+        assert _analyzed_without_inputs(tmp_path, f"shuffled-{seed}", shuffled, keylog) == reference
 
 
 HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header with options
@@ -511,9 +547,9 @@ def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig
     # the same frame at an offset in a larger buffer: nothing outside its span may be read
     buf = prefix + data + suffix
     at = len(prefix)
-    span = (frame.timestamp_ns, link_type, buf, at, at + len(data), frame.orig_len)
-    assert _outcome(lambda: _span_sliced(buf, decode_at(*span))) == expected
-    assert _ingested(span) == _as_ingested(expected)
+    span = (frame.timestamp_ns, link_type, at, at + len(data), frame.orig_len)
+    assert _outcome(lambda: decode_span(buf, span)) == expected
+    assert _ingested(buf, span) == _as_ingested(expected)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -549,8 +585,8 @@ def test_ingest_matches_reference_on_ethernet_ipv4_fields(
     data = bytes(data)
     frame = CapturedFrame(source.timestamp_ns, 1, data, len(data) + orig_extra)
     buf = prefix + data + suffix
-    span = (frame.timestamp_ns, 1, buf, len(prefix), len(prefix) + len(data), frame.orig_len)
-    assert _ingested(span) == _as_ingested(_outcome(lambda: _reference_packet(frame)))
+    span = (frame.timestamp_ns, 1, len(prefix), len(prefix) + len(data), frame.orig_len)
+    assert _ingested(buf, span) == _as_ingested(_outcome(lambda: _reference_packet(frame)))
 
 
 def test_reference_agrees_on_unmutated_synth_frames():
@@ -572,10 +608,11 @@ def test_length_claim_past_the_frame_stops_at_the_frame_end(tmp_path):
     path = tmp_path / "two.pcap"
     synth.emit_capture([CapturedFrame(1, 1, bytes(first), len(first)), CapturedFrame(2, 1, second, len(second))], path)
     with map_capture(path) as buf:
-        (ts1, link1, buf1, start1, end1, orig1), span2 = read_frames(buf, path)
-        assert buf1 is buf is span2[2] and end1 + 16 == span2[3]  # the second record's header follows the first frame
-        pkt = DecodedPacket._make(_span_sliced(buf1, decode_at(ts1, link1, buf1, start1, end1, orig1)))
+        span1, span2 = read_frames(buf, path)
+        end1 = span1[3]
+        assert end1 + 16 == span2[2]  # the second record's header follows the first frame
+        pkt = decode_span(buf, span1)
         assert pkt.payload == b"a" * 60
         assert pkt.truncated is True
-        assert buf1[end1 : end1 + 16] not in pkt.payload
-        assert _span_sliced(buf1, decode_at(*span2))[7:] == (b"b" * 60, False)
+        assert buf[end1 : end1 + 16] not in pkt.payload
+        assert decode_span(buf, span2)[7:] == (b"b" * 60, False)

@@ -1,6 +1,7 @@
 """NSS key log parsing."""
 
 import codecs
+import logging
 
 from tlslayers import synth
 from tlslayers.keylog import LABELS, parse_keylog
@@ -62,6 +63,18 @@ def test_duplicate_entries_last_wins():
     store = parse_keylog(text)
     assert store.get(bytes.fromhex(cr), "SERVER_TRAFFIC_SECRET_0") == bytes.fromhex("2" * 64)
     assert store.duplicates == 1
+
+
+def test_a_flooded_key_log_warns_once_with_its_duplicate_count(caplog):
+    line = f"CLIENT_TRAFFIC_SECRET_0 {'e' * 64} {'f' * 64}\n"
+    with caplog.at_level(logging.WARNING, logger="tlslayers.keylog"):
+        store = parse_keylog(line * 10_000)
+    assert [r.getMessage() for r in caplog.records] == ["9999 duplicate keylog entries, keeping the last of each"]
+    assert (len(store), store.duplicates) == (1, 9999)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tlslayers.keylog"):
+        parse_keylog(line)
+    assert caplog.records == []
 
 
 def test_each_repeated_pair_is_one_duplicate_and_the_last_value_wins():

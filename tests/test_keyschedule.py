@@ -143,7 +143,7 @@ def _protected_record(key, iv, counter, inner, offset=0, ts=1000):
         end=end,
         timestamp_ns=ts,
         # the record alone, lying at `offset` of its stream
-        stream=DirectionalStream([offset], [ts], [(header + body, 0)], end, False),
+        stream=DirectionalStream(header + body, [offset], [ts], [0], end, False),
     )
 
 
@@ -207,7 +207,7 @@ def test_captured_header_is_the_additional_data():
     inner = b"GET / HTTP/1.1\r\n\r\n\x17"
     header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0301, len(inner) + 16)
     wire = build_record(CT_APPLICATION_DATA, AESGCM(keys.key).encrypt(keys.nonce(), inner, header), 0x0301)
-    (rec,), partial = parse_records(DirectionalStream([0], [7], [(wire, 0)], len(wire), False))
+    (rec,), partial = parse_records(DirectionalStream(wire, [0], [7], [0], len(wire), False))
     assert not partial and rec.header == header
     assert decrypt_record(rec, keys) == (0x17, inner[:-1])
 

@@ -8,12 +8,12 @@ import tracemalloc
 import pytest
 
 from tlslayers import capture, pipeline, synth
-from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame
-from tlslayers.decode import DecodedPacket, TcpFlags, decode_frame
+from tlslayers.capture import CapturedFrame
+from tlslayers.decode import TcpFlags
 from tlslayers.errors import UnknownLinkType
 from tlslayers.keylog import LABELS, KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
-from tlslayers.reassembly import TcpConnection, assemble_connections
+from tlslayers.reassembly import TcpConnection
 from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
     CT_CHANGE_CIPHER_SPEC,
@@ -26,14 +26,23 @@ from tlslayers.tlswire import (
     render_server_hello,
 )
 
-from conftest import analyze_frames, clean_connection_spec, run_scenario
+from conftest import (
+    Segment,
+    analyze_frames,
+    assemble,
+    assemble_frames,
+    clean_connection_spec,
+    decode_frames,
+    run_scenario,
+    segment_frames,
+)
 
 CLIENT = (bytes([10, 0, 0, 1]), 41000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
 
 
 def _pkt(src, dst, ts, flags, seq, payload=b""):
-    return DecodedPacket(
+    return Segment(
         timestamp_ns=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
         tcp_flags=int(flags), seq=seq, payload=payload, truncated=False,
     )
@@ -54,7 +63,7 @@ def _connection(client_payloads, server_payloads):
     for i, payload in enumerate(server_payloads):
         packets.append(_pkt(SERVER, CLIENT, 300_000 + i * 50_000, TcpFlags.ACK | TcpFlags.PSH, 2001 + off, payload))
         off += len(payload)
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     return conn
 
 
@@ -373,18 +382,13 @@ def test_malformed_server_hello_is_partial():
 SYNACK = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
-def _copy(pkt, **changes):
-    fields = {name: getattr(pkt, name) for name in DecodedPacket._fields}
-    return DecodedPacket(**{**fields, **changes})
-
-
 def _resend_request_corrupted(dt):
     """A copy of the client's last data segment, dt ns away, with its last (AEAD tag) byte flipped."""
 
     def inject(packets):
         last = max((p for p in packets if p.payload and p.dst_port == 443), key=lambda p: p.timestamp_ns)
         bad = last.payload[:-1] + bytes([last.payload[-1] ^ 0xFF])
-        return packets + [_copy(last, payload=bad, timestamp_ns=last.timestamp_ns + dt)]
+        return packets + [last._replace(payload=bad, timestamp_ns=last.timestamp_ns + dt)]
 
     return inject
 
@@ -409,18 +413,18 @@ def _drop_synack(packets):
                  id="overlap_mismatch-first-arrival-corrupted"),
     pytest.param(_resend_request_corrupted(+1000), {"overlap_mismatch"}, ("valid", None),
                  id="overlap_mismatch-retransmission-corrupted"),
-    pytest.param(_with_control(lambda syn, sa: _copy(syn, seq=syn.seq + 1, timestamp_ns=syn.timestamp_ns + 1000)),
+    pytest.param(_with_control(lambda syn, sa: syn._replace(seq=syn.seq + 1, timestamp_ns=syn.timestamp_ns + 1000)),
                  {"dual_isn"}, ("valid", None), id="dual_isn"),
-    pytest.param(_with_control(lambda syn, sa: _copy(syn, tcp_flags=SYNACK, timestamp_ns=sa.timestamp_ns + 1000)),
+    pytest.param(_with_control(lambda syn, sa: syn._replace(tcp_flags=SYNACK, timestamp_ns=sa.timestamp_ns + 1000)),
                  {"synack_from_client"}, ("valid", None), id="synack_from_client"),
-    pytest.param(_with_control(lambda syn, sa: _copy(sa, tcp_flags=int(TcpFlags.SYN), timestamp_ns=syn.timestamp_ns + 1000)),
+    pytest.param(_with_control(lambda syn, sa: sa._replace(tcp_flags=int(TcpFlags.SYN), timestamp_ns=syn.timestamp_ns + 1000)),
                  {"simultaneous_open"}, ("valid", None), id="simultaneous_open"),
     pytest.param(_drop_synack, {"unanchored_data"}, ("partial", "no_synack"), id="unanchored_data"),
 ])
 def test_reassembly_anomaly_leaves_validity_to_the_walk(inject, anomalies, outcome):
     frames, keylog_text, _ = synth.generate(synth.ScenarioSpec(connections=(clean_connection_spec(),)))
-    packets = [p for f in frames if (p := decode_frame(f)) is not None]
-    (conn,) = assemble_connections(inject(packets))
+    packets = decode_frames(frames)
+    (conn,) = assemble(inject(packets))
     assert conn.anomalies == anomalies
     tl = analyze_connection(conn, parse_keylog(keylog_text))
     assert (tl.validity, tl.reason) == outcome
@@ -431,18 +435,7 @@ def test_reassembly_anomaly_leaves_validity_to_the_walk(inject, anomalies, outco
 
 def _decoded(spec):
     frames, keylog_text, _ = synth.generate(spec)
-    return [p for f in frames if (p := decode_frame(f)) is not None], keylog_text
-
-
-def _framed(packets):
-    """Packets as Ethernet frames again, so that a run can read them from a capture."""
-    frames = []
-    for p in packets:
-        src, dst = (bytes(6), p.src_ip, p.src_port), (bytes(6), p.dst_ip, p.dst_port)
-        data = synth._tcp_frame(src, dst, 0, p.seq, 0, p.tcp_flags, p.payload)
-        # a snap-cut segment stays one: the wire carried more than the frame holds
-        frames.append(CapturedFrame(p.timestamp_ns, LINKTYPE_ETHERNET, data, len(data) + p.truncated))
-    return frames
+    return decode_frames(frames), keylog_text
 
 
 def _bucket_spec(n):
@@ -454,14 +447,14 @@ def _bucket_spec(n):
 
 def test_walk_holds_one_flow_of_streams_at_a_time(monkeypatch):
     frames, keylog_text, _ = synth.generate(_bucket_spec(30))
-    payload_bytes = sum(len(p.payload) for f in frames if (p := decode_frame(f)) is not None)
-    assemble = pipeline.assemble_flow
+    payload_bytes = sum(len(p.payload) for p in decode_frames(frames))
+    assemble_flow = pipeline.assemble_flow
 
-    def traced_from_the_first_flow(key, group):
+    def traced_from_the_first_flow(key, group, buf):
         # tracing starts once ingest has filled the buckets, which the next test bounds per packet
         if not tracemalloc.is_tracing():
             tracemalloc.start()
-        return assemble(key, group)
+        return assemble_flow(key, group, buf)
 
     monkeypatch.setattr(pipeline, "assemble_flow", traced_from_the_first_flow)
     try:
@@ -478,10 +471,10 @@ def test_the_walk_copies_only_the_records_it_opens():
     # A 512 KiB response: the walk opens the server's hello, its handshake flight and the
     # record with the status line, and reads no other record body.  Joining the stream or
     # copying every record body would cost at least the stream's length.
-    packets, keylog_text = _decoded(
+    frames, keylog_text, _ = synth.generate(
         synth.ScenarioSpec(connections=(clean_connection_spec(response_body_bytes=512 * 1024),))
     )
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble_frames(frames)
     keystore = parse_keylog(keylog_text)
     tracemalloc.start()
     try:
@@ -499,12 +492,12 @@ def test_flow_buckets_hold_no_payload_copies(monkeypatch):
     # copies it out of the capture's map costs that much again.
     frames, keylog_text, _ = synth.generate(_bucket_spec(8))
     seen = {"packets": 0}
-    assemble = pipeline.assemble_flow
+    assemble_flow = pipeline.assemble_flow
 
-    def measured(key, group):
+    def measured(key, group, buf):
         seen.setdefault("traced", tracemalloc.get_traced_memory()[0])  # at the first flow: ingest is done
         seen["packets"] += len(group)
-        return assemble(key, group)
+        return assemble_flow(key, group, buf)
 
     monkeypatch.setattr(pipeline, "assemble_flow", measured)
     tracemalloc.start()
@@ -524,9 +517,9 @@ def test_stray_segment_before_the_syn_leaves_the_connection_valid(from_client):
     ends = {} if from_client else dict(
         src_ip=syn.dst_ip, dst_ip=syn.src_ip, src_port=syn.dst_port, dst_port=syn.src_port
     )
-    stray = _copy(syn, timestamp_ns=syn.timestamp_ns - 1_000_000, tcp_flags=int(TcpFlags.PSH | TcpFlags.ACK),
+    stray = syn._replace(timestamp_ns=syn.timestamp_ns - 1_000_000, tcp_flags=int(TcpFlags.PSH | TcpFlags.ACK),
                   payload=bytes(14), **ends)
-    counts = analyze_frames(_framed([stray, *packets]), keylog_text, "stray").counts
+    counts = analyze_frames(segment_frames([stray, *packets]), keylog_text, "stray").counts
     assert (counts["valid"], counts["partial"]) == (1, {"no_syn": 1})
 
 
@@ -625,12 +618,12 @@ def _reuse_after_rst(packets, first_port, second_port):
     for p in packets:
         if first_port in (p.src_port, p.dst_port) and p.tcp_flags & TcpFlags.FIN:
             if p.src_port == first_port:
-                out.append(_copy(p, tcp_flags=int(TcpFlags.RST | TcpFlags.ACK)))
+                out.append(p._replace(tcp_flags=int(TcpFlags.RST | TcpFlags.ACK)))
             continue
         if p.src_port == second_port:
-            p = _copy(p, src_port=first_port)
+            p = p._replace(src_port=first_port)
         elif p.dst_port == second_port:
-            p = _copy(p, dst_port=first_port)
+            p = p._replace(dst_port=first_port)
         out.append(p)
     return out
 
@@ -645,11 +638,11 @@ def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
     ))
     packets, keylog_text = _decoded(spec)
     packets = _reuse_after_rst(packets, first_port=10001, second_port=10007)
-    frames = _framed(packets)
-    assert [decode_frame(f) for f in frames] == packets
+    frames = segment_frames(packets)
+    assert decode_frames(frames) == packets
     keystore = parse_keylog(keylog_text)
 
-    conns = assemble_connections(packets)
+    conns = assemble_frames(frames)
     assert sorted((c.client[1], c.incarnation) for c in conns if c.client[1] == 10001) == [
         (10001, 0), (10001, 1)
     ]

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlslayers.decode import DecodedPacket, TcpFlags
+from tlslayers.decode import TcpFlags
 from tlslayers.errors import GapAtOffset
 from tlslayers.pipeline import analyze_connection
-from tlslayers.reassembly import assemble_connections
+
+from conftest import Segment, assemble
 
 CLIENT = (bytes([10, 0, 0, 1]), 40000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
 
 
 def pkt(src, dst, ts, flags=0, seq=0, payload=b"", truncated=False):
-    return DecodedPacket(
+    return Segment(
         timestamp_ns=ts,
         src_ip=src[0],
         dst_ip=dst[0],
@@ -44,7 +45,7 @@ def handshake(t_syn=0, t_synack=360_000, isn_c=5000, isn_s=9000):
 
 
 def test_syn_synack_no_data():
-    (conn,) = assemble_connections(handshake())
+    (conn,) = assemble(handshake())
     assert conn.t_syn == 0
     assert conn.t_synack == 360_000
     assert len(conn.client_to_server) == 0
@@ -66,7 +67,7 @@ def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server)
         pkt(server, client, 40, TcpFlags.PSH | TcpFlags.ACK, 901, b"pong"),
         pkt(server, client, 50, TcpFlags.FIN | TcpFlags.ACK, 905),
     ]
-    remnant, conn = assemble_connections(packets)
+    remnant, conn = assemble(packets)
     assert (remnant.client, remnant.server, remnant.t_syn, remnant.t_synack) == (server, client, None, None)
     # neither side has a SYN to anchor its data, so no byte is placed in either stream
     assert remnant.anomalies == {"synack_from_client", "unanchored_data"}
@@ -87,14 +88,14 @@ def test_a_flow_from_an_endpoint_to_itself_is_all_client():
         pkt(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
         pkt(CLIENT, CLIENT, 30, TcpFlags.FIN | TcpFlags.ACK, 106),
     ]
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
     assert (_bytes(conn.client_to_server), len(conn.server_to_client)) == (b"hello", 0)
     assert (conn.fin_c, conn.fin_s, conn.anomalies) == (True, False, set())
 
 
 def test_prescribed_handshake_spacing_is_exact():
-    (conn,) = assemble_connections(handshake(t_syn=0, t_synack=360_000))
+    (conn,) = assemble(handshake(t_syn=0, t_synack=360_000))
     assert conn.t_synack - conn.t_syn == 360_000  # 0.360 ms
 
 
@@ -102,7 +103,7 @@ def test_data_placed_at_sequence_offset():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK | TcpFlags.PSH, 101, b"hello"))
     packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK | TcpFlags.PSH, 106, b" world"))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert _bytes(conn.client_to_server) == b"hello world"
     assert conn.client_to_server.timestamp_at(0) == 500_000
     assert conn.client_to_server.timestamp_at(5) == 600_000
@@ -113,7 +114,7 @@ def test_retransmission_keeps_first_arrival():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
     packets.append(pkt(CLIENT, SERVER, 5_500_000, TcpFlags.ACK, 101, b"abcd"))  # 5 ms later
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert conn.client_to_server.timestamp_at(0) == 500_000
     assert not conn.anomalies
 
@@ -126,7 +127,7 @@ def test_out_of_order_segments_permutation_insensitive():
     for i, payload in enumerate(payloads):
         segments.append((offset, payload, 500_000 + i * 10_000))
         offset += len(payload)
-    expected = (b"".join(payloads), [(off, ts) for off, _, ts in segments])
+    expected = (b"".join(payloads), [off for off, _, _ in segments], [ts for _, _, ts in segments])
     for trial in range(5):
         order = list(range(len(segments)))
         rng.shuffle(order)
@@ -134,8 +135,9 @@ def test_out_of_order_segments_permutation_insensitive():
         for idx in order:
             off, payload, ts = segments[idx]
             packets.append(pkt(CLIENT, SERVER, ts, TcpFlags.ACK, 101 + off, payload))
-        (conn,) = assemble_connections(packets)
-        assert (_bytes(conn.client_to_server), conn.client_to_server.offsets_ts) == expected
+        (conn,) = assemble(packets)
+        stream = conn.client_to_server
+        assert (_bytes(stream), stream.offsets, stream.times) == expected
 
 
 def test_timestamp_at_brute_force_oracle():
@@ -151,7 +153,7 @@ def test_timestamp_at_brute_force_oracle():
         packets.append(pkt(SERVER, CLIENT, ts, TcpFlags.ACK, 201 + a, data[a:b]))
         for j in range(a, b):
             per_byte[j] = ts
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     stream = conn.server_to_client
     assert _bytes(stream) == data
     for offset in rng.sample(range(total), 10_000):
@@ -162,7 +164,7 @@ def test_gap_detection_and_gap_at_offset():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
     packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 109, b"bbbb"))  # hole at 4..8
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     stream = conn.client_to_server
     assert stream.has_gap
     assert _bytes(stream) == b"aaaa"  # contiguous prefix only
@@ -180,7 +182,7 @@ def test_byte_conservation_without_gaps():
         payload = rng.randbytes(100)
         packets.append(pkt(CLIENT, SERVER, 10**6 + i, TcpFlags.ACK, 1 + total, payload))
         total += 100
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert len(conn.client_to_server) == total
     assert not conn.client_to_server.has_gap
 
@@ -189,7 +191,7 @@ def test_overlap_mismatch_is_recorded():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
     packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101, b"aXaa"))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert "overlap_mismatch" in conn.anomalies
 
 
@@ -201,7 +203,7 @@ def test_port_reuse_after_fin_starts_new_incarnation():
         pkt(CLIENT, SERVER, 720_000, TcpFlags.ACK, 5002),
     ]
     packets += handshake(t_syn=2_000_000, t_synack=2_360_000, isn_c=7777, isn_s=8888)
-    conns = assemble_connections(packets)
+    conns = assemble(packets)
     assert len(conns) == 2
     assert conns[0].t_syn == 0
     assert conns[1].t_syn == 2_000_000
@@ -212,7 +214,7 @@ def test_syn_after_rst_starts_new_incarnation():
     packets = handshake()
     packets.append(pkt(SERVER, CLIENT, 800_000, TcpFlags.RST, 9001))
     packets += handshake(t_syn=2_000_000, t_synack=2_360_000, isn_c=7777, isn_s=8888)
-    conns = assemble_connections(packets)
+    conns = assemble(packets)
     assert [c.t_syn for c in conns] == [0, 2_000_000]
     assert [c.incarnation for c in conns] == [0, 1]
     assert not any(c.anomalies for c in conns)
@@ -221,14 +223,14 @@ def test_syn_after_rst_starts_new_incarnation():
 def test_dual_isn_anomaly():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 50_000, TcpFlags.SYN, 999))  # same tuple, new ISN
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert "dual_isn" in conn.anomalies
 
 
 def test_synack_with_a_second_isn_is_dual_isn():
     packets = handshake(isn_s=9000)
     packets.append(pkt(SERVER, CLIENT, 400_000, TcpFlags.SYN | TcpFlags.ACK, 4242))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert conn.anomalies == {"dual_isn"}
     assert conn.t_synack == 360_000  # the first SYN-ACK anchors the server stream
 
@@ -239,7 +241,7 @@ def test_syn_after_a_remnant_before_any_syn_opens_a_new_connection(stray_from):
     stray_to = SERVER if stray_from == CLIENT else CLIENT
     packets = [pkt(stray_from, stray_to, 0, TcpFlags.PSH | TcpFlags.ACK, 77, b"x" * 14)]
     packets += handshake(t_syn=1_000_000, t_synack=1_360_000)
-    conns = assemble_connections(packets)
+    conns = assemble(packets)
     assert [(c.t_syn, c.incarnation) for c in conns] == [(None, 0), (1_000_000, 1)]
     assert (conns[1].client, conns[1].server, conns[1].t_synack) == (CLIENT, SERVER, 1_360_000)
     assert not conns[1].anomalies
@@ -248,7 +250,7 @@ def test_syn_after_a_remnant_before_any_syn_opens_a_new_connection(stray_from):
 def test_syn_retransmit_is_not_an_anomaly():
     packets = handshake(isn_c=100)
     packets.insert(1, pkt(CLIENT, SERVER, 30_000, TcpFlags.SYN, 100))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert conn.t_syn == 0  # first arrival
     assert not conn.anomalies
 
@@ -256,7 +258,7 @@ def test_syn_retransmit_is_not_an_anomaly():
 def test_truncated_segment_marks_connection():
     packets = handshake(isn_c=100)
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"part", truncated=True))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert conn.truncated
 
 
@@ -265,13 +267,13 @@ def test_keepalive_probe_ignored():
     packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
     # keep-alive: one stale byte just below the current edge
     packets.append(pkt(CLIENT, SERVER, 900_000, TcpFlags.ACK, 104, b"Z"))
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     assert _bytes(conn.client_to_server) == b"abcd"
     assert "overlap_mismatch" not in conn.anomalies
 
 
 def test_synack_ordering_invariant():
-    for conn in assemble_connections(handshake()):
+    for conn in assemble(handshake()):
         assert conn.t_syn <= conn.t_synack
 
 
@@ -281,7 +283,7 @@ def test_far_ahead_stray_segment_costs_captured_bytes_only():
     packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101 + (64 << 20), b"x"))
     tracemalloc.start()
     try:
-        (conn,) = assemble_connections(packets)
+        (conn,) = assemble(packets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -408,10 +410,10 @@ def test_interval_builder_matches_per_byte_model(case):
     isn, segs = case
     packets = handshake(isn_c=isn)
     packets += [pkt(CLIENT, SERVER, ts, TcpFlags.ACK, seq, payload) for seq, payload, ts in segs]
-    (conn,) = assemble_connections(packets)
+    (conn,) = assemble(packets)
     stream = conn.client_to_server
     data, offsets_ts, has_gap, anomalies = reference_stream(segs, isn)
     assert _bytes(stream) == data
-    assert stream.offsets_ts == offsets_ts
+    assert (stream.offsets, stream.times) == ([o for o, _ in offsets_ts], [t for _, t in offsets_ts])
     assert stream.has_gap == has_gap
     assert conn.anomalies == anomalies

@@ -32,7 +32,7 @@ from reference_runs import KEY_SHARE_SIZES
 
 
 def _stream(data: bytes, ts: int = 500) -> DirectionalStream:
-    return DirectionalStream([0], [ts], [(data, 0)], len(data), False)
+    return DirectionalStream(data, [0], [ts], [0], len(data), False)
 
 
 def test_empty_stream_parses_to_nothing():
@@ -78,7 +78,7 @@ def test_trailing_partial_record_stops_cleanly():
 
 def test_record_before_the_first_mapped_byte_raises_like_timestamp_at():
     wire = build_record(CT_HANDSHAKE, b"x" * 10)
-    stream = DirectionalStream([3], [7], [(wire, 3)], len(wire), False)
+    stream = DirectionalStream(wire, [3], [7], [3], len(wire), False)
     with pytest.raises(GapAtOffset):
         stream.timestamp_at(0)
     with pytest.raises(GapAtOffset):
@@ -111,7 +111,7 @@ def test_record_timestamps_from_offset_walk(bodies, data):
     starts = sorted(set(data.draw(st.lists(st.integers(1, max(kept - 1, 1)), max_size=12), label="starts")))
     offsets = [0, *(o for o in starts if o < kept)] if kept else []
     times = data.draw(st.lists(st.integers(0, 10**12), min_size=len(offsets), max_size=len(offsets)), label="times")
-    stream = DirectionalStream(offsets, times, [(wire[:kept], o) for o in offsets], kept, has_gap)
+    stream = DirectionalStream(wire[:kept], offsets, times, offsets, kept, has_gap)
 
     records, partial = parse_records(stream)
     for rec in records:
@@ -154,8 +154,8 @@ def test_records_and_reads_over_pieces_scattered_in_one_buffer(bodies, data):
         starts.append(len(buf))
         buf += wire[a:b]
     buf += b"\x17\x03\x03\x40\x00"  # a read past the last piece would find a header here
-    scattered = DirectionalStream(offsets, times, [(bytes(buf), start) for start in starts], kept, has_gap)
-    joined = DirectionalStream(offsets, times, [(wire[:kept], o) for o in offsets], kept, has_gap)
+    scattered = DirectionalStream(bytes(buf), offsets, times, starts, kept, has_gap)
+    joined = DirectionalStream(wire[:kept], offsets, times, offsets, kept, has_gap)
 
     records, partial = parse_records(scattered)
     expected, expected_partial = parse_records(joined)
