@@ -11,7 +11,7 @@ each frame of a map as a span of it, two offsets into the map:
 `(timestamp_ns, link_type, start, end, orig_len)`, the frame being
 `buf[start:end]`, with an integer-nanosecond timestamp whatever the file's
 resolution.  No span carries the buffer: the functions that read spans
-(`pipeline.ingest_frames`, `reassembly.assemble_flow`) take the map once,
+(`decode.ingest_frames`, `reassembly.assemble_flow`) take the map once,
 as an argument.  `capture_sha256` hashes the same mapped bytes, so a
 document names the bytes it analyzed; `open_capture` opens, walks and
 closes a file, copying spans out as `CapturedFrame`s (only the benchmark's
@@ -20,9 +20,8 @@ a warning rather than aborting: partial captures of long load tests are
 common.  Records skipped inside the file (zero-length records in either
 format, short IDBs and EPBs, EPBs shorter than their caplen, and pcapng
 Simple and obsolete Packet Blocks, which are not read) warn once per kind,
-with their count, when the walk ends.  The pipeline's ingest loop
-(`pipeline.ingest_frames`) decodes the spans; `decode` says which frames
-take its one-unpack first branch.
+with their count, when the walk ends.  The ingest loop
+(`decode.ingest_frames`) decodes the spans.
 
 Both formats are walked by offset over the one buffer, and every length
 field is checked against the end of the file before it is trusted: a field

@@ -1,31 +1,26 @@
-"""Frame to TCP-segment decoding.
+"""Frame to TCP-segment decoding: the run's ingest loop, `ingest_frames`.
 
-`decode_at` is the general decoder; `decode_frame` adapts it to a
-`CapturedFrame` (only the benchmark's layer trace calls it).  The run's
-ingest loop (`pipeline.ingest_frames`) has one first branch of its own for
-the common frame: Ethernet, IPv4 with a 20-byte header, not a fragment,
-TCP, at least 54 bytes captured.  It reads that frame with one unpack and
-applies `decode_at`'s checks with the same outcomes; every other frame
-(Linux SLL, raw IP, IPv6, IP options, fragments, non-TCP, short frames)
-comes here.  `decode_at` reads a frame where it lies, `buf[start:end]`:
-`buf` is the run's one buffer, the capture's map (`capture.map_capture`),
-and `start` and `end` are the span `capture.read_frames` yielded.  It reads
-with one precompiled `struct.Struct.unpack_from` per header, and checks
-every length field against the frame's end, never the buffer's, before
-trusting it.  It copies nothing: the payload is returned as two offsets
-into `buf`, which can be read only while the capture's map is open, and a
-capture that shrinks on disk before the span is read ends the process with
-SIGBUS (see `capture`).  `decode_frame` slices the payload out as `bytes`.
-Fragments, IPv6 extension headers and non-TCP traffic decode to None; the
-payload excludes Ethernet trailer padding and is marked truncated when the
-snap length cut into it.
+`ingest_frames` is the one frame decoder.  It reads each frame where it
+lies, `buf[start:end]`: `buf` is the run's one buffer, the capture's map
+(`capture.map_capture`), and the span is one `capture.read_frames` yielded.
+The common frame (Ethernet, IPv4 with a 20-byte header, not a fragment,
+TCP, at least 54 bytes captured) is read with one unpack; every other frame
+gets its link and IP headers from `_ip_headers` and its TCP header from
+`_TCP`.  Both then share one tail: the TCP header checks, the payload's end
+(Ethernet trailer padding excluded), the truncation flag and the bucket
+entry.  Every length field is checked against the frame's end, never the
+buffer's, before it is trusted.  Nothing is copied: a payload is two
+offsets into `buf`, readable only while the map is open, and a capture
+that shrinks on disk before the span is read ends the process with SIGBUS
+(see `capture`).  `decode_frame`, which only the benchmark's layer trace
+calls, runs `ingest_frames` over one frame and slices its payload out.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from tlslayers.capture import LINKTYPE_ETHERNET, LINKTYPE_LINUX_SLL, LINKTYPE_RAW_IP, CapturedFrame
 from tlslayers.errors import MalformedHeader
@@ -40,6 +35,10 @@ _IPV4 = struct.Struct(">BxH2xHxB2x4s4s").unpack_from
 _IPV6 = struct.Struct(">B3xHBx16s16s").unpack_from
 # ports, sequence number, data offset, flags
 _TCP = struct.Struct(">HHI4xBB").unpack_from
+# An Ethernet frame with a 20-byte IPv4 header, through the TCP flags: the ethertype; the IPv4
+# version/IHL, total length, flags/fragment offset, protocol, source and destination; the TCP ports,
+# sequence number, data offset and flags.  The TCP header ends 54 bytes into the frame.
+_ETH_IPV4_TCP = struct.Struct(">12xHBxH2xHxB2x4s4sHHI4xBB").unpack_from
 
 
 class TcpFlags(enum.IntFlag):
@@ -51,10 +50,7 @@ class TcpFlags(enum.IntFlag):
 
 
 class DecodedPacket(NamedTuple):
-    """One TCP segment; IPs are raw 4- or 16-byte values.
-
-    The fields are `decode_at`'s, but for the payload: `bytes` here, a span of the buffer there.
-    """
+    """One TCP segment; IPs are raw 4- or 16-byte values."""
 
     timestamp_ns: int
     src_ip: bytes
@@ -68,21 +64,86 @@ class DecodedPacket(NamedTuple):
 
 
 def decode_frame(frame: CapturedFrame) -> DecodedPacket | None:
-    """`decode_at` over one whole frame, as a `DecodedPacket`."""
-    fields = decode_at(frame.timestamp_ns, frame.link_type, frame.data, 0, len(frame.data), frame.orig_len)
-    if fields is None:
+    """`ingest_frames` over one whole frame, as a `DecodedPacket`; None for non-TCP traffic.
+
+    Raises MalformedHeader when the frame's length fields are inconsistent with its size.
+    """
+    data = frame.data
+    groups, counts = ingest_frames(data, [(frame.timestamp_ns, frame.link_type, 0, len(data), frame.orig_len)])
+    if counts["malformed_frames"]:
+        raise MalformedHeader("malformed frame")
+    if not groups:
         return None
-    *head, start, end, truncated = fields
-    return DecodedPacket(*head, frame.data[start:end], truncated)
+    ((key, [(ts, from_lower, flags, seq, start, end, truncated)]),) = groups.items()
+    (src_ip, src_port), (dst_ip, dst_port) = (key[:2], key[2:]) if from_lower else (key[2:], key[:2])
+    return DecodedPacket(ts, src_ip, dst_ip, src_port, dst_port, flags, seq, data[start:end], truncated)
 
 
-def decode_at(timestamp_ns: int, link_type: int, buf: bytes, start: int, end: int, orig_len: int) -> tuple | None:
-    """The frame `buf[start:end]` as a plain tuple; None for non-TCP traffic.
+def ingest_frames(buf, spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
+    """Decode each frame span of `buf` and append it to its flow's bucket; return the buckets and the ingest counts.
 
-    The tuple is `(timestamp_ns, src_ip, dst_ip, src_port, dst_port, tcp_flags, seq,
-    payload_start, payload_end, truncated)`: the payload is `buf[payload_start:payload_end]`.
+    A span is `(timestamp_ns, link_type, start, end, orig_len)`, as `read_frames` yields it for the
+    map `buf`: the frame is `buf[start:end]`.  The buckets are keyed by canonical four-tuple
+    `(ip_lo, port_lo, ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, in the file order of
+    each flow's first frame, and hold one entry per frame in file order, `(ts, from_lower, flags,
+    seq, start, end, truncated)`, whose payload is `buf[start:end]`.  Fragments, IPv6 extension
+    headers and non-TCP traffic count as non-TCP frames, and a frame whose length fields are
+    inconsistent with its size as malformed.  The common frame's one unpack saves a call and two
+    unpacks per frame: when it was added, on the 240-connection `bulk` benchmark capture (2-vCPU
+    Xeon, Python 3.11), `analyze` went from 0.392 to 0.351 s.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    frames = non_tcp = malformed = 0
+    for ts, link_type, start, end, orig_len in spans:
+        frames += 1
+        if link_type == LINKTYPE_ETHERNET and end - start >= 54:
+            ethertype, b0, total_len, frag, proto, src_ip, dst_ip, src_port, dst_port, seq, doff, flags = (
+                _ETH_IPV4_TCP(buf, start)
+            )
+        else:
+            ethertype = None
+        if ethertype == ETH_IPV4 and b0 == 0x45 and not frag & 0x3FFF and proto == 6:
+            tcp_start = start + 34
+            ip_end = start + 14 + total_len
+        else:
+            try:
+                headers = _ip_headers(link_type, buf, start, end)
+            except MalformedHeader:
+                malformed += 1
+                continue
+            if headers is None:
+                non_tcp += 1
+                continue
+            src_ip, dst_ip, tcp_start, ip_end = headers
+            src_port, dst_port, seq, doff, flags = _TCP(buf, tcp_start)
+        payload_start = tcp_start + (doff >> 4) * 4
+        # a data offset below 5 words; the TCP header past the IP length (which also catches an IPv4
+        # total length below the IP header's 20 bytes) or past the frame
+        if doff < 0x50 or payload_start > ip_end or payload_start > end:
+            malformed += 1
+            continue
+        # the payload ends with the IP datagram, excluding Ethernet trailer padding
+        if ip_end > end:
+            ip_end = end
+            truncated = True  # the snap length cut into the payload
+        else:
+            truncated = orig_len > end - start
+        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+        entry = (ts, from_lower, flags & 0x1F, seq, payload_start, ip_end, truncated)
+        try:
+            groups[key].append(entry)
+        except KeyError:
+            groups[key] = [entry]
+    return groups, {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
 
-    Raises MalformedHeader when length fields are inconsistent with the frame size.
+
+def _ip_headers(link_type: int, buf, start: int, end: int) -> tuple | None:
+    """The frame `buf[start:end]`'s `(src_ip, dst_ip, tcp_start, ip_end)`; None for non-TCP traffic.
+
+    A TCP header's fixed 20 bytes lie in the frame from `tcp_start`; the IP datagram ends at
+    `ip_end`, which may lie past the frame's end.  Raises MalformedHeader when length fields are
+    inconsistent with the frame size.
     """
     if link_type == LINKTYPE_ETHERNET:
         if end - start < 14:
@@ -136,19 +197,4 @@ def decode_at(timestamp_ns: int, link_type: int, buf: bytes, start: int, end: in
 
     if end < tcp_start + 20:
         raise MalformedHeader("tcp header truncated")
-    src_port, dst_port, seq, doff, flags = _TCP(buf, tcp_start)
-    payload_start = tcp_start + (doff >> 4) * 4
-    if payload_start < tcp_start + 20:
-        raise MalformedHeader("tcp data offset below minimum")
-    if payload_start > ip_end:
-        raise MalformedHeader("tcp header exceeds ip length")
-    if end < payload_start:
-        raise MalformedHeader("tcp options truncated")
-
-    # the payload ends with the IP datagram, excluding Ethernet trailer padding
-    if ip_end > end:
-        ip_end = end
-        truncated = True  # the snap length cut into the payload
-    else:
-        truncated = orig_len > end - start
-    return timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags & 0x1F, seq, payload_start, ip_end, truncated
+    return src_ip, dst_ip, tcp_start, ip_end

@@ -5,23 +5,19 @@ hashes the key log, then maps the capture once (`capture.map_capture`) and
 holds that map until the walk ends: the document's capture hash
 (`capture.capture_sha256`) is of the mapped bytes, the bytes the run
 analyzes.  The map is the run's one buffer, and every span is two offsets
-into it: `ingest_frames` and `reassembly.assemble_flow` take the map once,
-as an argument, and no frame span, bucket entry or stream piece carries it.
-In one loop (`ingest_frames`) the run counts each frame span
-`capture.read_frames` yields from the map, decodes it where it lies and
-appends it to its flow's bucket as a `reassembly` bucket entry, whose
-payload is a span of the map: no payload is copied at ingest.  The loop
-decodes and buckets the common frame (Ethernet, IPv4 with a 20-byte header,
-not a fragment, TCP, at least 54 bytes captured) itself, with one unpack and
-no call; `decode.decode_at`, the general decoder, and
-`reassembly.bucket_entry` take every other frame.  It then assembles, walks
-and drops each flow in turn.  Reassembly copies nothing either: a flow's
-streams are spans of the map, and the walk slices a record's body out of
-the map only when it opens the record, so only the records the walk opens
-are copied.  Every connection is walked on its own; flows are walked in the
-file order of their first frames, so the map's pages before the current
-flow's first frame are no longer needed, and the walk releases them
-(`capture.release_behind`) as the reader did.  The map is closed when the
+into it: `decode.ingest_frames` and `reassembly.assemble_flow` take the map
+once, as an argument, and no frame span, bucket entry or stream piece
+carries it.  In one loop (`decode.ingest_frames`, the one frame decoder)
+the run counts each frame span `capture.read_frames` yields from the map,
+decodes it where it lies and appends it to its flow's bucket as a bucket
+entry, whose payload is a span of the map: no payload is copied at ingest.
+It then assembles, walks and drops each flow in turn.  Reassembly copies
+nothing either: a flow's streams are spans of the map, and the walk slices
+a record's body out of the map only when it opens the record, so only the
+records the walk opens are copied.  Every connection is walked on its own;
+flows are walked in the file order of their first frames, so the map's
+pages before the current flow's first frame are no longer needed, and the
+walk releases them (`capture.release_behind`) as the reader did.  The map is closed when the
 walk ends, or when the run raises.  Timelines are reported in
 `TcpConnection.sort_key` order, which `summarize_run` does not depend on.
 
@@ -45,20 +41,18 @@ connection's one `ConnectionTimeline` from what the walk found;
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import Counter
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from tlslayers.capture import LINKTYPE_ETHERNET, capture_sha256, map_capture, read_frames, release_behind
-from tlslayers.decode import ETH_IPV4, decode_at
+from tlslayers.capture import capture_sha256, map_capture, read_frames, release_behind
+from tlslayers.decode import ingest_frames
 from tlslayers.errors import (
     AuthFailure,
     BadRecordHeader,
     EmptyInnerPlaintext,
     LengthMismatch,
-    MalformedHeader,
     MalformedHello,
     OversizeRecord,
     UnreadableFile,
@@ -67,7 +61,7 @@ from tlslayers.errors import (
 )
 from tlslayers.keylog import KeyLogStore, parse_keylog
 from tlslayers.keyschedule import derive_traffic_keys, decrypt_record
-from tlslayers.reassembly import TcpConnection, assemble_flow, bucket_entry
+from tlslayers.reassembly import TcpConnection, assemble_flow
 from tlslayers.stats import LayerStatistics, summarize
 from tlslayers.timeline import (
     LAYERS,
@@ -94,12 +88,6 @@ from tlslayers.tlswire import (
     parse_records,
     parse_server_hello,
 )
-
-# An Ethernet frame with a 20-byte IPv4 header, through the TCP flags: the ethertype; the IPv4
-# version/IHL, total length, flags/fragment offset, protocol, source and destination; the TCP ports,
-# sequence number, data offset and flags.  The TCP header ends 54 bytes into the frame.
-_ETH_IPV4_TCP = struct.Struct(">12xHBxH2xHxB2x4s4sHHI4xBB").unpack_from
-
 
 class RunResult(NamedTuple):
     """Full-precision analysis of one capture run."""
@@ -329,62 +317,6 @@ def _modal(values):
     """The most frequent value but None, a tie going to the one that sorts first as text; None for none."""
     freq = Counter(v for v in values if v is not None)
     return min(freq, key=lambda v: (-freq[v], str(v)), default=None)
-
-
-def ingest_frames(buf, spans: Iterable[tuple]) -> tuple[dict[tuple, list[tuple]], dict]:
-    """Decode each frame span of `buf` and append it to its flow's bucket; return the buckets and the ingest counts.
-
-    A span is `(timestamp_ns, link_type, start, end, orig_len)`, as `read_frames` yields it for the map
-    `buf`: the frame is `buf[start:end]`.  The buckets are keyed by canonical four-tuple in the file
-    order of each flow's first frame, and hold `reassembly` bucket entries, spans of `buf`, in file order.  An Ethernet frame of at least 54 bytes that carries
-    IPv4 with a 20-byte header, is not a fragment, and carries TCP takes the first branch: one unpack,
-    then the checks `decode.decode_at` would apply, with the same outcomes, and the entry
-    `bucket_entry` would build.  Every other frame takes `decode_at` and `bucket_entry`.  The branch
-    saves two calls and two unpacks per frame: on the 240-connection `bulk` benchmark capture
-    (2-vCPU Xeon, Python 3.11) `analyze` went from 0.392 to 0.351 s.
-    """
-    groups: dict[tuple, list[tuple]] = {}
-    frames = non_tcp = malformed = 0
-    for ts, link_type, start, end, orig_len in spans:
-        frames += 1
-        if link_type == LINKTYPE_ETHERNET and end - start >= 54:
-            ethertype, b0, total_len, frag, proto, src_ip, dst_ip, src_port, dst_port, seq, doff, flags = (
-                _ETH_IPV4_TCP(buf, start)
-            )
-        else:
-            ethertype = None
-        if ethertype == ETH_IPV4 and b0 == 0x45 and not frag & 0x3FFF and proto == 6:
-            payload_start = start + 34 + (doff >> 4) * 4
-            ip_end = start + 14 + total_len
-            # a data offset below 5 words; the TCP header past the IP total length (which also catches
-            # a total length below the IP header's 20 bytes) or past the frame
-            if doff < 0x50 or payload_start > ip_end or payload_start > end:
-                malformed += 1
-                continue
-            # the payload ends with the IP datagram, excluding Ethernet trailer padding
-            if ip_end > end:
-                ip_end = end
-                truncated = True  # the snap length cut into the payload
-            else:
-                truncated = orig_len > end - start
-            from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
-            key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-            entry = (ts, from_lower, flags & 0x1F, seq, payload_start, ip_end, truncated)
-        else:
-            try:
-                pkt = decode_at(ts, link_type, buf, start, end, orig_len)
-            except MalformedHeader:
-                malformed += 1
-                continue
-            if pkt is None:
-                non_tcp += 1
-                continue
-            key, entry = bucket_entry(pkt)
-        try:
-            groups[key].append(entry)
-        except KeyError:
-            groups[key] = [entry]
-    return groups, {"frames": frames, "non_tcp_frames": non_tcp, "malformed_frames": malformed}
 
 
 def analyze_capture(

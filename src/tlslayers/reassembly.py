@@ -24,10 +24,9 @@ one four-tuple at a time; the pipeline's walk calls it flow by flow.
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
 plain tuple per packet, `(ts, from_lower, flags, seq, start, end,
-truncated)`, built by `bucket_entry` (and, for the common Ethernet/IPv4
-frame, inline by the pipeline's ingest loop, which the tests hold to the
-same entry): one direction bit stands in for the two endpoints, and the
-payload is the span `buf[start:end]` of the run's one buffer.  No entry
+truncated)`, built by the ingest loop (`decode.ingest_frames`): one
+direction bit stands in for the two endpoints, and the payload is the span
+`buf[start:end]` of the run's one buffer.  No entry
 holds that buffer: `assemble_flow` takes it once, as an argument.  In a
 run it is the capture's map (`capture.map_capture`), which
 `pipeline.analyze_capture` holds open until the last flow is walked and
@@ -186,26 +185,14 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
     groups: dict[tuple, list[tuple]] = {}
     payloads = []
     end = 0
-    for *head, payload, truncated in packets:
+    for ts, src_ip, dst_ip, src_port, dst_port, flags, seq, payload, truncated in packets:
         start, end = end, end + len(payload)
         payloads.append(payload)
-        key, entry = bucket_entry((*head, start, end, truncated))
-        groups.setdefault(key, []).append(entry)
+        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
+        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
+        groups.setdefault(key, []).append((ts, from_lower, flags, seq, start, end, truncated))
     buf = b"".join(payloads)
     return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key], buf)]
-
-
-def bucket_entry(fields: tuple) -> tuple[tuple, tuple]:
-    """A packet as its flow's canonical four-tuple and its bucket entry.
-
-    `fields` is `decode.decode_at`'s tuple for a frame of the run's buffer, so the payload
-    is `buf[start:end]`.  It comes as one tuple, not spread into arguments, because the
-    ingest loop's general branch calls this once per frame.
-    """
-    ts, src_ip, dst_ip, src_port, dst_port, flags, seq, start, end, truncated = fields
-    from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
-    key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-    return key, (ts, from_lower, flags, seq, start, end, truncated)
 
 
 def assemble_flow(key: tuple, group: list[tuple], buf) -> list[TcpConnection]:

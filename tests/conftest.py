@@ -9,8 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tlslayers import synth
 from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame, map_capture, read_frames
-from tlslayers.decode import decode_at
-from tlslayers.pipeline import analyze_capture, ingest_frames
+from tlslayers.decode import ingest_frames
+from tlslayers.pipeline import analyze_capture
 from tlslayers.reassembly import assemble_flow
 
 
@@ -47,7 +47,7 @@ def clean_scenario():
 
 
 class Segment(NamedTuple):
-    """One TCP segment as the tests write and read it: `decode_at`'s fields, the payload sliced out."""
+    """One TCP segment as the tests write and read it: a bucket entry's fields, the payload sliced out."""
 
     timestamp_ns: int
     src_ip: bytes
@@ -81,14 +81,25 @@ def lay_out(frames, prefix: bytes = JUNK, suffix: bytes = JUNK):
     return b"".join(parts), spans
 
 
+def ingest_span(buf, span):
+    """One span of `buf` through `ingest_frames`: its ingest counts, and its `Segment` (None unless TCP)."""
+    groups, counts = ingest_frames(buf, [span])
+    assert counts["frames"] == 1
+    if not groups:
+        return counts, None
+    ((key, [entry]),) = groups.items()
+    ts, from_lower, flags, seq, start, end, truncated = entry
+    lower, higher = key[:2], key[2:]
+    assert lower <= higher  # the canonical four-tuple names the lower (ip, port) first
+    (src_ip, src_port), (dst_ip, dst_port) = (lower, higher) if from_lower else (higher, lower)
+    return counts, Segment(ts, src_ip, dst_ip, src_port, dst_port, flags, seq, buf[start:end], truncated)
+
+
 def decode_span(buf, span):
-    """`decode_at` over one span of `buf`, its payload sliced out: a `Segment`, or None for non-TCP traffic."""
-    ts, link_type, start, end, orig_len = span
-    fields = decode_at(ts, link_type, buf, start, end, orig_len)
-    if fields is None:
-        return None
-    *head, payload_start, payload_end, truncated = fields
-    return Segment(*head, buf[payload_start:payload_end], truncated)
+    """One span of `buf` through `ingest_frames`: a `Segment`, or None for non-TCP traffic; never malformed."""
+    counts, seg = ingest_span(buf, span)
+    assert counts["malformed_frames"] == 0, counts
+    return seg
 
 
 def decode_segment(frame, prefix: bytes = JUNK, suffix: bytes = JUNK):

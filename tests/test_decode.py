@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from tlslayers import documents, synth
 from tlslayers.capture import CapturedFrame, map_capture, read_frames
-from tlslayers.decode import TcpFlags
-from tlslayers.errors import MalformedHeader
-from tlslayers.pipeline import analyze_capture, ingest_frames
+from tlslayers.decode import TcpFlags, ingest_frames
+from tlslayers.pipeline import analyze_capture
 
-from conftest import clean_connection_spec, decode_frames, decode_segment, decode_span
+from conftest import JUNK, clean_connection_spec, decode_frames, decode_segment, decode_span, ingest_span
 
 
 def _eth_ipv4_tcp(payload=b"", options=b"", flags=0x18, total_len_override=None):
@@ -104,33 +103,86 @@ def test_linux_sll_and_raw_ip():
     assert _decode(101, inner).payload == b"xyz"
 
 
-def test_malformed_lengths_raise():
-    with pytest.raises(MalformedHeader):
-        _decode(1, b"\x00" * 10)  # runt ethernet
-    bad_ihl = bytearray(_eth_ipv4_tcp())
-    bad_ihl[14] = 0x42  # ihl below minimum
-    with pytest.raises(MalformedHeader):
-        _decode(1, bytes(bad_ihl))
-    bad_doff = bytearray(_eth_ipv4_tcp())
-    bad_doff[14 + 20 + 12] = 0x30  # tcp data offset below minimum
-    with pytest.raises(MalformedHeader):
-        _decode(1, bytes(bad_doff))
-    long_ihl = bytearray(_eth_ipv4_tcp(payload=b"o" * 40))
-    long_ihl[14] = 0x4F  # 60-byte ipv4 header, cut inside its options
-    with pytest.raises(MalformedHeader, match="ipv4 options truncated"):
-        _decode(1, bytes(long_ihl[: 14 + 40]))
-    with pytest.raises(MalformedHeader, match="unsupported link type"):
-        _decode(147, _eth_ipv4_tcp())  # a user-reserved DLT
-    with pytest.raises(MalformedHeader, match="ipv4 total length below header length"):
-        _decode(1, _eth_ipv4_tcp(total_len_override=19))
-    with pytest.raises(MalformedHeader, match="tcp header exceeds ip length"):
-        _decode(1, _eth_ipv4_tcp(payload=b"o" * 40, total_len_override=20 + 19))
-    with_options = _eth_ipv4_tcp(payload=b"o" * 40, options=b"\x01" * 12)
-    with pytest.raises(MalformedHeader, match="tcp options truncated"):
-        _decode(1, with_options[: 14 + 20 + 20 + 6])  # cut inside the 12 option bytes
+def test_ipv6_next_header_not_tcp_is_non_tcp():
+    udp = struct.pack(">HHHH", 5000, 53, 8, 0)
+    ip6 = struct.pack(">IHBB", 6 << 28, len(udp), 17, 64) + bytes(range(32))
+    frame = b"\x02" * 6 + b"\x04" * 6 + b"\x86\xdd" + ip6 + udp
+    groups, counts = ingest_frames(frame, [(0, 1, 0, len(frame), len(frame))])
+    assert (groups, counts) == ({}, {"frames": 1, "non_tcp_frames": 1, "malformed_frames": 0})
 
 
-def test_decode_at_reads_the_timestamp_payload_and_flags():
+def _ipv4_tcp(payload=b"", options=b"", b0=0x45, total_len=None, doff=None):
+    """An IPv4 packet carrying TCP, with its version/IHL byte, total length or data offset set."""
+    packet = bytearray(_eth_ipv4_tcp(payload, options, total_len_override=total_len)[14:])
+    packet[0] = b0
+    if doff is not None:
+        packet[32] = doff << 4
+    return bytes(packet)
+
+
+def _ipv6_tcp(payload=b"", options=b"", b0=0x60, payload_len=None, doff=None):
+    """An IPv6 packet carrying `_ipv4_tcp`'s segment, with its version byte, payload length or data offset set."""
+    segment = _ipv4_tcp(payload, options, doff=doff)[20:]
+    payload_len = len(segment) if payload_len is None else payload_len
+    return struct.pack(">BxxxHBB", b0, payload_len, 6, 64) + bytes(range(32)) + segment
+
+
+def _malformed_packets():
+    """(check, IP packet): one packet per check of the IP header reader and of the TCP header tail."""
+    long_ihl = _ipv4_tcp(payload=b"o" * 40, b0=0x4F)  # a 60-byte IPv4 header claimed
+    with_options = b"\x01" * 12
+    return [
+        ("ipv4 header truncated", _ipv4_tcp()[:19]),
+        ("ipv4 header length below minimum", _ipv4_tcp(b0=0x44)),
+        ("ipv4 total length below header length", _ipv4_tcp(total_len=19)),
+        ("ipv4 options truncated", long_ihl[:40]),
+        ("ipv4 tcp header truncated", _ipv4_tcp()[:39]),
+        ("ipv4 tcp data offset below minimum", _ipv4_tcp(doff=4)),
+        ("ipv4 tcp header exceeds ip length", _ipv4_tcp(payload=b"o" * 40, total_len=20 + 19)),
+        ("ipv4 tcp options truncated", _ipv4_tcp(payload=b"o" * 40, options=with_options)[: 20 + 20 + 6]),
+        ("ipv6 header truncated", _ipv6_tcp()[:39]),
+        ("ipv6 version mismatch", _ipv6_tcp(b0=0x50)),
+        ("ipv6 tcp header truncated", _ipv6_tcp()[:59]),
+        ("ipv6 tcp data offset below minimum", _ipv6_tcp(doff=4)),
+        ("ipv6 tcp header exceeds ip length", _ipv6_tcp(payload=b"o" * 40, payload_len=19)),
+        ("ipv6 tcp options truncated", _ipv6_tcp(payload=b"o" * 40, options=with_options)[: 40 + 20 + 6]),
+    ]
+
+
+def _malformed_frames():
+    """(check, link type, frame): every IP-level check on each link type, then the link-level ones."""
+    frames = []
+    for check, packet in _malformed_packets():
+        ethertype = b"\x86\xdd" if check.startswith("ipv6") else b"\x08\x00"
+        frames.append((check, 1, b"\x02" * 6 + b"\x04" * 6 + ethertype + packet))
+        frames.append((check, 113, struct.pack(">HHH8s", 0, 1, 6, bytes(8)) + ethertype + packet))
+        frames.append((check, 101, packet))
+    return frames + [
+        ("ethernet header truncated", 1, b"\x00" * 13),
+        ("sll header truncated", 113, b"\x00" * 15),
+        ("empty raw-ip frame", 101, b""),
+        ("unsupported link type", 147, _eth_ipv4_tcp()),  # a user-reserved DLT
+        # an IPv4 ethertype before an IPv6 header: raw IP reads the version from the header itself
+        ("ipv4 version mismatch", 1, _eth_ipv4_tcp()[:12] + b"\x08\x00" + _ipv6_tcp()),
+        ("ipv4 version mismatch", 113, struct.pack(">HHH8s", 0, 1, 6, bytes(8)) + b"\x08\x00" + _ipv6_tcp()),
+    ]
+
+
+def test_malformed_frames_count_as_malformed():
+    # each check counts its frame as malformed, whichever branch of the ingest loop reads it:
+    # Ethernet/IPv4 frames of at least 54 bytes take the one-unpack branch, all others the header reader
+    cases = _malformed_frames()
+    for check, link_type, frame in cases:
+        buf = JUNK + frame + JUNK
+        counts, seg = ingest_span(buf, (7, link_type, len(JUNK), len(JUNK) + len(frame), len(frame)))
+        assert (check, link_type, counts, seg) == (
+            check, link_type, {"frames": 1, "non_tcp_frames": 0, "malformed_frames": 1}, None
+        )
+    # the one-unpack branch is reached too: its frames make the tail's three checks and the short total length
+    assert sum(link == 1 and len(frame) >= 54 and frame[14] == 0x45 for _, link, frame in cases) == 4
+
+
+def test_ingest_reads_the_timestamp_payload_and_flags():
     frame = CapturedFrame(
         timestamp_ns=123, link_type=1, data=_eth_ipv4_tcp(payload=b"hello", flags=0x18), orig_len=0
     )
@@ -138,8 +190,8 @@ def test_decode_at_reads_the_timestamp_payload_and_flags():
     assert pkt.timestamp_ns == 123
     assert pkt.payload == b"hello"
     assert pkt.tcp_flags & TcpFlags.ACK and pkt.tcp_flags & TcpFlags.PSH
-    with pytest.raises(MalformedHeader):
-        decode_segment(CapturedFrame(timestamp_ns=1, link_type=1, data=b"\x00" * 8, orig_len=8))
+    counts, seg = ingest_span(b"\x00" * 8, (1, 1, 0, 8, 8))
+    assert (counts["malformed_frames"], seg) == (1, None)
 
 
 def test_decode_frame_orig_len_truncation():
@@ -152,7 +204,7 @@ def test_decode_frame_orig_len_truncation():
 
 
 def _reference_decode(link_type, data):
-    """Byte-indexing decoder kept as the oracle for `decode_at` and the ingest loop.
+    """Byte-indexing decoder kept as the oracle for the ingest loop.
 
     Returns None for non-TCP traffic, raises ValueError for inconsistent
     length fields, or returns (src_ip, dst_ip, src_port, dst_port, flags,
@@ -245,48 +297,32 @@ def _reference_decode(link_type, data):
     return (src_ip, dst_ip, src_port, dst_port, flags, seq, payload_start, payload_end, truncated)
 
 
-def _outcome(fn):
-    """('error', message), ('none',) or ('packet', fields) for one decode call."""
+def _outcome(frame):
+    """The reference decoder's outcome for one frame, as the ingest loop counts it: ('malformed',),
+    ('non-tcp',) or ('packet', fields)."""
     try:
-        result = fn()
-    except (ValueError, MalformedHeader) as exc:
-        return ("error", str(exc))
-    return ("none",) if result is None else ("packet", result)
-
-
-def _reference_packet(frame):
-    fields = _reference_decode(frame.link_type, frame.data)
+        fields = _reference_decode(frame.link_type, frame.data)
+    except ValueError:
+        return ("malformed",)
     if fields is None:
-        return None
+        return ("non-tcp",)
     src_ip, dst_ip, src_port, dst_port, flags, seq, pstart, pend, truncated = fields
-    return (
+    return ("packet", (
         frame.timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags, seq,
         frame.data[pstart:pend], truncated or frame.orig_len > len(frame.data),
-    )
+    ))
 
 
 def _ingested(buf, span):
     """One frame span of `buf` through the run's ingest loop: ('malformed',), ('non-tcp',) or ('packet', fields)."""
-    groups, counts = ingest_frames(buf, [span])
-    kinds = {"malformed": counts["malformed_frames"], "non-tcp": counts["non_tcp_frames"], "packet": len(groups)}
-    assert counts["frames"] == sum(kinds.values()) == 1
-    if not groups:
-        return (next(kind for kind, n in kinds.items() if n),)
-    ((key, [entry]),) = groups.items()
-    ts, from_lower, flags, seq, start, end, truncated = entry
-    lower, higher = key[:2], key[2:]
-    assert lower <= higher  # the canonical four-tuple names the lower (ip, port) first
-    (src_ip, src_port), (dst_ip, dst_port) = (lower, higher) if from_lower else (higher, lower)
-    return ("packet", (ts, src_ip, dst_ip, src_port, dst_port, flags, seq, buf[start:end], truncated))
-
-
-def _as_ingested(outcome):
-    """A decode outcome as `_ingested` reports it: the ingest loop counts errors without their message."""
-    return {"error": ("malformed",), "none": ("non-tcp",)}.get(outcome[0], outcome)
+    counts, seg = ingest_span(buf, span)
+    if seg is not None:
+        return ("packet", tuple(seg))
+    return ("malformed",) if counts["malformed_frames"] else ("non-tcp",)
 
 
 def _packet_fields(frame):
-    """The frame decoded by `decode_at` as the only frame of a buffer, its payload sliced out."""
+    """The frame through the ingest loop as the only frame of a buffer, its payload sliced out."""
     return decode_segment(frame, prefix=b"", suffix=b"")
 
 
@@ -542,14 +578,12 @@ def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig
         timestamp_ns=source.timestamp_ns, link_type=link_type, data=data, orig_len=len(data) + orig_extra
     )
 
-    expected = _outcome(lambda: _reference_packet(frame))
-    assert _outcome(lambda: _packet_fields(frame)) == expected
+    expected = _outcome(frame)
+    assert _ingested(data, (frame.timestamp_ns, link_type, 0, len(data), frame.orig_len)) == expected
     # the same frame at an offset in a larger buffer: nothing outside its span may be read
     buf = prefix + data + suffix
     at = len(prefix)
-    span = (frame.timestamp_ns, link_type, at, at + len(data), frame.orig_len)
-    assert _outcome(lambda: decode_span(buf, span)) == expected
-    assert _ingested(buf, span) == _as_ingested(expected)
+    assert _ingested(buf, (frame.timestamp_ns, link_type, at, at + len(data), frame.orig_len)) == expected
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -586,7 +620,7 @@ def test_ingest_matches_reference_on_ethernet_ipv4_fields(
     frame = CapturedFrame(source.timestamp_ns, 1, data, len(data) + orig_extra)
     buf = prefix + data + suffix
     span = (frame.timestamp_ns, 1, len(prefix), len(prefix) + len(data), frame.orig_len)
-    assert _ingested(buf, span) == _as_ingested(_outcome(lambda: _reference_packet(frame)))
+    assert _ingested(buf, span) == _outcome(frame)
 
 
 def test_reference_agrees_on_unmutated_synth_frames():
@@ -594,9 +628,9 @@ def test_reference_agrees_on_unmutated_synth_frames():
         for data in (source.data, _to_ipv6(source.data)):
             for link_type in (1, 113, 101):
                 frame = source._replace(link_type=link_type, data=_relink(data, link_type))
-                expected = _reference_packet(frame)
-                assert expected is not None
-                assert _packet_fields(frame) == expected
+                expected = _outcome(frame)
+                assert expected[0] == "packet"
+                assert _packet_fields(frame) == expected[1]
 
 
 def test_length_claim_past_the_frame_stops_at_the_frame_end(tmp_path):

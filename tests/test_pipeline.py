@@ -10,7 +10,7 @@ import pytest
 from tlslayers import capture, pipeline, synth
 from tlslayers.capture import CapturedFrame
 from tlslayers.decode import TcpFlags
-from tlslayers.errors import UnknownLinkType
+from tlslayers.errors import MalformedHello, UnknownLinkType
 from tlslayers.keylog import LABELS, KeyLogStore, parse_keylog
 from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
 from tlslayers.reassembly import TcpConnection
@@ -18,10 +18,12 @@ from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
     CT_CHANGE_CIPHER_SPEC,
     CT_HANDSHAKE,
+    EXT_KEY_SHARE,
     HRR_RANDOM,
     build_handshake_message,
     build_record,
     group_by_name,
+    parse_server_hello,
     render_client_hello,
     render_server_hello,
 )
@@ -372,6 +374,20 @@ def test_malformed_server_hello_is_partial():
     ch, _sh = _hellos(bytes(32))
     short_hello = build_record(CT_HANDSHAKE, build_handshake_message(2, bytes(5)))
     tl = analyze_connection(_connection([ch], [short_hello]), KeyLogStore())
+    assert (tl.validity, tl.reason) == ("partial", "malformed_hello")
+    assert tl.t_clienthello == 200_000
+    assert tl.cipher_suite is None
+
+
+def test_server_hello_key_share_shorter_than_a_group_is_partial():
+    # a key_share extension of one byte cannot hold the two-byte selected group
+    key_share = struct.pack(">HH", EXT_KEY_SHARE, 1) + b"\x1d"
+    body = b"\x03\x03" + bytes(32) + b"\x00" + b"\x13\x01" + b"\x00" + struct.pack(">H", len(key_share)) + key_share
+    message = build_handshake_message(2, body)
+    with pytest.raises(MalformedHello):
+        parse_server_hello(message[4:])
+    ch, _sh = _hellos(bytes(32))
+    tl = analyze_connection(_connection([ch], [build_record(CT_HANDSHAKE, message)]), KeyLogStore())
     assert (tl.validity, tl.reason) == ("partial", "malformed_hello")
     assert tl.t_clienthello == 200_000
     assert tl.cipher_suite is None
