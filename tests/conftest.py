@@ -84,7 +84,8 @@ def lay_out(frames, prefix: bytes = JUNK, suffix: bytes = JUNK):
 def ingest_span(buf, span):
     """One span of `buf` through `ingest_frames`: its ingest counts, and its `Segment` (None unless TCP)."""
     groups, counts = ingest_frames(buf, [span])
-    assert counts["frames"] == 1
+    # the frame has exactly one outcome: malformed, non-TCP or one bucket entry
+    assert counts["frames"] == counts["malformed_frames"] + counts["non_tcp_frames"] + len(groups) == 1, counts
     if not groups:
         return counts, None
     ((key, [entry]),) = groups.items()

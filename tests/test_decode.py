@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import struct
 from collections import Counter
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from tlslayers import documents, synth
 from tlslayers.capture import CapturedFrame, map_capture, read_frames
-from tlslayers.decode import TcpFlags, ingest_frames
+from tlslayers.decode import TcpFlags, _ip_headers, ingest_frames
+from tlslayers.errors import MalformedHeader
 from tlslayers.pipeline import analyze_capture
 
 from conftest import JUNK, clean_connection_spec, decode_frames, decode_segment, decode_span, ingest_span
@@ -127,33 +129,40 @@ def _ipv6_tcp(payload=b"", options=b"", b0=0x60, payload_len=None, doff=None):
     return struct.pack(">BxxxHBB", b0, payload_len, 6, 64) + bytes(range(32)) + segment
 
 
+# the shared tail's three TCP checks: the header reader passes their frames on, and the tail counts them
+_TAIL_CHECKS = ("tcp data offset below minimum", "tcp header exceeds ip length", "tcp options truncated")
+
+
 def _malformed_packets():
-    """(check, IP packet): one packet per check of the IP header reader and of the TCP header tail."""
+    """(IP version, check, IP packet): one packet per check of the IP header reader and of the shared tail.
+
+    A check is the message `_ip_headers` raises, or one of `_TAIL_CHECKS`.
+    """
     long_ihl = _ipv4_tcp(payload=b"o" * 40, b0=0x4F)  # a 60-byte IPv4 header claimed
     with_options = b"\x01" * 12
     return [
-        ("ipv4 header truncated", _ipv4_tcp()[:19]),
-        ("ipv4 header length below minimum", _ipv4_tcp(b0=0x44)),
-        ("ipv4 total length below header length", _ipv4_tcp(total_len=19)),
-        ("ipv4 options truncated", long_ihl[:40]),
-        ("ipv4 tcp header truncated", _ipv4_tcp()[:39]),
-        ("ipv4 tcp data offset below minimum", _ipv4_tcp(doff=4)),
-        ("ipv4 tcp header exceeds ip length", _ipv4_tcp(payload=b"o" * 40, total_len=20 + 19)),
-        ("ipv4 tcp options truncated", _ipv4_tcp(payload=b"o" * 40, options=with_options)[: 20 + 20 + 6]),
-        ("ipv6 header truncated", _ipv6_tcp()[:39]),
-        ("ipv6 version mismatch", _ipv6_tcp(b0=0x50)),
-        ("ipv6 tcp header truncated", _ipv6_tcp()[:59]),
-        ("ipv6 tcp data offset below minimum", _ipv6_tcp(doff=4)),
-        ("ipv6 tcp header exceeds ip length", _ipv6_tcp(payload=b"o" * 40, payload_len=19)),
-        ("ipv6 tcp options truncated", _ipv6_tcp(payload=b"o" * 40, options=with_options)[: 40 + 20 + 6]),
+        (4, "ipv4 header truncated", _ipv4_tcp()[:19]),
+        (4, "ipv4 header length below minimum", _ipv4_tcp(b0=0x44)),
+        (4, "ipv4 total length below header length", _ipv4_tcp(total_len=19)),
+        (4, "ipv4 options truncated", long_ihl[:40]),
+        (4, "tcp header truncated", _ipv4_tcp()[:39]),
+        (4, "tcp data offset below minimum", _ipv4_tcp(doff=4)),
+        (4, "tcp header exceeds ip length", _ipv4_tcp(payload=b"o" * 40, total_len=20 + 19)),
+        (4, "tcp options truncated", _ipv4_tcp(payload=b"o" * 40, options=with_options)[: 20 + 20 + 6]),
+        (6, "ipv6 header truncated", _ipv6_tcp()[:39]),
+        (6, "ipv6 version mismatch", _ipv6_tcp(b0=0x50)),
+        (6, "tcp header truncated", _ipv6_tcp()[:59]),
+        (6, "tcp data offset below minimum", _ipv6_tcp(doff=4)),
+        (6, "tcp header exceeds ip length", _ipv6_tcp(payload=b"o" * 40, payload_len=19)),
+        (6, "tcp options truncated", _ipv6_tcp(payload=b"o" * 40, options=with_options)[: 40 + 20 + 6]),
     ]
 
 
 def _malformed_frames():
     """(check, link type, frame): every IP-level check on each link type, then the link-level ones."""
     frames = []
-    for check, packet in _malformed_packets():
-        ethertype = b"\x86\xdd" if check.startswith("ipv6") else b"\x08\x00"
+    for version, check, packet in _malformed_packets():
+        ethertype = b"\x08\x00" if version == 4 else b"\x86\xdd"
         frames.append((check, 1, b"\x02" * 6 + b"\x04" * 6 + ethertype + packet))
         frames.append((check, 113, struct.pack(">HHH8s", 0, 1, 6, bytes(8)) + ethertype + packet))
         frames.append((check, 101, packet))
@@ -174,10 +183,22 @@ def test_malformed_frames_count_as_malformed():
     cases = _malformed_frames()
     for check, link_type, frame in cases:
         buf = JUNK + frame + JUNK
-        counts, seg = ingest_span(buf, (7, link_type, len(JUNK), len(JUNK) + len(frame), len(frame)))
+        start, end = len(JUNK), len(JUNK) + len(frame)
+        counts, seg = ingest_span(buf, (7, link_type, start, end, len(frame)))
         assert (check, link_type, counts, seg) == (
             check, link_type, {"frames": 1, "non_tcp_frames": 0, "malformed_frames": 1}, None
         )
+        # the frame fails the check its row names, and no other: the header reader raises that
+        # check, or passes the frame on and the frame fails that one of the tail's three checks
+        if check not in _TAIL_CHECKS:
+            with pytest.raises(MalformedHeader, match=f"^{re.escape(check)}"):
+                _ip_headers(link_type, buf, start, end)
+            continue
+        _, _, tcp_start, ip_end = _ip_headers(link_type, buf, start, end)
+        doff = buf[tcp_start + 12]
+        payload_start = tcp_start + (doff >> 4) * 4
+        failed = [doff < 0x50, payload_start > ip_end, payload_start > end]
+        assert (check, link_type, failed) == (check, link_type, [c == check for c in _TAIL_CHECKS])
     # the one-unpack branch is reached too: its frames make the tail's three checks and the short total length
     assert sum(link == 1 and len(frame) >= 54 and frame[14] == 0x45 for _, link, frame in cases) == 4
 
