@@ -134,15 +134,22 @@ def read_frames(buf: mmap.mmap, path: str | Path) -> Iterator[tuple[int, int, in
 
 
 def capture_sha256(buf: mmap.mmap) -> str:
-    """The sha256 of the mapped capture, hashed in `_CHUNK` strides whose pages are released behind."""
+    """The sha256 of the mapped capture, hashed in `_CHUNK` strides whose pages are released behind.
+
+    Each stride is a view of the map, not a copy; every view is released
+    before this returns, so the map can be closed.
+    """
     import hashlib  # not at module level: the CLI imports this module for --version and compare
 
     h = hashlib.sha256()
     released = 0
-    for off in range(0, len(buf), _CHUNK):
-        end = min(off + _CHUNK, len(buf))
-        h.update(buf[off:end])
-        released = release_behind(buf, released, end)
+    n = len(buf)
+    with memoryview(buf) as view:
+        for off in range(0, n, _CHUNK):
+            end = min(off + _CHUNK, n)
+            with view[off:end] as stride:
+                h.update(stride)
+            released = release_behind(buf, released, end)
     return h.hexdigest()
 
 

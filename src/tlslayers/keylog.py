@@ -66,6 +66,7 @@ def parse_keylog(text: str) -> KeyLogStore:
     """Parse key-log text; malformed lines are recorded and skipped."""
     store = KeyLogStore()
     malformed = unknown = 0
+    slots, fromhex, secret_lengths, insert = _SLOT, bytes.fromhex, _SECRET_LENGTHS, store.insert
     for line in text.splitlines():
         fields = line.split()
         # a blank line has no fields, and a comment's first field starts with "#"
@@ -74,20 +75,20 @@ def parse_keylog(text: str) -> KeyLogStore:
                 malformed += 1
             continue
         label, random_hex, secret_hex = fields
-        if label not in _SLOT:
+        if label not in slots:
             if not label.startswith("#"):
                 unknown += 1
             continue
         try:
-            client_random = bytes.fromhex(random_hex)
-            secret = bytes.fromhex(secret_hex)
+            client_random = fromhex(random_hex)
+            secret = fromhex(secret_hex)
         except ValueError:
             malformed += 1
             continue
-        if len(client_random) != 32 or len(secret) not in _SECRET_LENGTHS:
+        if len(client_random) != 32 or len(secret) not in secret_lengths:
             malformed += 1
             continue
-        store.insert(client_random, label, secret)
+        insert(client_random, label, secret)
     store.malformed_lines, store.unknown_labels = malformed, unknown
     if store.duplicates:
         warn(__name__, "%d duplicate keylog entries, keeping the last of each", store.duplicates)

@@ -67,10 +67,6 @@ class TrafficKeys:
         self.sequence_counter = sequence_counter
         self._iv_int = int.from_bytes(iv, "big")
 
-    def nonce(self) -> bytes:
-        """The IV XOR the counter left-padded to 12 bytes (RFC 8446 §5.3)."""
-        return (self._iv_int ^ self.sequence_counter).to_bytes(NONCE_LEN, "big")
-
 
 class _SuiteKeying(NamedTuple):
     secret_len: int
@@ -127,18 +123,17 @@ def derive_traffic_keys(secret: bytes, suite_name: str) -> TrafficKeys:
 def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> tuple[int, bytes]:
     """Open one protected record into (inner content type, plaintext).
 
-    The counter advances only on success.
+    The nonce is the IV XOR the counter left-padded to 12 bytes (RFC 8446
+    §5.3).  The counter advances only on success.
     """
     if record.content_type != CT_APPLICATION_DATA:
         raise ValueError(f"record type {record.content_type} is not protected")
+    counter = keys.sequence_counter
     try:
-        inner = keys.aead.decrypt(keys.nonce(), record.body, record.header)
+        inner = keys.aead.decrypt((keys._iv_int ^ counter).to_bytes(NONCE_LEN, "big"), record.body, record.header)
     except InvalidTag as exc:
-        raise AuthFailure(
-            f"AEAD tag mismatch at record offset {record.stream_offset} "
-            f"(counter {keys.sequence_counter})"
-        ) from exc
-    keys.sequence_counter += 1
+        raise AuthFailure(f"AEAD tag mismatch at record offset {record.stream_offset} (counter {counter})") from exc
+    keys.sequence_counter = counter + 1
 
     stripped = inner.rstrip(b"\x00")
     if not stripped:

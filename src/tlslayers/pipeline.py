@@ -76,13 +76,13 @@ from tlslayers.timeline import (
 )
 from tlslayers.tlswire import (
     CT_APPLICATION_DATA,
-    CT_CHANGE_CIPHER_SPEC,
     CT_HANDSHAKE,
     HT_CLIENT_HELLO,
     HT_FINISHED,
     HT_KEY_UPDATE,
     HT_SERVER_HELLO,
     HandshakeAccumulator,
+    first_handshake_message,
     group_name,
     parse_client_hello,
     parse_records,
@@ -129,13 +129,13 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
     client_records, _c_tail = parse_records(conn.client_to_server)
     server_records, _s_tail = parse_records(conn.server_to_client)
 
-    msg_type, message, ts = _first_handshake_message(client_records)
+    msg_type, message, ts = first_handshake_message(client_records)
     if msg_type != HT_CLIENT_HELLO:
         return "no_clienthello"
     ch = parse_client_hello(message)
     found["t_clienthello"], found["client_hello_len"] = ts, ch.total_length
 
-    msg_type, message, _ts = _first_handshake_message(server_records)
+    msg_type, message, _ts = first_handshake_message(server_records)
     if msg_type != HT_SERVER_HELLO:
         return "no_serverhello"
     sh = parse_server_hello(message)
@@ -176,9 +176,10 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
         return "no_finished" if t_finished is None else "no_request"
 
     # TTLB anchor from record metadata alone: the last server application-data byte
-    last = next((r for r in reversed(server_records) if r.content_type == CT_APPLICATION_DATA), None)
-    if last is not None:
-        found["t_response_last"] = conn.server_to_client.timestamp_at(last.end - 1)
+    for rec in reversed(server_records):
+        if rec.content_type == CT_APPLICATION_DATA:
+            found["t_response_last"] = conn.server_to_client.timestamp_at(rec.end - 1)
+            break
 
     for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
         if msg_type is None:
@@ -187,23 +188,6 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
                 found["http_status"], found["t_http_200"] = status, ts
                 return None
     return "no_response"
-
-
-def _first_handshake_message(records) -> tuple[int | None, bytes, int | None]:
-    """(msg_type, body, first-byte ts) of a direction's first handshake message.
-
-    CCS records are skipped; the search stops at the first other non-handshake
-    record.  (None, b"", None) when no complete message comes first.
-    """
-    acc = HandshakeAccumulator()
-    for rec in records:
-        if rec.content_type == CT_CHANGE_CIPHER_SPEC:
-            continue
-        if rec.content_type != CT_HANDSHAKE:
-            break
-        for msg_type, body, ts in acc.feed(rec.body, rec.timestamp_ns):
-            return msg_type, body, ts
-    return None, b"", None
 
 
 def _open_protected(records, hs_keys, ap_keys):
@@ -254,7 +238,7 @@ def summarize_run(
     ingest: dict | None = None,
     inputs: dict | None = None,
 ) -> RunResult:
-    layer_samples: dict[str, list[float]] = {layer: [] for layer in LAYERS}
+    layer_samples: list[list[float]] = [[] for _ in LAYERS]  # in LAYERS order
     e2e: list[float] = []
     ttlb: list[float] = []
     valid = 0
@@ -263,14 +247,16 @@ def summarize_run(
 
     for tl in timelines:
         deltas = layer_deltas_ns(tl)
-        for layer, delta in zip(LAYERS, deltas):
-            layer_samples[layer].append(delta / NS_PER_MS)
-        if tl.validity == VALID:
+        for samples, delta in zip(layer_samples, deltas):
+            samples.append(delta / NS_PER_MS)
+        validity = tl.validity
+        if validity == VALID:
             valid += 1
             e2e.append(sum(deltas) / NS_PER_MS)  # the integer sum is t_http_200 - t_syn
-            if tl.t_response_last is not None and tl.t_response_last >= tl.t_http_get:
-                ttlb.append((tl.t_response_last - tl.t_http_get) / NS_PER_MS)
-        elif tl.validity == PARTIAL:
+            t_response_last, t_http_get = tl.t_response_last, tl.t_http_get
+            if t_response_last is not None and t_response_last >= t_http_get:
+                ttlb.append((t_response_last - t_http_get) / NS_PER_MS)
+        elif validity == PARTIAL:
             partial[tl.reason] = partial.get(tl.reason, 0) + 1
         else:
             excluded[tl.reason] = excluded.get(tl.reason, 0) + 1
@@ -282,9 +268,7 @@ def summarize_run(
         "excluded": dict(sorted(excluded.items())),
     }
 
-    layer_stats = {
-        layer: summarize(samples) for layer, samples in layer_samples.items() if samples
-    }
+    layer_stats = {layer: summarize(samples) for layer, samples in zip(LAYERS, layer_samples) if samples}
     return RunResult(
         label=label,
         timelines=timelines,

@@ -34,8 +34,8 @@ then closes, and a capture that shrinks on disk before then ends the
 process with SIGBUS (see `capture`).  Nothing is copied in reassembly: a
 connection's segments are its bucket entries, and a `DirectionalStream`
 holds the buffer once and each piece as the integer index where its bytes
-start, so a stream's bytes are copied only when `DirectionalStream.read`
-asks for them.  `assemble_connections`, which only the benchmark's layer
+start, so a stream's bytes are copied only when `DirectionalStream.read`,
+or a record's body (`tlswire.TlsRecord.body`), asks for them.  `assemble_connections`, which only the benchmark's layer
 trace calls, joins its `DecodedPacket`s' payloads into one `bytes`, builds
 the same entries as offsets into it, and assembles every flow at once.
 

@@ -50,6 +50,7 @@ class ConnectionTimeline(NamedTuple):
 
 
 BOUNDARIES = ConnectionTimeline._fields[:6]  # in time order
+_new_timeline = tuple.__new__  # builds a timeline from one tuple, without the named tuple's Python __new__
 
 
 def starts_http_request(plaintext: bytes) -> bool:
@@ -94,16 +95,18 @@ def classify(tl: ConnectionTimeline, stop_reason: str | None = None, cut: bool =
     boundaries exist, and with a stop at least one is missing.
     """
     if stop_reason == "hrr":
-        validity, reason = EXCLUDED, "hrr"
+        verdict = EXCLUDED, "hrr"
     elif stop_reason is not None:
-        validity, reason = PARTIAL, "truncated" if cut and stop_reason != "no_keys" else stop_reason
+        verdict = PARTIAL, "truncated" if cut and stop_reason != "no_keys" else stop_reason
     elif tl.http_status != 200:
-        validity, reason = EXCLUDED, "non200"
-    elif any(getattr(tl, a) > getattr(tl, b) for a, b in zip(BOUNDARIES, BOUNDARIES[1:])):
-        validity, reason = EXCLUDED, "ordering"
+        verdict = EXCLUDED, "non200"
     else:
-        validity, reason = VALID, None
-    return tl._replace(validity=validity, reason=reason)
+        t_syn, t_synack, t_clienthello, t_client_finished, t_http_get, t_http_200 = tl[:6]
+        if t_syn <= t_synack <= t_clienthello <= t_client_finished <= t_http_get <= t_http_200:
+            verdict = VALID, None
+        else:
+            verdict = EXCLUDED, "ordering"
+    return _new_timeline(ConnectionTimeline, tl[:-2] + verdict)  # validity and reason are the last two fields
 
 
 def layer_deltas_ns(tl: ConnectionTimeline) -> list[int]:
@@ -117,8 +120,7 @@ def layer_deltas_ns(tl: ConnectionTimeline) -> list[int]:
         return []
     out = []
     a = tl.t_syn
-    for name in BOUNDARIES[1:]:
-        b = getattr(tl, name)
+    for b in tl[1:6]:  # the boundaries after SYN, in BOUNDARIES order
         if a is None or b is None or b < a:
             break
         out.append(b - a)

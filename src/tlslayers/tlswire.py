@@ -6,10 +6,18 @@ generator and give the parser a round-trip partner.
 `parse_records` reads each record header where it lies in the stream's
 one buffer and returns every record, but copies no body: a `TlsRecord`
 keeps its stream and slices its body only when asked (`TlsRecord.body`), so
-the walk copies only the records it opens.  A record's body can thus be
-read only while its stream's buffer is open: in the pipeline, the capture's
-map (`capture.map_capture`), which `pipeline.analyze_capture` closes when
-the walk ends.
+the walk copies only the records it opens.  A record that lies inside one
+piece of its stream also keeps the index in the stream's buffer where its
+body starts (`body_at`), and its body is one slice of that buffer; only a
+record that straddles pieces is joined from them by
+`DirectionalStream.read`.  A record's body can thus be read only while its
+stream's buffer is open: in the pipeline, the capture's map
+(`capture.map_capture`), which `pipeline.analyze_capture` closes when the
+walk ends.
+
+A direction's first handshake message (`first_handshake_message`) is read
+straight from its record when that record holds all of it; leading records
+are joined, by a `HandshakeAccumulator`, only when the message spans them.
 """
 
 from __future__ import annotations
@@ -142,11 +150,18 @@ class TlsRecord(NamedTuple):
     end: int  # the stream offset just past the body
     timestamp_ns: int
     stream: DirectionalStream
+    body_at: int = -1  # where the body starts in stream.buf, if the record lies in one piece; else -1
 
     @property
     def body(self) -> bytes:
-        """The record's body, sliced out of its stream when asked for."""
-        return self.stream.read(self.stream_offset + 5, self.end)
+        """The record's body, sliced out of its stream's buffer when asked for."""
+        at = self.body_at
+        if at < 0:
+            return self.stream.read(self.stream_offset + 5, self.end)
+        return self.stream.buf[at : at + self.end - self.stream_offset - 5]
+
+
+_new_record = tuple.__new__  # builds a TlsRecord from one tuple, without the named tuple's Python __new__
 
 
 def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
@@ -157,7 +172,8 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
     decides what the missing tail means for the connection.  Each record is
     stamped as `stream.timestamp_at(offset)` would stamp it.  A header is
     read where it lies in the stream's buffer (or joined by `stream.read`
-    when it straddles two pieces); a body is not read here at all.
+    when it straddles two pieces); a body is not read here at all, but a
+    record inside one piece notes where its body lies (`body_at`).
     """
     buf, offsets, times, starts = stream.buf, stream.offsets, stream.times, stream.starts
     count = len(offsets)
@@ -171,7 +187,8 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
         piece = bisect_right(offsets, off, piece + 1) - 1
         if piece < 0:
             raise GapAtOffset(f"offset {off} precedes first mapped byte")
-        if piece + 1 < count and offsets[piece + 1] < off + 5:
+        next_piece = offsets[piece + 1] if piece + 1 < count else n
+        if next_piece < off + 5:
             header = stream.read(off, off + 5)
             ctype, version, length = _RECORD_HEADER.unpack(header)
         else:
@@ -187,7 +204,9 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
         end = off + 5 + length
         if end > n:
             return records, True
-        records.append(TlsRecord(ctype, header, off, end, times[piece], stream))
+        # a record inside one piece: its header was read where it lies, at pos
+        body_at = pos + 5 if end <= next_piece else -1
+        records.append(_new_record(TlsRecord, (ctype, header, off, end, times[piece], stream, body_at)))
         off = end
     return records, stream.has_gap
 
@@ -202,6 +221,39 @@ def build_record(content_type: int, body: bytes, legacy_version: int = 0x0303) -
 
 def build_handshake_message(msg_type: int, body: bytes) -> bytes:
     return bytes([msg_type]) + len(body).to_bytes(3, "big") + body
+
+
+def _message_end(data, pos: int) -> int:
+    """The index just past the handshake message whose 4-byte header starts at data[pos]: type, u24 length."""
+    return pos + 4 + ((data[pos + 1] << 16) | (data[pos + 2] << 8) | data[pos + 3])
+
+
+def first_handshake_message(records) -> tuple[int | None, bytes, int | None]:
+    """(msg_type, body, first-byte ts) of a direction's first handshake message.
+
+    CCS records are skipped; the search stops at the first other non-handshake
+    record.  (None, b"", None) when no complete message comes first.  When the
+    first handshake record holds the whole message, the message is sliced
+    from it; only a message that spans records is joined, by a
+    `HandshakeAccumulator`.
+    """
+    acc = None
+    for rec in records:
+        content_type = rec.content_type
+        if content_type == CT_CHANGE_CIPHER_SPEC:
+            continue
+        if content_type != CT_HANDSHAKE:
+            break
+        data = rec.body
+        if acc is None:
+            if len(data) >= 4:
+                end = _message_end(data, 0)
+                if end <= len(data):
+                    return data[0], data[4:end], rec.timestamp_ns
+            acc = HandshakeAccumulator()
+        for message in acc.feed(data, rec.timestamp_ns):
+            return message
+    return None, b"", None
 
 
 class HandshakeAccumulator:
@@ -231,7 +283,7 @@ class HandshakeAccumulator:
             pos = 0
             n = len(data)
             while pos + 4 <= n:
-                end = pos + 4 + ((data[pos + 1] << 16) | (data[pos + 2] << 8) | data[pos + 3])
+                end = _message_end(data, pos)
                 if end > n:
                     break
                 out.append((data[pos], data[pos + 4 : end], ts))
@@ -242,12 +294,11 @@ class HandshakeAccumulator:
             return out
         buf += data
         while len(buf) >= 4:
-            msg_type = buf[0]
-            length = int.from_bytes(buf[1:4], "big")
-            if len(buf) < 4 + length:
+            end = _message_end(buf, 0)
+            if len(buf) < end:
                 break
-            out.append((msg_type, bytes(buf[4 : 4 + length]), self._buf_ts))
-            del buf[: 4 + length]
+            out.append((buf[0], bytes(buf[4:end]), self._buf_ts))
+            del buf[:end]
             self._buf_ts = ts
         return out
 

@@ -186,19 +186,42 @@ def test_all_padding_is_empty_inner_plaintext():
         decrypt_record(rec, keys)
 
 
+def _sealed_with(nonce: bytes, inner: bytes, key: bytes = bytes(16)):
+    """A protected record sealed under `key` with the given nonce."""
+    header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0303, len(inner) + 16)
+    wire = header + AESGCM(key).encrypt(nonce, inner, header)
+    (rec,), _ = parse_records(DirectionalStream(wire, [0], [7], [0], len(wire), False))
+    return rec
+
+
 def test_nonce_construction():
-    keys = TrafficKeys(key=bytes(16), iv=bytes.fromhex("000000000000000000000001"),
-                       aead=AESGCM(bytes(16)), sequence_counter=1)
-    assert keys.nonce() == bytes(12)  # iv XOR counter cancels
+    iv = bytes.fromhex("000000000000000000000001")
+    keys = TrafficKeys(key=bytes(16), iv=iv, aead=AESGCM(bytes(16)), sequence_counter=1)
+    assert decrypt_record(_sealed_with(bytes(12), b"one\x17"), keys) == (0x17, b"one")  # iv XOR counter cancels
     keys.sequence_counter = 0
-    assert keys.nonce() == keys.iv
+    assert decrypt_record(_sealed_with(iv, b"zero\x17"), keys) == (0x17, b"zero")
 
 
 @pytest.mark.parametrize("counter", [(1 << 32) + 5, (1 << 64) - 1])
 def test_nonce_is_iv_xor_padded_counter(counter):
     iv = random.Random(counter).randbytes(12)
     keys = TrafficKeys(key=bytes(16), iv=iv, aead=AESGCM(bytes(16)), sequence_counter=counter)
-    assert keys.nonce() == bytes(a ^ b for a, b in zip(iv, counter.to_bytes(12, "big")))
+    nonce = bytes(a ^ b for a, b in zip(iv, counter.to_bytes(12, "big")))
+    assert decrypt_record(_sealed_with(nonce, b"data\x17"), keys) == (0x17, b"data")
+    assert keys.sequence_counter == counter + 1
+
+
+@pytest.mark.parametrize("cut", [None, 3, 5, 30], ids=["one-piece", "header-straddles", "body-starts-a-piece", "body-straddles"])
+def test_a_record_opens_wherever_its_pieces_lie(cut):
+    keys = derive_traffic_keys(RFC8448_CLIENT_HS_SECRET, "AES_128_GCM_SHA256")
+    wire = _sealed_with(keys.iv, b"GET / HTTP/1.1\r\n\r\n\x17", keys.key).stream.buf
+    offsets = [0] if cut is None else [0, cut]
+    # the pieces lie apart in one buffer, behind junk bytes, as payloads lie in a capture
+    buf = b"junk" + wire[:cut] + (b"" if cut is None else b"more junk" + wire[cut:])
+    starts = [4] if cut is None else [4, 4 + cut + 9]
+    (rec,), partial = parse_records(DirectionalStream(buf, offsets, [7] * len(offsets), starts, len(wire), False))
+    assert not partial and (rec.body_at >= 0) == (cut is None)
+    assert decrypt_record(rec, keys) == (0x17, b"GET / HTTP/1.1\r\n\r\n")
 
 
 def test_captured_header_is_the_additional_data():
@@ -206,7 +229,7 @@ def test_captured_header_is_the_additional_data():
     keys = derive_traffic_keys(RFC8448_CLIENT_HS_SECRET, "AES_128_GCM_SHA256")
     inner = b"GET / HTTP/1.1\r\n\r\n\x17"
     header = struct.pack(">BHH", CT_APPLICATION_DATA, 0x0301, len(inner) + 16)
-    wire = build_record(CT_APPLICATION_DATA, AESGCM(keys.key).encrypt(keys.nonce(), inner, header), 0x0301)
+    wire = build_record(CT_APPLICATION_DATA, AESGCM(keys.key).encrypt(keys.iv, inner, header), 0x0301)  # counter 0
     (rec,), partial = parse_records(DirectionalStream(wire, [0], [7], [0], len(wire), False))
     assert not partial and rec.header == header
     assert decrypt_record(rec, keys) == (0x17, inner[:-1])

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -100,6 +101,15 @@ def test_ordering_violation_is_excluded():
     assert tl.validity == EXCLUDED
     assert tl.reason == "ordering"
     assert layer_deltas_ns(tl) == []
+
+
+@pytest.mark.parametrize("later", range(1, 6))
+def test_each_adjacent_boundary_pair_inverted_by_one_ns_is_excluded(later):
+    names = list(BOUNDS)
+    bounds = dict(BOUNDS)
+    bounds[names[later]] = bounds[names[later - 1]] - 1
+    tl = classify(ConnectionTimeline(**bounds, http_status=200))
+    assert (tl.validity, tl.reason) == (EXCLUDED, "ordering")
 
 
 def test_non200_excluded_but_tallied():

@@ -10,6 +10,7 @@ from tlslayers.errors import BadRecordHeader, GapAtOffset, MalformedHello, Overs
 from tlslayers.reassembly import DirectionalStream
 from tlslayers.tlswire import (
     CT_APPLICATION_DATA,
+    CT_CHANGE_CIPHER_SPEC,
     CT_HANDSHAKE,
     EXT_KEY_SHARE,
     GROUPS_BY_ID,
@@ -18,6 +19,7 @@ from tlslayers.tlswire import (
     HandshakeAccumulator,
     build_handshake_message,
     build_record,
+    first_handshake_message,
     group_by_name,
     group_name,
     parse_client_hello,
@@ -326,6 +328,71 @@ def test_accumulator_stamps_every_message_with_its_first_bytes_record(messages, 
     got = [msg for _, chunk, t in records for msg in acc.feed(chunk, t)]
     assert got == expected
     assert acc.pending == kept - end
+
+
+def _first_message_reference(records):
+    """The first handshake message as an accumulator fed every leading handshake record finds it."""
+    acc = HandshakeAccumulator()
+    for rec in records:
+        if rec.content_type == CT_CHANGE_CIPHER_SPEC:
+            continue
+        if rec.content_type != CT_HANDSHAKE:
+            break
+        for message in acc.feed(rec.body, rec.timestamp_ns):
+            return message
+    return None, b"", None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    messages=st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=80)), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_first_handshake_message_matches_the_accumulator(messages, data):
+    """One to three messages split into plaintext records at random, with CCS and empty records between."""
+    handshake = b"".join(build_handshake_message(t, body) for t, body in messages)
+    kept = data.draw(st.integers(0, len(handshake)), label="kept")
+    cuts = sorted(data.draw(st.lists(st.integers(0, kept), max_size=6), label="cuts"))
+    wire = b""
+    for a, b in zip([0, *cuts], [*cuts, kept]):
+        if data.draw(st.booleans(), label="ccs before"):
+            wire += build_record(CT_CHANGE_CIPHER_SPEC, b"\x01")
+        wire += build_record(CT_HANDSHAKE, handshake[a:b])  # equal cuts give an empty record
+    if data.draw(st.booleans(), label="application data after"):
+        wire += build_record(CT_APPLICATION_DATA, bytes(20))
+    # pieces cut at random, so that some records straddle them and some lie inside one
+    offsets = sorted({0, *data.draw(st.lists(st.integers(1, max(len(wire) - 1, 1)), max_size=8), label="pieces")})
+    offsets = [o for o in offsets if o < len(wire)] or [0]
+    times = [1000 + 10 * i for i in range(len(offsets))]
+    records, _ = parse_records(DirectionalStream(wire, offsets, times, offsets, len(wire), False))
+
+    got = first_handshake_message(records)
+    assert got == _first_message_reference(records)
+    if kept >= 4 + len(messages[0][1]):
+        assert got[:2] == messages[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bodies=st.lists(st.integers(0, 300), min_size=1, max_size=6), data=st.data())
+def test_record_bodies_equal_the_stream_read(bodies, data):
+    """A record inside one piece is sliced from where it lies; one across pieces is joined; both read alike."""
+    rng = random.Random(sum(bodies))
+    wire = b"".join(build_record(CT_APPLICATION_DATA, rng.randbytes(n)) for n in bodies)
+    cuts = data.draw(st.lists(st.integers(1, len(wire) - 1), max_size=10), label="cuts")
+    offsets = sorted({0, *cuts})
+    buf, starts = bytearray(), []
+    for a, b in zip(offsets, [*offsets[1:], len(wire)]):
+        buf += data.draw(st.binary(min_size=1, max_size=8), label="junk")
+        starts.append(len(buf))
+        buf += wire[a:b]
+    stream = DirectionalStream(bytes(buf), offsets, [7] * len(offsets), starts, len(wire), False)
+
+    records, partial = parse_records(stream)
+    assert not partial and len(records) == len(bodies)
+    for rec in records:
+        assert rec.body == stream.read(rec.stream_offset + 5, rec.end) == wire[rec.stream_offset + 5 : rec.end]
+        inside = not any(rec.stream_offset < o < rec.end for o in offsets)
+        assert (rec.body_at >= 0) == inside
 
 
 # -- offset hello parsers against the cursor reference ------------------------------------
