@@ -6,11 +6,19 @@ Exit codes:
   3  zero usable connections in the capture
   4  internal invariant violation
   5  incompatible documents passed to compare
+
+`analyze` runs with the cyclic garbage collector paused: a run builds no
+reference cycles, so a collection would search its many short-lived
+objects and find nothing.  The caller's collector state is restored when
+the command returns or raises.  `entrypoint` freezes the collector once
+`main` returns, so interpreter shutdown leaves the long-lived module
+objects out of its search for cycles.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -60,20 +68,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    from tlslayers import pipeline  # loads cryptography; compare and --version do not need it
+    enabled = gc.isenabled()  # the collector is paused for the command (see the module docstring)
+    gc.disable()
+    try:
+        from tlslayers import pipeline  # loads cryptography; compare and --version do not need it
 
-    if args.workers != 1:
-        print("warning: --workers is deprecated and ignored", file=sys.stderr)
-    label = args.label or Path(args.pcap).stem
-    result = pipeline.analyze_capture(args.pcap, args.keylog, label)
-    usable = sum(s.count for s in result.layer_stats.values())
-    if usable == 0:
-        raise NoUsableStreams(f"{args.pcap}: no connection produced a measurable layer")
-    doc = documents.build_analysis_document(result)
-    if args.out:
-        Path(args.out).write_text(documents.render_json(doc))
-    sys.stdout.write(documents.render(doc, args.format))
-    return EXIT_OK
+        if args.workers != 1:
+            print("warning: --workers is deprecated and ignored", file=sys.stderr)
+        label = args.label or Path(args.pcap).stem
+        result = pipeline.analyze_capture(args.pcap, args.keylog, label)
+        usable = sum(s.count for s in result.layer_stats.values())
+        if usable == 0:
+            raise NoUsableStreams(f"{args.pcap}: no connection produced a measurable layer")
+        doc = documents.build_analysis_document(result)
+        if args.out:
+            Path(args.out).write_text(documents.render_json(doc))
+        sys.stdout.write(documents.render(doc, args.format))
+        return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_doc(path: str) -> dict:
@@ -139,7 +153,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # shutdown's collections then skip every object alive now
+    sys.exit(code)
 
 
 if __name__ == "__main__":

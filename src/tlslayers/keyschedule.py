@@ -124,13 +124,15 @@ def decrypt_record(record: TlsRecord, keys: TrafficKeys) -> tuple[int, bytes]:
     """Open one protected record into (inner content type, plaintext).
 
     The nonce is the IV XOR the counter left-padded to 12 bytes (RFC 8446
-    §5.3).  The counter advances only on success.
+    §5.3), so at counter 0 it is the IV itself.  The counter advances only
+    on success.
     """
     if record.content_type != CT_APPLICATION_DATA:
         raise ValueError(f"record type {record.content_type} is not protected")
     counter = keys.sequence_counter
+    nonce = (keys._iv_int ^ counter).to_bytes(NONCE_LEN, "big") if counter else keys.iv
     try:
-        inner = keys.aead.decrypt((keys._iv_int ^ counter).to_bytes(NONCE_LEN, "big"), record.body, record.header)
+        inner = keys.aead.decrypt(nonce, record.body, record.header)
     except InvalidTag as exc:
         raise AuthFailure(f"AEAD tag mismatch at record offset {record.stream_offset} (counter {counter})") from exc
     keys.sequence_counter = counter + 1

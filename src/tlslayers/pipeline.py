@@ -28,14 +28,21 @@ walk's saving (about 0.1 s) went to pickling, forking and the pool's imports.
 
 Each connection has one walk (`_walk`).  It finds the first handshake
 message of each direction (ClientHello, ServerHello), derives the four
-traffic keys, then runs one protected-record opener (`_open_protected`)
-over each direction in turn: the client's yields the Finished and the HTTP
-request, the server's the HTTP status line.  The walk collects the
-boundaries and handshake metadata it finds in a dict and returns why it
-stopped early, if it did.  `analyze_connection` maps the walk's errors to
-stop reasons, notes whether the capture cut the connection, and builds the
-connection's one `ConnectionTimeline` from what the walk found;
-`timeline.classify` alone turns stop and cut into validity and reason.
+traffic keys, then decrypts each direction's protected records in order,
+one loop per direction: the client's up to the HTTP request after its
+Finished, the server's up to the HTTP status line.  Both loops switch
+from the handshake to the application traffic keys by one rule
+(`_keys_after`).  The walk collects the boundaries and handshake metadata
+it finds in a dict and returns why it stopped early, if it did.
+`analyze_connection` maps the walk's errors to stop reasons, notes whether
+the capture cut the connection, and builds the connection's one
+`ConnectionTimeline` from what the walk found; `timeline.classify` alone
+turns stop and cut into validity and reason.
+
+A run builds no reference cycles, so reference counting alone frees what
+it allocates (a tier-1 test and a CI step at workload scale hold this).
+The `analyze` command therefore pauses the cyclic garbage collector for
+the run (`cli._cmd_analyze`); this module leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -89,6 +96,11 @@ from tlslayers.tlswire import (
     parse_server_hello,
 )
 
+# the timeline fields the walk finds: all but the SYN and SYN-ACK times, which the connection holds, and the verdict
+_FOUND = ConnectionTimeline._fields[2:-2]
+_new_tuple = tuple.__new__  # builds a named tuple from one tuple, without the named tuple's Python __new__
+
+
 class RunResult(NamedTuple):
     """Full-precision analysis of one capture run."""
 
@@ -116,11 +128,19 @@ def analyze_connection(conn: TcpConnection, keystore: KeyLogStore | None) -> Con
     except (UnsupportedCipherSuite, LengthMismatch, AuthFailure, EmptyInnerPlaintext):
         stop = "undecryptable"
     cut = conn.truncated or conn.client_to_server.has_gap or conn.server_to_client.has_gap
-    return classify(ConnectionTimeline(conn.t_syn, conn.t_synack, **found), stop, cut)
+    # validity and reason keep their defaults here: classify sets them
+    tl = _new_tuple(ConnectionTimeline, (conn.t_syn, conn.t_synack, *map(found.get, _FOUND), PARTIAL, None))
+    return classify(tl, stop, cut)
 
 
 def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str | None:
-    """Put the boundaries and handshake metadata the walk finds in `found`; why it stopped early, or None."""
+    """Put the boundaries and handshake metadata the walk finds in `found`; why it stopped early, or None.
+
+    Each direction's protected records are decrypted in order, and decryption
+    stops once the direction's boundary is found: the client's HTTP request,
+    the server's status line.  A record that does not open raises
+    AuthFailure or EmptyInnerPlaintext.
+    """
     if conn.t_syn is None:
         return "no_syn"
     if conn.t_synack is None:
@@ -157,20 +177,28 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
         if secret is None:
             return "no_keys"
         keys.append(derive_traffic_keys(secret, sh.cipher_suite))
-    client_hs, server_hs, client_ap, server_ap = keys
+    client_keys, server_keys, client_ap, server_ap = keys
 
-    # decryption stops once each direction's boundary is found
+    # the client's records: the first Finished, then the first HTTP request after it
+    acc = HandshakeAccumulator()
     t_finished = None
-    for msg_type, data, ts in _open_protected(client_records, client_hs, client_ap):
-        if msg_type == HT_FINISHED:
-            if t_finished is None:
-                t_finished = found["t_client_finished"] = ts
-        elif msg_type == HT_KEY_UPDATE:
-            return "undecryptable"
-        elif msg_type is None and starts_http_request(data):
+    for rec in client_records:
+        if rec.content_type != CT_APPLICATION_DATA:
+            continue
+        inner_type, plaintext = decrypt_record(rec, client_keys)
+        if inner_type == CT_HANDSHAKE:
+            messages = acc.feed(plaintext, rec.timestamp_ns)
+            for msg_type, _body, ts in messages:
+                if msg_type == HT_FINISHED:
+                    if t_finished is None:
+                        t_finished = found["t_client_finished"] = ts
+                elif msg_type == HT_KEY_UPDATE:
+                    return "undecryptable"
+            client_keys = _keys_after(messages, acc, client_keys, client_ap)
+        elif inner_type == CT_APPLICATION_DATA and starts_http_request(plaintext):
             if t_finished is None:
                 return "no_finished"  # a request before the client Finished
-            t_get = found["t_http_get"] = ts
+            t_get = found["t_http_get"] = rec.timestamp_ns
             break
     else:
         return "no_finished" if t_finished is None else "no_request"
@@ -181,40 +209,34 @@ def _walk(conn: TcpConnection, keystore: KeyLogStore | None, found: dict) -> str
             found["t_response_last"] = conn.server_to_client.timestamp_at(rec.end - 1)
             break
 
-    for msg_type, data, ts in _open_protected(server_records, server_hs, server_ap):
-        if msg_type is None:
-            status = http_status(data, ts, t_get)
+    # the server's records: the first status line at or after the request
+    acc = HandshakeAccumulator()
+    for rec in server_records:
+        if rec.content_type != CT_APPLICATION_DATA:
+            continue
+        inner_type, plaintext = decrypt_record(rec, server_keys)
+        if inner_type == CT_HANDSHAKE:
+            server_keys = _keys_after(acc.feed(plaintext, rec.timestamp_ns), acc, server_keys, server_ap)
+        elif inner_type == CT_APPLICATION_DATA:
+            status = http_status(plaintext, rec.timestamp_ns, t_get)
             if status is not None:
-                found["http_status"], found["t_http_200"] = status, ts
+                found["http_status"], found["t_http_200"] = status, rec.timestamp_ns
                 return None
     return "no_response"
 
 
-def _open_protected(records, hs_keys, ap_keys):
-    """Decrypt a direction's protected records in order.
+def _keys_after(messages, acc: HandshakeAccumulator, keys, ap_keys):
+    """The keys for a direction's next record, after a handshake record that completed `messages`.
 
-    Yields (msg_type, body, first-byte ts) for each complete handshake
-    message, and (None, plaintext, ts) for each application-data record;
-    other inner types are skipped.  After the record that completes a
-    Finished message with no handshake bytes pending, the application
-    traffic keys replace the handshake keys.  A record that does not open
-    raises AuthFailure or EmptyInnerPlaintext.
+    After the record that completes a Finished message with no handshake
+    bytes pending in `acc`, the application traffic keys replace the
+    handshake keys; after any other handshake record the keys stay.
     """
-    keys = hs_keys
-    acc = HandshakeAccumulator()
-    for rec in records:
-        if rec.content_type != CT_APPLICATION_DATA:
-            continue
-        inner_type, plaintext = decrypt_record(rec, keys)
-        if inner_type == CT_HANDSHAKE:
-            finished = False
-            for msg_type, body, ts in acc.feed(plaintext, rec.timestamp_ns):
-                finished = finished or msg_type == HT_FINISHED
-                yield msg_type, body, ts
-            if finished and acc.pending == 0:
-                keys = ap_keys
-        elif inner_type == CT_APPLICATION_DATA:
-            yield None, plaintext, rec.timestamp_ns
+    if not acc.pending:
+        for message in messages:
+            if message[0] == HT_FINISHED:
+                return ap_keys
+    return keys
 
 
 def analyze_connections(

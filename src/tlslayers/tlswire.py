@@ -161,7 +161,7 @@ class TlsRecord(NamedTuple):
         return self.stream.buf[at : at + self.end - self.stream_offset - 5]
 
 
-_new_record = tuple.__new__  # builds a TlsRecord from one tuple, without the named tuple's Python __new__
+_new_tuple = tuple.__new__  # builds a named tuple from one tuple, without the named tuple's Python __new__
 
 
 def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
@@ -206,7 +206,7 @@ def parse_records(stream: DirectionalStream) -> tuple[list[TlsRecord], bool]:
             return records, True
         # a record inside one piece: its header was read where it lies, at pos
         body_at = pos + 5 if end <= next_piece else -1
-        records.append(_new_record(TlsRecord, (ctype, header, off, end, times[piece], stream, body_at)))
+        records.append(_new_tuple(TlsRecord, (ctype, header, off, end, times[piece], stream, body_at)))
         off = end
     return records, stream.has_gap
 
@@ -378,11 +378,8 @@ def parse_client_hello(msg: bytes) -> ClientHelloInfo:
                 if share > shares_end:
                     raise _overrun(share - kex_len, kex_len, shares_end)
         ext = data_end
-    return ClientHelloInfo(
-        client_random=msg[2:34],
-        total_length=4 + n,
-        key_shares=tuple(key_shares),
-    )
+    # client_random, total_length, key_shares
+    return _new_tuple(ClientHelloInfo, (msg[2:34], 4 + n, tuple(key_shares)))
 
 
 def parse_server_hello(msg: bytes) -> ServerHelloInfo:
@@ -412,12 +409,8 @@ def parse_server_hello(msg: bytes) -> ServerHelloInfo:
             if data + 2 < data_end:
                 _block(msg, data + 2, data_end)
         ext = data_end
-    return ServerHelloInfo(
-        selected_group=selected_group,
-        cipher_suite=suite.name,
-        total_length=4 + n,
-        is_hrr=msg[2:34] == HRR_RANDOM,
-    )
+    # selected_group, cipher_suite, total_length, is_hrr
+    return _new_tuple(ServerHelloInfo, (selected_group, suite.name, 4 + n, msg[2:34] == HRR_RANDOM))
 
 
 # -- builders (synthetic generator / round-trip tests) ---------------------------

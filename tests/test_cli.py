@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, degraded mode, worker determinism."""
 
+import gc
 import json
 import os
 import struct
@@ -184,16 +185,70 @@ def test_analyze_unreadable_input_exits_2(tmp_path):
     assert main(["analyze", "--pcap", str(bad)]) == 2
 
 
-def test_analyze_zero_usable_streams_exits_3(tmp_path):
-    import struct
-
-    path = tmp_path / "nontcp.pcap"
+def _non_tcp_capture(path: Path) -> Path:
+    """A pcap whose one frame is ARP: no TCP connection to measure."""
     with path.open("wb") as fh:
         fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
         arp = b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28)
         fh.write(struct.pack("<IIII", 1, 0, len(arp), len(arp)))
         fh.write(arp)
-    assert main(["analyze", "--pcap", str(path)]) == 3
+    return path
+
+
+def test_analyze_zero_usable_streams_exits_3(tmp_path):
+    assert main(["analyze", "--pcap", str(_non_tcp_capture(tmp_path / "nontcp.pcap"))]) == 3
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_analyze_pauses_the_collector_and_restores_it(fixture_dir, tmp_path, monkeypatch, code, enabled):
+    """The run itself sees the cyclic collector off; the caller gets back the state it had, whatever the exit."""
+    from tlslayers import pipeline
+
+    unreadable = tmp_path / "bad.pcap"
+    unreadable.write_bytes(bytes(64))
+    argv = {
+        0: ["--pcap", str(fixture_dir / "capture.pcap"), "--keylog", str(fixture_dir / "keylog.txt")],
+        2: ["--pcap", str(unreadable)],
+        3: ["--pcap", str(_non_tcp_capture(tmp_path / "nontcp.pcap"))],
+    }[code]
+    during = []
+    analyze_capture = pipeline.analyze_capture
+
+    def observed(*args):
+        during.append(gc.isenabled())
+        return analyze_capture(*args)
+
+    monkeypatch.setattr(pipeline, "analyze_capture", observed)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["analyze", *argv]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_the_cli_process_flushes_its_output_before_it_exits(fixture_dir, tmp_path):
+    """`entrypoint` freezes the collector before `sys.exit`; stdout and stderr still reach the caller whole."""
+    # block-buffered, as a pipe is by default: only the exit path flushes what the run wrote
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "run.json"
+    cli = [sys.executable, "-m", "tlslayers.cli", "analyze"]
+    proc = subprocess.run(
+        [*cli, "--pcap", str(fixture_dir / "capture.pcap"), "--keylog", str(fixture_dir / "keylog.txt"),
+         "--format", "json", "--out", str(out)],
+        env=env, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    unreadable = tmp_path / "bad.pcap"
+    unreadable.write_bytes(bytes(64))
+    proc = subprocess.run([*cli, "--pcap", str(unreadable)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {unreadable}: ") and proc.stderr.endswith("\n"), proc.stderr
 
 
 def test_malformed_hello_does_not_abort_the_run(tmp_path):

@@ -1,25 +1,35 @@
 """Per-connection walk edge cases built from hand-assembled streams."""
 
+import gc
 import hashlib
 import pathlib
 import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import walk_reference
 from tlslayers import capture, pipeline, synth
 from tlslayers.capture import CapturedFrame
 from tlslayers.decode import TcpFlags
-from tlslayers.errors import MalformedHello, UnknownLinkType
+from tlslayers.errors import MalformedHello, TlsLayersError, UnknownLinkType
 from tlslayers.keylog import LABELS, KeyLogStore, parse_keylog
+from tlslayers.keyschedule import decrypt_record
 from tlslayers.pipeline import analyze_capture, analyze_connection, summarize_run
 from tlslayers.reassembly import TcpConnection
 from tlslayers.timeline import layer_deltas_ns
 from tlslayers.tlswire import (
+    CT_APPLICATION_DATA,
     CT_CHANGE_CIPHER_SPEC,
     CT_HANDSHAKE,
     EXT_KEY_SHARE,
     HRR_RANDOM,
+    HT_ENCRYPTED_EXTENSIONS,
+    HT_FINISHED,
+    HT_KEY_UPDATE,
     build_handshake_message,
     build_record,
     group_by_name,
@@ -50,22 +60,29 @@ def _pkt(src, dst, ts, flags, seq, payload=b""):
     )
 
 
-def _connection(client_payloads, server_payloads):
-    """SYN at 0, SYN-ACK at 100us, data segments afterwards."""
+def _segments(client_payloads, server_payloads, client=CLIENT, t0=0):
+    """SYN at t0, SYN-ACK 100us later, data segments afterwards."""
     packets = [
-        _pkt(CLIENT, SERVER, 0, TcpFlags.SYN, 1000),
-        _pkt(SERVER, CLIENT, 100_000, TcpFlags.SYN | TcpFlags.ACK, 2000),
-        _pkt(CLIENT, SERVER, 150_000, TcpFlags.ACK, 1001),
+        _pkt(client, SERVER, t0, TcpFlags.SYN, 1000),
+        _pkt(SERVER, client, t0 + 100_000, TcpFlags.SYN | TcpFlags.ACK, 2000),
+        _pkt(client, SERVER, t0 + 150_000, TcpFlags.ACK, 1001),
     ]
     off = 0
     for i, payload in enumerate(client_payloads):
-        packets.append(_pkt(CLIENT, SERVER, 200_000 + i * 50_000, TcpFlags.ACK | TcpFlags.PSH, 1001 + off, payload))
+        ts = t0 + 200_000 + i * 50_000
+        packets.append(_pkt(client, SERVER, ts, TcpFlags.ACK | TcpFlags.PSH, 1001 + off, payload))
         off += len(payload)
     off = 0
     for i, payload in enumerate(server_payloads):
-        packets.append(_pkt(SERVER, CLIENT, 300_000 + i * 50_000, TcpFlags.ACK | TcpFlags.PSH, 2001 + off, payload))
+        ts = t0 + 300_000 + i * 50_000
+        packets.append(_pkt(SERVER, client, ts, TcpFlags.ACK | TcpFlags.PSH, 2001 + off, payload))
         off += len(payload)
-    (conn,) = assemble(packets)
+    return packets
+
+
+def _connection(client_payloads, server_payloads):
+    """SYN at 0, SYN-ACK at 100us, data segments afterwards."""
+    (conn,) = assemble(_segments(client_payloads, server_payloads))
     return conn
 
 
@@ -361,6 +378,93 @@ def test_keys_switch_after_any_finished_with_nothing_pending():
     tl = analyze_connection(conn, store)
     assert tl.validity == "valid"
     assert (tl.t_client_finished, tl.t_http_get) == (250_000, 350_000)
+
+
+_APPLICATION_DATA = (
+    b"GET / HTTP/1.1\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\n\r\n",
+    b"HTTP/1.1 503 Service Unavailable\r\n\r\n",
+    b"\x00\x01binary",
+)
+
+
+@st.composite
+def _protected_flight(draw, store, client_random, side, last):
+    """A direction's protected records: handshake messages cut into records at random, application data among them.
+
+    The messages are drawn around a Finished, which most flights have; cuts
+    may split a message's 4-byte header or leave a Finished's record with a
+    tail pending.  Application data comes after the handshake records and
+    between them, also before the Finished, and most flights end with
+    `last`, the direction's boundary record.  Each record is sealed under the
+    keys the walk must open it with: the handshake keys until a record
+    completes a Finished and leaves nothing pending, the application keys
+    after it.  One record may be sealed under the other keys instead, and a
+    change_cipher_spec record may come first.
+    """
+    other_types = st.lists(
+        st.sampled_from((HT_ENCRYPTED_EXTENSIONS, HT_FINISHED, HT_ENCRYPTED_EXTENSIONS, HT_KEY_UPDATE)), max_size=2
+    )
+    types = [*draw(other_types), *[HT_FINISHED][: draw(st.integers(0, 3)) > 0], *draw(other_types)]
+    messages = [build_handshake_message(t, draw(st.binary(max_size=40))) for t in types]
+    handshake = b"".join(messages)
+    ends = [sum(map(len, messages[: i + 1])) for i in range(len(messages))]
+    finished_ends = [end for end, t in zip(ends, types) if t == HT_FINISHED]
+    cuts = sorted(draw(st.sets(st.integers(1, len(handshake) - 1), max_size=6))) if len(handshake) > 1 else []
+    bounds = [0, *cuts, len(handshake)] if handshake else [0]
+    items = [(CT_HANDSHAKE, a, b) for a, b in zip(bounds, bounds[1:])]
+    application_data = st.lists(st.sampled_from(_APPLICATION_DATA), max_size=2)
+    for content in draw(application_data):
+        items.insert(draw(st.integers(0, len(items))), (CT_APPLICATION_DATA, content))
+    items += [(CT_APPLICATION_DATA, content) for content in draw(application_data)]
+    if draw(st.integers(0, 3)):
+        items.append((CT_APPLICATION_DATA, last))
+    # about one flight in four has a record sealed under the wrong keys
+    wrong = draw(st.integers(0, len(items) - 1)) if items and draw(st.booleans()) and draw(st.booleans()) else None
+
+    labels = (f"{side}_HANDSHAKE_TRAFFIC_SECRET", f"{side}_TRAFFIC_SECRET_0")
+    epoch, counters, records = 0, [0, 0], []
+    for i, (inner_type, *item) in enumerate(items):
+        keys = 1 - epoch if i == wrong else epoch
+        content = handshake[item[0] : item[1]] if inner_type == CT_HANDSHAKE else item[0]
+        records.append(_seal(store, client_random, labels[keys], counters[keys], inner_type, content))
+        counters[keys] += 1
+        if inner_type == CT_HANDSHAKE and item[1] in ends and any(item[0] < end <= item[1] for end in finished_ends):
+            epoch = 1
+    if draw(st.booleans()):
+        records.insert(0, build_record(CT_CHANGE_CIPHER_SPEC, b"\x01"))
+    return records
+
+
+def _walk_outcome(module, walk, conn, store):
+    """(stop reason or the error raised, what the walk found, how many records it decrypted)."""
+    decrypted = []
+
+    def counted(rec, keys):
+        decrypted.append(rec.stream_offset)
+        return decrypt_record(rec, keys)
+
+    found: dict = {}
+    with mock.patch.object(module, "decrypt_record", counted):
+        try:
+            stop = walk(conn, store, found)
+        except TlsLayersError as exc:
+            stop = type(exc)
+    return stop, found, len(decrypted)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_walk_opens_records_as_the_reference_walk_does(data):
+    """The walk stops for the reason, finds the boundaries and decrypts the records the generator-driven walk did."""
+    client_random = b"\x11" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    client = data.draw(_protected_flight(store, client_random, "CLIENT", b"GET / HTTP/1.1\r\n\r\n"), label="client")
+    server = data.draw(_protected_flight(store, client_random, "SERVER", b"HTTP/1.1 200 OK\r\n\r\n"), label="server")
+    conn = _connection([ch, *client], [sh, *server])
+    got = _walk_outcome(pipeline, pipeline._walk, conn, store)
+    assert got == _walk_outcome(walk_reference, walk_reference.reference_walk, conn, store)
 
 
 def test_malformed_client_hello_is_partial():
@@ -670,3 +774,74 @@ def test_flow_at_a_time_matches_assemble_sort_walk_on_hard_cases():
     }
 
     assert analyze_frames(frames, keylog_text, "hard").timelines == expected
+
+
+# -- reference cycles: the analyze command pauses the cyclic collector for the run --------
+
+
+def _every_walk_path():
+    """Frames and key log of one capture: a connection on each walk path, a malformed frame, rejected key-log lines."""
+    kinds = ("valid", "truncate", "drop_keylog", "non200", "corrupted_retransmit", "malformed_hello")
+    spec = synth.ScenarioSpec(connections=tuple(
+        clean_connection_spec(offset_ns=i * 1_000_000_000, seed=i + 1, anomalies=frozenset({kind}) & synth.ANOMALIES)
+        for i, kind in enumerate(kinds)
+    ))
+    packets, keylog_text = _decoded(spec)
+    port = dict(zip(kinds, range(10000, 10000 + len(kinds))))
+    ours = [p for p in packets if port["corrupted_retransmit"] in (p.src_port, p.dst_port)]
+    packets = [p for p in packets if p not in ours] + _resend_request_corrupted(-1)(ours)
+    # the malformed_hello connection's ClientHello claims a 10-byte message: too short to parse
+    packets = [
+        p._replace(payload=p.payload[:6] + (10).to_bytes(3, "big") + p.payload[9:])
+        if p.src_port == port["malformed_hello"] and p.payload.startswith(b"\x16\x03\x01") else p
+        for p in packets
+    ]
+
+    client_random = b"\x12" * 32
+    store = _store_for(client_random)
+    ch, sh = _hellos(client_random)
+    fin = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0,
+                CT_HANDSHAKE, build_handshake_message(HT_FINISHED, bytes(32)))
+    key_update = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0,
+                       CT_HANDSHAKE, build_handshake_message(HT_KEY_UPDATE, b"\x00"))
+    packets += _segments([ch, fin, key_update], [sh], client=(CLIENT[0], 41000), t0=10_000_000_000)
+    hrr = build_record(CT_HANDSHAKE, render_server_hello(HRR_RANDOM, 0x1301, (0x001D, b"")))
+    packets += _segments([ch], [hrr], client=(CLIENT[0], 41001), t0=11_000_000_000)
+    keylog_text += "".join(f"{label} {client_random.hex()} {store.get(client_random, label).hex()}\n"
+                           for label in LABELS)
+    keylog_text += "not a key log line\nUNKNOWN_LABEL " + "00" * 32 + " " + "00" * 32 + "\n"
+    keylog_text += keylog_text.splitlines(keepends=True)[0]  # a duplicate entry, which warns
+
+    frames = segment_frames(packets)
+    bad_ihl = frames[0]._replace(data=frames[0].data[:14] + b"\x42" + frames[0].data[15:])
+    return [*frames, bad_ihl], keylog_text
+
+
+def test_a_run_builds_no_reference_cycles():
+    """With the collector off, a run over every walk path leaves nothing for `gc.collect` to find.
+
+    So pausing the collector for `analyze` (`cli._cmd_analyze`) holds no
+    garbage until the process exits.  A first run loads what a run loads
+    lazily (`logging`, for the warnings), which is not the run's garbage.
+    """
+    frames, keylog_text = _every_walk_path()
+    result = analyze_frames(frames, keylog_text, "paths")
+    assert result.counts == {
+        "total_streams": 8,
+        "valid": 1,
+        "partial": {"malformed_hello": 1, "no_keys": 1, "truncated": 1, "undecryptable": 2},
+        "excluded": {"hrr": 1, "non200": 1},
+    }
+    assert result.ingest["malformed_frames"] == 1
+    del result
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = analyze_frames(frames, keylog_text, "paths")
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert result.counts["total_streams"] == 8
+    assert found == 0
