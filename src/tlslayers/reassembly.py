@@ -37,7 +37,8 @@ holds the buffer once and each piece as the integer index where its bytes
 start, so a stream's bytes are copied only when `DirectionalStream.read`,
 or a record's body (`tlswire.TlsRecord.body`), asks for them.  `assemble_connections`, which only the benchmark's layer
 trace calls, joins its `DecodedPacket`s' payloads into one `bytes`, builds
-the same entries as offsets into it, and assembles every flow at once.
+the same entries as offsets into it, bucketed by the ingest loop's own rule
+(`decode.flow_bucket`), and assembles every flow at once.
 
 Reassembly reports bytes, times and anomalies, never a verdict: an anomaly
 does not change a connection's validity by itself.  The TLS walk decides
@@ -54,7 +55,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterable
 
-from tlslayers.decode import DecodedPacket, TcpFlags
+from tlslayers.decode import DecodedPacket, TcpFlags, flow_bucket
 from tlslayers.errors import GapAtOffset
 
 _SEQ_MOD = 1 << 32
@@ -188,9 +189,8 @@ def assemble_connections(packets: Iterable[DecodedPacket]) -> list[TcpConnection
     for ts, src_ip, dst_ip, src_port, dst_port, flags, seq, payload, truncated in packets:
         start, end = end, end + len(payload)
         payloads.append(payload)
-        from_lower = src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port)
-        key = (src_ip, src_port, dst_ip, dst_port) if from_lower else (dst_ip, dst_port, src_ip, src_port)
-        groups.setdefault(key, []).append((ts, from_lower, flags, seq, start, end, truncated))
+        bucket, from_lower = flow_bucket(groups, src_ip + dst_ip + (src_port << 16 | dst_port).to_bytes(4, "big"))
+        bucket.append((ts, from_lower, flags, seq, start, end, truncated))
     buf = b"".join(payloads)
     return [conn for key in sorted(groups) for conn in assemble_flow(key, groups[key], buf)]
 

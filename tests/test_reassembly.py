@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlslayers.decode import TcpFlags
+from tlslayers.decode import TcpFlags, ingest_frames
 from tlslayers.errors import GapAtOffset
 from tlslayers.pipeline import analyze_connection
+from tlslayers.reassembly import assemble_flow
 
-from conftest import Segment, assemble
+from conftest import Segment, assemble, lay_out, segment_frames
 
 CLIENT = (bytes([10, 0, 0, 1]), 40000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
@@ -92,6 +93,26 @@ def test_a_flow_from_an_endpoint_to_itself_is_all_client():
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
     assert (_bytes(conn.client_to_server), len(conn.server_to_client)) == (b"hello", 0)
     assert (conn.fin_c, conn.fin_s, conn.anomalies) == (True, False, set())
+
+
+def test_a_socket_connected_to_itself_is_one_bucket_from_the_lower_end():
+    # a looped four-tuple as ingest buckets it: one flow, every frame from the lower endpoint,
+    # and assembled from that bucket, its SYN-ACK is the server's
+    packets = [
+        pkt(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
+        pkt(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
+        pkt(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
+    ]
+    buf, spans = lay_out(segment_frames(packets))
+    groups, counts = ingest_frames(buf, spans)
+    assert counts == {"frames": 3, "non_tcp_frames": 0, "malformed_frames": 0}
+    ((key, group),) = groups.items()
+    assert key == (*CLIENT, *CLIENT)
+    assert [from_lower for _, from_lower, *_ in group] == [True] * 3
+    (conn,) = assemble_flow(key, group, buf)
+    assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
+    # no anomaly: in particular no synack_from_client
+    assert (_bytes(conn.client_to_server), len(conn.server_to_client), conn.anomalies) == (b"hello", 0, set())
 
 
 def test_prescribed_handshake_spacing_is_exact():
