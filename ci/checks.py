@@ -45,6 +45,8 @@ PINS = {
 }
 RUNS = {"lossy": (1,), "handshake": (1,), "handshake-w2": (0,), "bulk": (0, 1)}  # the --trace of each run.py run
 RSS_BOUND_MIB = 24  # how much more the CLI's peak RSS may be on bulk than on bulk's first connection alone
+REVERSED_BODY = 196_000  # the response body of the reversed check's connection: about 200k server bytes
+REVERSED_BOUND = 2  # how many times the in-order capture's CLI CPU time the reversed one's may take
 SCENARIO = {"connections": [  # the package check's: two valid connections, one excluded(non200), one partial(truncated)
     {"boundary_times_ns": [0, 360000, 654000, 6201000, 6727000, 15798000], "segmentation_seed": 1},
     {"boundary_times_ns": [1000000000, 1000390000, 1002256000, 1008135000, 1009126000, 1018006000],
@@ -200,13 +202,18 @@ def encodings() -> None:
            ("pcap-ns document_sha256", document, PINS["lossy"]["document"]))
 
 
-def cli_peak_rss_mib(path: str) -> float:
-    """The CLI's peak RSS analysing {path}.pcap with {path}-keylog.txt, read with wait4."""
-    cli = ANALYZE + ["--pcap", f"{path}.pcap", "--keylog", f"{path}-keylog.txt"]
+def cli_usage(path: str, *args: str):
+    """The CLI's resource usage analysing {path}.pcap with {path}-keylog.txt and `args`, read with wait4."""
+    cli = ANALYZE + ["--pcap", f"{path}.pcap", "--keylog", f"{path}-keylog.txt", *args]
     _, status, usage = os.wait4(subprocess.Popen(cli, env=SRC_ENV, stdout=subprocess.DEVNULL).pid, 0)
     if status:
         raise Failed(f"analyze {path} exited with status {status}")
-    return usage.ru_maxrss / 1024  # KiB on Linux
+    return usage
+
+
+def cli_peak_rss_mib(path: str) -> float:
+    """The CLI's peak RSS analysing {path}.pcap with {path}-keylog.txt."""
+    return cli_usage(path).ru_maxrss / 1024  # KiB on Linux
 
 
 def rss() -> None:
@@ -230,6 +237,45 @@ def rss() -> None:
     print(f"  CLI peak RSS of bulk above one connection: {whole - one:.1f} MiB, want < {RSS_BOUND_MIB}")
     if not whole - one < RSS_BOUND_MIB:
         raise Failed(f"CLI peak RSS of bulk above one connection: {whole - one:.1f} MiB, want < {RSS_BOUND_MIB}")
+
+
+def reversed_segments() -> None:
+    """Reassembly costs time in proportion to a capture's size whatever order its segments arrive in. One
+    connection with a REVERSED_BODY-byte response has its server's bytes resent as 1-byte segments after the
+    client's last frame, at rising times: in one capture in stream order, in the other from the last byte back to
+    the first, so that each segment lands before every byte placed so far. The CLI's CPU time on the reversed
+    capture (min of 2) may be at most REVERSED_BOUND times its time on the in-order one.
+    """
+    from tlslayers import synth
+    from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame
+    frames, keylog = synth.generate(synth.ScenarioSpec(connections=(synth.ConnectionSpec(
+        boundary_times=tuple(SCENARIO["connections"][0]["boundary_times_ns"]), response_body_bytes=REVERSED_BODY),)))[:2]
+    kept, ones = [], []  # every other frame; the server's stream as 1-byte frames, in stream order
+    for f in frames:
+        # synth's frames are Ethernet, IPv4 and TCP with no options: ports at 34 and 36, seq at 38, payload from 54
+        d = f.data
+        if d[34:36] != (443).to_bytes(2, "big") or len(d) == 54:
+            kept.append(f)
+            continue
+        src, dst = (d[6:12], d[26:30], 443), (d[0:6], d[30:34], int.from_bytes(d[36:38], "big"))
+        seq, ack = int.from_bytes(d[38:42], "big"), int.from_bytes(d[42:46], "big")
+        ones += [synth._tcp_frame(src, dst, 0, seq + i, ack, d[47], bytes([b])) for i, b in enumerate(d[54:])]
+    after = max(f.timestamp_ns for f in frames)
+    cpu, valid = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, order in (("in-order", ones), ("reversed", ones[::-1])):
+            synth.emit_capture(kept + [CapturedFrame(after + 1 + i, LINKTYPE_ETHERNET, d, len(d))
+                                       for i, d in enumerate(order)], f"{tmp}/{name}.pcap")
+            Path(f"{tmp}/{name}-keylog.txt").write_text(keylog)
+        for name in ("in-order", "reversed") * 2:
+            usage = cli_usage(f"{tmp}/{name}", "--out", f"{tmp}/{name}.json")
+            cpu[name] = min(cpu.get(name, float("inf")), usage.ru_utime + usage.ru_stime)
+            valid[name] = json.loads(Path(f"{tmp}/{name}.json").read_text())["counts"]["valid"]
+    ratio = cpu["reversed"] / cpu["in-order"]
+    print(f"  {len(ones)} 1-byte segments; CLI CPU time (s): in order {cpu['in-order']:.2f}, "
+          f"reversed {cpu['reversed']:.2f}")
+    expect(("valid connections", valid, {"in-order": 1, "reversed": 1}),
+           (f"reversed CPU time {ratio:.1f}x in order's, at most {REVERSED_BOUND}x", ratio <= REVERSED_BOUND, True))
 
 
 def package() -> None:
@@ -278,7 +324,7 @@ def package() -> None:
 
 
 CHECKS = {"adapters": adapters, **{name: partial(bench, name) for name in RUNS}, "encodings": encodings, "rss": rss,
-          "package": package}
+          "reversed": reversed_segments, "package": package}
 
 
 def main(names: list[str]) -> int:

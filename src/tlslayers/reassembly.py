@@ -11,15 +11,21 @@ ordering.
 
 A direction whose segments arrive in order, each starting where the one
 before it ended, takes its segments as the stream's pieces as they are,
-with no sort and no search.  Any other direction places its segments in
-arrival order against a sorted list of disjoint covered intervals,
-following the segment-placement rules of RFC 9293 §3.10.7: the uncovered
-sub-ranges of a segment become new pieces, and the sub-ranges already
-covered are compared with the stored bytes, a difference being recorded as
-``overlap_mismatch``.  Only the contiguous prefix from offset 0 is the
-stream.  Memory is therefore proportional to the captured payload bytes,
-never to the sequence offsets a segment claims.  `assemble_flow` assembles
-one four-tuple at a time; the pipeline's walk calls it flow by flow.
+with no sort and no search.  Any other direction applies the first-arrival
+rule as it is stated: its segments are ranked by arrival time, then offset,
+then file order; the offsets are cut at every segment edge into spans; and
+each span belongs to the first segment in rank order that covers it.  As
+in RFC 9293 §3.10.7, where the bytes of a segment already received are
+trimmed away, a later segment adds nothing where it repeats an owned span:
+its bytes there are compared with the owner's, a difference being recorded
+as ``overlap_mismatch``.  A one-byte segment that ends at the largest end
+ranked before it is a keep-alive or zero-window probe and is skipped.  Only
+the contiguous prefix from offset 0 is the stream, each run of spans with
+one owner a piece.  That costs O(n log n) in the n segments plus the
+captured bytes, whatever order the segments arrive in, and memory in
+proportion to the segments, never to the sequence offsets they claim.
+`assemble_flow` assembles one four-tuple at a time; the pipeline's walk
+calls it flow by flow.
 
 A flow's bucket is keyed by its canonical four-tuple `(ip_lo, port_lo,
 ip_hi, port_hi)`, the lower `(ip, port)` endpoint first, and holds one
@@ -51,7 +57,7 @@ the benchmark trace's `reassembly.anomalies` count.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable
 
@@ -64,9 +70,11 @@ _SYN = int(TcpFlags.SYN)
 _ACK = int(TcpFlags.ACK)
 _RST = int(TcpFlags.RST)
 _FIN = int(TcpFlags.FIN)
-_first = itemgetter(0)  # a bucket entry's timestamp; a stream piece's start offset
+_first = itemgetter(0)  # a bucket entry's timestamp
 _start = itemgetter(4)  # a bucket entry's payload start
-_ts_rel = itemgetter(3, 0)  # a placed segment's (ts, rel_offset)
+_rank = itemgetter(0, 1)  # a placed segment's (ts, rel): its rank, ties in file order
+_rel = itemgetter(1)  # a placed segment's first offset
+_end = itemgetter(2)  # a placed segment's end offset
 
 
 class DirectionalStream:
@@ -286,8 +294,8 @@ def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str], buf) 
 
     base = (isn + 1) % _SEQ_MOD
     # In order: each segment starts where the one before it ended, the first at offset 0.
-    # The segments' times do not decrease, so the (ts, rel) sort below would leave them as
-    # they are and each would be appended as a piece of its own: the segments are the pieces.
+    # The segments' times do not decrease, so the rank sort below would leave them as they
+    # are and each would own the one span of its own range: the segments are the pieces.
     offsets: list[int] = []
     rel = 0
     for _, _, _, seq, lo, hi, _ in segs:
@@ -299,67 +307,46 @@ def _build_stream(segs: list[tuple], isn: int | None, anomalies: set[str], buf) 
         if offsets[-1] < _FORWARD_WINDOW:  # the placement below drops a segment starting past it
             return DirectionalStream(buf, offsets, list(map(_first, segs)), list(map(_start, segs)), rel, False)
 
-    placed: list[tuple] = []  # (rel_offset, lo, hi, ts): the payload is buf[lo:hi]
+    # Placed segments (ts, rel, end, shift), the byte at offset x being buf[x + shift], in rank
+    # order: arrival time, then offset, then file order (the sort is stable).
+    placed: list[tuple] = []
     for ts, _, _, seq, lo, hi, _ in segs:
         rel = (seq - base) % _SEQ_MOD
-        if rel >= _FORWARD_WINDOW:
-            continue  # keep-alive style probe at ISN or stale sequence
-        placed.append((rel, lo, hi, ts))
-    if not placed:
-        return EMPTY_STREAM
+        if rel < _FORWARD_WINDOW:  # past it: a keep-alive style probe at ISN or a stale sequence
+            placed.append((ts, rel, rel + hi - lo, lo - rel))
+    placed.sort(key=_rank)
 
-    # Disjoint covered pieces sorted by offset: (start, end, lo, ts), the piece's bytes
-    # starting at buf[lo], where ts is the arrival time of the segment that first carried them.
-    pieces: list[tuple] = []
-    placed.sort(key=_ts_rel)
-    end_seen = 0  # the end of the last piece
-    for rel, lo, hi, ts in placed:
-        end = rel + hi - lo
-        if rel >= end_seen:
-            # in order or past a hole: overlaps no piece
-            pieces.append((rel, end, lo, ts))
-            end_seen = end
-            continue
-        i = bisect_right(pieces, rel, key=_first) - 1
-        if i < 0 or pieces[i][1] <= rel:
-            i += 1
-        elif end == rel + 1 == end_seen:
+    # The offsets cut at 0 and at every segment edge: each span between two edges lies wholly
+    # inside or wholly outside each segment.  A span belongs to the first segment in rank order
+    # that covers it; a later one must repeat its bytes.  The last edge starts no span, and its
+    # owner stays None.
+    edges = sorted({0, *map(_rel, placed), *map(_end, placed)})
+    owners: list[tuple | None] = [None] * len(edges)
+    end_seen = 0  # the largest end so far, in rank order
+    for seg in placed:
+        _, rel, end, shift = seg
+        if end == rel + 1 == end_seen:
             continue  # zero-window probe / keep-alive: one stale byte at the stream edge
-        end_seen = max(end_seen, end)
-
-        # Walk the pieces overlapping [rel, end): the gaps between them become
-        # new pieces, the covered sub-ranges must repeat the stored bytes.
-        run: list[tuple] = []
-        pos = rel
-        j = i
-        while j < len(pieces) and pieces[j][0] < end:
-            piece = pieces[j]
-            p_start, p_end, p_lo, _ = piece
-            if pos < p_start:
-                run.append((pos, p_start, lo + pos - rel, ts))
-                pos = p_start
-            stop = min(end, p_end)
-            if buf[p_lo + pos - p_start : p_lo + stop - p_start] != buf[lo + pos - rel : lo + stop - rel]:
+        if end > end_seen:
+            end_seen = end
+        i = bisect_left(edges, rel)
+        while edges[i] < end:
+            owner = owners[i]
+            if owner is None:
+                owners[i] = seg
+            elif buf[edges[i] + owner[3] : edges[i + 1] + owner[3]] != buf[edges[i] + shift : edges[i + 1] + shift]:
                 anomalies.add("overlap_mismatch")
-            run.append(piece)
-            pos = stop
-            j += 1
-        if pos < end:
-            run.append((pos, end, lo + pos - rel, ts))
-        pieces[i:j] = run
+            i += 1
 
-    # The stream is the contiguous prefix from offset 0.
-    k = 0
-    prefix = 0
-    while k < len(pieces) and pieces[k][0] == prefix:
-        prefix = pieces[k][1]
+    # The stream is the contiguous prefix from offset 0: each run of spans with one owner is a
+    # piece, and the first unowned span ends it.
+    offsets, times, starts = [], [], []
+    last, k = None, 0
+    while (owner := owners[k]) is not None:
+        if owner is not last:
+            last = owner
+            offsets.append(edges[k])
+            times.append(owner[0])
+            starts.append(edges[k] + owner[3])
         k += 1
-    prefix_pieces = pieces[:k]
-    return DirectionalStream(
-        buf,
-        [p[0] for p in prefix_pieces],
-        [p[3] for p in prefix_pieces],
-        [p[2] for p in prefix_pieces],
-        prefix,
-        k < len(pieces),
-    )
+    return DirectionalStream(buf, offsets, times, starts, edges[k], any(owners[k:]))

@@ -1,6 +1,8 @@
 """TCP reassembly: orientation, first-arrival semantics, gaps, incarnations."""
 
+import gc
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -138,6 +140,17 @@ def test_retransmission_keeps_first_arrival():
     (conn,) = assemble(packets)
     assert conn.client_to_server.timestamp_at(0) == 500_000
     assert not conn.anomalies
+
+
+def test_equal_times_rank_by_offset_then_file_order():
+    packets = handshake(isn_c=100)
+    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 103, b"XY"))  # offset 2, first in the file
+    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))  # offset 0: ranks first
+    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abZZ"))  # offset 0, later in the file
+    (conn,) = assemble(packets)
+    stream = conn.client_to_server
+    assert (_bytes(stream), stream.offsets) == (b"abcd", [0])
+    assert conn.anomalies == {"overlap_mismatch"}
 
 
 def test_out_of_order_segments_permutation_insensitive():
@@ -313,6 +326,35 @@ def test_far_ahead_stray_segment_costs_captured_bytes_only():
     assert peak < 1 << 20
 
 
+def test_reversed_segments_cost_time_in_proportion_to_their_count():
+    # 1-byte segments from the last offset back to the first, at rising times: each one lands
+    # before everything placed so far.  16 times the segments may cost at most 40 times the CPU
+    # time (n log n predicts about 21).
+    def cpu_time(n):
+        packets = handshake(isn_c=100)
+        packets += [pkt(CLIENT, SERVER, 1_000_000 + i, TcpFlags.ACK, 101 + off, bytes([off & 0xFF]))
+                    for i, off in enumerate(reversed(range(n)))]
+        buf, spans = lay_out(segment_frames(packets))
+        ((key, group),) = ingest_frames(buf, spans)[0].items()
+        best = float("inf")
+        gc.disable()  # as analyze runs it (cli._cmd_analyze)
+        try:
+            for _ in range(3):
+                entries = list(group)  # assemble_flow sorts its bucket in place
+                start = time.process_time()
+                (conn,) = assemble_flow(key, entries, buf)
+                best = min(best, time.process_time() - start)
+        finally:
+            gc.enable()
+        stream = conn.client_to_server
+        assert (len(stream), stream.has_gap, stream.read(0, 512)) == (n, False, bytes(range(256)) * 2)
+        return best
+
+    n = 5_000
+    small, large = cpu_time(n), cpu_time(16 * n)
+    assert large / small <= 40, f"{16 * n} segments took {large:.3f} s, {n} took {small:.3f} s"
+
+
 # -- differential check against a per-byte model -------------------------------
 
 _SEQ_MOD = 1 << 32
@@ -391,22 +433,31 @@ def segment_sets(draw):
 
 @st.composite
 def tilings(draw):
-    """Segments that tile one byte string in order, each starting where the one before
-    it ended, at times that never decrease and often repeat; segments may be one byte
-    long, and one ISN puts the 2^32 wrap inside the tiling.  Then, in most draws, one
-    segment that breaks the order: a retransmitted tile, a segment starting before the
-    previous end, or a tile's copy that arrived before every tile.
+    """Segments that tile one byte string, arriving in order, from the last tile back to the
+    first, or odd tiles then even ones, at times that never decrease and often repeat; segments
+    may be one byte long, and one ISN puts the 2^32 wrap inside the tiling.  Then, in most
+    draws, one segment that breaks the tiling: a retransmitted tile, a segment from inside the
+    string to past its end, or a tile's copy that arrived before every tile.
     Returns (isn, [(seq, payload, ts)]) in capture order."""
     content = draw(st.binary(min_size=1, max_size=40))
     wrap_at = draw(st.integers(0, len(content)))  # the offset whose sequence number is 0
     isn = draw(st.sampled_from([100, _SEQ_MOD - 1 - wrap_at]))
-    tiles = []  # (rel, payload, ts)
-    rel, ts = 0, _T0
+    cuts = []  # (rel, payload)
+    rel = 0
     while rel < len(content):
         end = min(rel + draw(st.integers(1, 6)), len(content))
-        ts += draw(st.integers(0, 2))
-        tiles.append((rel, content[rel:end], ts))
+        cuts.append((rel, content[rel:end]))
         rel = end
+    order = draw(st.sampled_from(["in order", "reversed", "odd then even"]))
+    if order == "reversed":
+        cuts.reverse()
+    elif order == "odd then even":
+        cuts = cuts[1::2] + cuts[::2]
+    tiles = []  # (rel, payload, ts)
+    ts = _T0
+    for rel, payload in cuts:
+        ts += draw(st.integers(0, 2))
+        tiles.append((rel, payload, ts))
     kind = draw(st.sampled_from(["none", "retransmit", "overlap", "early"]))
     if kind == "retransmit":
         rel, payload, _ = draw(st.sampled_from(tiles))
