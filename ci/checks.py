@@ -9,7 +9,6 @@ import gc
 import json
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -18,7 +17,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 from workloads import FAMILIES, WORKLOADS, build_spec, sha256_file  # noqa: E402
 
 SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -130,51 +129,32 @@ def encodings() -> None:
     options and IPv6 encodings; the mixed pcapng alternates each flow's frames between an Ethernet and a Linux SLL
     interface, so a flow's frames take both the one-unpack branch and the header reader and must share one bucket.
     analyze pauses the cyclic collector (cli._cmd_analyze), which holds only while a run builds no reference cycles:
-    with the collector off, a collection after analyze_capture on the pcap-ns file must find nothing.
+    with the collector off, a collection after analyze_capture on the pcap-ns file must find nothing. Every
+    encoding is built by tests/wire.py, as the tests build theirs.
     """
+    import wire
     from tlslayers import synth
-    from tlslayers.capture import _block as block
     from tlslayers.pipeline import analyze_capture
     frames, keylog = generate("lossy")
-    # SLL: packet type, ARPHRD_ETHER, address length 6, the source MAC padded to 8, then the ethertype
-    sll = [f._replace(link_type=113, data=struct.pack(">HHH8s", 0, 1, 6, f.data[6:12] + bytes(2)) + f.data[12:],
-                      orig_len=f.orig_len + 2) for f in frames]
-
-    def options(d, cut):  # 4 bytes of NOP options (IHL 6, total length 4 longer), then a trailer a snap cut lost
-        total_len = struct.pack(">H", struct.unpack_from(">H", d, 16)[0] + 4)
-        return d[:14] + b"\x46" + d[15:16] + total_len + d[18:34] + b"\x01" * 4 + d[34:] + bytes(0 if cut else 6)
-
-    def ipv6(d):  # next header TCP, the addresses repeated to 16 bytes, no Ethernet; a snap-cut frame stays cut
-        ihl, total_len = (d[14] & 0x0F) * 4, struct.unpack_from(">H", d, 16)[0]
-        return struct.pack(">IHBB", 6 << 28, total_len - ihl, 6, 64) + d[26:30] * 4 + d[30:34] * 4 + d[14 + ihl:]
-
+    sll = [wire.reencoded(f, 113) for f in frames]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / "lossy-keylog.txt").write_text(keylog)
         for fmt in ("pcap-ns", "pcapng"):
             synth.emit_capture(frames, out / f"lossy.{fmt}", fmt)
-        for name, link_type, relinked in (
-            ("sll", 113, sll),
-            ("opts", 1, [f._replace(data=options(f.data, f.orig_len > len(f.data)), orig_len=f.orig_len + 10)
-                         for f in frames]),
-            ("ipv6", 101, [f._replace(link_type=101, data=ipv6(f.data), orig_len=f.orig_len + 6) for f in frames]),
-        ):
-            synth.emit_capture(relinked, out / f"lossy.{name}", "pcap-ns")
-            raw = bytearray((out / f"lossy.{name}").read_bytes())
-            struct.pack_into("<I", raw, 20, link_type)  # the pcap header's link type
-            (out / f"lossy.{name}").write_bytes(raw)
+        # Linux SLL; 4 bytes of IPv4 options and an Ethernet trailer (which a snap-cut frame lost); IPv6 over raw IP
+        wire.emit_pcap(sll, out / "lossy.sll")
+        wire.emit_pcap([wire.with_ipv4_options(wire.with_trailer(f)) for f in frames], out / "lossy.opts")
+        wire.emit_pcap([wire.reencoded(f, 101, ipv6=True) for f in frames], out / "lossy.ipv6")
         # a section, then an Ethernet and a Linux SLL interface (if_tsresol 9, nanoseconds)
-        tsresol = struct.pack("<HH", 9, 1) + bytes([9, 0, 0, 0]) + struct.pack("<HH", 0, 0)
-        blocks = [block(0x0A0D0D0A, struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1))]
-        blocks += [block(1, struct.pack("<HHI", link_type, 0, 262144) + tsresol) for link_type in (1, 113)]
+        blocks = [wire.shb("<")] + [wire.idb("<", link_type, wire.tsresol("<", 9)) for link_type in (1, 113)]
         last, on_sll = {}, 0  # each flow's interface for its last frame; the frames on the SLL one
         for f, s in zip(frames, sll):
             flow = frozenset((f.data[26:30] + f.data[34:36], f.data[30:34] + f.data[36:38]))
             iface = last[flow] = 1 - last.get(flow, 1)
             on_sll += iface
             g = s if iface else f
-            epb = struct.pack("<IIIII", iface, g.timestamp_ns >> 32, g.timestamp_ns & 0xFFFFFFFF, len(g.data), g.orig_len)
-            blocks.append(block(6, epb + g.data))
+            blocks.append(wire.epb("<", iface, g.timestamp_ns, g.data, g.orig_len))
         print("  mixed pcapng:", len(last), "flows,", len(frames) - on_sll, "frames on Ethernet and", on_sll, "on SLL")
         (out / "lossy.mixed").write_bytes(b"".join(blocks))
         del frames, sll, blocks

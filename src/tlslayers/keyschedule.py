@@ -9,13 +9,13 @@ block, one HMAC keyed with the secret.  `derive_traffic_keys` computes both
 HMACs by hand (RFC 2104): the secret, zero-padded to the hash's block size,
 is XORed into the inner and outer pads once, each pad is hashed once, and
 the two hash states are copied for the key and for the IV.
-`hkdf_expand_label` is the general HKDF loop, which `synth` seals with.
+`hkdf_label` spells the RFC 8446 HkdfLabel for them and for `synth`, which
+derives its sealing keys with `cryptography`'s HKDFExpand instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 import struct
 from typing import Callable, NamedTuple
 
@@ -32,27 +32,10 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-def hkdf_expand(prk: bytes, info: bytes, length: int, hash_name: str) -> bytes:
-    """HKDF-Expand per RFC 5869 §2.3."""
-    out = b""
-    t = b""
-    counter = 1
-    while len(out) < length:
-        t = hmac.digest(prk, t + info + bytes([counter]), hash_name)
-        out += t
-        counter += 1
-    return out[:length]
-
-
-def _hkdf_label(label: bytes, context: bytes, length: int) -> bytes:
+def hkdf_label(label: bytes, context: bytes, length: int) -> bytes:
     """The HkdfLabel structure of RFC 8446 §7.1."""
     full_label = b"tls13 " + label
     return struct.pack(">H", length) + bytes([len(full_label)]) + full_label + bytes([len(context)]) + context
-
-
-def hkdf_expand_label(secret: bytes, label: bytes, context: bytes, length: int, hash_name: str) -> bytes:
-    """HKDF-Expand-Label per RFC 8446 §7.1."""
-    return hkdf_expand(secret, _hkdf_label(label, context, length), length, hash_name)
 
 
 class TrafficKeys:
@@ -90,8 +73,8 @@ def _suite_keying(suite: CipherSuite) -> _SuiteKeying:
         new_hash,
         bytes(h.block_size - suite.secret_len),
         suite.key_len,
-        _hkdf_label(b"key", b"", suite.key_len) + b"\x01",
-        _hkdf_label(b"iv", b"", NONCE_LEN) + b"\x01",
+        hkdf_label(b"key", b"", suite.key_len) + b"\x01",
+        hkdf_label(b"iv", b"", NONCE_LEN) + b"\x01",
         AESGCM if suite.name.startswith("AES") else ChaCha20Poly1305,
     )
 

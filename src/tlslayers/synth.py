@@ -25,12 +25,14 @@ from pathlib import Path
 from random import Random
 
 import yaml
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
+from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
 from tlslayers.capture import LINKTYPE_ETHERNET, CapturedFrame, emit_capture
 from tlslayers.decode import TcpFlags
 from tlslayers.errors import InvalidSpec, UnknownGroup, WriteFailure
-from tlslayers.keyschedule import NONCE_LEN, hkdf_expand_label
+from tlslayers.keyschedule import NONCE_LEN, hkdf_label
 from tlslayers.keylog import (
     LABEL_CLIENT_AP,
     LABEL_CLIENT_HS,
@@ -259,14 +261,17 @@ class GroundTruth:
 class _Sealer:
     """Seals one direction's records in one epoch.
 
-    The key and IV come from the general HKDF-Expand-Label loop
-    (`hmac.digest` per block), independent of the analyzer's hand-built HMAC
+    The key and IV are HKDF-Expand-Label outputs (RFC 8446 §7.1) derived by
+    `cryptography`'s HKDFExpand, independent of the analyzer's hand-built HMAC
     over precomputed pad states.
     """
 
     def __init__(self, secret: bytes, suite: CipherSuite):
-        key = hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
-        iv = hkdf_expand_label(secret, b"iv", b"", NONCE_LEN, suite.hash_name)
+        algorithm = getattr(hashes, suite.hash_name.upper())()  # hashes.SHA256 or hashes.SHA384
+        key, iv = (
+            HKDFExpand(algorithm, length, hkdf_label(label, b"", length)).derive(secret)
+            for label, length in ((b"key", suite.key_len), (b"iv", NONCE_LEN))
+        )
         self.aead = AESGCM(key) if suite.name.startswith("AES") else ChaCha20Poly1305(key)
         self.iv = int.from_bytes(iv, "big")
         self.counter = 0

@@ -60,6 +60,11 @@ class Segment(NamedTuple):
     truncated: bool
 
 
+def segment(src, dst, ts, flags=0, seq=0, payload=b"", truncated=False) -> Segment:
+    """A `Segment` from `src` to `dst`, each an (ip, port)."""
+    return Segment(ts, src[0], dst[0], src[1], dst[1], int(flags), seq, payload, truncated)
+
+
 JUNK = b"\xa5" * 7  # lies before, between and after laid-out frames: a read past a frame's span picks it up
 
 

@@ -14,26 +14,20 @@ from tlslayers.capture import CapturedFrame
 from tlslayers.cli import main
 from tlslayers.errors import MalformedHeader, UnknownLinkType, UnknownMagic, UnreadableFile
 
+import reference
+import wire
 from conftest import read_capture
-
-
-def _write_pcap_us(path, records):
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        for ts_sec, ts_usec, data in records:
-            fh.write(struct.pack("<IIII", ts_sec, ts_usec, len(data), len(data)))
-            fh.write(data)
 
 
 def test_empty_capture(tmp_path):
     path = tmp_path / "empty.pcap"
-    _write_pcap_us(path, [])
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, []))
     assert read_capture(path) == []
 
 
 def test_microsecond_timestamp_conversion_is_exact(tmp_path):
     path = tmp_path / "us.pcap"
-    _write_pcap_us(path, [(1, 500_000, b"\x01\x02\x03")])
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [(1, 500_000, b"\x01\x02\x03", 3)]))
     (frame,) = read_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
     assert frame.data == b"\x01\x02\x03"
@@ -51,8 +45,8 @@ def test_synth_frames_round_trip_all_formats(tmp_path, clean_scenario):
         back = read_capture(path)
         # the writer and the reader share their layouts, so check the file with this module's own readers
         raw = path.read_bytes()
-        reference = _reference_read_pcapng(raw) if fmt == "pcapng" else (*_reference_read(raw), None)
-        assert reference == (back, [], None), fmt
+        expected = reference.read_pcapng(raw) if fmt == "pcapng" else (*reference.read_pcap(raw), None)
+        assert expected == (back, [], None), fmt
         assert len(back) == len(frames)
         if fmt == "pcap-us":
             # microsecond container: encoded value is the truncated timestamp
@@ -72,12 +66,16 @@ def test_pcap_ns_preserves_sub_microsecond(tmp_path):
     assert back.timestamp_ns == 1_000_000_123
 
 
+def test_emit_capture_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "capture.erf"
+    with pytest.raises(ValueError, match="unknown capture format 'erf'"):
+        capture.emit_capture([], path, "erf")
+    assert not path.exists()
+
+
 def test_big_endian_pcap(tmp_path):
     path = tmp_path / "be.pcap"
-    with path.open("wb") as fh:
-        fh.write(struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        fh.write(struct.pack(">IIII", 2, 7, 4, 4))
-        fh.write(b"abcd")
+    path.write_bytes(wire.pcap_bytes(">", 0xA1B2C3D4, [(2, 7, b"abcd", 4)]))
     (frame,) = read_capture(path)
     assert frame.timestamp_ns == 2_000_007_000
     assert frame.data == b"abcd"
@@ -97,20 +95,15 @@ def test_missing_file():
 
 def test_unsupported_link_type(tmp_path):
     path = tmp_path / "wifi.pcap"
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 105))
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [], link_type=105))
     with pytest.raises(UnknownLinkType):
         read_capture(path)
 
 
 def test_truncated_trailing_record_skipped_with_warning(tmp_path, caplog):
     path = tmp_path / "trunc.pcap"
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        fh.write(struct.pack("<IIII", 1, 0, 4, 4))
-        fh.write(b"good")
-        fh.write(struct.pack("<IIII", 2, 0, 100, 100))
-        fh.write(b"cut")  # body shorter than caplen
+    cut = struct.pack("<IIII", 2, 0, 100, 100) + b"cut"  # body shorter than caplen
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=cut))
     with caplog.at_level(logging.WARNING):
         frames = read_capture(path)
     assert len(frames) == 1
@@ -127,36 +120,23 @@ def test_pcapng_skips_unknown_blocks(tmp_path, clean_scenario):
     shb_len = struct.unpack_from("<I", raw, 4)[0]
     idb_len = struct.unpack_from("<I", raw, shb_len + 4)[0]
     cut = shb_len + idb_len
-    custom_body = b"\x00" * 8
-    custom = struct.pack("<II", 0x0BAD, len(custom_body) + 12) + custom_body + struct.pack("<I", len(custom_body) + 12)
-    path.write_bytes(raw[:cut] + custom + raw[cut:])
+    path.write_bytes(raw[:cut] + wire.ng_block("<", 0x0BAD, bytes(8)) + raw[cut:])
     back = read_capture(path)
     assert len(back) == len(frames)
 
 
 def test_pcapng_microsecond_default_resolution(tmp_path):
     path = tmp_path / "us.pcapng"
-    with path.open("wb") as fh:
-        shb = struct.pack("<IHHq", 0x1A2B3C4D, 1, 0, -1)
-        fh.write(struct.pack("<II", 0x0A0D0D0A, 28) + shb + struct.pack("<I", 28))
-        idb = struct.pack("<HHI", 1, 0, 65535)  # no if_tsresol option -> 10^-6
-        fh.write(struct.pack("<II", 1, len(idb) + 12) + idb + struct.pack("<I", len(idb) + 12))
-        ticks = 1_500_000  # microseconds
-        data = b"z" * 16
-        body = struct.pack("<IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(data), len(data)) + data
-        fh.write(struct.pack("<II", 6, len(body) + 12) + body + struct.pack("<I", len(body) + 12))
+    # no if_tsresol option -> 10^-6: the ticks are microseconds
+    path.write_bytes(wire.shb("<") + wire.idb("<", 1) + wire.epb("<", 0, 1_500_000, b"z" * 16))
     (frame,) = read_capture(path)
     assert frame.timestamp_ns == 1_500_000_000
 
 
 def test_pcapng_option_value_past_its_block_exits_2(tmp_path, capsys):
     # IDB options end right after an if_tsresol header (code 9, length 1): no value byte
-    idb = struct.pack("<HHI", 1, 0, 65535) + bytes.fromhex("09000100")
     path = tmp_path / "short-option.pcapng"
-    path.write_bytes(
-        _pcapng_section("<", [])[:28]  # the SHB alone
-        + struct.pack("<II", 1, len(idb) + 12) + idb + struct.pack("<I", len(idb) + 12)
-    )
+    path.write_bytes(wire.shb("<") + wire.idb("<", 1, bytes.fromhex("09000100")))
     with pytest.raises(MalformedHeader, match="short-option.pcapng"):
         read_capture(path)
     assert main(["analyze", "--pcap", str(path)]) == 2
@@ -164,41 +144,6 @@ def test_pcapng_option_value_past_its_block_exits_2(tmp_path, capsys):
 
 
 # -- chunked pcap reading ------------------------------------------------------
-
-PCAP_WARNINGS = ("truncated trailing record header", "truncated trailing record body", "zero-length record")
-
-
-def _pcap_bytes(endian, magic, records, tail=b""):
-    """A pcap file of (ts_sec, ts_frac, data, orig_len) records, then raw `tail` bytes."""
-    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 262144, 1)]
-    for ts_sec, ts_frac, data, orig_len in records:
-        out.append(struct.pack(endian + "IIII", ts_sec, ts_frac, len(data), orig_len) + data)
-    return b"".join(out) + tail
-
-
-def _reference_read(raw):
-    """Record-at-a-time pcap reader over the whole file: (frames, warnings), zero-length records counted last."""
-    endian = "<" if struct.unpack_from("<I", raw)[0] in (0xA1B2C3D4, 0xA1B23C4D) else ">"
-    frac_to_ns = 1 if struct.unpack_from(endian + "I", raw)[0] == 0xA1B23C4D else 1000
-    network = struct.unpack_from(endian + "I", raw, 20)[0]
-    frames, warnings = [], []
-    off, zero_length = 24, 0
-    while off < len(raw):
-        if len(raw) - off < 16:
-            warnings.append(PCAP_WARNINGS[0])
-            break
-        ts_sec, ts_frac, caplen, orig_len = struct.unpack_from(endian + "IIII", raw, off)
-        data = raw[off + 16 : off + 16 + caplen]
-        off += 16 + caplen
-        if len(data) < caplen:
-            warnings.append(PCAP_WARNINGS[1])
-            break
-        if caplen == 0:
-            zero_length += 1
-            continue
-        frames.append(CapturedFrame(ts_sec * 1_000_000_000 + ts_frac * frac_to_ns, network, data, orig_len))
-    return frames, warnings + [PCAP_WARNINGS[2]] * zero_length
-
 
 def _frames_and_warnings(path, caplog):
     caplog.clear()
@@ -218,7 +163,7 @@ def _warning_kinds(messages, kinds):
 
 def _read_with_warnings(path, caplog):
     frames, messages = _frames_and_warnings(path, caplog)
-    return frames, _warning_kinds(messages, PCAP_WARNINGS)
+    return frames, _warning_kinds(messages, reference.PCAP_WARNINGS)
 
 
 def _random_records(rng, count, max_len):
@@ -242,10 +187,10 @@ def test_records_straddling_chunk_edges_match_reference(tmp_path, caplog, monkey
         "cut body": struct.pack(endian + "IIII", 1, 2, 50, 50) + b"x" * 49,
     }
     for label, tail in endings.items():
-        raw = _pcap_bytes(endian, magic, records, tail)
+        raw = wire.pcap_bytes(endian, magic, records, tail)
         path = tmp_path / "chunks.pcap"
         path.write_bytes(raw)
-        expected = _reference_read(raw)
+        expected = reference.read_pcap(raw)
         assert expected[0], label
         assert _read_with_warnings(path, caplog) == expected, label
 
@@ -257,18 +202,18 @@ def test_real_chunk_edge_and_record_larger_than_chunk(tmp_path, caplog, endian):
     first = b"a" * (chunk - 24 - 16 - 7)
     big = bytes(range(256)) * ((chunk + 4096) // 256)  # longer than a whole chunk
     records = [(1, 10, first, len(first)), (2, 20, b"header straddles", 16), (3, 30, big, len(big)), (4, 40, b"end", 3)]
-    raw = _pcap_bytes(endian, 0xA1B2C3D4, records)
+    raw = wire.pcap_bytes(endian, 0xA1B2C3D4, records)
     path = tmp_path / "edge.pcap"
     path.write_bytes(raw)
     frames, warnings = _read_with_warnings(path, caplog)
-    assert (frames, warnings) == _reference_read(raw)
+    assert (frames, warnings) == reference.read_pcap(raw)
     assert [f.data for f in frames] == [r[2] for r in records]
     assert [f.timestamp_ns for f in frames] == [1_000_010_000, 2_000_020_000, 3_000_030_000, 4_000_040_000]
 
 
 def test_truncated_trailing_record_header_warns(tmp_path, caplog):
     path = tmp_path / "cut-header.pcap"
-    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=bytes(15)))
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=bytes(15)))
     frames, warnings = _read_with_warnings(path, caplog)
     assert [f.data for f in frames] == [b"good"]
     assert warnings == ["truncated trailing record header"]
@@ -278,7 +223,7 @@ def test_zero_length_record_skipped_with_warning(tmp_path, caplog):
     path = tmp_path / "zero.pcap"
     # the last record is a bare 16-byte header: zero-length, not a truncated header
     records = [(1, 5, b"one", 3), (2, 0, b"", 0), (3, 7, b"two", 3), (4, 0, b"", 0)]
-    path.write_bytes(_pcap_bytes(">", 0xA1B23C4D, records))
+    path.write_bytes(wire.pcap_bytes(">", 0xA1B23C4D, records))
     frames, warnings = _read_with_warnings(path, caplog)
     assert [(f.timestamp_ns, f.data) for f in frames] == [(1_000_000_005, b"one"), (3_000_000_007, b"two")]
     assert warnings == ["zero-length record", "zero-length record"]
@@ -288,7 +233,7 @@ def test_zero_length_record_skipped_with_warning(tmp_path, caplog):
 def test_zero_length_records_warn_once_with_their_count(tmp_path, caplog, fmt):
     # a hostile capture of zero-length records writes one line, not one per record
     if fmt == "pcap":
-        raw = _pcap_bytes("<", 0xA1B2C3D4, [(i, 0, b"", 0) for i in range(10_000)])
+        raw = wire.pcap_bytes("<", 0xA1B2C3D4, [(i, 0, b"", 0) for i in range(10_000)])
     else:
         raw = _pcapng_section(">", [(i, b"") for i in range(10_000)])
     path = tmp_path / f"zeros.{fmt}"
@@ -301,19 +246,8 @@ def test_zero_length_records_warn_once_with_their_count(tmp_path, caplog, fmt):
 def _pcapng_section(endian, packets):
     """One pcapng section in byte order `endian`: SHB, an Ethernet IDB with
     nanosecond resolution, and one EPB per (ticks, data)."""
-    def block(block_type, body):
-        body += bytes(-len(body) % 4)
-        total = len(body) + 12
-        return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
-
-    tsresol_ns = struct.pack(endian + "HH", 9, 1) + b"\x09\x00\x00\x00" + struct.pack(endian + "HH", 0, 0)
-    out = [
-        block(0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1)),
-        block(1, struct.pack(endian + "HHI", 1, 0, 65535) + tsresol_ns),
-    ]
-    for ticks, data in packets:
-        out.append(block(6, struct.pack(endian + "IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, len(data), len(data)) + data))
-    return b"".join(out)
+    blocks = [wire.shb(endian), wire.idb(endian, 1, wire.tsresol(endian, 9))]
+    return b"".join(blocks + [wire.epb(endian, 0, ticks, data) for ticks, data in packets])
 
 
 @pytest.mark.parametrize("first,second", [("<", ">"), (">", "<")])
@@ -364,7 +298,7 @@ CLAIM = 64 << 20  # a length field's claim, with at most 40 bytes behind it
 @pytest.mark.parametrize("fmt", ["pcap", "pcapng"])
 def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt):
     if fmt == "pcap":
-        raw = _pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=struct.pack("<IIII", 2, 0, CLAIM, CLAIM) + bytes(40))
+        raw = wire.pcap_bytes("<", 0xA1B2C3D4, [(1, 0, b"good", 4)], tail=struct.pack("<IIII", 2, 0, CLAIM, CLAIM) + bytes(40))
         warning = "truncated trailing record body"
     else:
         raw = _pcapng_section("<", [(1, b"good")]) + struct.pack("<II", 6, CLAIM) + bytes(32)
@@ -383,93 +317,6 @@ def test_length_claim_beyond_end_of_file_allocates_nothing(tmp_path, caplog, fmt
 
 
 # -- pcapng against a block-at-a-time reference ----------------------------------
-
-PCAPNG_WARNINGS = (
-    "truncated block header", "implausible block length", "truncated block body",
-    "short IDB", "short EPB", "EPBs shorter than caplen", "zero-length record",
-    "simple/obsolete packet blocks skipped",
-)
-_BYTE_ORDER_MAGIC = {"<": b"\x4d\x3c\x2b\x1a", ">": b"\x1a\x2b\x3c\x4d"}
-
-
-def _ng_block(endian, block_type, body, total=None):
-    """One pcapng block; `total` overrides the length fields."""
-    body += bytes(-len(body) % 4)
-    total = len(body) + 12 if total is None else total
-    return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
-
-
-def _reference_read_pcapng(raw):
-    """Block-at-a-time pcapng reader over the whole file: (frames, warnings, error class or None).
-
-    A record skipped inside the file is counted, and each kind's count is warned after the walk.
-    """
-    frames, warnings = [], []
-    endian, interfaces = "<", []  # (linktype, ticks per second)
-    off = 0
-    skipped = dict.fromkeys(PCAPNG_WARNINGS[3:], 0)
-    while off < len(raw):
-        head = raw[off : off + 12]
-        is_shb = head[:4] == b"\x0a\x0d\x0d\x0a"
-        if len(head) < (12 if is_shb else 8):
-            warnings.append("truncated block header")
-            break
-        if is_shb:
-            endian = {v: k for k, v in _BYTE_ORDER_MAGIC.items()}.get(head[8:12])
-            if endian is None:
-                return frames, warnings, UnknownMagic
-            interfaces = []
-        block_type, total = struct.unpack(endian + "II", head[:8])
-        if total < 12 or total % 4:
-            warnings.append("implausible block length")
-            break
-        block = raw[off : off + total]
-        if len(block) < total:
-            warnings.append("truncated block body")
-            break
-        off += total
-        body = block[8:-4]
-        if block_type == 1:
-            if len(body) < 8:
-                skipped["short IDB"] += 1
-                continue
-            (linktype,) = struct.unpack(endian + "H", body[:2])
-            if linktype not in (1, 101, 113):
-                return frames, warnings, UnknownLinkType
-            per_second = 10**6
-            options = body[8:]
-            while len(options) >= 4:
-                code, length = struct.unpack(endian + "HH", options[:4])
-                if code == 0:
-                    break
-                if 4 + length > len(options):
-                    return frames, warnings, MalformedHeader
-                if code == 9 and length == 1:
-                    per_second = 2 ** (options[4] & 0x7F) if options[4] & 0x80 else 10 ** options[4]
-                    break
-                options = options[4 + (length + 3) // 4 * 4 :]
-            interfaces.append((linktype, per_second))
-        elif block_type == 6:
-            if len(body) < 20:
-                skipped["short EPB"] += 1
-                continue
-            iface, ts_high, ts_low, caplen, orig_len = struct.unpack(endian + "IIIII", body[:20])
-            if iface >= len(interfaces):
-                return frames, warnings, MalformedHeader
-            if 20 + caplen > len(body):
-                skipped["EPBs shorter than caplen"] += 1
-                continue
-            if not caplen:
-                skipped["zero-length record"] += 1
-                continue
-            linktype, per_second = interfaces[iface]
-            ts_ns = ((ts_high << 32) | ts_low) * 1_000_000_000 // per_second
-            frames.append(CapturedFrame(ts_ns, linktype, body[20 : 20 + caplen], orig_len))
-        elif block_type in (2, 3):
-            skipped["simple/obsolete packet blocks skipped"] += 1
-    # after the walk, however it stopped
-    return frames, warnings + [kind for kind, count in skipped.items() for _ in range(count)], None
-
 
 def _random_idb_options(rng, endian):
     """IDB options: maybe an unrelated option, then an if_tsresol of each kind or none."""
@@ -491,7 +338,7 @@ def _random_pcapng(rng):
     out = []
     for _ in range(rng.randint(1, 3)):
         endian = rng.choice("<>")
-        out.append(_ng_block(endian, 0x0A0D0D0A, _BYTE_ORDER_MAGIC[endian] + struct.pack(endian + "HHq", 1, 0, -1)))
+        out.append(wire.shb(endian))
         interfaces = 0
         for _ in range(rng.randint(1, 14)):
             kind = rng.choices(
@@ -501,8 +348,7 @@ def _random_pcapng(rng):
             )[0]
             if kind == "idb" or (kind == "epb" and not interfaces):
                 linktype = rng.choice((1, 1, 101, 113))
-                idb = struct.pack(endian + "HHI", linktype, 0, 65535) + _random_idb_options(rng, endian)
-                out.append(_ng_block(endian, 1, idb))
+                out.append(wire.idb(endian, linktype, _random_idb_options(rng, endian)))
                 interfaces += 1
                 continue
             iface = interfaces + rng.randrange(3) if kind == "undefined interface" else rng.randrange(interfaces or 1)
@@ -512,22 +358,22 @@ def _random_pcapng(rng):
             orig_len = len(data) + rng.choice((0, 9))
             body = struct.pack(endian + "IIIII", iface, ticks >> 32, ticks & 0xFFFFFFFF, caplen, orig_len) + data
             if kind == "unknown":
-                out.append(_ng_block(endian, rng.choice((2, 3, 5, 0x0BAD)), rng.randbytes(rng.randint(0, 40))))
+                out.append(wire.ng_block(endian, rng.choice((2, 3, 5, 0x0BAD)), rng.randbytes(rng.randint(0, 40))))
             elif kind == "short idb":
-                out.append(_ng_block(endian, 1, rng.randbytes(4)))
+                out.append(wire.ng_block(endian, 1, rng.randbytes(4)))
             elif kind == "short epb":
-                out.append(_ng_block(endian, 6, body[: rng.choice((0, 4, 16))]))
+                out.append(wire.ng_block(endian, 6, body[: rng.choice((0, 4, 16))]))
             else:
-                out.append(_ng_block(endian, 6, body))
+                out.append(wire.ng_block(endian, 6, body))
     ending = rng.choice(("clean", "cut header", "cut shb header", "cut body", "implausible length"))
     if ending == "cut header":
-        out.append(_ng_block(endian, 6, bytes(24))[: rng.randint(1, 7)])
+        out.append(wire.ng_block(endian, 6, bytes(24))[: rng.randint(1, 7)])
     elif ending == "cut shb header":
-        out.append(_ng_block(endian, 0x0A0D0D0A, _BYTE_ORDER_MAGIC[endian] + bytes(12))[: rng.randint(4, 11)])
+        out.append(wire.shb(endian)[: rng.randint(4, 11)])
     elif ending == "cut body":
-        out.append(_ng_block(endian, 6, bytes(24))[: rng.randint(8, 39)])
+        out.append(wire.ng_block(endian, 6, bytes(24))[: rng.randint(8, 39)])
     elif ending == "implausible length":
-        out.append(_ng_block(endian, 6, bytes(24), total=rng.choice((0, 8, 11, 13, 42))))
+        out.append(wire.ng_block(endian, 6, bytes(24), total=rng.choice((0, 8, 11, 13, 42))))
     return b"".join(out)
 
 
@@ -554,11 +400,11 @@ def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch,
     for _ in range(40):
         raw = _random_pcapng(rng)
         path.write_bytes(raw)
-        expected = _reference_read_pcapng(raw)
+        expected = reference.read_pcapng(raw)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tlslayers.capture"):
             frames, error = _read_spans_until_error(path)
-        warnings = _warning_kinds([r.getMessage() for r in caplog.records], PCAPNG_WARNINGS)
+        warnings = _warning_kinds([r.getMessage() for r in caplog.records], reference.PCAPNG_WARNINGS)
         assert (frames, warnings, error) == expected
         kinds.update(expected[1])
         kinds.add(expected[2])
@@ -569,9 +415,9 @@ def test_pcapng_matches_block_at_a_time_reference(tmp_path, caplog, monkeypatch,
 def test_pcapng_simple_and_obsolete_packet_blocks_are_counted_in_one_warning(tmp_path, caplog):
     # Simple Packet Blocks (type 3) and obsolete Packet Blocks (type 2) carry frames this reader does
     # not read; a capture made only of them must say so, not analyze silently to no frames
-    frame = _tcp_frame((bytes([10, 0, 0, 1]), 40000), (bytes([10, 0, 0, 2]), 443), 0x02, 0)
-    spb = _ng_block("<", 3, struct.pack("<I", len(frame)) + frame)
-    pb = _ng_block("<", 2, struct.pack("<HHIIII", 0, 0, 0, 1, len(frame), len(frame)) + frame)
+    frame = synth._tcp_frame((bytes(6), bytes([10, 0, 0, 1]), 40000), (bytes(6), bytes([10, 0, 0, 2]), 443), 0, 0, 0, 0x02, b"")
+    spb = wire.ng_block("<", 3, struct.pack("<I", len(frame)) + frame)
+    pb = wire.ng_block("<", 2, struct.pack("<HHIIII", 0, 0, 0, 1, len(frame), len(frame)) + frame)
     path = tmp_path / "spb.pcapng"
     path.write_bytes(_pcapng_idb(1) + spb + pb + spb)
     caplog.clear()
@@ -582,9 +428,7 @@ def test_pcapng_simple_and_obsolete_packet_blocks_are_counted_in_one_warning(tmp
 
 
 def _pcapng_idb(linktype, options=b""):
-    return _ng_block("<", 0x0A0D0D0A, _BYTE_ORDER_MAGIC["<"] + struct.pack("<HHq", 1, 0, -1)) + _ng_block(
-        "<", 1, struct.pack("<HHI", linktype, 0, 65535) + options
-    )
+    return wire.shb("<") + wire.idb("<", linktype, options)
 
 
 @pytest.mark.parametrize(
@@ -593,12 +437,12 @@ def _pcapng_idb(linktype, options=b""):
         (b"", UnknownMagic, "shorter than any capture header"),
         (b"\xd4\xc3\xb2", UnknownMagic, "shorter than any capture header"),
         (b"\xde\xad\xbe\xef" + bytes(60), UnknownMagic, "neither pcap nor pcapng"),
-        (_ng_block("<", 0x0A0D0D0A, b"\xde\xad\xbe\xef" + bytes(12)), UnknownMagic, "bad pcapng byte-order magic"),
-        (struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 105), UnknownLinkType, "link type 105"),
+        (wire.ng_block("<", 0x0A0D0D0A, b"\xde\xad\xbe\xef" + bytes(12)), UnknownMagic, "bad pcapng byte-order magic"),
+        (wire.pcap_bytes("<", 0xA1B2C3D4, [], link_type=105), UnknownLinkType, "link type 105"),
         (_pcapng_idb(105), UnknownLinkType, "link type 105"),
         (struct.pack("<IHHi", 0xA1B2C3D4, 2, 4, 0), MalformedHeader, "pcap global header truncated"),
         (
-            _pcapng_idb(1) + _ng_block("<", 6, struct.pack("<IIIII", 1, 0, 0, 4, 4) + b"data"),
+            _pcapng_idb(1) + wire.ng_block("<", 6, struct.pack("<IIIII", 1, 0, 0, 4, 4) + b"data"),
             MalformedHeader,
             "undefined interface 1",
         ),
@@ -631,7 +475,7 @@ def test_reading_a_large_capture_keeps_resident_memory_flat(tmp_path):
     filler = bytes(range(256)) * 6
     path = tmp_path / "large.pcap"
     records = [(i, 0, filler, len(filler)) for i in range(24 * 1024 * 1024 // len(filler))]
-    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, records))
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, records))
     samples = []
     with capture.map_capture(path) as buf:
         for i, _span in enumerate(capture.read_frames(buf, path)):
@@ -641,13 +485,6 @@ def test_reading_a_large_capture_keeps_resident_memory_flat(tmp_path):
     assert max(samples) - samples[0] < 8 * 1024
 
 
-def _tcp_frame(src, dst, flags, seq, payload=b""):
-    """An Ethernet/IPv4/TCP frame from `src` to `dst`, each an (ip, port); no checksums."""
-    ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 40 + len(payload), 0, 0x4000, 64, 6, 0, src[0], dst[0])
-    tcp = struct.pack(">HHIIBBHHH", src[1], dst[1], seq, 0, 5 << 4, flags, 65535, 0, 0)
-    return b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + tcp + payload
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from Linux /proc")
 def test_walking_a_large_capture_keeps_resident_memory_flat(tmp_path, monkeypatch):
     # 400 flows one after another, 60 KiB of server data each, 26 MiB in all.
@@ -655,14 +492,14 @@ def test_walking_a_large_capture_keeps_resident_memory_flat(tmp_path, monkeypatc
     # faults its pages back in; without the walk's page release RssFile grows
     # by the file size again after the reader has kept it flat.
     payload = bytes(1400)
-    server = (bytes([10, 0, 0, 2]), 443)
+    server = (bytes(6), bytes([10, 0, 0, 2]), 443)
     frames = []
     for flow in range(400):
-        client = (bytes([10, 0, 0, 1]), 10000 + flow)
-        frames += [_tcp_frame(client, server, 0x02, 0), _tcp_frame(server, client, 0x12, 0)]
-        frames += [_tcp_frame(server, client, 0x10, 1 + i * len(payload), payload) for i in range(44)]
+        client = (bytes(6), bytes([10, 0, 0, 1]), 10000 + flow)
+        frames += [synth._tcp_frame(client, server, 0, 0, 0, 0x02, b""), synth._tcp_frame(server, client, 0, 0, 0, 0x12, b"")]
+        frames += [synth._tcp_frame(server, client, 0, 1 + i * len(payload), 0, 0x10, payload) for i in range(44)]
     path = tmp_path / "flows.pcap"
-    path.write_bytes(_pcap_bytes("<", 0xA1B2C3D4, [(i, 0, data, len(data)) for i, data in enumerate(frames)]))
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [(i, 0, data, len(data)) for i, data in enumerate(frames)]))
     assert path.stat().st_size >= 24 << 20
     samples = []
     walk_one = pipeline.analyze_connection

@@ -16,6 +16,7 @@ from tlslayers.cli import main
 from tlslayers.documents import parse_document
 from tlslayers.timeline import LAYERS
 
+import wire
 from reference_runs import analysis_document_for
 
 
@@ -187,11 +188,8 @@ def test_analyze_unreadable_input_exits_2(tmp_path):
 
 def _non_tcp_capture(path: Path) -> Path:
     """A pcap whose one frame is ARP: no TCP connection to measure."""
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        arp = b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28)
-        fh.write(struct.pack("<IIII", 1, 0, len(arp), len(arp)))
-        fh.write(arp)
+    arp = b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28)
+    path.write_bytes(wire.pcap_bytes("<", 0xA1B2C3D4, [(1, 0, arp, len(arp))]))
     return path
 
 

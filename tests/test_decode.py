@@ -17,6 +17,8 @@ from tlslayers.decode import TcpFlags, _ip_headers, ingest_frames
 from tlslayers.errors import MalformedHeader
 from tlslayers.pipeline import analyze_capture
 
+import reference
+import wire
 from conftest import (
     JUNK, Segment, clean_connection_spec, decode_frames, decode_segment, decode_span, ingest_span, lay_out,
     segment_frames,
@@ -228,116 +230,6 @@ def test_decode_frame_orig_len_truncation():
 # -- differential test against a byte-at-a-time reference decoder ---------------
 
 
-def _reference_decode(link_type, data):
-    """Byte-indexing decoder kept as the oracle for the ingest loop.
-
-    Returns None for non-TCP traffic, raises ValueError for inconsistent
-    length fields, or returns (src_ip, dst_ip, src_port, dst_port, flags,
-    seq, payload_start, payload_end, truncated).
-    """
-    n = len(data)
-    if link_type == 1:
-        if n < 14:
-            raise ValueError("ethernet header truncated")
-        ethertype = (data[12] << 8) | data[13]
-        off = 14
-    elif link_type == 113:
-        if n < 16:
-            raise ValueError("sll header truncated")
-        ethertype = (data[14] << 8) | data[15]
-        off = 16
-    elif link_type == 101:
-        if n < 1:
-            raise ValueError("empty raw-ip frame")
-        ethertype = 0x0800 if (data[0] >> 4) == 4 else 0x86DD
-        off = 0
-    else:
-        raise ValueError(f"unsupported link type {link_type}")
-
-    if ethertype == 0x0800:
-        if n < off + 20:
-            raise ValueError("ipv4 header truncated")
-        b0 = data[off]
-        if (b0 >> 4) != 4:
-            raise ValueError("ipv4 version mismatch")
-        ihl = (b0 & 0x0F) * 4
-        if ihl < 20:
-            raise ValueError("ipv4 header length below minimum")
-        total_len = (data[off + 2] << 8) | data[off + 3]
-        if total_len < ihl:
-            raise ValueError("ipv4 total length below header length")
-        flags_frag = (data[off + 6] << 8) | data[off + 7]
-        if (flags_frag & 0x2000) or (flags_frag & 0x1FFF):
-            return None
-        proto = data[off + 9]
-        if proto != 6:
-            return None
-        if n < off + ihl:
-            raise ValueError("ipv4 options truncated")
-        src_ip = data[off + 12 : off + 16]
-        dst_ip = data[off + 16 : off + 20]
-        tcp_start = off + ihl
-        ip_end = off + total_len
-    elif ethertype == 0x86DD:
-        if n < off + 40:
-            raise ValueError("ipv6 header truncated")
-        if (data[off] >> 4) != 6:
-            raise ValueError("ipv6 version mismatch")
-        payload_len = (data[off + 4] << 8) | data[off + 5]
-        next_header = data[off + 6]
-        if next_header != 6:
-            return None
-        src_ip = data[off + 8 : off + 24]
-        dst_ip = data[off + 24 : off + 40]
-        tcp_start = off + 40
-        ip_end = off + 40 + payload_len
-    else:
-        return None
-
-    if n < tcp_start + 20:
-        raise ValueError("tcp header truncated")
-    src_port = (data[tcp_start] << 8) | data[tcp_start + 1]
-    dst_port = (data[tcp_start + 2] << 8) | data[tcp_start + 3]
-    seq = (
-        (data[tcp_start + 4] << 24)
-        | (data[tcp_start + 5] << 16)
-        | (data[tcp_start + 6] << 8)
-        | data[tcp_start + 7]
-    )
-    doff = (data[tcp_start + 12] >> 4) * 4
-    if doff < 20:
-        raise ValueError("tcp data offset below minimum")
-    if tcp_start + doff > ip_end:
-        raise ValueError("tcp header exceeds ip length")
-    if n < tcp_start + doff:
-        raise ValueError("tcp options truncated")
-    flags = data[tcp_start + 13] & 0x1F
-
-    payload_start = tcp_start + doff
-    payload_end = ip_end
-    truncated = False
-    if payload_end > n:
-        truncated = True
-        payload_end = n
-    return (src_ip, dst_ip, src_port, dst_port, flags, seq, payload_start, payload_end, truncated)
-
-
-def _outcome(frame):
-    """The reference decoder's outcome for one frame, as the ingest loop counts it: ('malformed',),
-    ('non-tcp',) or ('packet', fields)."""
-    try:
-        fields = _reference_decode(frame.link_type, frame.data)
-    except ValueError:
-        return ("malformed",)
-    if fields is None:
-        return ("non-tcp",)
-    src_ip, dst_ip, src_port, dst_port, flags, seq, pstart, pend, truncated = fields
-    return ("packet", (
-        frame.timestamp_ns, src_ip, dst_ip, src_port, dst_port, flags, seq,
-        frame.data[pstart:pend], truncated or frame.orig_len > len(frame.data),
-    ))
-
-
 def _ingested(buf, span):
     """One frame span of `buf` through the run's ingest loop: ('malformed',), ('non-tcp',) or ('packet', fields)."""
     counts, seg = ingest_span(buf, span)
@@ -363,39 +255,6 @@ def _synth_frames():
     return frames
 
 
-def _to_ipv6(eth_frame):
-    """Re-encode an Ethernet/IPv4 frame as Ethernet/IPv6 with the same TCP segment and trailer."""
-    ihl = (eth_frame[14] & 0x0F) * 4
-    total_len = struct.unpack_from(">H", eth_frame, 16)[0]
-    src, dst = eth_frame[26:30], eth_frame[30:34]
-    segment = eth_frame[14 + ihl :]
-    ip6 = struct.pack(">IHBB", 6 << 28, total_len - ihl, 6, 64) + src * 4 + dst * 4
-    return eth_frame[:12] + b"\x86\xdd" + ip6 + segment
-
-
-def _relink(eth_frame, link_type):
-    if link_type == 1:
-        return eth_frame
-    if link_type == 113:
-        return struct.pack(">HHH8s", 0, 1, 6, eth_frame[6:12] + bytes(2)) + eth_frame[12:]
-    return eth_frame[14:]
-
-
-def _with_trailer(frame):
-    """The frame with 6 bytes of Ethernet trailer padding after the IP datagram; a snap-cut frame lost it."""
-    if frame.orig_len > len(frame.data):
-        return frame._replace(orig_len=frame.orig_len + 6)
-    return frame._replace(data=frame.data + bytes(6), orig_len=frame.orig_len + 6)
-
-
-def _with_ipv4_options(frame):
-    """The Ethernet/IPv4 frame with 4 bytes of NOP options in its IP header (IHL 6)."""
-    data = bytearray(frame.data[:34])
-    data[14] = 0x46
-    struct.pack_into(">H", data, 16, struct.unpack_from(">H", data, 16)[0] + 4)
-    return frame._replace(data=bytes(data) + b"\x01" * 4 + frame.data[34:], orig_len=frame.orig_len + 4)
-
-
 def _non_tcp_before(frame):
     """ARP, UDP and an IPv4 fragment of `frame` with its payload inverted, all stamped with `frame`'s time."""
     arp = b"\xff" * 6 + frame.data[6:12] + b"\x08\x06" + bytes(28)
@@ -408,13 +267,9 @@ def _non_tcp_before(frame):
     return [frame._replace(data=bytes(d), orig_len=len(d)) for d in (arp, udp, fragment)]
 
 
-def _analyzed_without_inputs(tmp_path, name, frames, keylog, link_type=1):
+def _analyzed_without_inputs(tmp_path, name, frames, keylog):
     path = tmp_path / f"{name}.pcap"
-    synth.emit_capture(frames, path)
-    if link_type != 1:
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, 20, link_type)  # the pcap header's link type
-        path.write_bytes(raw)
+    wire.emit_pcap(frames, path)
     return {**documents.build_analysis_document(analyze_capture(path, keylog, "links")), "inputs": None}
 
 
@@ -448,19 +303,16 @@ def test_every_link_layer_and_ip_version_gives_the_same_document(tmp_path):
     docs = {}
     for link_type in (1, 113, 101):
         for ipv6 in (False, True):
-            relinked = []
-            for f in frames:
-                data = _relink(_to_ipv6(f.data) if ipv6 else f.data, link_type)
-                relinked.append(f._replace(link_type=link_type, data=data, orig_len=f.orig_len + len(data) - len(f.data)))
+            relinked = [wire.reencoded(f, link_type, ipv6) for f in frames]
             name = f"link{link_type}-ipv{6 if ipv6 else 4}"
-            docs[name] = _analyzed_without_inputs(tmp_path, name, relinked, keylog, link_type)
+            docs[name] = _analyzed_without_inputs(tmp_path, name, relinked, keylog)
     # Ethernet encodings that each frame's ingest must see through; the IPv6 one shows the
     # payload ending where the IPv6 payload length says, not at the frame's end
-    trailed = [_with_trailer(f) for f in frames]
+    trailed = [wire.with_trailer(f) for f in frames]
     docs["trailer-ipv4"] = _analyzed_without_inputs(tmp_path, "trailer-ipv4", trailed, keylog)
-    trailed_v6 = [f._replace(data=_to_ipv6(f.data), orig_len=f.orig_len + 20) for f in trailed]
+    trailed_v6 = [wire.reencoded(f, 1, ipv6=True) for f in trailed]
     docs["trailer-ipv6"] = _analyzed_without_inputs(tmp_path, "trailer-ipv6", trailed_v6, keylog)
-    docs["ipv4-options"] = _analyzed_without_inputs(tmp_path, "ipv4-options", [_with_ipv4_options(f) for f in frames], keylog)
+    docs["ipv4-options"] = _analyzed_without_inputs(tmp_path, "ipv4-options", [wire.with_ipv4_options(f) for f in frames], keylog)
     interleaved = [g for f in frames for g in (*_non_tcp_before(f), f)]
     docs["interleaved"] = _analyzed_without_inputs(tmp_path, "interleaved", interleaved, keylog)
     assert docs["interleaved"]["ingest"] == {
@@ -482,26 +334,16 @@ def _pcapng_sections(frames):
     half = len(frames) // 2
     out, used = [], set()
     for part, (endian, interfaces) in zip((frames[:half], frames[half:]), sections):
-        def block(block_type, body):
-            body += bytes(-len(body) % 4)
-            total = len(body) + 12
-            return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
-
-        out.append(block(0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1)))
-        for link_type, tsresol in interfaces:
-            options = struct.pack(endian + "HH", 9, 1) + bytes([tsresol, 0, 0, 0]) + struct.pack(endian + "HH", 0, 0)
-            out.append(block(1, struct.pack(endian + "HHI", link_type, 0, 262144) + options))
+        out.append(wire.shb(endian))
+        out += [wire.idb(endian, link_type, wire.tsresol(endian, tsresol)) for link_type, tsresol in interfaces]
         for i, f in enumerate(part):
             iface = i % 2
             if f.timestamp_ns % 10 ** (9 - interfaces[iface][1]):
                 iface = 1 - iface
             link_type, tsresol = interfaces[iface]
             used.add((endian, iface))
-            data = _relink(f.data, link_type)
-            ticks = f.timestamp_ns // 10 ** (9 - tsresol)
-            orig_len = f.orig_len + len(data) - len(f.data)
-            epb = struct.pack(endian + "IIIII", iface, ticks >> 32, ticks & 0xFFFFFFFF, len(data), orig_len)
-            out.append(block(6, epb + data))
+            g = wire.reencoded(f, link_type)
+            out.append(wire.epb(endian, iface, f.timestamp_ns // 10 ** (9 - tsresol), g.data, g.orig_len))
     assert len(used) == 4  # every interface of both sections carries frames
     return b"".join(out)
 
@@ -592,7 +434,7 @@ HEADER_SPAN = 16 + 40 + 60  # longest link header + IPv6 header + TCP header wit
 def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig_extra, prefix, suffix):
     frames = _synth_frames()
     source = frames[index % len(frames)]
-    data = bytearray(_relink(_to_ipv6(source.data) if ipv6 else source.data, link_type))
+    data = bytearray(wire.relink(wire.to_ipv6(source.data) if ipv6 else source.data, link_type))
     for pos, mask in flips:
         if pos < len(data):
             data[pos] ^= mask
@@ -603,7 +445,7 @@ def test_decode_frame_matches_reference(index, ipv6, link_type, flips, cut, orig
         timestamp_ns=source.timestamp_ns, link_type=link_type, data=data, orig_len=len(data) + orig_extra
     )
 
-    expected = _outcome(frame)
+    expected = reference.outcome(frame)
     assert _ingested(data, (frame.timestamp_ns, link_type, 0, len(data), frame.orig_len)) == expected
     # the same frame at an offset in a larger buffer: nothing outside its span may be read
     buf = prefix + data + suffix
@@ -645,7 +487,7 @@ def test_ingest_matches_reference_on_ethernet_ipv4_fields(
     frame = CapturedFrame(source.timestamp_ns, 1, data, len(data) + orig_extra)
     buf = prefix + data + suffix
     span = (frame.timestamp_ns, 1, len(prefix), len(prefix) + len(data), frame.orig_len)
-    assert _ingested(buf, span) == _outcome(frame)
+    assert _ingested(buf, span) == reference.outcome(frame)
 
 
 # -- several flows at once: the buckets, their order and the counts -------------------
@@ -661,32 +503,14 @@ _ENCODINGS = ("ethernet", "ipv4 options", "sll", "raw ipv4", "ipv6 ethernet", "i
 def _encoded(frame, encoding):
     """The Ethernet/IPv4 frame `frame` in one of `_ENCODINGS`."""
     if encoding == "ipv4 options":
-        return _with_ipv4_options(frame)
+        return wire.with_ipv4_options(frame)
     if encoding == "arp":
         data = _non_tcp_before(frame)[0].data
         return frame._replace(data=data, orig_len=len(data))
     if encoding == "cut":
         return frame._replace(data=frame.data[:40])  # inside the TCP header
-    data = _to_ipv6(frame.data) if encoding.startswith("ipv6") else frame.data
     link_type = {"ethernet": 1, "sll": 113, "raw ipv4": 101, "ipv6 ethernet": 1, "ipv6 raw": 101}[encoding]
-    data = _relink(data, link_type)
-    return frame._replace(link_type=link_type, data=data, orig_len=frame.orig_len + len(data) - len(frame.data))
-
-
-def _reference_buckets(frames):
-    """The frames grouped by the reference decoder: `{canonical four-tuple: entries}` in first-frame order,
-    each entry `(ts, from_lower, flags, seq, payload, truncated)`, and the ingest counts."""
-    groups, outcomes = {}, Counter()
-    for frame in frames:
-        outcome = _outcome(frame)
-        outcomes[outcome[0]] += 1
-        if outcome[0] == "packet":
-            ts, src_ip, dst_ip, src_port, dst_port, flags, seq, payload, truncated = outcome[1]
-            src, dst = (src_ip, src_port), (dst_ip, dst_port)
-            key = src + dst if src <= dst else dst + src
-            groups.setdefault(key, []).append((ts, src <= dst, flags, seq, payload, truncated))
-    counts = {"frames": len(frames), "non_tcp_frames": outcomes["non-tcp"], "malformed_frames": outcomes["malformed"]}
-    return groups, counts
+    return wire.reencoded(frame, link_type, encoding.startswith("ipv6"))
 
 
 _FLOW = st.tuples(st.sampled_from(_ADDRESSES), st.sampled_from(_PORTS), st.sampled_from(_ADDRESSES), st.sampled_from(_PORTS))
@@ -718,7 +542,7 @@ def test_ingest_buckets_flows_across_link_layers_as_the_reference_does(flows, fr
         key: [(ts, from_lower, flags, seq, buf[start:end], truncated) for ts, from_lower, flags, seq, start, end, truncated in entries]
         for key, entries in groups.items()
     }
-    want, want_counts = _reference_buckets(captured)
+    want, want_counts = reference.buckets(captured)
     # the same keys in the same order, each bucket's entries in file order, and the same counts
     assert list(got.items()) == list(want.items())
     assert counts == want_counts
@@ -751,10 +575,10 @@ def test_ingest_peak_memory_per_frame_is_bounded(tmp_path):
 
 def test_reference_agrees_on_unmutated_synth_frames():
     for source in _synth_frames():
-        for data in (source.data, _to_ipv6(source.data)):
+        for data in (source.data, wire.to_ipv6(source.data)):
             for link_type in (1, 113, 101):
-                frame = source._replace(link_type=link_type, data=_relink(data, link_type))
-                expected = _outcome(frame)
+                frame = source._replace(link_type=link_type, data=wire.relink(data, link_type))
+                expected = reference.outcome(frame)
                 assert expected[0] == "packet"
                 assert _packet_fields(frame) == expected[1]
 

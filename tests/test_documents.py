@@ -120,6 +120,16 @@ def test_unknown_percentile_rejected(sample_doc, percentiles):
         documents.build_comparison_document(sample_doc, sample_doc, percentiles=percentiles)
 
 
+@pytest.mark.parametrize("call", [
+    lambda doc: documents.build_comparison_document(doc, doc, cos_denominator_mode="median"),
+    lambda doc: documents.build_comparison_document(doc, doc, delta_basis="pooled"),
+    lambda doc: documents.render(doc, "xml"),
+], ids=["cos-mode", "delta-basis", "render-format"])
+def test_unknown_mode_basis_or_format_rejected(sample_doc, call):
+    with pytest.raises(ValueError):
+        call(sample_doc)
+
+
 def test_documents_validate_against_published_schemas(sample_doc):
     import jsonschema
     from pathlib import Path

@@ -6,19 +6,15 @@ import struct
 import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlslayers.errors import AuthFailure, EmptyInnerPlaintext, LengthMismatch
-from tlslayers.keyschedule import (
-    TrafficKeys,
-    decrypt_record,
-    derive_traffic_keys,
-    hkdf_expand_label,
-)
+from tlslayers.keyschedule import TrafficKeys, decrypt_record, derive_traffic_keys
 from tlslayers.reassembly import DirectionalStream
-from tlslayers.tlswire import CT_APPLICATION_DATA, SUITES_BY_NAME, TlsRecord, build_record, parse_records
+from tlslayers.tlswire import CT_APPLICATION_DATA, CT_HANDSHAKE, SUITES_BY_NAME, TlsRecord, build_record, parse_records
+
+import reference
 
 # RFC 8448 §3 (simple 1-RTT) handshake traffic secrets and their derived keys
 RFC8448_CLIENT_HS_SECRET = bytes.fromhex(
@@ -54,18 +50,11 @@ def test_rfc8448_key_iv_vectors(secret, key, iv):
     assert keys.iv == iv
 
 
-def _oracle_expand_label(secret: bytes, label: bytes, length: int, algorithm=hashes.SHA256()) -> bytes:
-    # independent HKDF-Expand implementation with a hand-built HkdfLabel
-    full = b"tls13 " + label
-    info = struct.pack(">H", length) + bytes([len(full)]) + full + b"\x00"
-    return HKDFExpand(algorithm=algorithm, length=length, info=info).derive(secret)
-
-
 def test_all_zero_secret_matches_independent_hkdf_oracle():
     secret = bytes(32)
     keys = derive_traffic_keys(secret, "AES_128_GCM_SHA256")
-    assert keys.key == _oracle_expand_label(secret, b"key", 16)
-    assert keys.iv == _oracle_expand_label(secret, b"iv", 12)
+    assert keys.key == reference.expand_label(secret, b"key", 16)
+    assert keys.iv == reference.expand_label(secret, b"iv", 12)
 
 
 @pytest.mark.parametrize(
@@ -79,8 +68,8 @@ def test_every_suite_matches_independent_hkdf_oracle(suite, algorithm, secret_le
     for seed in range(3):
         secret = random.Random(seed).randbytes(secret_len)
         keys = derive_traffic_keys(secret, suite)
-        assert keys.key == _oracle_expand_label(secret, b"key", key_len, algorithm())
-        assert keys.iv == _oracle_expand_label(secret, b"iv", 12, algorithm())
+        assert keys.key == reference.expand_label(secret, b"key", key_len, algorithm())
+        assert keys.iv == reference.expand_label(secret, b"iv", 12, algorithm())
 
 
 _ORACLE_HASHES = {"sha256": hashes.SHA256, "sha384": hashes.SHA384}
@@ -90,23 +79,12 @@ _ORACLE_HASHES = {"sha256": hashes.SHA256, "sha384": hashes.SHA384}
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_derived_keys_equal_both_hkdf_loops(suite, data):
-    # the hand-built HMAC pads against cryptography's HKDFExpand and the general loop synth seals with
+    # the hand-built HMAC pads against cryptography's HKDFExpand, which synth also seals with
     secret = data.draw(st.binary(min_size=suite.secret_len, max_size=suite.secret_len))
     keys = derive_traffic_keys(secret, suite.name)
     algorithm = _ORACLE_HASHES[suite.hash_name]()
-    assert keys.key == _oracle_expand_label(secret, b"key", suite.key_len, algorithm)
-    assert keys.key == hkdf_expand_label(secret, b"key", b"", suite.key_len, suite.hash_name)
-    assert keys.iv == _oracle_expand_label(secret, b"iv", 12, algorithm)
-    assert keys.iv == hkdf_expand_label(secret, b"iv", b"", 12, suite.hash_name)
-
-
-def test_expand_label_multi_block_output():
-    # lengths beyond one hash block exercise the HKDF block chaining
-    out = hkdf_expand_label(bytes(range(32)), b"key", b"", 80, "sha256")
-    full = b"tls13 key"
-    info = struct.pack(">H", 80) + bytes([len(full)]) + full + b"\x00"
-    oracle = HKDFExpand(algorithm=hashes.SHA256(), length=80, info=info).derive(bytes(range(32)))
-    assert out == oracle
+    assert keys.key == reference.expand_label(secret, b"key", suite.key_len, algorithm)
+    assert keys.iv == reference.expand_label(secret, b"iv", 12, algorithm)
 
 
 def test_distinct_secrets_distinct_keys():
@@ -184,6 +162,15 @@ def test_all_padding_is_empty_inner_plaintext():
     rec = _protected_record(keys.key, keys.iv, 0, b"\x00" * 8)
     with pytest.raises(EmptyInnerPlaintext):
         decrypt_record(rec, keys)
+
+
+def test_a_record_that_is_not_application_data_is_not_opened():
+    keys = derive_traffic_keys(bytes(32), "AES_128_GCM_SHA256")
+    record = build_record(CT_HANDSHAKE, bytes(40))
+    (rec,), _ = parse_records(DirectionalStream(record, [0], [7], [0], len(record), False))
+    with pytest.raises(ValueError):
+        decrypt_record(rec, keys)
+    assert keys.sequence_counter == 0
 
 
 def _sealed_with(nonce: bytes, inner: bytes, key: bytes = bytes(16)):

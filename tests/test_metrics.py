@@ -39,6 +39,12 @@ def test_combined_overhead_identity():
     assert combined_overhead_factor(0.3, 5.5, 0.3, 5.5) == 1.0
 
 
+@pytest.mark.parametrize("tcp2tls_baseline, tls_baseline", [(0.0, 0.0), (0.5, -1.0)], ids=["zero", "negative"])
+def test_combined_overhead_zero_baseline(tcp2tls_baseline, tls_baseline):
+    with pytest.raises(ZeroBaseline):
+        combined_overhead_factor(1.0, 1.0, tcp2tls_baseline, tls_baseline)
+
+
 def test_cos_reference_values():
     # hybrid-512 p50: excess 1.904 ms over an 18.006 ms layer-sum denominator
     denom = 0.390 + 1.866 + 5.879 + 0.991 + 8.880

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import walk_reference
 from tlslayers import capture, pipeline, synth
 from tlslayers.capture import CapturedFrame
 from tlslayers.decode import TcpFlags
@@ -30,6 +29,7 @@ from tlslayers.tlswire import (
     HT_ENCRYPTED_EXTENSIONS,
     HT_FINISHED,
     HT_KEY_UPDATE,
+    SUITES_BY_NAME,
     build_handshake_message,
     build_record,
     group_by_name,
@@ -38,14 +38,16 @@ from tlslayers.tlswire import (
     render_server_hello,
 )
 
+import reference
+import wire
 from conftest import (
-    Segment,
     analyze_frames,
     assemble,
     assemble_frames,
     clean_connection_spec,
     decode_frames,
     run_scenario,
+    segment,
     segment_frames,
 )
 
@@ -53,29 +55,22 @@ CLIENT = (bytes([10, 0, 0, 1]), 41000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
 
 
-def _pkt(src, dst, ts, flags, seq, payload=b""):
-    return Segment(
-        timestamp_ns=ts, src_ip=src[0], dst_ip=dst[0], src_port=src[1], dst_port=dst[1],
-        tcp_flags=int(flags), seq=seq, payload=payload, truncated=False,
-    )
-
-
 def _segments(client_payloads, server_payloads, client=CLIENT, t0=0):
     """SYN at t0, SYN-ACK 100us later, data segments afterwards."""
     packets = [
-        _pkt(client, SERVER, t0, TcpFlags.SYN, 1000),
-        _pkt(SERVER, client, t0 + 100_000, TcpFlags.SYN | TcpFlags.ACK, 2000),
-        _pkt(client, SERVER, t0 + 150_000, TcpFlags.ACK, 1001),
+        segment(client, SERVER, t0, TcpFlags.SYN, 1000),
+        segment(SERVER, client, t0 + 100_000, TcpFlags.SYN | TcpFlags.ACK, 2000),
+        segment(client, SERVER, t0 + 150_000, TcpFlags.ACK, 1001),
     ]
     off = 0
     for i, payload in enumerate(client_payloads):
         ts = t0 + 200_000 + i * 50_000
-        packets.append(_pkt(client, SERVER, ts, TcpFlags.ACK | TcpFlags.PSH, 1001 + off, payload))
+        packets.append(segment(client, SERVER, ts, TcpFlags.ACK | TcpFlags.PSH, 1001 + off, payload))
         off += len(payload)
     off = 0
     for i, payload in enumerate(server_payloads):
         ts = t0 + 300_000 + i * 50_000
-        packets.append(_pkt(SERVER, client, ts, TcpFlags.ACK | TcpFlags.PSH, 2001 + off, payload))
+        packets.append(segment(SERVER, client, ts, TcpFlags.ACK | TcpFlags.PSH, 2001 + off, payload))
         off += len(payload)
     return packets
 
@@ -139,8 +134,7 @@ def test_change_cipher_spec_before_server_hello_is_skipped():
 
 
 def test_no_decrypt_mode_stops_at_keys():
-    ch = build_record(CT_HANDSHAKE, render_client_hello(bytes(32), [(0x001D, bytes(32))]), 0x0301)
-    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    ch, sh = _hellos(bytes(32))
     conn = _connection([ch], [sh])
     tl = analyze_connection(conn, None)
     assert tl.validity == "partial"
@@ -198,24 +192,22 @@ def _store_for(client_random: bytes) -> KeyLogStore:
 
 
 def _seal(store, client_random, label, counter, inner_type, content):
-    import struct
+    """One AES_128_GCM_SHA256 record sealed as synth seals it, under the logged secret, at sequence number `counter`."""
+    sealer = synth._Sealer(store.get(client_random, label), SUITES_BY_NAME["AES_128_GCM_SHA256"])
+    sealer.counter = counter
+    return sealer.seal(inner_type, content)
 
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-    from tlslayers.keyschedule import derive_traffic_keys
-
-    keys = derive_traffic_keys(store.get(client_random, label), "AES_128_GCM_SHA256")
-    nonce = bytes(a ^ b for a, b in zip(keys.iv, counter.to_bytes(12, "big")))
-    inner = content + bytes([inner_type])
-    header = struct.pack(">BHH", 23, 0x0303, len(inner) + 16)
-    return header + AESGCM(keys.key).encrypt(nonce, inner, header)
+def _hellos(client_random: bytes):
+    ch = build_record(CT_HANDSHAKE, render_client_hello(client_random, [(0x001D, bytes(32))]), 0x0301)
+    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    return ch, sh
 
 
 def test_client_flight_lost_is_no_finished():
     client_random = b"\x07" * 32
     store = _store_for(client_random)
-    ch = build_record(CT_HANDSHAKE, render_client_hello(client_random, [(0x001D, bytes(32))]), 0x0301)
-    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    ch, sh = _hellos(client_random)
     # server Finished exists, but the client's encrypted flight never arrives
     server_fin = _seal(store, client_random, "SERVER_HANDSHAKE_TRAFFIC_SECRET", 0,
                        CT_HANDSHAKE, build_handshake_message(20, bytes(32)))
@@ -289,8 +281,7 @@ def test_client_hello_spanning_two_records():
 def test_key_update_before_boundaries_flags_connection():
     client_random = b"\x08" * 32
     store = _store_for(client_random)
-    ch = build_record(CT_HANDSHAKE, render_client_hello(client_random, [(0x001D, bytes(32))]), 0x0301)
-    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
+    ch, sh = _hellos(client_random)
     fin = _seal(store, client_random, "CLIENT_HANDSHAKE_TRAFFIC_SECRET", 0,
                 CT_HANDSHAKE, build_handshake_message(20, bytes(32)))
     key_update = _seal(store, client_random, "CLIENT_TRAFFIC_SECRET_0", 0,
@@ -301,12 +292,6 @@ def test_key_update_before_boundaries_flags_connection():
     tl = analyze_connection(conn, store)
     assert tl.validity == "partial"
     assert tl.reason == "undecryptable"
-
-
-def _hellos(client_random: bytes):
-    ch = build_record(CT_HANDSHAKE, render_client_hello(client_random, [(0x001D, bytes(32))]), 0x0301)
-    sh = build_record(CT_HANDSHAKE, render_server_hello(bytes(32), 0x1301, (0x001D, bytes(32))))
-    return ch, sh
 
 
 def _server_flight(store, client_random, response_records):
@@ -464,7 +449,7 @@ def test_walk_opens_records_as_the_reference_walk_does(data):
     server = data.draw(_protected_flight(store, client_random, "SERVER", b"HTTP/1.1 200 OK\r\n\r\n"), label="server")
     conn = _connection([ch, *client], [sh, *server])
     got = _walk_outcome(pipeline, pipeline._walk, conn, store)
-    assert got == _walk_outcome(walk_reference, walk_reference.reference_walk, conn, store)
+    assert got == _walk_outcome(reference, reference.walk, conn, store)
 
 
 def test_malformed_client_hello_is_partial():
@@ -724,9 +709,8 @@ def test_the_capture_map_is_closed_when_the_walk_ends_or_raises(tmp_path, monkey
             epbs.append(off)
         off += total
     half = epbs[len(epbs) // 2]
-    idb = struct.pack("<IIHHII", 1, 20, 105, 0, 65535, 20)
     bad = tmp_path / "bad.pcapng"
-    bad.write_bytes(raw[:half] + idb + raw[half:])
+    bad.write_bytes(raw[:half] + wire.idb("<", 105) + raw[half:])
     with pytest.raises(UnknownLinkType):
         analyze_capture(bad, None, "bad")
     assert len(maps) == 2 and maps[1].closed

@@ -14,24 +14,11 @@ from tlslayers.errors import GapAtOffset
 from tlslayers.pipeline import analyze_connection
 from tlslayers.reassembly import assemble_flow
 
-from conftest import Segment, assemble, lay_out, segment_frames
+import reference
+from conftest import assemble, lay_out, segment, segment_frames
 
 CLIENT = (bytes([10, 0, 0, 1]), 40000)
 SERVER = (bytes([10, 0, 0, 2]), 443)
-
-
-def pkt(src, dst, ts, flags=0, seq=0, payload=b"", truncated=False):
-    return Segment(
-        timestamp_ns=ts,
-        src_ip=src[0],
-        dst_ip=dst[0],
-        src_port=src[1],
-        dst_port=dst[1],
-        tcp_flags=int(flags),
-        seq=seq,
-        payload=payload,
-        truncated=truncated,
-    )
 
 
 def _bytes(stream):
@@ -41,9 +28,9 @@ def _bytes(stream):
 
 def handshake(t_syn=0, t_synack=360_000, isn_c=5000, isn_s=9000):
     return [
-        pkt(CLIENT, SERVER, t_syn, TcpFlags.SYN, isn_c),
-        pkt(SERVER, CLIENT, t_synack, TcpFlags.SYN | TcpFlags.ACK, isn_s),
-        pkt(CLIENT, SERVER, t_synack + 1000, TcpFlags.ACK, isn_c + 1),
+        segment(CLIENT, SERVER, t_syn, TcpFlags.SYN, isn_c),
+        segment(SERVER, CLIENT, t_synack, TcpFlags.SYN | TcpFlags.ACK, isn_s),
+        segment(CLIENT, SERVER, t_synack + 1000, TcpFlags.ACK, isn_c + 1),
     ]
 
 
@@ -61,14 +48,14 @@ def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server)
     packets = [
         # a remnant before any SYN, as in a capture that starts after it: its first
         # packet's sender is taken as its client, whichever endpoint is lower
-        pkt(server, client, 0, TcpFlags.SYN | TcpFlags.ACK, 40),
-        pkt(client, server, 1, TcpFlags.PSH | TcpFlags.ACK, 41, b"early"),
-        pkt(server, client, 2, TcpFlags.PSH | TcpFlags.ACK, 47, b"stray"),
-        pkt(client, server, 10, TcpFlags.SYN, 100),
-        pkt(server, client, 20, TcpFlags.SYN | TcpFlags.ACK, 900),
-        pkt(client, server, 30, TcpFlags.PSH | TcpFlags.ACK, 101, b"ping"),
-        pkt(server, client, 40, TcpFlags.PSH | TcpFlags.ACK, 901, b"pong"),
-        pkt(server, client, 50, TcpFlags.FIN | TcpFlags.ACK, 905),
+        segment(server, client, 0, TcpFlags.SYN | TcpFlags.ACK, 40),
+        segment(client, server, 1, TcpFlags.PSH | TcpFlags.ACK, 41, b"early"),
+        segment(server, client, 2, TcpFlags.PSH | TcpFlags.ACK, 47, b"stray"),
+        segment(client, server, 10, TcpFlags.SYN, 100),
+        segment(server, client, 20, TcpFlags.SYN | TcpFlags.ACK, 900),
+        segment(client, server, 30, TcpFlags.PSH | TcpFlags.ACK, 101, b"ping"),
+        segment(server, client, 40, TcpFlags.PSH | TcpFlags.ACK, 901, b"pong"),
+        segment(server, client, 50, TcpFlags.FIN | TcpFlags.ACK, 905),
     ]
     remnant, conn = assemble(packets)
     assert (remnant.client, remnant.server, remnant.t_syn, remnant.t_synack) == (server, client, None, None)
@@ -86,10 +73,10 @@ def test_orientation_follows_the_syn_whichever_endpoint_is_lower(client, server)
 def test_a_flow_from_an_endpoint_to_itself_is_all_client():
     # both ends are one (ip, port): every packet matches the client, and a SYN-ACK the server too
     packets = [
-        pkt(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
-        pkt(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
-        pkt(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
-        pkt(CLIENT, CLIENT, 30, TcpFlags.FIN | TcpFlags.ACK, 106),
+        segment(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
+        segment(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
+        segment(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
+        segment(CLIENT, CLIENT, 30, TcpFlags.FIN | TcpFlags.ACK, 106),
     ]
     (conn,) = assemble(packets)
     assert (conn.client, conn.server, conn.t_syn, conn.t_synack, conn.isn_s) == (CLIENT, CLIENT, 0, 10, 900)
@@ -101,9 +88,9 @@ def test_a_socket_connected_to_itself_is_one_bucket_from_the_lower_end():
     # a looped four-tuple as ingest buckets it: one flow, every frame from the lower endpoint,
     # and assembled from that bucket, its SYN-ACK is the server's
     packets = [
-        pkt(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
-        pkt(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
-        pkt(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
+        segment(CLIENT, CLIENT, 0, TcpFlags.SYN, 100),
+        segment(CLIENT, CLIENT, 10, TcpFlags.SYN | TcpFlags.ACK, 900),
+        segment(CLIENT, CLIENT, 20, TcpFlags.PSH | TcpFlags.ACK, 101, b"hello"),
     ]
     buf, spans = lay_out(segment_frames(packets))
     groups, counts = ingest_frames(buf, spans)
@@ -124,8 +111,8 @@ def test_prescribed_handshake_spacing_is_exact():
 
 def test_data_placed_at_sequence_offset():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK | TcpFlags.PSH, 101, b"hello"))
-    packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK | TcpFlags.PSH, 106, b" world"))
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK | TcpFlags.PSH, 101, b"hello"))
+    packets.append(segment(CLIENT, SERVER, 600_000, TcpFlags.ACK | TcpFlags.PSH, 106, b" world"))
     (conn,) = assemble(packets)
     assert _bytes(conn.client_to_server) == b"hello world"
     assert conn.client_to_server.timestamp_at(0) == 500_000
@@ -135,8 +122,8 @@ def test_data_placed_at_sequence_offset():
 
 def test_retransmission_keeps_first_arrival():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
-    packets.append(pkt(CLIENT, SERVER, 5_500_000, TcpFlags.ACK, 101, b"abcd"))  # 5 ms later
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
+    packets.append(segment(CLIENT, SERVER, 5_500_000, TcpFlags.ACK, 101, b"abcd"))  # 5 ms later
     (conn,) = assemble(packets)
     assert conn.client_to_server.timestamp_at(0) == 500_000
     assert not conn.anomalies
@@ -144,9 +131,9 @@ def test_retransmission_keeps_first_arrival():
 
 def test_equal_times_rank_by_offset_then_file_order():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 103, b"XY"))  # offset 2, first in the file
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))  # offset 0: ranks first
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abZZ"))  # offset 0, later in the file
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 103, b"XY"))  # offset 2, first in the file
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))  # offset 0: ranks first
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abZZ"))  # offset 0, later in the file
     (conn,) = assemble(packets)
     stream = conn.client_to_server
     assert (_bytes(stream), stream.offsets) == (b"abcd", [0])
@@ -168,7 +155,7 @@ def test_out_of_order_segments_permutation_insensitive():
         packets = handshake(isn_c=100)
         for idx in order:
             off, payload, ts = segments[idx]
-            packets.append(pkt(CLIENT, SERVER, ts, TcpFlags.ACK, 101 + off, payload))
+            packets.append(segment(CLIENT, SERVER, ts, TcpFlags.ACK, 101 + off, payload))
         (conn,) = assemble(packets)
         stream = conn.client_to_server
         assert (_bytes(stream), stream.offsets, stream.times) == expected
@@ -184,7 +171,7 @@ def test_timestamp_at_brute_force_oracle():
     per_byte = [0] * total
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         ts = 1_000_000 + i * 7_000
-        packets.append(pkt(SERVER, CLIENT, ts, TcpFlags.ACK, 201 + a, data[a:b]))
+        packets.append(segment(SERVER, CLIENT, ts, TcpFlags.ACK, 201 + a, data[a:b]))
         for j in range(a, b):
             per_byte[j] = ts
     (conn,) = assemble(packets)
@@ -196,8 +183,8 @@ def test_timestamp_at_brute_force_oracle():
 
 def test_gap_detection_and_gap_at_offset():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
-    packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 109, b"bbbb"))  # hole at 4..8
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
+    packets.append(segment(CLIENT, SERVER, 600_000, TcpFlags.ACK, 109, b"bbbb"))  # hole at 4..8
     (conn,) = assemble(packets)
     stream = conn.client_to_server
     assert stream.has_gap
@@ -214,7 +201,7 @@ def test_byte_conservation_without_gaps():
     total = 0
     for i in range(10):
         payload = rng.randbytes(100)
-        packets.append(pkt(CLIENT, SERVER, 10**6 + i, TcpFlags.ACK, 1 + total, payload))
+        packets.append(segment(CLIENT, SERVER, 10**6 + i, TcpFlags.ACK, 1 + total, payload))
         total += 100
     (conn,) = assemble(packets)
     assert len(conn.client_to_server) == total
@@ -223,8 +210,8 @@ def test_byte_conservation_without_gaps():
 
 def test_overlap_mismatch_is_recorded():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
-    packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101, b"aXaa"))
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"aaaa"))
+    packets.append(segment(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101, b"aXaa"))
     (conn,) = assemble(packets)
     assert "overlap_mismatch" in conn.anomalies
 
@@ -232,9 +219,9 @@ def test_overlap_mismatch_is_recorded():
 def test_port_reuse_after_fin_starts_new_incarnation():
     packets = handshake()
     packets += [
-        pkt(CLIENT, SERVER, 700_000, TcpFlags.FIN | TcpFlags.ACK, 5001),
-        pkt(SERVER, CLIENT, 710_000, TcpFlags.FIN | TcpFlags.ACK, 9001),
-        pkt(CLIENT, SERVER, 720_000, TcpFlags.ACK, 5002),
+        segment(CLIENT, SERVER, 700_000, TcpFlags.FIN | TcpFlags.ACK, 5001),
+        segment(SERVER, CLIENT, 710_000, TcpFlags.FIN | TcpFlags.ACK, 9001),
+        segment(CLIENT, SERVER, 720_000, TcpFlags.ACK, 5002),
     ]
     packets += handshake(t_syn=2_000_000, t_synack=2_360_000, isn_c=7777, isn_s=8888)
     conns = assemble(packets)
@@ -246,7 +233,7 @@ def test_port_reuse_after_fin_starts_new_incarnation():
 
 def test_syn_after_rst_starts_new_incarnation():
     packets = handshake()
-    packets.append(pkt(SERVER, CLIENT, 800_000, TcpFlags.RST, 9001))
+    packets.append(segment(SERVER, CLIENT, 800_000, TcpFlags.RST, 9001))
     packets += handshake(t_syn=2_000_000, t_synack=2_360_000, isn_c=7777, isn_s=8888)
     conns = assemble(packets)
     assert [c.t_syn for c in conns] == [0, 2_000_000]
@@ -256,14 +243,14 @@ def test_syn_after_rst_starts_new_incarnation():
 
 def test_dual_isn_anomaly():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 50_000, TcpFlags.SYN, 999))  # same tuple, new ISN
+    packets.append(segment(CLIENT, SERVER, 50_000, TcpFlags.SYN, 999))  # same tuple, new ISN
     (conn,) = assemble(packets)
     assert "dual_isn" in conn.anomalies
 
 
 def test_synack_with_a_second_isn_is_dual_isn():
     packets = handshake(isn_s=9000)
-    packets.append(pkt(SERVER, CLIENT, 400_000, TcpFlags.SYN | TcpFlags.ACK, 4242))
+    packets.append(segment(SERVER, CLIENT, 400_000, TcpFlags.SYN | TcpFlags.ACK, 4242))
     (conn,) = assemble(packets)
     assert conn.anomalies == {"dual_isn"}
     assert conn.t_synack == 360_000  # the first SYN-ACK anchors the server stream
@@ -273,7 +260,7 @@ def test_synack_with_a_second_isn_is_dual_isn():
 def test_syn_after_a_remnant_before_any_syn_opens_a_new_connection(stray_from):
     """A capture that starts mid-connection, then a port reuse: the SYN is not swallowed."""
     stray_to = SERVER if stray_from == CLIENT else CLIENT
-    packets = [pkt(stray_from, stray_to, 0, TcpFlags.PSH | TcpFlags.ACK, 77, b"x" * 14)]
+    packets = [segment(stray_from, stray_to, 0, TcpFlags.PSH | TcpFlags.ACK, 77, b"x" * 14)]
     packets += handshake(t_syn=1_000_000, t_synack=1_360_000)
     conns = assemble(packets)
     assert [(c.t_syn, c.incarnation) for c in conns] == [(None, 0), (1_000_000, 1)]
@@ -283,7 +270,7 @@ def test_syn_after_a_remnant_before_any_syn_opens_a_new_connection(stray_from):
 
 def test_syn_retransmit_is_not_an_anomaly():
     packets = handshake(isn_c=100)
-    packets.insert(1, pkt(CLIENT, SERVER, 30_000, TcpFlags.SYN, 100))
+    packets.insert(1, segment(CLIENT, SERVER, 30_000, TcpFlags.SYN, 100))
     (conn,) = assemble(packets)
     assert conn.t_syn == 0  # first arrival
     assert not conn.anomalies
@@ -291,16 +278,16 @@ def test_syn_retransmit_is_not_an_anomaly():
 
 def test_truncated_segment_marks_connection():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"part", truncated=True))
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"part", truncated=True))
     (conn,) = assemble(packets)
     assert conn.truncated
 
 
 def test_keepalive_probe_ignored():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"abcd"))
     # keep-alive: one stale byte just below the current edge
-    packets.append(pkt(CLIENT, SERVER, 900_000, TcpFlags.ACK, 104, b"Z"))
+    packets.append(segment(CLIENT, SERVER, 900_000, TcpFlags.ACK, 104, b"Z"))
     (conn,) = assemble(packets)
     assert _bytes(conn.client_to_server) == b"abcd"
     assert "overlap_mismatch" not in conn.anomalies
@@ -313,8 +300,8 @@ def test_synack_ordering_invariant():
 
 def test_far_ahead_stray_segment_costs_captured_bytes_only():
     packets = handshake(isn_c=100)
-    packets.append(pkt(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"hello"))
-    packets.append(pkt(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101 + (64 << 20), b"x"))
+    packets.append(segment(CLIENT, SERVER, 500_000, TcpFlags.ACK, 101, b"hello"))
+    packets.append(segment(CLIENT, SERVER, 600_000, TcpFlags.ACK, 101 + (64 << 20), b"x"))
     tracemalloc.start()
     try:
         (conn,) = assemble(packets)
@@ -332,7 +319,7 @@ def test_reversed_segments_cost_time_in_proportion_to_their_count():
     # time (n log n predicts about 21).
     def cpu_time(n):
         packets = handshake(isn_c=100)
-        packets += [pkt(CLIENT, SERVER, 1_000_000 + i, TcpFlags.ACK, 101 + off, bytes([off & 0xFF]))
+        packets += [segment(CLIENT, SERVER, 1_000_000 + i, TcpFlags.ACK, 101 + off, bytes([off & 0xFF]))
                     for i, off in enumerate(reversed(range(n)))]
         buf, spans = lay_out(segment_frames(packets))
         ((key, group),) = ingest_frames(buf, spans)[0].items()
@@ -359,45 +346,6 @@ def test_reversed_segments_cost_time_in_proportion_to_their_count():
 
 _SEQ_MOD = 1 << 32
 _T0 = 1_000_000  # after the handshake, so every data segment joins its connection
-
-
-def reference_stream(segs, isn):
-    """Per-byte first-arrival placement: the model the interval builder must match.
-
-    segs is [(seq, payload, ts)] in capture order.  Returns (data, offsets_ts,
-    has_gap, anomalies), where offsets_ts holds one (offset, ts) per run of
-    bytes a segment newly covered, inside the contiguous prefix.
-    """
-    base = (isn + 1) % _SEQ_MOD
-    placed = [((seq - base) % _SEQ_MOD, payload, ts) for seq, payload, ts in segs]
-    placed = [p for p in placed if p[0] < 1 << 30]  # drops pre-ISN and stale sequences
-    placed.sort(key=lambda p: (p[2], p[0]))
-    byte_at = {}  # offset -> (byte, first-arrival ts)
-    run_starts = []
-    anomalies = set()
-    end_seen = 0
-    for rel, payload, ts in placed:
-        if len(payload) == 1 and rel == end_seen - 1 and rel in byte_at:
-            continue  # keep-alive probe at the edge
-        in_new_run = False
-        for i, b in enumerate(payload):
-            off = rel + i
-            if off in byte_at:
-                if byte_at[off][0] != b:
-                    anomalies.add("overlap_mismatch")
-                in_new_run = False
-            else:
-                byte_at[off] = (b, ts)
-                if not in_new_run:
-                    run_starts.append((off, ts))
-                in_new_run = True
-        end_seen = max(end_seen, rel + len(payload))
-    prefix = 0
-    while prefix in byte_at:
-        prefix += 1
-    data = bytes(byte_at[o][0] for o in range(prefix))
-    offsets_ts = sorted((o, t) for o, t in run_starts if o < prefix)
-    return data, offsets_ts, len(byte_at) > prefix, anomalies
 
 
 @st.composite
@@ -481,10 +429,10 @@ def tilings(draw):
 def test_interval_builder_matches_per_byte_model(case):
     isn, segs = case
     packets = handshake(isn_c=isn)
-    packets += [pkt(CLIENT, SERVER, ts, TcpFlags.ACK, seq, payload) for seq, payload, ts in segs]
+    packets += [segment(CLIENT, SERVER, ts, TcpFlags.ACK, seq, payload) for seq, payload, ts in segs]
     (conn,) = assemble(packets)
     stream = conn.client_to_server
-    data, offsets_ts, has_gap, anomalies = reference_stream(segs, isn)
+    data, offsets_ts, has_gap, anomalies = reference.stream(segs, isn)
     assert _bytes(stream) == data
     assert (stream.offsets, stream.times) == ([o for o, _ in offsets_ts], [t for _, t in offsets_ts])
     assert stream.has_gap == has_gap

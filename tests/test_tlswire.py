@@ -15,6 +15,7 @@ from tlslayers.tlswire import (
     EXT_KEY_SHARE,
     GROUPS_BY_ID,
     HRR_RANDOM,
+    MAX_RECORD_BODY,
     SUITES_BY_ID,
     HandshakeAccumulator,
     build_handshake_message,
@@ -29,7 +30,7 @@ from tlslayers.tlswire import (
     render_server_hello,
 )
 
-from hello_reference import reference_client_hello, reference_server_hello
+import reference
 from reference_runs import KEY_SHARE_SIZES
 
 
@@ -237,6 +238,19 @@ def test_server_hello_unsupported_suite():
         parse_server_hello(msg[4:])
 
 
+@pytest.mark.parametrize("call, error", [
+    # the cipher suites end where the message ends: no legacy_compression_methods byte
+    (lambda: parse_client_hello(b"\x03\x03" + bytes(32) + b"\x00" + b"\x00\x02\x13\x01"), MalformedHello),
+    (lambda: build_record(CT_HANDSHAKE, bytes(MAX_RECORD_BODY + 1)), OversizeRecord),
+    (lambda: render_client_hello(bytes(31), [(0x001D, bytes(32))]), ValueError),
+    (lambda: render_server_hello(bytes(33), 0x1301, (0x001D, bytes(32))), ValueError),
+    (lambda: DirectionalStream(bytes(10), [3], [7], [3], 10, False).read(0, 5), GapAtOffset),
+], ids=["hello-without-compression", "oversize-body", "client-random", "server-random", "read-before-first-piece"])
+def test_what_cannot_be_built_or_read_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_hello_retry_request_flagged():
     msg = render_server_hello(HRR_RANDOM, 0x1301, (0x001D, b""))
     info = parse_server_hello(msg[4:])
@@ -330,19 +344,6 @@ def test_accumulator_stamps_every_message_with_its_first_bytes_record(messages, 
     assert acc.pending == kept - end
 
 
-def _first_message_reference(records):
-    """The first handshake message as an accumulator fed every leading handshake record finds it."""
-    acc = HandshakeAccumulator()
-    for rec in records:
-        if rec.content_type == CT_CHANGE_CIPHER_SPEC:
-            continue
-        if rec.content_type != CT_HANDSHAKE:
-            break
-        for message in acc.feed(rec.body, rec.timestamp_ns):
-            return message
-    return None, b"", None
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     messages=st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=80)), min_size=1, max_size=3),
@@ -367,7 +368,7 @@ def test_first_handshake_message_matches_the_accumulator(messages, data):
     records, _ = parse_records(DirectionalStream(wire, offsets, times, offsets, len(wire), False))
 
     got = first_handshake_message(records)
-    assert got == _first_message_reference(records)
+    assert got == reference.first_message(records)
     if kept >= 4 + len(messages[0][1]):
         assert got[:2] == messages[0]
 
@@ -482,9 +483,9 @@ def _damage(body: bytes, client: bool, data) -> bytes:
     return bytes(damaged)
 
 
-def _same_outcome(parse, reference, msg: bytes) -> None:
+def _same_outcome(parse, parse_reference, msg: bytes) -> None:
     try:
-        expected = reference(msg)
+        expected = parse_reference(msg)
     except (MalformedHello, UnsupportedCipherSuite) as exc:
         with pytest.raises(type(exc)) as got:
             parse(msg)
@@ -511,7 +512,7 @@ def test_client_hello_parser_matches_reference(session_id, shares, data):
         [(gid, bytes(size)) for gid, size in shares],
         session_id=session_id,
     )
-    _same_outcome(parse_client_hello, reference_client_hello, _damage(msg[4:], True, data))
+    _same_outcome(parse_client_hello, reference.client_hello, _damage(msg[4:], True, data))
 
 
 @settings(max_examples=400, deadline=None)
@@ -531,4 +532,4 @@ def test_server_hello_parser_matches_reference(session_id, suite_id, hrr, group,
         "full": (group, bytes(GROUPS_BY_ID[group].server_share_len)),
     }[share]
     msg = render_server_hello(server_random, suite_id, key_share, session_id_echo=session_id)
-    _same_outcome(parse_server_hello, reference_server_hello, _damage(msg[4:], False, data))
+    _same_outcome(parse_server_hello, reference.server_hello, _damage(msg[4:], False, data))
